@@ -54,9 +54,6 @@ from .experiments import (
 from .gradients import (
     GradientBundle,
     finite_diff_gradient,
-    grad_wsr_amplitudes,
-    grad_wsr_phases,
-    grad_wsr_precoder,
     wsr_gradients,
 )
 from .model import (

@@ -62,7 +62,9 @@ def pga_oracle(
     step_sizes are the (precoder, amplitude, phase) base steps; when None
     they are scaled from the variable and gradient norms at the start.
     Each accepted iterate is renormalized, so every point on the trace is
-    feasible, and the rate trace is non-decreasing by construction.
+    feasible, and the rate trace is non-decreasing by construction. There
+    is no penalty, so the penalty and rho traces are zero, as in
+    independent mode.
     """
     if steps < 1:
         raise ConfigurationError("steps must be >= 1")
@@ -86,11 +88,12 @@ def pga_oracle(
         bt, br = normalize_amplitudes(beta[:n], beta[n:])
         return BeamformingState(W, bt, br, *np.split(wrap_phase(theta), 2))
 
-    rate = evaluate_wsr(sys_cfg, ch, state)
+    rate = bundle.rate
     trace = np.zeros(steps)
     shrink = 1.0
     for it in range(steps):
-        bundle = wsr_gradients(sys_cfg, ch, state)
+        if it > 0:  # step 0 uses the start bundle
+            bundle = wsr_gradients(sys_cfg, ch, state)
         accepted = False
         t = min(1.0, 2.0 * shrink)
         for _ in range(40):
@@ -119,5 +122,6 @@ def pga_oracle(
         residual_pre_projection=float(np.max(residual)),
         feasible_coupled=bool(np.max(residual) < 1e-9),
         mode=MODE_INDEPENDENT,
-        traces={"wsr_best": trace, "wsr_current": trace.copy()},
+        traces={"wsr_best": trace, "wsr_current": trace.copy(),
+                "penalty": np.zeros(steps), "rho": np.zeros(steps)},
     )

@@ -199,7 +199,10 @@ def _read_channels(fh) -> ChannelSet:
             rows[i] = vals[0::2] + 1j * vals[1::2]
         return rows
 
-    return ChannelSet(read_rows(n, m), read_rows(k, n))
+    ch = ChannelSet(read_rows(n, m), read_rows(k, n))
+    if fh.read().strip():
+        raise ValueError("unexpected data after the last channel row")
+    return ch
 
 
 def channels_to_text(ch: ChannelSet) -> str:

@@ -23,7 +23,8 @@ config dataclasses; units are watts, meters, and radians:
                   "seed": 0}
     }
 
-Missing sections/keys fall back to the selected scale's defaults.
+Missing sections/keys fall back to the selected scale's defaults; an
+unknown section or key is an error.
 """
 from __future__ import annotations
 
@@ -43,6 +44,7 @@ from .channels import (
     save_channels,
 )
 from .constraints import COUPLING_TOL
+from .errors import ConfigurationError
 from .experiments import (
     KIND_TIMING,
     SCHEME_GML_COUPLED,
@@ -55,9 +57,41 @@ from .experiments import (
     run_experiment,
     run_scheme,
     timing_probe,
+    write_convergence_csv,
 )
 from .model import SystemConfig
-from .training import MODE_COUPLED, MODE_INDEPENDENT, PenaltySchedule, TrainConfig
+from .training import MODE_COUPLED, MODE_INDEPENDENT, TrainConfig
+
+
+def _floats(values) -> tuple[float, ...]:
+    return tuple(float(v) for v in values)
+
+
+# Config-file key -> (dataclass field, converter), one table per section.
+SYSTEM_KEYS = {
+    "M": ("M", int), "N": ("N", int), "K": ("K", int),
+    "p_max_w": ("p_max", float), "noise_power_w": ("noise_power", float),
+    "weights": ("weights", _floats), "user_sides": ("user_sides", tuple),
+}
+TRAIN_KEYS = {
+    "n_epochs": ("n_epochs", int), "n_outer": ("n_outer", int),
+    "n_inner": ("n_inner", int), "lr_w": ("lr_w", float), "lr_a": ("lr_a", float),
+    "lr_theta": ("lr_theta", float), "n1": ("n1", int), "n2": ("n2", int),
+    "mode": ("mode", str), "rho_min": ("rho_min", float),
+    "rho_max": ("rho_max", float), "regulator_gain_rad": ("regulator_gain", float),
+    "seed": ("seed", int),
+}
+CHANNEL_KEYS = {
+    "rician_k_g": ("rician_k_g", float), "rician_k_h": ("rician_k_h", float),
+    "bs_pos_m": ("bs_pos", _floats), "ris_pos_m": ("ris_pos", _floats),
+    "center_t_m": ("center_t", _floats), "center_r_m": ("center_r", _floats),
+    "user_area_radius_m": ("user_area_radius", float),
+    "pathloss_a_db": ("pathloss_a", float),
+    "pathloss_b_db_per_decade": ("pathloss_b", float),
+    "los_mode": ("los_mode", str), "seed": ("seed", int),
+}
+SPEC_KEYS = ("kind", "schemes", "grid", "sample_count", "out_dir", "master_seed",
+             "desk_scale", "n_epochs", "users")
 
 
 def _load_json(path: str) -> dict:
@@ -65,56 +99,18 @@ def _load_json(path: str) -> dict:
         return json.load(fh)
 
 
-def _system_from_dict(d: dict, base: SystemConfig) -> SystemConfig:
-    return SystemConfig(
-        M=int(d.get("M", base.M)),
-        N=int(d.get("N", base.N)),
-        K=int(d.get("K", base.K)),
-        p_max=float(d.get("p_max_w", base.p_max)),
-        noise_power=float(d.get("noise_power_w", base.noise_power)),
-        user_sides=tuple(d["user_sides"]) if "user_sides" in d else None,
-        weights=np.asarray(d["weights"], float) if "weights" in d else None,
-    )
+def _check_keys(where: str, d: dict, known) -> None:
+    unknown = sorted(set(d) - set(known))
+    if unknown:
+        raise ConfigurationError(
+            f"unknown key(s) {unknown} in {where}; known keys are {sorted(known)}"
+        )
 
 
-def _train_from_dict(d: dict, base: TrainConfig) -> TrainConfig:
-    penalty = PenaltySchedule(
-        rho_min=float(d.get("rho_min", base.penalty.rho_min)),
-        rho_max=float(d.get("rho_max", base.penalty.rho_max)),
-    )
-    return TrainConfig(
-        n_epochs=int(d.get("n_epochs", base.n_epochs)),
-        n_outer=int(d.get("n_outer", base.n_outer)),
-        n_inner=int(d.get("n_inner", base.n_inner)),
-        lr_w=float(d.get("lr_w", base.lr_w)),
-        lr_a=float(d.get("lr_a", base.lr_a)),
-        lr_theta=float(d.get("lr_theta", base.lr_theta)),
-        n1=int(d.get("n1", base.n1)),
-        n2=int(d.get("n2", base.n2)),
-        mode=d.get("mode", base.mode),
-        penalty=penalty,
-        regulator_gain=float(d.get("regulator_gain_rad", base.regulator_gain)),
-        seed=int(d.get("seed", base.seed)),
-    )
-
-
-def _channel_from_dict(d: dict, base: ChannelConfig) -> ChannelConfig:
-    def pair(key, fallback):
-        return tuple(float(v) for v in d[key]) if key in d else fallback
-
-    return ChannelConfig(
-        rician_k_g=float(d.get("rician_k_g", base.rician_k_g)),
-        rician_k_h=float(d.get("rician_k_h", base.rician_k_h)),
-        bs_pos=pair("bs_pos_m", base.bs_pos),
-        ris_pos=pair("ris_pos_m", base.ris_pos),
-        center_t=pair("center_t_m", base.center_t),
-        center_r=pair("center_r_m", base.center_r),
-        user_area_radius=float(d.get("user_area_radius_m", base.user_area_radius)),
-        pathloss_a=float(d.get("pathloss_a_db", base.pathloss_a)),
-        pathloss_b=float(d.get("pathloss_b_db_per_decade", base.pathloss_b)),
-        los_mode=d.get("los_mode", base.los_mode),
-        seed=int(d.get("seed", base.seed)),
-    )
+def _fields(section: str, d: dict, keys: dict) -> dict:
+    """The dataclass field values that one config-file section sets."""
+    _check_keys(f"'{section}'", d, keys)
+    return {keys[k][0]: keys[k][1](v) for k, v in d.items()}
 
 
 def _build_configs(args) -> tuple[SystemConfig, ChannelConfig, TrainConfig]:
@@ -127,9 +123,20 @@ def _build_configs(args) -> tuple[SystemConfig, ChannelConfig, TrainConfig]:
         train = paper_train(mode=args.mode)
     if args.config:
         raw = _load_json(args.config)
-        sys_cfg = _system_from_dict(raw.get("system", {}), sys_cfg)
-        train = _train_from_dict(raw.get("train", {}), train)
-        ch_cfg = _channel_from_dict(raw.get("channel", {}), ch_cfg)
+        _check_keys("the config file", raw, ("system", "train", "channel"))
+        # sides and weights not given follow K, not the scale's defaults
+        sys_cfg = dataclasses.replace(
+            sys_cfg, user_sides=None, weights=None,
+            **_fields("system", raw.get("system", {}), SYSTEM_KEYS),
+        )
+        fields = _fields("train", raw.get("train", {}), TRAIN_KEYS)
+        penalty = dataclasses.replace(train.penalty, **{
+            k: fields.pop(k) for k in ("rho_min", "rho_max") if k in fields
+        })
+        train = dataclasses.replace(train, penalty=penalty, **fields)
+        ch_cfg = dataclasses.replace(
+            ch_cfg, **_fields("channel", raw.get("channel", {}), CHANNEL_KEYS)
+        )
     if args.mode:
         train = dataclasses.replace(train, mode=args.mode)
     if args.seed is not None:
@@ -176,21 +183,7 @@ def _cmd_run(args) -> int:
         }
         with open(os.path.join(args.out, "solution.json"), "w") as fh:
             json.dump(summary, fh, indent=2)
-        if "wsr_best" in sol.traces:
-            import csv as _csv
-
-            with open(os.path.join(args.out, "convergence.csv"), "w",
-                      newline="") as fh:
-                w = _csv.writer(fh)
-                w.writerow(["epoch", "wsr_best", "wsr_current", "penalty", "rho"])
-                t = sol.traces
-                for e in range(len(t["wsr_best"])):
-                    w.writerow([
-                        e, repr(float(t["wsr_best"][e])),
-                        repr(float(t.get("wsr_current", t["wsr_best"])[e])),
-                        repr(float(t["penalty"][e])) if "penalty" in t else "0.0",
-                        repr(float(t["rho"][e])) if "rho" in t else "0.0",
-                    ])
+        write_convergence_csv(os.path.join(args.out, "convergence.csv"), sol.traces)
         save_channels(os.path.join(args.out, "channels.txt"), ch)
         print(f"artifacts written to {args.out}/")
     return 0
@@ -198,6 +191,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_experiment(args) -> int:
     raw = _load_json(args.spec)
+    _check_keys("the experiment spec", raw, SPEC_KEYS)
     grid = raw.get("grid", [None])
     if raw.get("kind") in ("sweep_mn", "timing"):
         grid = [tuple(g) for g in grid]

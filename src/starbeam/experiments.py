@@ -282,7 +282,10 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
                     rec.phase_diff_trace = sol.traces.get("phase_diff")
                 report.records.append(rec)
                 if spec.kind == KIND_CONVERGENCE:
-                    _write_convergence_csv(report, spec, scheme, sample, sol)
+                    path = os.path.join(spec.out_dir,
+                                        f"convergence_{scheme}_s{sample}.csv")
+                    write_convergence_csv(path, sol.traces)
+                    report.csv_paths.append(path)
                 if spec.kind == KIND_PHASE_TRACE and rec.phase_diff_trace is not None:
                     _write_phase_trace_csv(report, spec, scheme, sample, rec)
 
@@ -299,17 +302,12 @@ def _write_csv(path: str, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
-def _write_convergence_csv(report, spec, scheme, sample, sol: Solution) -> None:
-    t = sol.traces
-    n = len(t["wsr_best"])
-    rows = [
-        [e, repr(float(t["wsr_best"][e])), repr(float(t["wsr_current"][e])),
-         repr(float(t["penalty"][e])), repr(float(t["rho"][e]))]
-        for e in range(n)
-    ]
-    path = os.path.join(spec.out_dir, f"convergence_{scheme}_s{sample}.csv")
+def write_convergence_csv(path: str, traces: dict[str, np.ndarray]) -> None:
+    """One row per epoch: the epoch index and the traces named in
+    CONVERGENCE_HEADER, printed with repr (lossless)."""
+    rows = [[e] + [repr(float(traces[key][e])) for key in CONVERGENCE_HEADER[1:]]
+            for e in range(len(traces["wsr_best"]))]
     _write_csv(path, CONVERGENCE_HEADER, rows)
-    report.csv_paths.append(path)
 
 
 def _write_phase_trace_csv(report, spec, scheme, sample, rec: CellRecord) -> None:

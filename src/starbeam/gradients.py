@@ -1,6 +1,12 @@
 """Closed-form ascent gradients of the weighted sum-rate, plus an
 independent central-difference oracle.
 
+One call of :func:`wsr_gradients` yields a :class:`GradientBundle` with all
+three gradients and the weighted sum-rate at the state, the rate computed
+from the same SINRs by :func:`model.wsr` and so bitwise equal to
+:func:`model.evaluate_wsr` there. A caller that needs several of these at
+one state computes the bundle once.
+
 Convention for the complex precoder gradient: grad_w is the conjugate
 (Wirtinger) ascent direction, i.e. for every perturbation matrix D
 
@@ -23,6 +29,7 @@ from .model import (
     SystemConfig,
     check_dimensions,
     user_selection_masks,
+    wsr,
 )
 
 _LN2 = float(np.log(2.0))
@@ -30,17 +37,19 @@ _LN2 = float(np.log(2.0))
 
 @dataclass(frozen=True)
 class GradientBundle:
-    """Ascent directions for the three variable groups."""
+    """Ascent directions for the three variable groups, and the weighted
+    sum-rate at the state they were taken at (nan if not computed)."""
 
     grad_w: np.ndarray      # (M, K) complex, conjugate-gradient convention
     grad_beta: np.ndarray   # (2N,) d(WSR)/d(beta_t, beta_r)
     grad_theta: np.ndarray  # (2N,) d(WSR)/d(theta_t, theta_r)
+    rate: float = float("nan")
 
 
 def wsr_gradients(
     cfg: SystemConfig, ch: ChannelSet, state: BeamformingState
 ) -> GradientBundle:
-    """All three analytic gradients at one state.
+    """All three analytic gradients and the rate at one state.
 
     Derivation: with u[k, j] the amplitude user k receives from precoder
     column j, the rate of user k depends on the signal power |u[k, k]|^2
@@ -73,28 +82,7 @@ def wsr_gradients(
     bracket = phase * (masked * weighted).sum(axis=0)           # (2N,)
     grad_beta = 2.0 * bracket.real
     grad_theta = -2.0 * amp * bracket.imag
-    return GradientBundle(grad_w, grad_beta, grad_theta)
-
-
-def grad_wsr_precoder(
-    cfg: SystemConfig, ch: ChannelSet, state: BeamformingState
-) -> np.ndarray:
-    """(M, K) conjugate ascent direction of the WSR with respect to W."""
-    return wsr_gradients(cfg, ch, state).grad_w
-
-
-def grad_wsr_amplitudes(
-    cfg: SystemConfig, ch: ChannelSet, state: BeamformingState
-) -> np.ndarray:
-    """(2N,) partial derivatives of the WSR w.r.t. (beta_t, beta_r)."""
-    return wsr_gradients(cfg, ch, state).grad_beta
-
-
-def grad_wsr_phases(
-    cfg: SystemConfig, ch: ChannelSet, state: BeamformingState
-) -> np.ndarray:
-    """(2N,) partial derivatives of the WSR w.r.t. (theta_t, theta_r)."""
-    return wsr_gradients(cfg, ch, state).grad_theta
+    return GradientBundle(grad_w, grad_beta, grad_theta, wsr(cfg, gammas))
 
 
 def state_to_vector(state: BeamformingState) -> np.ndarray:
@@ -129,7 +117,8 @@ def finite_diff_gradient(
     """Central differences over every real coordinate of the state.
 
     The precoder block is reassembled as 0.5 * (d/dRe + j * d/dIm) so it is
-    directly comparable with the analytic conjugate gradient.
+    directly comparable with the analytic conjugate gradient; the bundle's
+    rate is the objective at the state itself.
     """
     if not step > 0:
         raise ValueError("step must be positive")
@@ -150,4 +139,4 @@ def finite_diff_gradient(
     grad_w = 0.5 * (grad[:mk] + 1j * grad[mk : 2 * mk]).reshape(M, K)
     grad_beta = grad[2 * mk : 2 * mk + 2 * N]
     grad_theta = grad[2 * mk + 2 * N :]
-    return GradientBundle(grad_w, grad_beta, grad_theta)
+    return GradientBundle(grad_w, grad_beta, grad_theta, objective(state))

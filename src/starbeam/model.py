@@ -113,6 +113,9 @@ class ChannelSet:
             raise ConfigurationError(
                 f"h has {h.shape[1]} columns but G has {G.shape[0]} rows"
             )
+        for name, arr in (("G", G), ("h", h)):
+            if not np.isfinite(arr).all():
+                raise ConfigurationError(f"channel {name} has non-finite entries")
         n = G.shape[0]
         object.__setattr__(self, "G", _locked(G))
         object.__setattr__(self, "h", _locked(h))

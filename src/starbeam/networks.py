@@ -4,38 +4,53 @@ Each sub-network is a two-layer perceptron (affine, rectifier, affine).
 The precoder network consumes the complex (M, K) gradient as a batch of
 2K real M-vectors through shared weights; the amplitude and phase networks
 consume their 2N-dimensional gradient vectors directly.
+
+Parameter layout: each network keeps all of its parameters in one
+contiguous float64 vector, ``Mlp.flat``, laid out w1 | b1 | w2 | b2 with
+row-major weights, and ``w1``, ``b1``, ``w2`` and ``b2`` are views into it.
+:func:`mlp_backward` writes or adds parameter gradients into one flat
+vector of the same layout, and :func:`adam_step` updates a flat parameter
+vector and its moments in place, one elementwise operation at a time into
+two work buffers preallocated in :class:`AdamState`; the operations and
+their order are those of the textbook expression form, so results match
+it bit for bit.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigurationError
 
 Params = dict[str, np.ndarray]
+PARAM_NAMES = ("w1", "b1", "w2", "b2")
 
 
-@dataclass(frozen=True)
 class Mlp:
-    """Two affine maps with a rectified-linear activation between them."""
+    """Two affine maps with a rectified-linear activation between them.
 
-    w1: np.ndarray  # (hidden, in)
-    b1: np.ndarray  # (hidden,)
-    w2: np.ndarray  # (out, hidden)
-    b2: np.ndarray  # (out,)
+    The arrays passed in are copied into ``flat``; ``w1`` (hidden, in),
+    ``b1`` (hidden,), ``w2`` (out, hidden) and ``b2`` (out,) are views into
+    it, so an in-place update of ``flat`` updates the network.
+    """
 
-    @property
-    def input_dim(self) -> int:
-        return self.w1.shape[1]
+    def __init__(self, w1, b1, w2, b2) -> None:
+        self.hidden_dim, self.input_dim = np.shape(w1)
+        self.output_dim = np.shape(w2)[0]
+        h, o = self.hidden_dim, self.output_dim
+        self.flat = np.empty(h * (self.input_dim + 1) + o * (h + 1))
+        views = self.split(self.flat)
+        for view, value in zip(views, (w1, b1, w2, b2)):
+            view[...] = value
+        self.w1, self.b1, self.w2, self.b2 = views
 
-    @property
-    def hidden_dim(self) -> int:
-        return self.w1.shape[0]
-
-    @property
-    def output_dim(self) -> int:
-        return self.w2.shape[0]
+    def split(self, vec: np.ndarray) -> tuple[np.ndarray, ...]:
+        """(w1, b1, w2, b2) views into a flat vector laid out like ``flat``."""
+        h, i, o = self.hidden_dim, self.input_dim, self.output_dim
+        a, b = h * i, h * (i + 1)
+        c = b + o * h
+        return vec[:a].reshape(h, i), vec[a:b], vec[b:c].reshape(o, h), vec[c:]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Forward pass; x is one input vector or a (batch, in) matrix."""
@@ -53,12 +68,6 @@ class Mlp:
         y = hidden @ self.w2.T + self.b2
         return (y[0] if single else y), (x2, pre, hidden, single)
 
-    def params(self) -> Params:
-        return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2}
-
-    def with_params(self, params: Params) -> "Mlp":
-        return Mlp(params["w1"], params["b1"], params["w2"], params["b2"])
-
 
 def init_mlp(input_dim: int, hidden_dim: int, output_dim: int,
              rng: np.random.Generator) -> Mlp:
@@ -73,19 +82,34 @@ def init_mlp(input_dim: int, hidden_dim: int, output_dim: int,
     )
 
 
-def mlp_backward(net: Mlp, cache: tuple, grad_out: np.ndarray) -> Params:
-    """Parameter gradients for a forward pass recorded by
-    ``forward_with_cache``; grad_out matches the output shape."""
+def mlp_backward(net: Mlp, cache: tuple, grad_out: np.ndarray,
+                 acc: np.ndarray | None = None) -> np.ndarray:
+    """Parameter gradient of a forward pass recorded by
+    ``forward_with_cache`` as a flat vector laid out like ``net.flat``:
+    added into acc, or written into a new vector when acc is None, which
+    saves zeroing it and a pass over it. Returns the vector; grad_out
+    matches the output shape."""
     x2, pre, hidden, single = cache
     g = np.asarray(grad_out, dtype=float)
     g2 = g[None, :] if single else g
     grad_hidden = (g2 @ net.w2) * (pre > 0.0)
-    return {
-        "w1": grad_hidden.T @ x2,
-        "b1": grad_hidden.sum(axis=0),
-        "w2": g2.T @ hidden,
-        "b2": g2.sum(axis=0),
-    }
+    # For a single input the weight gradients are outer products, which
+    # broadcasting forms with the same rounding as matmul, in half the time.
+    outer = np.multiply if single else np.matmul
+    if acc is None:
+        acc = np.empty_like(net.flat)
+        g_w1, g_b1, g_w2, g_b2 = net.split(acc)
+        outer(grad_hidden.T, x2, out=g_w1)
+        grad_hidden.sum(axis=0, out=g_b1)
+        outer(g2.T, hidden, out=g_w2)
+        g2.sum(axis=0, out=g_b2)
+        return acc
+    g_w1, g_b1, g_w2, g_b2 = net.split(acc)
+    g_w1 += outer(grad_hidden.T, x2)
+    g_b1 += grad_hidden.sum(axis=0)
+    g_w2 += outer(g2.T, hidden)
+    g_b2 += g2.sum(axis=0)
+    return acc
 
 
 def pn_forward(net: Mlp, grad_w: np.ndarray) -> np.ndarray:
@@ -135,57 +159,66 @@ def _vector_forward(net: Mlp, vec: np.ndarray, label: str) -> np.ndarray:
     return net.forward(vec)
 
 
-@dataclass(frozen=True)
+@dataclass
 class AdamState:
-    """Moment estimates for one parameter set."""
+    """Moment estimates and step count for one flat parameter vector, with
+    two preallocated work buffers; :func:`adam_step` updates all of it in
+    place."""
 
-    first_moment: Params
-    second_moment: Params
+    first_moment: np.ndarray
+    second_moment: np.ndarray
+    buffers: np.ndarray = field(repr=False)  # two arrays shaped like params
     step_count: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
 
 
-def adam_init(params: Params, beta1: float = 0.9, beta2: float = 0.999,
+def adam_init(params: np.ndarray, beta1: float = 0.9, beta2: float = 0.999,
               epsilon: float = 1e-8) -> AdamState:
-    """Zero-initialized moments matching the parameter shapes."""
-    return AdamState(
-        first_moment={k: np.zeros_like(v) for k, v in params.items()},
-        second_moment={k: np.zeros_like(v) for k, v in params.items()},
-        step_count=0,
-        beta1=beta1,
-        beta2=beta2,
-        epsilon=epsilon,
-    )
+    """Zero-initialized moments matching the parameter vector."""
+    return AdamState(np.zeros_like(params), np.zeros_like(params),
+                     np.empty((2,) + params.shape), 0, beta1, beta2, epsilon)
 
 
-def adam_step(params: Params, grads: Params, state: AdamState,
-              lr: float) -> tuple[Params, AdamState]:
+def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState,
+              lr: float) -> None:
     """One bias-corrected Adam update moving params against the loss
-    gradient. Non-finite gradients are rejected before any state changes."""
+    gradient, in place on params and state. Non-finite gradients are
+    rejected before anything changes."""
     if not lr > 0:
         raise ValueError("learning rate must be positive")
-    if set(grads) != set(params):
-        raise ConfigurationError("gradient keys do not match parameter keys")
-    for key, g in grads.items():
-        if not np.isfinite(g).all():
-            raise ValueError(f"non-finite gradient for '{key}'; update rejected")
-    t = state.step_count + 1
-    c1 = 1.0 - state.beta1**t
-    c2 = 1.0 - state.beta2**t
-    new_params: Params = {}
-    m_new: Params = {}
-    v_new: Params = {}
-    for key, p in params.items():
-        g = grads[key]
-        m = state.beta1 * state.first_moment[key] + (1.0 - state.beta1) * g
-        v = state.beta2 * state.second_moment[key] + (1.0 - state.beta2) * g**2
-        m_new[key] = m
-        v_new[key] = v
-        new_params[key] = p - lr * (m / c1) / (np.sqrt(v / c2) + state.epsilon)
-    new_state = AdamState(m_new, v_new, t, state.beta1, state.beta2, state.epsilon)
-    return new_params, new_state
+    if grads.shape != params.shape:
+        raise ConfigurationError(
+            f"gradient shape {grads.shape} does not match parameter shape "
+            f"{params.shape}"
+        )
+    if not np.isfinite(grads).all():
+        raise ValueError("non-finite gradient; update rejected")
+    state.step_count += 1
+    t = state.step_count
+    b1, b2 = state.beta1, state.beta2
+    c1 = 1.0 - b1**t
+    c2 = 1.0 - b2**t
+    m, v = state.first_moment, state.second_moment
+    s, u = state.buffers
+    # m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g**2;
+    # params -= lr*(m/c1) / (sqrt(v/c2) + eps), one operation at a time in
+    # this order, so the result is bitwise that of the expression form.
+    m *= b1
+    np.multiply(grads, 1.0 - b1, out=s)
+    m += s
+    v *= b2
+    np.square(grads, out=s)
+    s *= 1.0 - b2
+    v += s
+    np.divide(m, c1, out=s)
+    s *= lr
+    np.divide(v, c2, out=u)
+    np.sqrt(u, out=u)
+    u += state.epsilon
+    s /= u
+    params -= s
 
 
 def save_parameters(path: str, params: Params) -> None:

@@ -9,6 +9,13 @@ precoder network every epoch, the amplitude and phase networks on their
 own intervals). What improves across epochs is the networks, not a
 persistent iterate.
 
+One gradient bundle per state: each inner step differentiates its current
+state once, and each outer iteration takes the refined point's three loss
+gradients and its rate from one :func:`wsr_gradients` call. Only the
+hardened copy of a coupled-mode state, a different state, is evaluated
+separately. Backward passes add into one flat gradient vector per network,
+and Adam updates each network's flat parameter vector in place.
+
 Loss plumbing: each network's parameters receive the gradient of its own
 loss through its own update chain only; the other variable groups and the
 gradient fed to the network input are treated as constants. In coupled
@@ -43,11 +50,7 @@ from .constraints import (
     wrap_phase,
 )
 from .errors import ConfigurationError, DegenerateInputError
-from .gradients import (
-    grad_wsr_amplitudes,
-    grad_wsr_phases,
-    grad_wsr_precoder,
-)
+from .gradients import wsr_gradients
 from .model import (
     TWO_PI,
     BeamformingState,
@@ -57,9 +60,8 @@ from .model import (
     evaluate_wsr,
 )
 from .networks import (
-    AdamState,
+    PARAM_NAMES,
     Mlp,
-    Params,
     adam_init,
     adam_step,
     init_mlp,
@@ -210,7 +212,7 @@ def _precoder_block(
     W = W0
     tape = []
     for _ in range(n_inner):
-        grad = grad_wsr_precoder(cfg, ch, _make_state(W, beta, theta))
+        grad = wsr_gradients(cfg, ch, _make_state(W, beta, theta)).grad_w
         delta, cache = pn_forward_with_cache(pn, grad)
         w_raw = W + delta
         sq = np.vdot(w_raw, w_raw).real
@@ -222,20 +224,22 @@ def _precoder_block(
     return W, tape
 
 
-def _precoder_block_backward(pn: Mlp, tape, grad_w_out: np.ndarray) -> Params:
+def _precoder_block_backward(pn: Mlp, tape, grad_w_out: np.ndarray,
+                             acc: np.ndarray | None) -> np.ndarray:
     """Pull a conjugate-convention loss gradient on the final precoder back
-    through the normalize/add/network chain, accumulating parameter
-    gradients (network inputs are constants)."""
-    acc: Params | None = None
+    through the normalize/add/network chain, adding the parameter gradient
+    into the flat vector acc (a new one when acc is None) and returning it;
+    network inputs are constants. The other block backward passes take and
+    return acc the same way."""
     g = grad_w_out
     for cache, w_raw, scale, sq in reversed(tape):
         # d loss = 2 Re<g, dW_out>, W_out = scale(w_raw) * w_raw
         q = np.vdot(g, w_raw).real
         g_raw = scale * g - (scale * q / sq) * w_raw
         grad_batch = np.vstack([2.0 * g_raw.real.T, 2.0 * g_raw.imag.T])
-        acc = _accumulate(acc, mlp_backward(pn, cache, grad_batch))
+        acc = mlp_backward(pn, cache, grad_batch, acc)
         g = g_raw
-    return acc if acc is not None else {}
+    return acc
 
 
 def _amplitude_block(
@@ -251,7 +255,7 @@ def _amplitude_block(
     n = beta0.size // 2
     tape = []
     for _ in range(n_inner):
-        grad = grad_wsr_amplitudes(cfg, ch, _make_state(W, beta, theta))
+        grad = wsr_gradients(cfg, ch, _make_state(W, beta, theta)).grad_beta
         delta, cache = an.forward_with_cache(grad)
         raw = beta + delta
         bt, br = normalize_amplitudes(raw[:n], raw[n:])
@@ -270,14 +274,14 @@ def _amp_norm_backward(g_out: np.ndarray, raw: np.ndarray) -> np.ndarray:
     return np.concatenate([br * common, -bt * common])
 
 
-def _amplitude_block_backward(an: Mlp, tape, grad_beta_out: np.ndarray) -> Params:
-    acc: Params | None = None
+def _amplitude_block_backward(an: Mlp, tape, grad_beta_out: np.ndarray,
+                              acc: np.ndarray | None) -> np.ndarray:
     g = grad_beta_out
     for cache, raw in reversed(tape):
         g_raw = _amp_norm_backward(g, raw)
-        acc = _accumulate(acc, mlp_backward(an, cache, g_raw))
+        acc = mlp_backward(an, cache, g_raw, acc)
         g = g_raw
-    return acc if acc is not None else {}
+    return acc
 
 
 def _phase_block(
@@ -293,7 +297,7 @@ def _phase_block(
     theta = theta0
     tape = []
     for _ in range(n_inner):
-        grad = grad_wsr_phases(cfg, ch, _make_state(W, beta, theta))
+        grad = wsr_gradients(cfg, ch, _make_state(W, beta, theta)).grad_theta
         raw, cache = tn.forward_with_cache(grad)
         sig = sigmoid(raw)
         tape.append((cache, sig))
@@ -302,26 +306,13 @@ def _phase_block(
 
 
 def _phase_block_backward(tn: Mlp, tape, grad_theta_out: np.ndarray,
-                          gain: float) -> Params:
-    acc: Params | None = None
+                          gain: float, acc: np.ndarray | None) -> np.ndarray:
     g = grad_theta_out
     for cache, sig in reversed(tape):
         # wrap is an a.e. identity; the regulator contributes gain*sig*(1-sig)
-        acc = _accumulate(acc, mlp_backward(tn, cache, g * gain * sig * (1.0 - sig)))
+        acc = mlp_backward(tn, cache, g * gain * sig * (1.0 - sig), acc)
         # d(theta_next)/d(theta_prev) = 1, so g passes through unchanged
-    return acc if acc is not None else {}
-
-
-def _accumulate(dst: Params | None, src: Params) -> Params:
-    if dst is None:
-        return {k: v.copy() for k, v in src.items()}
-    for k, v in src.items():
-        dst[k] += v
-    return dst
-
-
-def _scale_params(params: Params, factor: float) -> Params:
-    return {k: v * factor for k, v in params.items()}
+    return acc
 
 
 # --- public inner-update operations ---------------------------------------
@@ -430,12 +421,9 @@ def run_meta_loop(
 
     rng = np.random.default_rng(train.seed)
     nets = init_networks(sys_cfg, rng)
-    pn_params = nets.pn.params()
-    an_params = nets.an.params()
-    tn_params = nets.tn.params()
-    adam_pn = adam_init(pn_params)
-    adam_an = adam_init(an_params)
-    adam_tn = adam_init(tn_params)
+    pn, an, tn = nets.pn, nets.an, nets.tn
+    adams = (adam_init(pn.flat), adam_init(an.flat), adam_init(tn.flat))
+    rates = (train.lr_w, train.lr_a, train.lr_theta)
 
     start = initial_state(sys_cfg, rng, beta_init, theta_init)
     W0, beta0, theta0 = start.W, start.beta, start.theta
@@ -471,30 +459,28 @@ def run_meta_loop(
         rho = rho_at(train.penalty, epoch, n_epochs) if coupled else 0.0
         update_an = enable_an and epoch % train.n1 == 0
         update_tn = enable_tn and epoch % train.n2 == 0
-        acc_pn: Params | None = None
-        acc_an: Params | None = None
-        acc_tn: Params | None = None
+        # Per-network loss gradients summed over the outer iterations; None
+        # until the epoch's first backward pass of that network.
+        grad_pn = grad_an = grad_tn = None
 
         for outer in range(1, train.n_outer + 1):
             try:
-                pn = nets.pn.with_params(pn_params)
                 W_star, tape_w = _precoder_block(
                     pn, W0, beta_star, theta_star, sys_cfg, ch, train.n_inner
                 )
                 if enable_an:
-                    an = nets.an.with_params(an_params)
                     beta_star, tape_a = _amplitude_block(
                         an, beta0, W_star, theta_star, sys_cfg, ch, train.n_inner
                     )
                 if enable_tn:
-                    tn = nets.tn.with_params(tn_params)
                     theta_star, tape_t = _phase_block(
                         tn, theta0, W_star, beta_star, sys_cfg, ch,
                         train.n_inner, train.regulator_gain,
                     )
 
                 final = _make_state(W_star, beta_star, theta_star)
-                r_cur = evaluate_wsr(sys_cfg, ch, final)
+                bundle = wsr_gradients(sys_cfg, ch, final)
+                r_cur = bundle.rate
                 residual = float(
                     np.max(coupling_residual(final.theta_t, final.theta_r))
                 )
@@ -514,24 +500,19 @@ def run_meta_loop(
 
                 # Per-network losses all sit at the refined point; each
                 # parameter set sees only its own update chain.
-                g_w = -grad_wsr_precoder(sys_cfg, ch, final)
-                acc_pn = _accumulate(
-                    acc_pn, _precoder_block_backward(pn, tape_w, g_w)
+                grad_pn = _precoder_block_backward(
+                    pn, tape_w, -bundle.grad_w, grad_pn
                 )
                 if update_an:
-                    g_b = -grad_wsr_amplitudes(sys_cfg, ch, final)
-                    acc_an = _accumulate(
-                        acc_an, _amplitude_block_backward(an, tape_a, g_b)
+                    grad_an = _amplitude_block_backward(
+                        an, tape_a, -bundle.grad_beta, grad_an
                     )
                 if update_tn:
-                    g_t = -grad_wsr_phases(sys_cfg, ch, final)
+                    g_t = -bundle.grad_theta
                     if coupled:
                         g_t = g_t + 2.0 * rho * (theta_star - proj)
-                    acc_tn = _accumulate(
-                        acc_tn,
-                        _phase_block_backward(
-                            tn, tape_t, g_t, train.regulator_gain
-                        ),
+                    grad_tn = _phase_block_backward(
+                        tn, tape_t, g_t, train.regulator_gain, grad_tn
                     )
             except (DegenerateInputError, ConfigurationError) as err:
                 raise type(err)(
@@ -550,17 +531,12 @@ def run_meta_loop(
                     best_locked = cand
 
         inv = 1.0 / train.n_outer
-        pn_params, adam_pn = adam_step(
-            pn_params, _scale_params(acc_pn, inv), adam_pn, train.lr_w
-        )
-        if update_an:
-            an_params, adam_an = adam_step(
-                an_params, _scale_params(acc_an, inv), adam_an, train.lr_a
-            )
-        if update_tn:
-            tn_params, adam_tn = adam_step(
-                tn_params, _scale_params(acc_tn, inv), adam_tn, train.lr_theta
-            )
+        for net, grad, adam, lr in zip((pn, an, tn), (grad_pn, grad_an, grad_tn),
+                                       adams, rates):
+            if grad is not None:  # the network is updated this epoch
+                if train.n_outer > 1:  # x * 1.0 == x
+                    grad *= inv
+                adam_step(net.flat, grad, adam, lr)
 
         idx = epoch - 1
         chosen = (best_locked or best_proj) if coupled else best
@@ -601,11 +577,11 @@ def run_meta_loop(
 
 def save_networks(path: str, nets: SubNetworks) -> None:
     """Checkpoint all three sub-networks into one named-array archive."""
-    flat: Params = {}
-    for prefix, net in (("pn", nets.pn), ("an", nets.an), ("tn", nets.tn)):
-        for key, value in net.params().items():
-            flat[f"{prefix}.{key}"] = value
-    save_parameters(path, flat)
+    save_parameters(path, {
+        f"{prefix}.{key}": getattr(net, key)
+        for prefix, net in (("pn", nets.pn), ("an", nets.an), ("tn", nets.tn))
+        for key in PARAM_NAMES
+    })
 
 
 def load_networks(path: str) -> SubNetworks:
@@ -613,6 +589,6 @@ def load_networks(path: str) -> SubNetworks:
     flat = load_parameters(path)
 
     def rebuild(prefix: str) -> Mlp:
-        return Mlp(*(flat[f"{prefix}.{key}"] for key in ("w1", "b1", "w2", "b2")))
+        return Mlp(*(flat[f"{prefix}.{key}"] for key in PARAM_NAMES))
 
     return SubNetworks(rebuild("pn"), rebuild("an"), rebuild("tn"))

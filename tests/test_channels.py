@@ -122,6 +122,26 @@ class TestChannelIO:
         back = channels_from_text(channels_to_text(ch))
         assert np.array_equal(back.G, ch.G)
 
+    def test_trailing_data_rejected(self, tmp_path):
+        sys_cfg, ch_cfg = desk_scenario()
+        ch = generate_channels(sys_cfg, ch_cfg, np.random.default_rng(9))
+        text = channels_to_text(ch)
+        assert np.array_equal(channels_from_text(text + "\n  \n").h, ch.h)
+        path = tmp_path / "long.txt"
+        path.write_text(text + "0.5 0.5\n")
+        with pytest.raises(ValueError, match="after the last channel row"):
+            load_channels(str(path))
+
+    def test_non_finite_entry_rejected(self):
+        sys_cfg, ch_cfg = desk_scenario()
+        ch = generate_channels(sys_cfg, ch_cfg, np.random.default_rng(10))
+        lines = channels_to_text(ch).splitlines()
+        row = lines[2].split()
+        row[1] = "nan"
+        text = "\n".join(lines[:2] + [" ".join(row)] + lines[3:]) + "\n"
+        with pytest.raises(ConfigurationError, match="channel G"):
+            channels_from_text(text)
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("not a channel file\n1 1 1\n0 0\n0 0\n")

@@ -156,6 +156,20 @@ class TestSignTest:
         assert sign_test_p_value(0, 20) == 1.0
 
 
+class TestPgaConvergence:
+    def test_convergence_kind_runs_pga_oracle(self, tmp_path):
+        spec = ExperimentSpec(kind="convergence", schemes=("pga_oracle",),
+                              sample_count=1, out_dir=str(tmp_path), n_epochs=6)
+        report = run_experiment(spec)
+        assert not report.failures
+        header, rows = read_csv(os.path.join(str(tmp_path),
+                                             "convergence_pga_oracle_s0.csv"))
+        assert header == CONVERGENCE_HEADER
+        assert len(rows) == 6
+        # PGA has no penalty: both columns are zero, as in independent mode
+        assert all(float(r[3]) == 0.0 and float(r[4]) == 0.0 for r in rows)
+
+
 class TestCli:
     def test_run_writes_artifacts(self, tmp_path):
         out = str(tmp_path / "run_out")
@@ -187,8 +201,19 @@ class TestCli:
         printed = capsys.readouterr().out
         assert f"residual (pre-proj): {residual:.4f} (NOT locked" in printed
 
-    def _write_config(self, tmp_path):
-        cfg = {"train": {"n_epochs": 10}}
+    @pytest.mark.parametrize("raw, where", [
+        ({"train": {"n_epoch": 3}}, "'train'"),
+        ({"system": {"M": 4, "p_max": 1.0}}, "'system'"),
+        ({"channel": {"rician_k": 3.0}}, "'channel'"),
+        ({"trian": {"n_epochs": 3}}, "the config file"),
+    ])
+    def test_unknown_config_key_rejected(self, tmp_path, raw, where):
+        path = self._write_config(tmp_path, raw)
+        with pytest.raises(ConfigurationError, match=where):
+            cli_main(["run", "--config", path])
+
+    def _write_config(self, tmp_path, cfg=None):
+        cfg = cfg or {"train": {"n_epochs": 10}}
         path = str(tmp_path / "cfg.json")
         with open(path, "w") as fh:
             json.dump(cfg, fh)
@@ -208,6 +233,11 @@ class TestCli:
         out = str(tmp_path / "exp_out")
         assert cli_main(["experiment", spec_path, "--out", out]) == 0
         assert os.path.exists(os.path.join(out, "summary.csv"))
+        spec["sample"] = 3
+        with open(spec_path, "w") as fh:
+            json.dump(spec, fh)
+        with pytest.raises(ConfigurationError, match="experiment spec"):
+            cli_main(["experiment", spec_path, "--out", out])
 
     def test_grad_check_subcommand(self):
         assert cli_main(["grad-check", "--instances", "3"]) == 0

@@ -7,9 +7,6 @@ from starbeam import (
     SystemConfig,
     evaluate_wsr,
     finite_diff_gradient,
-    grad_wsr_amplitudes,
-    grad_wsr_phases,
-    grad_wsr_precoder,
     normalize_power,
     wsr_gradients,
 )
@@ -28,14 +25,14 @@ class TestPrecoderGradient:
     def test_zero_channel_gives_zero_gradient(self):
         cfg, _, state = make_instance(0)
         ch = ChannelSet(np.zeros((cfg.N, cfg.M)), np.zeros((cfg.K, cfg.N)))
-        assert np.allclose(grad_wsr_precoder(cfg, ch, state), 0.0)
+        assert np.allclose(wsr_gradients(cfg, ch, state).grad_w, 0.0)
 
     def test_matches_central_differences_at_1e6(self):
         # One modest instance checked coordinate-wise at the library's
         # default step; the precoder coordinates are large enough that the
         # difference noise floor stays well under the tolerance.
         cfg, ch, state = make_instance(42, M=4, N=8, K=2)
-        analytic = grad_wsr_precoder(cfg, ch, state)
+        analytic = wsr_gradients(cfg, ch, state).grad_w
         fd = finite_diff_gradient(
             lambda st: evaluate_wsr(cfg, ch, st), state, step=1e-6
         ).grad_w
@@ -47,12 +44,12 @@ class TestPrecoderGradient:
         doubled = SystemConfig(M=cfg.M, N=cfg.N, K=1, p_max=cfg.p_max,
                                noise_power=cfg.noise_power,
                                weights=2 * cfg.weights)
-        assert np.allclose(grad_wsr_precoder(doubled, ch, state),
-                           2 * grad_wsr_precoder(cfg, ch, state), rtol=1e-12)
+        assert np.allclose(wsr_gradients(doubled, ch, state).grad_w,
+                           2 * wsr_gradients(cfg, ch, state).grad_w, rtol=1e-12)
 
     def test_directional_derivative_convention(self):
         cfg, ch, state = make_instance(9)
-        g = grad_wsr_precoder(cfg, ch, state)
+        g = wsr_gradients(cfg, ch, state).grad_w
         rng = np.random.default_rng(1)
         D = rng.standard_normal(state.W.shape) + 1j * rng.standard_normal(state.W.shape)
         eps = 1e-7
@@ -70,7 +67,7 @@ class TestPrecoderGradient:
         tiny = BeamformingState(
             normalize_power(state.W, 1e-6), state.beta_t, state.beta_r,
             state.theta_t, state.theta_r)
-        g = grad_wsr_precoder(cfg, ch, tiny)
+        g = wsr_gradients(cfg, ch, tiny).grad_w
         stepped = BeamformingState(
             tiny.W + 1e-4 * g, tiny.beta_t, tiny.beta_r,
             tiny.theta_t, tiny.theta_r)
@@ -83,13 +80,13 @@ class TestAmplitudeGradient:
         cfg_r = SystemConfig(M=cfg.M, N=cfg.N, K=2, p_max=cfg.p_max,
                              noise_power=cfg.noise_power,
                              user_sides=(REFLECTION, REFLECTION))
-        g = grad_wsr_amplitudes(cfg_r, ch, state)
+        g = wsr_gradients(cfg_r, ch, state).grad_beta
         assert np.allclose(g[:cfg.N], 0.0)
         assert not np.allclose(g[cfg.N:], 0.0)
 
     def test_vanishes_with_huge_noise(self):
         cfg, ch, state = make_instance(12, noise=1e12)
-        assert np.linalg.norm(grad_wsr_amplitudes(cfg, ch, state)) < 1e-9
+        assert np.linalg.norm(wsr_gradients(cfg, ch, state).grad_beta) < 1e-9
 
 
 class TestPhaseGradient:
@@ -99,7 +96,7 @@ class TestPhaseGradient:
         bt[2] = 0.0
         dead = BeamformingState(state.W, bt, state.beta_r,
                                 state.theta_t, state.theta_r)
-        assert grad_wsr_phases(cfg, ch, dead)[2] == 0.0
+        assert wsr_gradients(cfg, ch, dead).grad_theta[2] == 0.0
 
     def test_periodic_in_each_phase(self):
         cfg, ch, state = make_instance(14)
@@ -107,8 +104,8 @@ class TestPhaseGradient:
         tt[1] += 2 * np.pi
         shifted = BeamformingState(state.W, state.beta_t, state.beta_r,
                                    tt, state.theta_r)
-        assert np.allclose(grad_wsr_phases(cfg, ch, shifted),
-                           grad_wsr_phases(cfg, ch, state), rtol=1e-9,
+        assert np.allclose(wsr_gradients(cfg, ch, shifted).grad_theta,
+                           wsr_gradients(cfg, ch, state).grad_theta, rtol=1e-9,
                            atol=1e-12)
 
 
@@ -165,6 +162,21 @@ class TestFiniteDifferenceOracle:
                                  state.W.shape[1])
         assert np.array_equal(back.W, state.W)
         assert np.array_equal(back.theta_r, state.theta_r)
+
+
+class TestBundleRate:
+    def test_rate_is_evaluate_wsr_bitwise(self):
+        for i in range(40):
+            cfg, ch, state = random_gradient_instance(2000 + i)
+            assert wsr_gradients(cfg, ch, state).rate == evaluate_wsr(cfg, ch, state)
+        for seed in range(10):
+            cfg, ch, state = make_instance(seed, M=6, N=10, K=3)
+            assert wsr_gradients(cfg, ch, state).rate == evaluate_wsr(cfg, ch, state)
+
+    def test_finite_difference_bundle_carries_objective(self):
+        cfg, ch, state = make_instance(19, M=2, N=2, K=1)
+        bundle = finite_diff_gradient(lambda st: evaluate_wsr(cfg, ch, st), state)
+        assert bundle.rate == evaluate_wsr(cfg, ch, state)
 
 
 class TestOracleSuite:

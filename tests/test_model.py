@@ -199,6 +199,15 @@ class TestTypes:
         assert np.array_equal(ch.h_aug[:, n:], ch.h)
         assert np.array_equal(ch.mask_t + ch.mask_r, np.ones(2 * n))
 
+    @pytest.mark.parametrize("field", ["G", "h"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_channel_set_rejects_non_finite(self, field, bad):
+        _, ch, _ = make_instance(34)
+        arrays = {"G": ch.G.copy(), "h": ch.h.copy()}
+        arrays[field][0, -1] = complex(0.0, bad)
+        with pytest.raises(ConfigurationError, match=f"channel {field} "):
+            ChannelSet(**arrays)
+
     def test_channel_arrays_read_only(self):
         _, ch, _ = make_instance(32)
         with pytest.raises(ValueError):

@@ -7,13 +7,15 @@ from starbeam import (
     adam_init,
     adam_step,
     an_forward,
+    default_scenario,
     init_mlp,
+    init_networks,
     load_parameters,
     pn_forward,
     save_parameters,
     tn_forward,
 )
-from starbeam.networks import mlp_backward
+from starbeam.networks import PARAM_NAMES, mlp_backward
 
 
 def zero_mlp(din, hidden, dout):
@@ -49,19 +51,38 @@ class TestMlp:
         y, cache = net.forward_with_cache(x)
         grads = mlp_backward(net, cache, gy)
         eps = 1e-6
-        for key in ("w1", "b1", "w2", "b2"):
-            arr = getattr(net, key)
-            idx = tuple(rng.integers(0, s) for s in arr.shape)
+        # one random coordinate of each of w1, b1, w2, b2
+        for block in net.split(np.arange(net.flat.size)):
+            i = int(rng.choice(block.ravel()))
+            vals = []
             for sign in (1, -1):
-                pert = {k: getattr(net, k).copy() for k in ("w1", "b1", "w2", "b2")}
-                pert[key][idx] += sign * eps
-                val = net.with_params(pert).forward(x)
-                if sign == 1:
-                    up = float((gy * val).sum())
-                else:
-                    dn = float((gy * val).sum())
-            fd = (up - dn) / (2 * eps)
-            assert fd == pytest.approx(grads[key][idx], rel=1e-5, abs=1e-9)
+                pert = net.flat.copy()
+                pert[i] += sign * eps
+                vals.append(float((gy * Mlp(*net.split(pert)).forward(x)).sum()))
+            fd = (vals[0] - vals[1]) / (2 * eps)
+            assert fd == pytest.approx(grads[i], rel=1e-5, abs=1e-9)
+
+    def test_backward_adds_into_accumulator(self):
+        rng = np.random.default_rng(8)
+        net = init_mlp(4, 6, 3, rng)
+        _, cache = net.forward_with_cache(rng.standard_normal(4))
+        gy = rng.standard_normal(3)
+        once = mlp_backward(net, cache, gy)
+        acc = once.copy()
+        assert mlp_backward(net, cache, gy, acc) is acc
+        assert np.array_equal(acc, once + once)
+
+    def test_parameters_are_views_of_flat(self):
+        rng = np.random.default_rng(9)
+        w1 = rng.standard_normal((6, 4))
+        net = Mlp(w1, np.zeros(6), rng.standard_normal((3, 6)), np.ones(3))
+        assert net.flat.size == 6 * 4 + 6 + 3 * 6 + 3
+        assert not np.shares_memory(net.w1, w1)  # inputs are copied
+        for key in PARAM_NAMES:
+            assert np.shares_memory(getattr(net, key), net.flat)
+        before = net.forward(np.ones(4))
+        net.flat[-3:] += 1.0  # b2
+        assert np.allclose(net.forward(np.ones(4)), before + 1.0)
 
 
 class TestPnForward:
@@ -121,54 +142,107 @@ class TestVectorForwards:
 
 class TestAdam:
     def setup_method(self):
-        self.params = {"a": np.array([1.0, -2.0]), "b": np.array([[3.0]])}
+        self.start = np.array([1.0, -2.0, 3.0])
+        self.params = self.start.copy()
         self.state = adam_init(self.params)
 
     def test_zero_gradient_leaves_params(self):
-        grads = {"a": np.zeros(2), "b": np.zeros((1, 1))}
-        new, st = adam_step(self.params, grads, self.state, lr=0.1)
-        assert np.array_equal(new["a"], self.params["a"])
-        assert st.step_count == 1
+        adam_step(self.params, np.zeros(3), self.state, lr=0.1)
+        assert np.array_equal(self.params, self.start)
+        assert self.state.step_count == 1
 
     def test_first_step_magnitude_is_lr(self):
-        grads = {"a": np.array([0.37, -12.0]), "b": np.array([[1e-3]])}
-        new, _ = adam_step(self.params, grads, self.state, lr=0.05)
-        for key in ("a", "b"):
-            step = np.abs(new[key] - self.params[key])
-            assert np.allclose(step, 0.05, rtol=1e-4)
-            assert (np.sign(self.params[key] - new[key])
-                    == np.sign(grads[key])).all()
+        grads = np.array([0.37, -12.0, 1e-3])
+        adam_step(self.params, grads, self.state, lr=0.05)
+        step = np.abs(self.params - self.start)
+        assert np.allclose(step, 0.05, rtol=1e-4)
+        assert (np.sign(self.start - self.params) == np.sign(grads)).all()
 
     def test_deterministic(self):
-        grads = {"a": np.array([0.5, 0.5]), "b": np.array([[2.0]])}
-        out1 = adam_step(self.params, grads, self.state, lr=0.01)
-        out2 = adam_step(self.params, grads, self.state, lr=0.01)
-        assert np.array_equal(out1[0]["a"], out2[0]["a"])
-        assert np.array_equal(out1[1].second_moment["b"],
-                              out2[1].second_moment["b"])
+        grads = np.array([0.5, 0.5, 2.0])
+        runs = []
+        for _ in range(2):
+            params = self.start.copy()
+            state = adam_init(params)
+            for _ in range(3):
+                adam_step(params, grads, state, lr=0.01)
+            runs.append((params, state))
+        assert np.array_equal(runs[0][0], runs[1][0])
+        assert np.array_equal(runs[0][1].second_moment, runs[1][1].second_moment)
 
     def test_nonfinite_gradient_rejected(self):
-        grads = {"a": np.array([np.nan, 0.0]), "b": np.zeros((1, 1))}
-        with pytest.raises(ValueError):
-            adam_step(self.params, grads, self.state, lr=0.1)
-        assert self.state.step_count == 0
-        assert np.all(self.state.first_moment["a"] == 0)
+        adam_step(self.params, np.array([0.1, -0.2, 0.3]), self.state, lr=0.1)
+        params = self.params.copy()
+        m = self.state.first_moment.copy()
+        v = self.state.second_moment.copy()
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError):
+                adam_step(self.params, np.array([0.0, bad, 1.0]), self.state, lr=0.1)
+            assert self.state.step_count == 1
+            assert np.array_equal(self.params, params)
+            assert np.array_equal(self.state.first_moment, m)
+            assert np.array_equal(self.state.second_moment, v)
 
     def test_bounded_step_over_many_updates(self):
         rng = np.random.default_rng(6)
-        params = {"x": rng.standard_normal(20)}
+        params = rng.standard_normal(20)
         state = adam_init(params)
         lr = 0.01
         for _ in range(50):
-            grads = {"x": rng.standard_normal(20)
-                     * 10.0 ** float(rng.integers(-3, 4))}
-            new, state = adam_step(params, grads, state, lr)
-            assert np.max(np.abs(new["x"] - params["x"])) <= lr * (1 + 1e-6)
-            params = new
+            grads = rng.standard_normal(20) * 10.0 ** float(rng.integers(-3, 4))
+            old = params.copy()
+            adam_step(params, grads, state, lr)
+            assert np.max(np.abs(params - old)) <= lr * (1 + 1e-6)
 
-    def test_key_mismatch(self):
+    def test_shape_mismatch(self):
         with pytest.raises(ConfigurationError):
-            adam_step(self.params, {"a": np.zeros(2)}, self.state, lr=0.1)
+            adam_step(self.params, np.zeros(2), self.state, lr=0.1)
+
+    def test_matches_reference_dict_adam_bitwise(self):
+        cfg, _ = default_scenario()
+        nets = init_networks(cfg, np.random.default_rng(10))
+        rng = np.random.default_rng(11)
+        for net in (nets.pn, nets.an, nets.tn):
+            ref = {k: getattr(net, k).copy() for k in PARAM_NAMES}
+            ref_state = _reference_adam_init(ref)
+            state = adam_init(net.flat)
+            for _ in range(50):
+                grads = {k: rng.standard_normal(v.shape) * 10.0 ** rng.uniform(-4, 2)
+                         for k, v in ref.items()}
+                flat_grads = np.concatenate([grads[k].ravel() for k in PARAM_NAMES])
+                ref, ref_state = _reference_adam_step(ref, grads, ref_state, 5e-3)
+                adam_step(net.flat, flat_grads, state, 5e-3)
+                for key in PARAM_NAMES:
+                    assert np.array_equal(getattr(net, key), ref[key])
+            for flat, dicts in ((state.first_moment, ref_state[0]),
+                                (state.second_moment, ref_state[1])):
+                assert np.array_equal(
+                    flat, np.concatenate([dicts[k].ravel() for k in PARAM_NAMES]))
+            assert state.step_count == ref_state[2] == 50
+
+
+# The dict-of-arrays Adam that the flat in-place one replaced, kept as the
+# reference it must reproduce bit for bit.
+def _reference_adam_init(params):
+    return ({k: np.zeros_like(v) for k, v in params.items()},
+            {k: np.zeros_like(v) for k, v in params.items()}, 0)
+
+
+def _reference_adam_step(params, grads, state, lr, beta1=0.9, beta2=0.999,
+                         epsilon=1e-8):
+    first, second, t = state
+    t += 1
+    c1 = 1.0 - beta1**t
+    c2 = 1.0 - beta2**t
+    new_params, m_new, v_new = {}, {}, {}
+    for key, p in params.items():
+        g = grads[key]
+        m = beta1 * first[key] + (1.0 - beta1) * g
+        v = beta2 * second[key] + (1.0 - beta2) * g**2
+        m_new[key] = m
+        v_new[key] = v
+        new_params[key] = p - lr * (m / c1) / (np.sqrt(v / c2) + epsilon)
+    return new_params, (m_new, v_new, t)
 
 
 class TestCheckpoint:

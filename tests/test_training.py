@@ -10,9 +10,6 @@ from starbeam import (
     evaluate_wsr,
     generate_channels,
     desk_scenario,
-    grad_wsr_amplitudes,
-    grad_wsr_phases,
-    grad_wsr_precoder,
     init_networks,
     inner_update_amplitudes,
     inner_update_phases,
@@ -23,6 +20,7 @@ from starbeam import (
     rho_at,
     run_gml,
     save_networks,
+    wsr_gradients,
 )
 from starbeam import training
 from starbeam.constraints import COUPLING_TOL, coupling_residual
@@ -170,42 +168,41 @@ class TestMetaGradients:
         return W, beta, theta, tw, ta, tt
 
     def _check(self, grads, net_attr, loss_fn, rng):
-        base = getattr(self.nets, net_attr).params()
+        net = getattr(self.nets, net_attr)
         eps = 1e-6
-        for key, garr in grads.items():
-            idx = tuple(rng.integers(0, s) for s in base[key].shape)
-            up = {k: v.copy() for k, v in base.items()}
-            up[key][idx] += eps
-            dn = {k: v.copy() for k, v in base.items()}
-            dn[key][idx] -= eps
-            fd = (loss_fn(up) - loss_fn(dn)) / (2 * eps)
-            assert fd == pytest.approx(garr[idx], rel=1e-4, abs=1e-10)
+        # one random coordinate of each of w1, b1, w2, b2
+        for block in net.split(np.arange(net.flat.size)):
+            i = int(rng.choice(block.ravel()))
+            up = net.flat.copy()
+            up[i] += eps
+            dn = net.flat.copy()
+            dn[i] -= eps
+            fd = (loss_fn(Mlp(*net.split(up)))
+                  - loss_fn(Mlp(*net.split(dn)))) / (2 * eps)
+            assert fd == pytest.approx(grads[i], rel=1e-4, abs=1e-10)
 
     def test_all_three_chains(self):
         cfg, ch = self.cfg, self.ch
         W, beta, theta, tw, ta, tt = self._forward()
         final = _make_state(W, beta, theta)
-        g_pn = _precoder_block_backward(
-            self.nets.pn, tw, -grad_wsr_precoder(cfg, ch, final))
-        g_an = _amplitude_block_backward(
-            self.nets.an, ta, -grad_wsr_amplitudes(cfg, ch, final))
-        g_tn = _phase_block_backward(
-            self.nets.tn, tt, -grad_wsr_phases(cfg, ch, final), self.gain)
+        bundle = wsr_gradients(cfg, ch, final)
+        g_pn, g_an, g_tn = (np.zeros_like(net.flat) for net in
+                            (self.nets.pn, self.nets.an, self.nets.tn))
+        _precoder_block_backward(self.nets.pn, tw, -bundle.grad_w, g_pn)
+        _amplitude_block_backward(self.nets.an, ta, -bundle.grad_beta, g_an)
+        _phase_block_backward(self.nets.tn, tt, -bundle.grad_theta, self.gain, g_tn)
         s = self.start
 
-        def loss_pn(p):
-            w2, _ = _precoder_block(self.nets.pn.with_params(p), s.W, s.beta,
-                                    s.theta, cfg, ch, 1)
+        def loss_pn(pn):
+            w2, _ = _precoder_block(pn, s.W, s.beta, s.theta, cfg, ch, 1)
             return -evaluate_wsr(cfg, ch, _make_state(w2, beta, theta))
 
-        def loss_an(p):
-            b2, _ = _amplitude_block(self.nets.an.with_params(p), s.beta, W,
-                                     s.theta, cfg, ch, 1)
+        def loss_an(an):
+            b2, _ = _amplitude_block(an, s.beta, W, s.theta, cfg, ch, 1)
             return -evaluate_wsr(cfg, ch, _make_state(W, b2, theta))
 
-        def loss_tn(p):
-            t2, _ = _phase_block(self.nets.tn.with_params(p), s.theta, W,
-                                 beta, cfg, ch, 1, self.gain)
+        def loss_tn(tn):
+            t2, _ = _phase_block(tn, s.theta, W, beta, cfg, ch, 1, self.gain)
             return -evaluate_wsr(cfg, ch, _make_state(W, beta, t2))
 
         rng = np.random.default_rng(5)
@@ -228,23 +225,33 @@ class TestRunGml:
         return sys_cfg, ch, train
 
     def spied_coupled_run(self, monkeypatch, **kwargs):
-        """Coupled run with the loop's rate evaluations recorded. Returns the
-        solution and, per refined state in loop order (every outer iteration
-        of every epoch), (raw rate, raw residual, post-projection rate)."""
+        """Coupled run with the loop's rates recorded. Returns the solution
+        and, per refined state in loop order (every outer iteration of every
+        epoch), (raw rate, raw residual, post-projection rate). The raw rate
+        is the one the loop takes from the refined state's gradient bundle,
+        the last bundle before each evaluation of a hardened copy."""
         sys_cfg, ch, train = self.small_setup(mode="coupled", **kwargs)
         calls = []
+        last_bundle = []
+
+        def bundle_spy(cfg, chans, state):
+            bundle = wsr_gradients(cfg, chans, state)
+            last_bundle[:] = [(state, bundle.rate)]
+            return bundle
 
         def spy(cfg, chans, state):
             rate = evaluate_wsr(cfg, chans, state)
-            calls.append((state, rate))
+            calls.extend(last_bundle + [(state, rate)])
             return rate
 
+        monkeypatch.setattr(training, "wsr_gradients", bundle_spy)
         monkeypatch.setattr(training, "evaluate_wsr", spy)
         sol = run_gml(sys_cfg, ch, train)
         assert len(calls) == 2 * train.n_epochs * train.n_outer
         states = []
         for (raw, r_cur), (hard, r_proj) in zip(calls[::2], calls[1::2]):
             # each refined state is followed by its hardened copy
+            assert r_cur == evaluate_wsr(sys_cfg, ch, raw)
             assert np.array_equal(hard.W, raw.W)
             assert max_residual(hard) < 1e-9 <= max_residual(raw)
             states.append((r_cur, max_residual(raw), r_proj))
@@ -357,5 +364,7 @@ class TestRunGml:
         path = str(tmp_path / "nets.npz")
         save_networks(path, nets)
         back = load_networks(path)
+        for name in ("pn", "an", "tn"):
+            assert np.array_equal(getattr(back, name).flat, getattr(nets, name).flat)
         assert np.array_equal(back.pn.w1, nets.pn.w1)
         assert np.array_equal(back.tn.b2, nets.tn.b2)
