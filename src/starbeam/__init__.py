@@ -28,13 +28,10 @@ from .channels import (
     save_channels,
 )
 from .constraints import (
-    RegulatorConfig,
-    apply_phase_delta,
     coupling_residual,
     normalize_amplitudes,
     normalize_power,
     project_coupled_phases,
-    regulate_phase_delta,
     wrap_phase,
 )
 from .errors import ConfigurationError, DegenerateInputError
@@ -73,31 +70,18 @@ from .networks import (
     Mlp,
     adam_init,
     adam_step,
-    an_forward,
     init_mlp,
-    load_parameters,
-    pn_forward,
-    save_parameters,
-    tn_forward,
 )
 from .training import (
     MODE_COUPLED,
     MODE_INDEPENDENT,
-    PenaltySchedule,
     Solution,
     SubNetworks,
     TrainConfig,
     init_networks,
-    inner_update_amplitudes,
-    inner_update_phases,
-    inner_update_precoder,
-    load_networks,
-    loss_coupled_tn,
-    loss_independent,
     rho_at,
     run_gml,
     run_meta_loop,
-    save_networks,
 )
 
 __version__ = "0.1.0"

@@ -9,7 +9,7 @@ factor.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -188,7 +188,14 @@ def _read_channels(fh) -> ChannelSet:
     header = fh.readline().strip()
     if header != _CHANNEL_HEADER:
         raise ValueError(f"unrecognized channel file header: {header!r}")
-    n, m, k = (int(tok) for tok in fh.readline().split())
+    dims = fh.readline()
+    try:
+        n, m, k = (int(tok) for tok in dims.split())
+        if min(n, m, k) < 1:
+            raise ValueError
+    except ValueError:
+        raise ValueError(f"malformed dimension line {dims.strip()!r}; "
+                         "expected three positive integers 'N M K'") from None
 
     def read_rows(count: int, width: int) -> np.ndarray:
         rows = np.empty((count, width), dtype=np.complex128)
@@ -213,7 +220,3 @@ def channels_to_text(ch: ChannelSet) -> str:
 
 def channels_from_text(text: str) -> ChannelSet:
     return _read_channels(io.StringIO(text))
-
-
-def with_seed(cfg: ChannelConfig, seed: int) -> ChannelConfig:
-    return replace(cfg, seed=seed)

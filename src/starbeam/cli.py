@@ -125,15 +125,13 @@ def _build_configs(args) -> tuple[SystemConfig, ChannelConfig, TrainConfig]:
         raw = _load_json(args.config)
         _check_keys("the config file", raw, ("system", "train", "channel"))
         # sides and weights not given follow K, not the scale's defaults
-        sys_cfg = dataclasses.replace(
-            sys_cfg, user_sides=None, weights=None,
+        sys_cfg = dataclasses.replace(sys_cfg, **{
+            "user_sides": None, "weights": None,
             **_fields("system", raw.get("system", {}), SYSTEM_KEYS),
-        )
-        fields = _fields("train", raw.get("train", {}), TRAIN_KEYS)
-        penalty = dataclasses.replace(train.penalty, **{
-            k: fields.pop(k) for k in ("rho_min", "rho_max") if k in fields
         })
-        train = dataclasses.replace(train, penalty=penalty, **fields)
+        train = dataclasses.replace(
+            train, **_fields("train", raw.get("train", {}), TRAIN_KEYS)
+        )
         ch_cfg = dataclasses.replace(
             ch_cfg, **_fields("channel", raw.get("channel", {}), CHANNEL_KEYS)
         )

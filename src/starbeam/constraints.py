@@ -1,11 +1,11 @@
-"""Feasibility projections and the bounded phase-increment regulator.
+"""Feasibility projections, plus the logistic function and the phase wrap
+from which the loop builds its bounded phase increments,
+``wrap_phase(theta + gain * sigmoid(raw))``.
 
 All operations are pure and elementwise or rank-1; none of them builds an
 N x N matrix.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,17 +15,6 @@ from .model import TWO_PI, CoupledAuxiliary
 # Feasible per-element phase differences, in the canonical tie-break order:
 # the first candidate attaining the minimum deviation wins.
 PHASE_DIFF_CANDIDATES = (np.pi / 2, -np.pi / 2, 3 * np.pi / 2, -3 * np.pi / 2)
-
-
-@dataclass(frozen=True)
-class RegulatorConfig:
-    """Gain of the sigmoid regulator mapping a raw increment into (0, lam)."""
-
-    lam: float = TWO_PI
-
-    def __post_init__(self) -> None:
-        if not self.lam > 0:
-            raise ConfigurationError("regulator gain must be positive")
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -69,16 +58,6 @@ def normalize_amplitudes(
         )
     r = np.sqrt(sq)
     return bt / r, br / r
-
-
-def regulate_phase_delta(delta_raw: np.ndarray, reg: RegulatorConfig) -> np.ndarray:
-    """Map raw increments into (0, lam) elementwise via lam * sigmoid."""
-    return reg.lam * sigmoid(delta_raw)
-
-
-def apply_phase_delta(theta: np.ndarray, delta_reg: np.ndarray) -> np.ndarray:
-    """Advance phases by the regulated increments, wrapped to [0, 2*pi)."""
-    return wrap_phase(np.asarray(theta, dtype=float) + delta_reg)
 
 
 def project_coupled_phases(

@@ -26,7 +26,6 @@ from .model import BeamformingState, ChannelSet, SystemConfig, evaluate_wsr
 from .training import (
     MODE_COUPLED,
     MODE_INDEPENDENT,
-    PenaltySchedule,
     Solution,
     TrainConfig,
     run_gml,
@@ -82,7 +81,8 @@ def desk_train(mode: str = MODE_INDEPENDENT, seed: int = 0,
         n_epochs=n_epochs,
         n2=1,
         mode=mode,
-        penalty=PenaltySchedule(rho_min=0.3, rho_max=3000.0),
+        rho_min=0.3,
+        rho_max=3000.0,
         seed=seed,
     )
 

@@ -15,6 +15,13 @@ Convention for the complex precoder gradient: grad_w is the conjugate
 equivalently grad_w = 0.5 * (dR/dRe(W) + j * dR/dIm(W)). Amplitude and
 phase gradients are ordinary partial derivatives over the concatenated
 (t-half, r-half) vectors of length 2N.
+
+The bundle differentiates the per-side form of :mod:`model`: each user's
+row of N coefficients is picked from (c_t, c_r) by its side, and each
+user's N-dimensional contribution is summed into the half of its side.
+It shares the effective rows and the SINR arithmetic with
+:func:`model.all_sinrs`; the stacked 2N-dimensional form survives only as
+the :func:`model.sinr_augmented` cross-check.
 """
 from __future__ import annotations
 
@@ -28,7 +35,8 @@ from .model import (
     ChannelSet,
     SystemConfig,
     check_dimensions,
-    user_selection_masks,
+    effective_rows,
+    received_sinrs,
     wsr,
 )
 
@@ -61,25 +69,23 @@ def wsr_gradients(
     check_dimensions(cfg, ch, state)
     amp = state.beta
     phase = np.exp(1j * state.theta)
-    masked = np.conj(ch.h_aug) * user_selection_masks(cfg, ch)  # (K, 2N)
-    rows = (masked * (amp * phase)) @ ch.g_aug                  # (K, M)
-    precoded = ch.g_aug @ state.W                               # (2N, K)
+    rows = effective_rows(cfg, ch, amp * phase)                 # (K, M)
+    precoded = ch.G @ state.W                                   # (N, K)
     U = rows @ state.W                                          # (K, K)
 
-    power = np.abs(U) ** 2
-    signal = np.diagonal(power)
-    denom = power.sum(axis=1) - signal + cfg.noise_power
-    gammas = signal / denom
+    gammas, denom = received_sinrs(cfg, U)
     sig_coef = cfg.weights / (_LN2 * (1.0 + gammas) * denom)    # (K,)
     C = np.tile((-(sig_coef * gammas))[:, None], (1, cfg.K))
     np.fill_diagonal(C, sig_coef)
 
     grad_w = rows.conj().T @ (C * U)
 
-    # bracket[n] = sum_{k,j} C[k,j] * conj(U[k,j]) * masked[k,n] * phase[n]
-    #             * precoded[n,j]
-    weighted = (C * np.conj(U)) @ precoded.T                    # (K, 2N)
-    bracket = phase * (masked * weighted).sum(axis=0)           # (2N,)
+    # per user k and element n: sum_j C[k,j] * conj(U[k,j]) * conj(h[k,n])
+    # * precoded[n,j]; bracket sums it over the users of each side, into
+    # the t half or the r half, and applies the element's phase.
+    prod = np.conj(ch.h) * ((C * np.conj(U)) @ precoded.T)     # (K, N)
+    on_side = cfg.side_index[:, None, None] == np.arange(2)[:, None]  # (K, 2, 1)
+    bracket = phase * (on_side * prod[:, None, :]).sum(axis=0).ravel()  # (2N,)
     grad_beta = 2.0 * bracket.real
     grad_theta = -2.0 * amp * bracket.imag
     return GradientBundle(grad_w, grad_beta, grad_theta, wsr(cfg, gammas))

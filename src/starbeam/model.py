@@ -1,17 +1,16 @@
 """Core system model: scenario configuration, beamforming state, and exact
 SINR / weighted sum-rate evaluation for a STAR-RIS assisted MU-MISO downlink.
 
-Two equivalent SINR paths are provided:
-
-* the direct per-side form, where each user sees its half-space surface
-  coefficients ``beta_tau * exp(j * theta_tau)``;
-* a stacked 2N-dimensional form where transmission and reflection
-  coefficients are concatenated into single amplitude/phase vectors and a
-  per-user 0/1 selection mask picks the active half.
-
-The stacked form is what the optimizer differentiates; the direct form acts
-as an independent cross-check. The N x N diagonal coefficient matrices are
-never materialized; all products use elementwise vector forms.
+Each user sees the surface coefficients of its own half-space,
+``c_tau = beta_tau * exp(j * theta_tau)`` with tau its side. The optimizer
+and :func:`all_sinrs` use this per-side form through one kernel,
+:func:`effective_rows`, which picks each user's coefficient row from
+(c_t, c_r) by side. Two independent per-user expressions cross-check it:
+:func:`sinr`, the direct per-side formula, and :func:`sinr_augmented`, a
+stacked 2N-dimensional form in which both coefficient halves share one
+vector and a 0/1 mask selects the user's half. The N x N diagonal
+coefficient matrices are never materialized; all products use elementwise
+vector forms.
 """
 from __future__ import annotations
 
@@ -44,8 +43,10 @@ class SystemConfig:
 
     M: BS antennas, N: surface elements, K: single-antenna users.
     p_max and noise_power are linear watts. weights are the per-user rate
-    weights (non-negative, at least one positive). user_sides labels each
-    user "transmission" or "reflection" and partitions the user set.
+    weights (finite, non-negative, at least one positive). user_sides
+    labels each user "transmission" or "reflection" and partitions the user
+    set; side_index, derived from it and not settable, is 0 for each
+    transmission user and 1 for each reflection user.
     """
 
     M: int
@@ -55,14 +56,14 @@ class SystemConfig:
     noise_power: float
     user_sides: tuple[str, ...] | None = None
     weights: np.ndarray | None = None
+    side_index: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if min(self.M, self.N, self.K) < 1:
             raise ConfigurationError("M, N, K must all be >= 1")
-        if not self.p_max > 0:
-            raise ConfigurationError("p_max must be positive (watts)")
-        if not self.noise_power > 0:
-            raise ConfigurationError("noise_power must be positive (watts)")
+        for name in ("p_max", "noise_power"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ConfigurationError(f"{name} must be positive and finite (watts)")
 
         sides = self.user_sides
         if sides is None:
@@ -75,11 +76,15 @@ class SystemConfig:
                 f"user side labels must be '{TRANSMISSION}' or '{REFLECTION}'"
             )
         object.__setattr__(self, "user_sides", sides)
+        object.__setattr__(self, "side_index", _locked(
+            np.array([s == REFLECTION for s in sides], dtype=np.intp)))
 
         w = self.weights
         w = np.ones(self.K) if w is None else np.array(w, dtype=float)
         if w.shape != (self.K,):
             raise ConfigurationError("weights must have shape (K,)")
+        if not np.isfinite(w).all():
+            raise ConfigurationError("weights must be finite")
         if (w < 0).any() or not (w > 0).any():
             raise ConfigurationError("weights must be >= 0 with at least one > 0")
         object.__setattr__(self, "weights", _locked(w))
@@ -91,18 +96,12 @@ class ChannelSet:
 
     G is the (N, M) BS-to-surface channel; h is (K, N) with row k the
     surface-to-user-k vector (the SINR uses its conjugate transpose).
-    The stacked forms duplicate the physical channels so both coefficient
-    halves live in one 2N vector: g_aug = [G; G] stacked vertically,
-    h_aug[k] = [h_k, h_k], and mask_t / mask_r are the 0/1 indicator
-    vectors selecting the transmission / reflection half.
+    These are the only copies: the optimizer works on the per-side form,
+    and only the :func:`sinr_augmented` cross-check stacks them.
     """
 
     G: np.ndarray
     h: np.ndarray
-    g_aug: np.ndarray = field(init=False, repr=False)
-    h_aug: np.ndarray = field(init=False, repr=False)
-    mask_t: np.ndarray = field(init=False, repr=False)
-    mask_r: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         G = np.array(self.G, dtype=np.complex128)
@@ -113,20 +112,14 @@ class ChannelSet:
             raise ConfigurationError(
                 f"h has {h.shape[1]} columns but G has {G.shape[0]} rows"
             )
+        for dim, size in (("N", G.shape[0]), ("M", G.shape[1]), ("K", h.shape[0])):
+            if size < 1:
+                raise ConfigurationError(f"channel dimension {dim} must be >= 1")
         for name, arr in (("G", G), ("h", h)):
             if not np.isfinite(arr).all():
                 raise ConfigurationError(f"channel {name} has non-finite entries")
-        n = G.shape[0]
         object.__setattr__(self, "G", _locked(G))
         object.__setattr__(self, "h", _locked(h))
-        object.__setattr__(self, "g_aug", _locked(np.vstack([G, G])))
-        object.__setattr__(self, "h_aug", _locked(np.concatenate([h, h], axis=1)))
-        object.__setattr__(
-            self, "mask_t", _locked(np.concatenate([np.ones(n), np.zeros(n)]))
-        )
-        object.__setattr__(
-            self, "mask_r", _locked(np.concatenate([np.zeros(n), np.ones(n)]))
-        )
 
     @property
     def N(self) -> int:
@@ -216,21 +209,21 @@ def star_coefficient_vectors(state: BeamformingState) -> tuple[np.ndarray, np.nd
     return c_t, c_r
 
 
-def user_selection_masks(cfg: SystemConfig, ch: ChannelSet) -> np.ndarray:
-    """(K, 2N) matrix whose row k is the 0/1 mask of user k's side."""
-    return np.stack(
-        [ch.mask_t if s == TRANSMISSION else ch.mask_r for s in cfg.user_sides]
-    )
+def effective_rows(cfg: SystemConfig, ch: ChannelSet, coef: np.ndarray) -> np.ndarray:
+    """(K, M) matrix of effective downlink rows from the per-side form: row
+    k is (conj(h_k) * c) @ G, where c is the row of user k's side picked
+    from coef = (c_t, c_r), the 2N complex surface coefficients. Row k maps
+    precoder column w_j to the amplitude user k receives from it."""
+    return (np.conj(ch.h) * coef.reshape(2, -1)[cfg.side_index]) @ ch.G
 
 
-def effective_rows(
-    cfg: SystemConfig, ch: ChannelSet, state: BeamformingState
-) -> np.ndarray:
-    """(K, M) matrix of effective downlink rows; row k maps the precoder
-    column w_j to the received amplitude of user k via the stacked form."""
-    coeff = state.beta * np.exp(1j * state.theta)
-    masked = np.conj(ch.h_aug) * user_selection_masks(cfg, ch)
-    return (masked * coeff) @ ch.g_aug
+def received_sinrs(cfg: SystemConfig, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(SINRs, their denominators) from the (K, K) received amplitudes,
+    U[k, j] being what user k receives from precoder column j."""
+    power = np.abs(U) ** 2
+    signal = np.diagonal(power)
+    denom = power.sum(axis=1) - signal + cfg.noise_power
+    return signal / denom, denom
 
 
 def sinr(cfg: SystemConfig, ch: ChannelSet, state: BeamformingState, k: int) -> float:
@@ -255,9 +248,16 @@ def sinr_augmented(
     check_dimensions(cfg, ch, state)
     if not 0 <= k < cfg.K:
         raise IndexError(f"user index {k} out of range for K={cfg.K}")
-    mask = ch.mask_t if cfg.user_sides[k] == TRANSMISSION else ch.mask_r
+    # The stacked form, built here only: both coefficient halves in one 2N
+    # vector, the channels duplicated to match, and a 0/1 mask selecting
+    # the half of user k's side.
+    n = cfg.N
+    g_aug = np.vstack([ch.G, ch.G])
+    h_aug = np.concatenate([ch.h[k], ch.h[k]])
+    on_t = cfg.user_sides[k] == TRANSMISSION
+    mask = np.repeat([1.0, 0.0] if on_t else [0.0, 1.0], n)
     coeff = state.beta * np.exp(1j * state.theta)
-    row = (np.conj(ch.h_aug[k]) * mask * coeff) @ ch.g_aug
+    row = (np.conj(h_aug) * mask * coeff) @ g_aug
     received = np.abs(row @ state.W) ** 2
     signal = received[k]
     interference = received.sum() - signal
@@ -265,12 +265,10 @@ def sinr_augmented(
 
 
 def all_sinrs(cfg: SystemConfig, ch: ChannelSet, state: BeamformingState) -> np.ndarray:
-    """All K SINRs at once (stacked form)."""
+    """All K SINRs at once (per-side form, shared with the gradients)."""
     check_dimensions(cfg, ch, state)
-    received = np.abs(effective_rows(cfg, ch, state) @ state.W) ** 2
-    signal = np.diagonal(received)
-    interference = received.sum(axis=1) - signal
-    return signal / (interference + cfg.noise_power)
+    rows = effective_rows(cfg, ch, state.beta * np.exp(1j * state.theta))
+    return received_sinrs(cfg, rows @ state.W)[0]
 
 
 def wsr(cfg: SystemConfig, gammas: np.ndarray) -> float:

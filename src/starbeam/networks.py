@@ -23,9 +23,6 @@ import numpy as np
 
 from .errors import ConfigurationError
 
-Params = dict[str, np.ndarray]
-PARAM_NAMES = ("w1", "b1", "w2", "b2")
-
 
 class Mlp:
     """Two affine maps with a rectified-linear activation between them.
@@ -61,6 +58,11 @@ class Mlp:
         """Forward pass that also returns the intermediates needed by
         :func:`mlp_backward`."""
         x = np.asarray(x, dtype=float)
+        if x.ndim not in (1, 2) or x.shape[-1] != self.input_dim:
+            raise ConfigurationError(
+                f"input shape {x.shape} does not match network input "
+                f"dimension {self.input_dim}"
+            )
         single = x.ndim == 1
         x2 = x[None, :] if single else x
         pre = x2 @ self.w1.T + self.b1
@@ -112,18 +114,14 @@ def mlp_backward(net: Mlp, cache: tuple, grad_out: np.ndarray,
     return acc
 
 
-def pn_forward(net: Mlp, grad_w: np.ndarray) -> np.ndarray:
-    """Precoder update from the complex (M, K) gradient.
+def pn_forward_with_cache(net: Mlp, grad_w: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """Precoder update from the complex (M, K) gradient, and the cache for
+    :func:`mlp_backward`.
 
     The gradient is split into 2K real M-vectors (the K real parts, then
     the K imaginary parts), pushed through the shared network, and the
     outputs recombined column-wise into a complex (M, K) update.
     """
-    delta, _ = pn_forward_with_cache(net, grad_w)
-    return delta
-
-
-def pn_forward_with_cache(net: Mlp, grad_w: np.ndarray) -> tuple[np.ndarray, tuple]:
     grad_w = np.asarray(grad_w, dtype=np.complex128)
     if grad_w.ndim != 2 or grad_w.shape[0] != net.input_dim:
         raise ConfigurationError(
@@ -136,27 +134,6 @@ def pn_forward_with_cache(net: Mlp, grad_w: np.ndarray) -> tuple[np.ndarray, tup
     batch = np.vstack([grad_w.real.T, grad_w.imag.T])  # (2K, M)
     out, cache = net.forward_with_cache(batch)
     return (out[:k] + 1j * out[k:]).T, cache
-
-
-def an_forward(net: Mlp, grad_beta: np.ndarray) -> np.ndarray:
-    """Amplitude update from the 2N-dimensional amplitude gradient."""
-    return _vector_forward(net, grad_beta, "amplitude")
-
-
-def tn_forward(net: Mlp, grad_theta: np.ndarray) -> np.ndarray:
-    """Raw phase update from the 2N-dimensional phase gradient (regulate it
-    before applying)."""
-    return _vector_forward(net, grad_theta, "phase")
-
-
-def _vector_forward(net: Mlp, vec: np.ndarray, label: str) -> np.ndarray:
-    vec = np.asarray(vec, dtype=float)
-    if vec.shape != (net.input_dim,):
-        raise ConfigurationError(
-            f"{label} gradient length {vec.shape} does not match network "
-            f"input dimension {net.input_dim}"
-        )
-    return net.forward(vec)
 
 
 @dataclass
@@ -219,15 +196,3 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState,
     u += state.epsilon
     s /= u
     params -= s
-
-
-def save_parameters(path: str, params: Params) -> None:
-    """Checkpoint named real arrays as an .npz archive (zip of NPY members,
-    dtype '<f8', shapes recorded per entry)."""
-    np.savez(path, **{k: np.asarray(v, dtype="<f8") for k, v in params.items()})
-
-
-def load_parameters(path: str) -> Params:
-    """Inverse of :func:`save_parameters`."""
-    with np.load(path) as data:
-        return {k: data[k].copy() for k in data.files}

@@ -20,9 +20,13 @@ Loss plumbing: each network's parameters receive the gradient of its own
 loss through its own update chain only; the other variable groups and the
 gradient fed to the network input are treated as constants. In coupled
 mode the phase-network loss adds rho * ||theta - theta_proj||^2, where
-theta_proj is the exact per-element projection onto the coupled set, and
-the reported solution hardens the best state by projecting its phases and
-re-evaluating the rate there.
+theta_proj is the exact per-element projection onto the coupled set. The
+losses are never evaluated: the loop forms their gradients from the
+refined point's bundle, the phase network's as -grad_theta + 2 * rho *
+(theta - theta_proj) (theta_proj moves with theta, but as the nearest
+coupled point its own derivative drops out). The reported solution
+hardens the best state by projecting its phases and re-evaluating the
+rate there.
 
 Selection of the reported state: in independent mode, the refined state
 with the highest rate over all outer iterations. In coupled mode, the
@@ -41,7 +45,6 @@ import numpy as np
 
 from .constraints import (
     COUPLING_TOL,
-    RegulatorConfig,
     coupling_residual,
     normalize_amplitudes,
     normalize_power,
@@ -60,15 +63,12 @@ from .model import (
     evaluate_wsr,
 )
 from .networks import (
-    PARAM_NAMES,
     Mlp,
     adam_init,
     adam_step,
     init_mlp,
-    load_parameters,
     mlp_backward,
     pn_forward_with_cache,
-    save_parameters,
 )
 
 MODE_INDEPENDENT = "independent"
@@ -80,24 +80,11 @@ TN_HIDDEN = 300
 
 
 @dataclass(frozen=True)
-class PenaltySchedule:
-    """Monotone penalty-weight curriculum; geometric interpolation from
-    rho_min at epoch 0 to rho_max at the final epoch."""
-
-    rho_min: float = 1e-2
-    rho_max: float = 1e2
-    shape: str = "geometric"
-
-    def __post_init__(self) -> None:
-        if not 0 < self.rho_min <= self.rho_max:
-            raise ConfigurationError("require 0 < rho_min <= rho_max")
-        if self.shape != "geometric":
-            raise ConfigurationError(f"unknown penalty shape '{self.shape}'")
-
-
-@dataclass(frozen=True)
 class TrainConfig:
-    """Iteration counts, learning rates, and schedule of one run."""
+    """Iteration counts, learning rates, and schedule of one run.
+
+    In coupled mode the penalty weight rho follows a geometric curriculum
+    from rho_min at epoch 0 to rho_max at the final epoch (see rho_at)."""
 
     n_epochs: int = 500
     n_outer: int = 1
@@ -108,8 +95,9 @@ class TrainConfig:
     n1: int = 5               # amplitude network updates every n1 epochs
     n2: int = 5               # phase network updates every n2 epochs
     mode: str = MODE_INDEPENDENT
-    penalty: PenaltySchedule = PenaltySchedule()
-    regulator_gain: float = TWO_PI
+    rho_min: float = 1e-2     # coupled-mode penalty weight at epoch 0
+    rho_max: float = 1e2      # and at the final epoch
+    regulator_gain: float = TWO_PI  # phase increments lie in (0, gain)
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -119,6 +107,8 @@ class TrainConfig:
             raise ConfigurationError("learning rates must be positive")
         if self.mode not in (MODE_INDEPENDENT, MODE_COUPLED):
             raise ConfigurationError(f"unknown mode '{self.mode}'")
+        if not 0 < self.rho_min <= self.rho_max < np.inf:
+            raise ConfigurationError("require 0 < rho_min <= rho_max < inf")
         if not self.regulator_gain > 0:
             raise ConfigurationError("regulator gain must be positive")
 
@@ -164,32 +154,13 @@ def init_networks(cfg: SystemConfig, rng: np.random.Generator) -> SubNetworks:
     )
 
 
-def rho_at(schedule: PenaltySchedule, epoch: int, n_epochs: int) -> float:
-    """Penalty weight at an epoch: rho_min * (rho_max/rho_min)^(epoch/n)."""
-    if not 0 <= epoch <= n_epochs:
+def rho_at(train: TrainConfig, epoch: int) -> float:
+    """Penalty weight at an epoch: rho_min * (rho_max/rho_min)^(epoch/n)
+    with n = train.n_epochs."""
+    if not 0 <= epoch <= train.n_epochs:
         raise ValueError("epoch must lie in [0, n_epochs]")
-    ratio = schedule.rho_max / schedule.rho_min
-    return float(schedule.rho_min * ratio ** (epoch / n_epochs))
-
-
-def loss_independent(cfg: SystemConfig, ch: ChannelSet, state: BeamformingState) -> float:
-    """Negative weighted sum-rate (all three networks in independent mode,
-    and the precoder/amplitude networks in coupled mode)."""
-    return -evaluate_wsr(cfg, ch, state)
-
-
-def loss_coupled_tn(
-    cfg: SystemConfig, ch: ChannelSet, state: BeamformingState, rho: float
-) -> float:
-    """Phase-network loss in coupled mode: negative rate plus the weighted
-    squared distance to the exact phase projection, recomputed here."""
-    if rho < 0:
-        raise ValueError("rho must be >= 0")
-    aux = project_coupled_phases(state.theta_t, state.theta_r)
-    dev = np.concatenate(
-        [state.theta_t - aux.theta_t_aux, state.theta_r - aux.theta_r_aux]
-    )
-    return -evaluate_wsr(cfg, ch, state) + rho * float(dev @ dev)
+    ratio = train.rho_max / train.rho_min
+    return float(train.rho_min * ratio ** (epoch / train.n_epochs))
 
 
 def _make_state(W: np.ndarray, beta: np.ndarray, theta: np.ndarray) -> BeamformingState:
@@ -315,56 +286,6 @@ def _phase_block_backward(tn: Mlp, tape, grad_theta_out: np.ndarray,
     return acc
 
 
-# --- public inner-update operations ---------------------------------------
-
-
-def inner_update_precoder(
-    nets: SubNetworks,
-    state: BeamformingState,
-    ch: ChannelSet,
-    cfg: SystemConfig,
-    n_inner: int = 1,
-) -> BeamformingState:
-    """Refine the precoder n_inner times (network update, add, power
-    renormalization), holding amplitudes and phases fixed."""
-    check_dimensions(cfg, ch, state)
-    W, _ = _precoder_block(nets.pn, state.W, state.beta, state.theta, cfg, ch, n_inner)
-    return _make_state(W, state.beta, state.theta)
-
-
-def inner_update_amplitudes(
-    nets: SubNetworks,
-    state: BeamformingState,
-    ch: ChannelSet,
-    cfg: SystemConfig,
-    n_inner: int = 1,
-) -> BeamformingState:
-    """Refine the amplitude profile n_inner times (network update, add,
-    unit-circle renormalization), holding the precoder and phases fixed."""
-    check_dimensions(cfg, ch, state)
-    beta, _ = _amplitude_block(
-        nets.an, state.beta, state.W, state.theta, cfg, ch, n_inner
-    )
-    return _make_state(state.W, beta, state.theta)
-
-
-def inner_update_phases(
-    nets: SubNetworks,
-    state: BeamformingState,
-    ch: ChannelSet,
-    cfg: SystemConfig,
-    n_inner: int = 1,
-    reg: RegulatorConfig = RegulatorConfig(),
-) -> BeamformingState:
-    """Refine the phase profile n_inner times (network update, sigmoid
-    regulator, wrapped addition), holding the other groups fixed."""
-    check_dimensions(cfg, ch, state)
-    theta, _ = _phase_block(
-        nets.tn, state.theta, state.W, state.beta, cfg, ch, n_inner, reg.lam
-    )
-    return _make_state(state.W, state.beta, theta)
-
-
 # --- the full run ----------------------------------------------------------
 
 
@@ -456,7 +377,7 @@ def run_meta_loop(
     }
 
     for epoch in range(1, n_epochs + 1):
-        rho = rho_at(train.penalty, epoch, n_epochs) if coupled else 0.0
+        rho = rho_at(train, epoch) if coupled else 0.0
         update_an = enable_an and epoch % train.n1 == 0
         update_tn = enable_tn and epoch % train.n2 == 0
         # Per-network loss gradients summed over the outer iterations; None
@@ -573,22 +494,3 @@ def run_meta_loop(
         traces=traces,
         seconds=time.perf_counter() - started,
     )
-
-
-def save_networks(path: str, nets: SubNetworks) -> None:
-    """Checkpoint all three sub-networks into one named-array archive."""
-    save_parameters(path, {
-        f"{prefix}.{key}": getattr(net, key)
-        for prefix, net in (("pn", nets.pn), ("an", nets.an), ("tn", nets.tn))
-        for key in PARAM_NAMES
-    })
-
-
-def load_networks(path: str) -> SubNetworks:
-    """Inverse of :func:`save_networks`."""
-    flat = load_parameters(path)
-
-    def rebuild(prefix: str) -> Mlp:
-        return Mlp(*(flat[f"{prefix}.{key}"] for key in PARAM_NAMES))
-
-    return SubNetworks(rebuild("pn"), rebuild("an"), rebuild("tn"))

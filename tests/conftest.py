@@ -10,13 +10,13 @@ from starbeam import (
 )
 
 
-def make_instance(seed, M=4, N=8, K=2, noise=None, weights=None):
+def make_instance(seed, M=4, N=8, K=2, noise=None, weights=None, user_sides=None):
     """Unit-scale random instance used across the suite."""
     r = np.random.default_rng(seed)
     cfg = SystemConfig(
         M=M, N=N, K=K, p_max=float(K),
         noise_power=noise if noise is not None else M * N / 2.0,
-        weights=weights,
+        weights=weights, user_sides=user_sides,
     )
     G = (r.standard_normal((N, M)) + 1j * r.standard_normal((N, M))) / np.sqrt(2)
     h = (r.standard_normal((K, N)) + 1j * r.standard_normal((K, N))) / np.sqrt(2)

@@ -142,6 +142,13 @@ class TestChannelIO:
         with pytest.raises(ConfigurationError, match="channel G"):
             channels_from_text(text)
 
+    @pytest.mark.parametrize("dims", ["0 2 1", "2 2", "-1 2 1", "2 2 1 1",
+                                      "2 x 1", ""])
+    def test_malformed_dimension_line_rejected(self, dims):
+        text = f"starbeam-channels v1\n{dims}\n0 0 0 0\n0 0 0 0\n0 0 0 0\n"
+        with pytest.raises(ValueError, match=f"dimension line '{dims}'"):
+            channels_from_text(text)
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("not a channel file\n1 1 1\n0 0\n0 0\n")

@@ -3,19 +3,26 @@ import pytest
 
 from starbeam import (
     DegenerateInputError,
-    RegulatorConfig,
-    apply_phase_delta,
+    TrainConfig,
     coupling_residual,
     normalize_amplitudes,
     normalize_power,
     project_coupled_phases,
-    regulate_phase_delta,
     wrap_phase,
 )
-from starbeam.constraints import PHASE_DIFF_CANDIDATES
+from starbeam.constraints import PHASE_DIFF_CANDIDATES, sigmoid
 
 TWO_PI = 2 * np.pi
-REG = RegulatorConfig()
+
+
+def regulate(raw):
+    """The loop's bounded phase increment at the default regulator gain."""
+    return TrainConfig().regulator_gain * sigmoid(raw)
+
+
+def advance(theta, delta):
+    """The loop's phase update: add the increment, wrap into [0, 2*pi)."""
+    return wrap_phase(theta + delta)
 
 
 def dense_amplitude_normalization(bt, br):
@@ -118,42 +125,42 @@ class TestNormalizeAmplitudes:
 
 class TestRegulator:
     def test_midpoint(self):
-        out = regulate_phase_delta(np.zeros(3), REG)
+        out = regulate(np.zeros(3))
         assert np.allclose(out, np.pi)
 
     def test_upper_limit_approached(self):
-        out = regulate_phase_delta(np.array([40.0, 1e6, 1e300]), REG)
+        out = regulate(np.array([40.0, 1e6, 1e300]))
         assert (out < TWO_PI).all()
         assert out[0] > TWO_PI - 1e-10
 
     def test_sigmoid_ln3(self):
-        out = regulate_phase_delta(np.array([np.log(3.0)]), REG)
+        out = regulate(np.array([np.log(3.0)]))
         assert out[0] == pytest.approx(1.5 * np.pi)
 
     def test_strictly_increasing(self):
         x = np.linspace(-30, 30, 301)
-        out = regulate_phase_delta(x, REG)
+        out = regulate(x)
         assert (np.diff(out) > 0).all()
 
     def test_open_interval_for_extreme_inputs(self):
-        out = regulate_phase_delta(np.array([-1e300, 1e300]), REG)
+        out = regulate(np.array([-1e300, 1e300]))
         assert 0 < out[0] and out[1] < TWO_PI
 
 
 class TestApplyPhaseDelta:
     def test_wraparound(self):
-        out = apply_phase_delta(np.array([1.5 * np.pi]), np.array([np.pi]))
+        out = advance(np.array([1.5 * np.pi]), np.array([np.pi]))
         assert out[0] == pytest.approx(np.pi / 2)
 
     def test_plain_shift(self):
-        out = apply_phase_delta(np.array([0.0]), np.array([np.pi]))
+        out = advance(np.array([0.0]), np.array([np.pi]))
         assert out[0] == pytest.approx(np.pi)
 
     def test_complex_exponential_consistency(self):
         rng = np.random.default_rng(6)
         theta = rng.uniform(0, TWO_PI, 100)
         delta = rng.uniform(1e-6, TWO_PI - 1e-6, 100)
-        out = apply_phase_delta(theta, delta)
+        out = advance(theta, delta)
         assert (out >= 0).all() and (out < TWO_PI).all()
         assert np.max(np.abs(np.exp(1j * out)
                              - np.exp(1j * theta) * np.exp(1j * delta))) < 1e-12

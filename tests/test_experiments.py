@@ -13,7 +13,7 @@ from starbeam import (
     sign_test_p_value,
     timing_probe,
 )
-from starbeam.cli import main as cli_main
+from starbeam.cli import _build_configs, build_parser, main as cli_main
 from starbeam.constraints import COUPLING_TOL
 from starbeam.errors import ConfigurationError
 from starbeam.experiments import (
@@ -211,6 +211,35 @@ class TestCli:
         path = self._write_config(tmp_path, raw)
         with pytest.raises(ConfigurationError, match=where):
             cli_main(["run", "--config", path])
+
+    @pytest.mark.parametrize("section, key, field", [
+        ("system", "p_max_w", "p_max"),
+        ("system", "noise_power_w", "noise_power"),
+        ("system", "weights", "weights"),
+        ("train", "rho_max", "rho_max"),
+    ])
+    def test_non_finite_config_value_rejected(self, tmp_path, section, key, field):
+        # json.load accepts the NaN literal, so the config classes must
+        # reject it themselves
+        value = [1.0, float("nan")] if key == "weights" else float("nan")
+        path = self._write_config(tmp_path, {section: {key: value}})
+        with open(path) as fh:
+            assert "NaN" in fh.read()
+        with pytest.raises(ConfigurationError, match=field):
+            cli_main(["run", "--config", path])
+
+    def test_config_file_values_reach_the_configs(self, tmp_path):
+        path = self._write_config(tmp_path, {
+            "system": {"K": 3, "weights": [1.0, 0.0, 2.0],
+                       "user_sides": ["reflection", "transmission", "reflection"]},
+            "train": {"rho_min": 0.5, "rho_max": 50.0},
+        })
+        args = build_parser().parse_args(["run", "--config", path,
+                                          "--mode", "coupled"])
+        sys_cfg, _, train = _build_configs(args)
+        assert sys_cfg.weights.tolist() == [1.0, 0.0, 2.0]
+        assert sys_cfg.side_index.tolist() == [1, 0, 1]
+        assert (train.rho_min, train.rho_max) == (0.5, 50.0)
 
     def _write_config(self, tmp_path, cfg=None):
         cfg = cfg or {"train": {"n_epochs": 10}}

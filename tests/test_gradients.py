@@ -5,9 +5,12 @@ from starbeam import (
     BeamformingState,
     ChannelSet,
     SystemConfig,
+    all_sinrs,
     evaluate_wsr,
     finite_diff_gradient,
     normalize_power,
+    sinr,
+    sinr_augmented,
     wsr_gradients,
 )
 from starbeam.experiments import (
@@ -16,7 +19,7 @@ from starbeam.experiments import (
     random_gradient_instance,
 )
 from starbeam.gradients import state_from_vector, state_to_vector
-from starbeam.model import REFLECTION
+from starbeam.model import REFLECTION, TRANSMISSION
 
 from conftest import make_instance
 
@@ -162,6 +165,52 @@ class TestFiniteDifferenceOracle:
                                  state.W.shape[1])
         assert np.array_equal(back.W, state.W)
         assert np.array_equal(back.theta_r, state.theta_r)
+
+
+T, R = TRANSMISSION, REFLECTION
+
+
+class TestPerSideKernel:
+    """Edge cases of the per-side kernel: every user's coefficient row is
+    picked by its side, so users on one side only, interleaved sides and
+    degenerate sizes must all agree with the per-user SINR expressions and
+    with central differences."""
+
+    @pytest.mark.parametrize("seed, dims, sides, weights", [
+        (50, (4, 6, 3), (R, T, R), None),
+        (51, (4, 6, 3), (R, R, R), None),
+        (52, (3, 5, 2), (T, T), None),
+        (53, (4, 6, 1), (T,), None),
+        (54, (4, 6, 1), (R,), None),
+        (55, (4, 1, 2), None, None),
+        (56, (1, 6, 2), None, None),
+        (57, (4, 6, 3), (R, T, R), [1.5, 0.0, 0.5]),
+    ], ids=["interleaved", "all_reflection", "all_transmission", "K1_t", "K1_r",
+            "N1", "M1", "zero_weight"])
+    def test_matches_direct_sinr_and_finite_differences(self, seed, dims, sides,
+                                                        weights):
+        M, N, K = dims
+        cfg, ch, state = make_instance(seed, M=M, N=N, K=K, user_sides=sides,
+                                       weights=weights)
+        gammas = all_sinrs(cfg, ch, state)
+        for k in range(K):
+            assert gammas[k] == pytest.approx(sinr(cfg, ch, state, k), rel=1e-12)
+            assert gammas[k] == pytest.approx(sinr_augmented(cfg, ch, state, k),
+                                              rel=1e-12)
+        bundle = wsr_gradients(cfg, ch, state)
+        assert bundle.rate == evaluate_wsr(cfg, ch, state)
+        fd = finite_diff_gradient(lambda st: evaluate_wsr(cfg, ch, st), state,
+                                  step=GRAD_CHECK_STEP)
+        # block-wise relative error, absolute where the block vanishes (with
+        # N = 1 each user's phase is a global phase, so grad_theta is zero)
+        for block in ("grad_w", "grad_beta", "grad_theta"):
+            a, f = getattr(bundle, block), getattr(fd, block)
+            assert np.linalg.norm(a - f) <= 1e-6 * np.linalg.norm(f) + 1e-9, block
+        # a half no user sees has exactly zero amplitude and phase gradients
+        for side, half in ((T, slice(0, N)), (R, slice(N, 2 * N))):
+            if side not in cfg.user_sides:
+                assert not bundle.grad_beta[half].any()
+                assert not bundle.grad_theta[half].any()
 
 
 class TestBundleRate:

@@ -190,14 +190,14 @@ class TestInvariances:
 
 
 class TestTypes:
-    def test_channel_set_stacking(self):
-        _, ch, _ = make_instance(31)
-        n = ch.N
-        assert np.array_equal(ch.g_aug[:n], ch.G)
-        assert np.array_equal(ch.g_aug[n:], ch.G)
-        assert np.array_equal(ch.h_aug[:, :n], ch.h)
-        assert np.array_equal(ch.h_aug[:, n:], ch.h)
-        assert np.array_equal(ch.mask_t + ch.mask_r, np.ones(2 * n))
+    @pytest.mark.parametrize("G_shape, h_shape, dim", [
+        ((0, 3), (2, 0), "N"),
+        ((4, 0), (2, 4), "M"),
+        ((4, 3), (0, 4), "K"),
+    ])
+    def test_channel_set_rejects_empty_dimension(self, G_shape, h_shape, dim):
+        with pytest.raises(ConfigurationError, match=f"dimension {dim} "):
+            ChannelSet(np.zeros(G_shape), np.zeros(h_shape))
 
     @pytest.mark.parametrize("field", ["G", "h"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -229,6 +229,28 @@ class TestTypes:
         with pytest.raises(ConfigurationError):
             SystemConfig(M=1, N=1, K=2, p_max=1, noise_power=1,
                          user_sides=("transmission", "sideways"))
+
+    @pytest.mark.parametrize("field, kwargs", [
+        ("weights", {"weights": [np.nan, 1.0]}),
+        ("weights", {"weights": [np.inf, 1.0]}),
+        ("p_max", {"p_max": np.inf}),
+        ("p_max", {"p_max": np.nan}),
+        ("noise_power", {"noise_power": np.inf}),
+        ("noise_power", {"noise_power": np.nan}),
+    ])
+    def test_config_rejects_non_finite(self, field, kwargs):
+        args = {"M": 1, "N": 1, "K": 2, "p_max": 1.0, "noise_power": 1.0, **kwargs}
+        with pytest.raises(ConfigurationError, match=field):
+            SystemConfig(**args)
+
+    def test_side_index_follows_sides(self):
+        cfg = SystemConfig(M=1, N=1, K=3, p_max=1, noise_power=1,
+                           user_sides=(REFLECTION, TRANSMISSION, REFLECTION))
+        assert cfg.side_index.tolist() == [1, 0, 1]
+        with pytest.raises(TypeError):
+            SystemConfig(M=1, N=1, K=1, p_max=1, noise_power=1, side_index=[1])
+        with pytest.raises(ValueError):
+            cfg.side_index[0] = 0
 
     def test_state_helpers(self):
         _, _, state = make_instance(33)

@@ -6,16 +6,17 @@ from starbeam import (
     Mlp,
     adam_init,
     adam_step,
-    an_forward,
     default_scenario,
     init_mlp,
     init_networks,
-    load_parameters,
-    pn_forward,
-    save_parameters,
-    tn_forward,
 )
-from starbeam.networks import PARAM_NAMES, mlp_backward
+from starbeam.networks import mlp_backward, pn_forward_with_cache
+
+PARAM_NAMES = ("w1", "b1", "w2", "b2")  # the order of Mlp.split and Mlp.flat
+
+
+def pn_forward(net, grad_w):
+    return pn_forward_with_cache(net, grad_w)[0]
 
 
 def zero_mlp(din, hidden, dout):
@@ -114,10 +115,11 @@ class TestPnForward:
 
 
 class TestVectorForwards:
+    """The amplitude and phase networks take their 2N-vector directly."""
+
     def test_zero_parameters(self):
         net = zero_mlp(8, 12, 8)
-        assert np.allclose(an_forward(net, np.ones(8)), 0.0)
-        assert np.allclose(tn_forward(net, np.ones(8)), 0.0)
+        assert np.allclose(net.forward_with_cache(np.ones(8))[0], 0.0)
 
     def test_all_negative_preactivations_give_bias(self):
         hidden, dim = 6, 4
@@ -126,18 +128,19 @@ class TestVectorForwards:
         w2 = np.arange(dim * hidden, dtype=float).reshape(dim, hidden)
         b2 = np.array([1.0, -2.0, 3.0, 4.0])
         net = Mlp(w1, b1, w2, b2)
-        out = an_forward(net, np.ones(dim))  # preactivations all -5
+        out = net.forward(np.ones(dim))  # preactivations all -5
         assert np.allclose(out, b2)
 
     def test_zero_input_gives_bias_only(self):
         rng = np.random.default_rng(5)
         net = init_mlp(6, 9, 6, rng)
-        assert np.allclose(tn_forward(net, np.zeros(6)), net.b2)
+        assert np.allclose(net.forward(np.zeros(6)), net.b2)
 
     def test_length_mismatch(self):
         net = zero_mlp(8, 12, 8)
-        with pytest.raises(ConfigurationError):
-            an_forward(net, np.ones(7))
+        for bad in (np.ones(7), np.ones((3, 7)), np.ones((1, 2, 8))):
+            with pytest.raises(ConfigurationError, match="input dimension 8"):
+                net.forward_with_cache(bad)
 
 
 class TestAdam:
@@ -244,14 +247,3 @@ def _reference_adam_step(params, grads, state, lr, beta1=0.9, beta2=0.999,
         new_params[key] = p - lr * (m / c1) / (np.sqrt(v / c2) + epsilon)
     return new_params, (m_new, v_new, t)
 
-
-class TestCheckpoint:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(7)
-        params = {"w1": rng.standard_normal((3, 4)), "b1": rng.standard_normal(3)}
-        path = str(tmp_path / "ckpt.npz")
-        save_parameters(path, params)
-        loaded = load_parameters(path)
-        assert set(loaded) == {"w1", "b1"}
-        assert np.array_equal(loaded["w1"], params["w1"])
-        assert loaded["b1"].dtype == np.float64

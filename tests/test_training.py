@@ -4,26 +4,20 @@ import pytest
 from starbeam import (
     BeamformingState,
     ConfigurationError,
-    PenaltySchedule,
     SubNetworks,
     TrainConfig,
     evaluate_wsr,
     generate_channels,
     desk_scenario,
+    finite_diff_gradient,
     init_networks,
-    inner_update_amplitudes,
-    inner_update_phases,
-    inner_update_precoder,
-    load_networks,
-    loss_coupled_tn,
-    loss_independent,
     rho_at,
     run_gml,
-    save_networks,
     wsr_gradients,
 )
 from starbeam import training
-from starbeam.constraints import COUPLING_TOL, coupling_residual
+from starbeam.constraints import COUPLING_TOL, coupling_residual, project_coupled_phases
+from starbeam.model import TWO_PI
 from starbeam.networks import Mlp
 from starbeam.training import (
     AN_HIDDEN,
@@ -50,40 +44,94 @@ def zero_nets(cfg):
     return SubNetworks(z(cfg.M, 8), z(2 * cfg.N, 8), z(2 * cfg.N, 8))
 
 
+def schedule(rho_min, rho_max, n_epochs):
+    return TrainConfig(n_epochs=n_epochs, rho_min=rho_min, rho_max=rho_max)
+
+
 class TestPenaltySchedule:
     def test_endpoints(self):
-        sched = PenaltySchedule(1e-2, 1e2)
-        assert rho_at(sched, 0, 100) == pytest.approx(1e-2)
-        assert rho_at(sched, 100, 100) == pytest.approx(1e2)
+        train = schedule(1e-2, 1e2, 100)
+        assert rho_at(train, 0) == pytest.approx(1e-2)
+        assert rho_at(train, 100) == pytest.approx(1e2)
 
     def test_geometric_midpoint(self):
-        sched = PenaltySchedule(1e-2, 1e2)
-        assert rho_at(sched, 50, 100) == pytest.approx(1.0)
+        assert rho_at(schedule(1e-2, 1e2, 100), 50) == pytest.approx(1.0)
 
     def test_monotone(self):
-        sched = PenaltySchedule(0.3, 3000.0)
-        vals = [rho_at(sched, e, 300) for e in range(0, 301, 10)]
+        train = schedule(0.3, 3000.0, 300)
+        vals = [rho_at(train, e) for e in range(0, 301, 10)]
         assert all(a <= b for a, b in zip(vals, vals[1:]))
 
     def test_bounds_checked(self):
         with pytest.raises(ValueError):
-            rho_at(PenaltySchedule(), -1, 10)
+            rho_at(TrainConfig(n_epochs=10), -1)
+        with pytest.raises(ValueError):
+            rho_at(TrainConfig(n_epochs=10), 11)
         with pytest.raises(ConfigurationError):
-            PenaltySchedule(rho_min=0.0)
+            TrainConfig(rho_min=0.0)
         with pytest.raises(ConfigurationError):
-            PenaltySchedule(rho_min=2.0, rho_max=1.0)
+            TrainConfig(rho_min=2.0, rho_max=1.0)
+        with pytest.raises(ConfigurationError):
+            TrainConfig(rho_max=np.inf)
+
+
+def coupled_tn_objective(cfg, ch, state, rho):
+    """Reference phase-network loss of coupled mode: the negative rate plus
+    rho times the squared distance to the exact coupled projection. The
+    loop never evaluates it; it feeds the phase network its gradient,
+    -grad_theta + 2 * rho * (theta - theta_proj), which TestMetaGradients
+    checks against finite differences of this objective."""
+    aux = project_coupled_phases(state.theta_t, state.theta_r)
+    dev = state.theta - np.concatenate([aux.theta_t_aux, aux.theta_r_aux])
+    return -evaluate_wsr(cfg, ch, state) + rho * float(dev @ dev)
+
+
+def assert_close(analytic, reference):
+    err = np.linalg.norm(analytic - reference)
+    assert err < 1e-6 * np.linalg.norm(reference)
+
+
+def fed_loss_gradients(monkeypatch, mode, n_epochs=3):
+    """Run the loop on a unit-scale instance with every network updated
+    every epoch. Returns the config, the channels and, per epoch, the
+    refined state, rho, and the loss gradient the loop passed to each
+    network's backward pass."""
+    cfg, ch, _ = make_instance(3, M=4, N=6, K=2)
+    train = TrainConfig(n_epochs=n_epochs, mode=mode, n1=1, n2=1, seed=2)
+    last_state, fed = [], []
+
+    def bundle_spy(cfg_, ch_, state):
+        last_state[:] = [state]
+        return wsr_gradients(cfg_, ch_, state)
+
+    def spy(name, backward):
+        def wrapped(net, tape, grad_out, *rest):
+            if name == "pn":  # the first backward pass of each epoch
+                rho = rho_at(train, len(fed) + 1) if mode == "coupled" else 0.0
+                fed.append((last_state[0], rho, {}))
+            fed[-1][2][name] = grad_out.copy()
+            return backward(net, tape, grad_out, *rest)
+        return wrapped
+
+    monkeypatch.setattr(training, "wsr_gradients", bundle_spy)
+    for name, block in (("pn", "precoder"), ("an", "amplitude"), ("tn", "phase")):
+        attr = f"_{block}_block_backward"
+        monkeypatch.setattr(training, attr, spy(name, getattr(training, attr)))
+    run_gml(cfg, ch, train)
+    assert len(fed) == n_epochs
+    return cfg, ch, fed
 
 
 class TestLosses:
-    def test_independent_is_negated_rate(self, instance):
-        cfg, ch, state = instance
-        assert loss_independent(cfg, ch, state) == -evaluate_wsr(cfg, ch, state)
-
-    def test_coupled_with_zero_rho_equals_independent(self, instance):
-        cfg, ch, state = instance
-        assert loss_coupled_tn(cfg, ch, state, 0.0) == pytest.approx(
-            loss_independent(cfg, ch, state)
-        )
+    def test_independent_is_negated_rate(self, monkeypatch):
+        """In independent mode all three networks are fed the gradient of
+        the negative rate at the refined state."""
+        cfg, ch, fed = fed_loss_gradients(monkeypatch, "independent")
+        for state, _, grads in fed:
+            fd = finite_diff_gradient(lambda st: -evaluate_wsr(cfg, ch, st), state)
+            assert_close(grads["pn"], fd.grad_w)
+            assert_close(grads["an"], fd.grad_beta)
+            assert_close(grads["tn"], fd.grad_theta)
 
     def test_feasible_phases_incur_no_penalty(self):
         cfg, ch, state = make_instance(1)
@@ -91,59 +139,69 @@ class TestLosses:
             state.W, state.beta_t, state.beta_r,
             state.theta_r + np.pi / 2, state.theta_r,
         )
-        assert loss_coupled_tn(cfg, ch, coupled, 57.0) == pytest.approx(
-            loss_independent(cfg, ch, coupled), abs=1e-9
+        assert coupled_tn_objective(cfg, ch, coupled, 57.0) == pytest.approx(
+            -evaluate_wsr(cfg, ch, coupled), abs=1e-9
         )
 
     def test_known_penalty_at_origin(self):
         cfg, ch, _ = make_instance(2, N=1, M=2, K=1)
         state = BeamformingState(np.ones((2, 1), complex), [0.7], [0.7],
                                  [0.0], [0.0])
-        gap = loss_coupled_tn(cfg, ch, state, 1.0) - loss_independent(cfg, ch, state)
+        gap = coupled_tn_objective(cfg, ch, state, 1.0) + evaluate_wsr(cfg, ch, state)
         assert gap == pytest.approx(np.pi**2 / 8)
 
-    def test_rho_must_be_nonnegative(self, instance):
-        cfg, ch, state = instance
-        with pytest.raises(ValueError):
-            loss_coupled_tn(cfg, ch, state, -1.0)
+    def test_rho_must_be_nonnegative(self):
+        # the loop's rho comes from the schedule, positive at every epoch
+        train = TrainConfig(n_epochs=7)
+        assert all(rho_at(train, e) > 0 for e in range(8))
+        for bad in (-1.0, 0.0, np.nan):
+            with pytest.raises(ConfigurationError, match="rho_min"):
+                TrainConfig(rho_min=bad)
 
 
 class TestInnerUpdates:
+    """The inner blocks of the loop, one refinement of one group each."""
+
     def test_zero_pn_leaves_state(self, instance):
         cfg, ch, state = instance
-        out = inner_update_precoder(zero_nets(cfg), state, ch, cfg)
-        assert np.allclose(out.W, state.W, rtol=1e-14)
-        assert np.array_equal(out.theta_t, state.theta_t)
+        W, _ = _precoder_block(zero_nets(cfg).pn, state.W, state.beta,
+                               state.theta, cfg, ch, 1)
+        assert np.allclose(W, state.W, rtol=1e-14)
 
     def test_precoder_power_restored(self, instance):
         cfg, ch, state = instance
-        rng = np.random.default_rng(0)
-        nets = init_networks(cfg, rng)
-        out = inner_update_precoder(nets, state, ch, cfg, n_inner=3)
-        assert out.transmit_power == pytest.approx(cfg.p_max, rel=1e-9)
+        nets = init_networks(cfg, np.random.default_rng(0))
+        W, _ = _precoder_block(nets.pn, state.W, state.beta, state.theta,
+                               cfg, ch, 3)
+        assert np.vdot(W, W).real == pytest.approx(cfg.p_max, rel=1e-9)
 
     def test_zero_an_leaves_amplitudes(self, instance):
         cfg, ch, state = instance
-        out = inner_update_amplitudes(zero_nets(cfg), state, ch, cfg)
-        assert np.allclose(out.beta_t, state.beta_t, atol=1e-14)
+        beta, _ = _amplitude_block(zero_nets(cfg).an, state.beta, state.W,
+                                   state.theta, cfg, ch, 1)
+        assert np.allclose(beta, state.beta, atol=1e-14)
 
     def test_amplitude_energy_conservation(self, instance):
         cfg, ch, state = instance
         nets = init_networks(cfg, np.random.default_rng(1))
-        out = inner_update_amplitudes(nets, state, ch, cfg, n_inner=2)
-        assert np.max(np.abs(out.beta_t**2 + out.beta_r**2 - 1)) < 1e-12
+        beta, _ = _amplitude_block(nets.an, state.beta, state.W, state.theta,
+                                   cfg, ch, 2)
+        n = cfg.N
+        assert np.max(np.abs(beta[:n]**2 + beta[n:]**2 - 1)) < 1e-12
 
     def test_zero_tn_shifts_by_pi(self, instance):
         cfg, ch, state = instance
-        out = inner_update_phases(zero_nets(cfg), state, ch, cfg)
-        expected = np.mod(state.theta_t + np.pi, 2 * np.pi)
-        assert np.allclose(out.theta_t, expected, atol=1e-12)
+        theta, _ = _phase_block(zero_nets(cfg).tn, state.theta, state.W,
+                                state.beta, cfg, ch, 1, TWO_PI)
+        expected = np.mod(state.theta + np.pi, 2 * np.pi)
+        assert np.allclose(theta, expected, atol=1e-12)
 
     def test_phases_stay_wrapped(self, instance):
         cfg, ch, state = instance
         nets = init_networks(cfg, np.random.default_rng(2))
-        out = inner_update_phases(nets, state, ch, cfg, n_inner=4)
-        assert (out.theta >= 0).all() and (out.theta < 2 * np.pi).all()
+        theta, _ = _phase_block(nets.tn, state.theta, state.W, state.beta,
+                                cfg, ch, 4, TWO_PI)
+        assert (theta >= 0).all() and (theta < 2 * np.pi).all()
 
 
 class TestMetaGradients:
@@ -210,6 +268,38 @@ class TestMetaGradients:
         self._check(g_an, "an", loss_an, rng)
         self._check(g_tn, "tn", loss_tn, rng)
 
+    @pytest.mark.parametrize("rho", [0.7, 40.0])
+    def test_coupled_phase_chain_with_penalty(self, rho):
+        cfg, ch = self.cfg, self.ch
+        W, beta, theta, _, _, tt = self._forward()
+        final = _make_state(W, beta, theta)
+        aux = project_coupled_phases(final.theta_t, final.theta_r)
+        proj = np.concatenate([aux.theta_t_aux, aux.theta_r_aux])
+        # the phase-network loss gradient as run_meta_loop forms it
+        g_t = -wsr_gradients(cfg, ch, final).grad_theta + 2.0 * rho * (theta - proj)
+        g_tn = _phase_block_backward(self.nets.tn, tt, g_t, self.gain, None)
+        s = self.start
+
+        def loss_tn(tn):
+            t2, _ = _phase_block(tn, s.theta, W, beta, cfg, ch, 1, self.gain)
+            return coupled_tn_objective(cfg, ch, _make_state(W, beta, t2), rho)
+
+        self._check(g_tn, "tn", loss_tn, np.random.default_rng(6))
+
+    def test_loop_feeds_phase_network_the_penalized_gradient(self, monkeypatch):
+        """In coupled mode the loop feeds the phase network the gradient of
+        coupled_tn_objective, and the other two networks that of the plain
+        negative rate."""
+        cfg, ch, fed = fed_loss_gradients(monkeypatch, "coupled")
+        for state, rho, grads in fed:
+            assert rho > 0
+            fd_rate = finite_diff_gradient(lambda st: -evaluate_wsr(cfg, ch, st), state)
+            fd_tn = finite_diff_gradient(
+                lambda st: coupled_tn_objective(cfg, ch, st, rho), state)
+            assert_close(grads["pn"], fd_rate.grad_w)
+            assert_close(grads["an"], fd_rate.grad_beta)
+            assert_close(grads["tn"], fd_tn.grad_theta)
+
 
 def max_residual(state):
     return float(np.max(coupling_residual(state.theta_t, state.theta_r)))
@@ -220,7 +310,7 @@ class TestRunGml:
         sys_cfg, ch_cfg = desk_scenario(K=2)
         ch = generate_channels(sys_cfg, ch_cfg, np.random.default_rng(123))
         train = TrainConfig(n_epochs=n_epochs, mode=mode, seed=seed,
-                            penalty=PenaltySchedule(0.3, 3000.0), n2=1,
+                            rho_min=0.3, rho_max=3000.0, n2=1,
                             n_outer=n_outer)
         return sys_cfg, ch, train
 
@@ -358,13 +448,3 @@ class TestRunGml:
         assert nets.an.input_dim == 14 and nets.an.hidden_dim == AN_HIDDEN
         assert nets.tn.output_dim == 14 and nets.tn.hidden_dim == TN_HIDDEN
 
-    def test_network_checkpoint_round_trip(self, tmp_path):
-        cfg, _, _ = make_instance(7)
-        nets = init_networks(cfg, np.random.default_rng(1))
-        path = str(tmp_path / "nets.npz")
-        save_networks(path, nets)
-        back = load_networks(path)
-        for name in ("pn", "an", "tn"):
-            assert np.array_equal(getattr(back, name).flat, getattr(nets, name).flat)
-        assert np.array_equal(back.pn.w1, nets.pn.w1)
-        assert np.array_equal(back.tn.b2, nets.tn.b2)
