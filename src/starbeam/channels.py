@@ -46,10 +46,14 @@ class ChannelConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.rician_k_g < 0 or self.rician_k_h < 0:
-            raise ConfigurationError("Rician factors must be >= 0")
-        if self.user_area_radius < 0:
-            raise ConfigurationError("user area radius must be >= 0")
+        # written so that NaN fails every check
+        for name in ("rician_k_g", "rician_k_h", "user_area_radius"):
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ConfigurationError(f"{name} must be >= 0 and finite")
+        for name in ("bs_pos", "ris_pos", "center_t", "center_r",
+                     "pathloss_a", "pathloss_b"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ConfigurationError(f"{name} must be finite")
         if self.los_mode not in (LOS_ULA, LOS_ONES):
             raise ConfigurationError(f"unknown los_mode '{self.los_mode}'")
 

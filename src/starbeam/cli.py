@@ -1,10 +1,23 @@
 """Command-line driver.
 
-Subcommands: run (single solve), experiment (spec-file driven batch),
-grad-check (analytic-vs-finite-difference suite), time (per-epoch timing).
+Subcommands, each taking only the flags listed (any other is an error):
 
-The optional JSON config file has three sections whose keys mirror the
-config dataclasses; units are watts, meters, and radians:
+    run         single solve: --config --seed --mode --out --paper-scale
+                --scheme
+    experiment  spec-file driven batch: SPEC --seed --out --paper-scale
+    grad-check  analytic-vs-finite-difference suite: --seed --instances
+    time        per-epoch timing: --config --seed --mode --paper-scale
+                --repetitions --epochs
+
+Settings resolve in one order, each step overriding the last: the scale
+profile (desk, or the published scale under --paper-scale), the config
+file, then the flags given; --seed sets the training and channel seeds.
+For experiment, the spec (ExperimentSpec fields as JSON keys) replaces
+profile and file, and --out, --seed and --paper-scale override its
+out_dir, master_seed and desk_scale.
+
+The optional JSON config file of run and time has three sections whose
+keys mirror the config dataclasses; units are watts, meters, and radians:
 
     {
       "system":  {"M": 8, "N": 16, "K": 2, "p_max_w": 0.01,
@@ -23,8 +36,8 @@ config dataclasses; units are watts, meters, and radians:
                   "seed": 0}
     }
 
-Missing sections/keys fall back to the selected scale's defaults; an
-unknown section or key is an error.
+Missing sections/keys keep the scale profile's values (time's profile runs
+TIMING_EPOCHS epochs); an unknown section or key is an error.
 """
 from __future__ import annotations
 
@@ -36,26 +49,21 @@ import sys
 
 import numpy as np
 
-from .channels import (
-    ChannelConfig,
-    desk_scenario,
-    default_scenario,
-    generate_channels,
-    save_channels,
-)
+from .channels import ChannelConfig, generate_channels, save_channels
 from .constraints import COUPLING_TOL
 from .errors import ConfigurationError
 from .experiments import (
-    KIND_TIMING,
+    GRAD_CHECK_INSTANCES,
+    GRAD_CHECK_SEED_BASE,
     SCHEME_GML_COUPLED,
     SCHEME_GML_INDEPENDENT,
     SCHEMES,
+    TIMING_EPOCHS,
     ExperimentSpec,
-    desk_train,
     grad_check_command,
-    paper_train,
     run_experiment,
     run_scheme,
+    scale_configs,
     timing_probe,
     write_convergence_csv,
 )
@@ -90,8 +98,6 @@ CHANNEL_KEYS = {
     "pathloss_b_db_per_decade": ("pathloss_b", float),
     "los_mode": ("los_mode", str), "seed": ("seed", int),
 }
-SPEC_KEYS = ("kind", "schemes", "grid", "sample_count", "out_dir", "master_seed",
-             "desk_scale", "n_epochs", "users")
 
 
 def _load_json(path: str) -> dict:
@@ -113,14 +119,12 @@ def _fields(section: str, d: dict, keys: dict) -> dict:
     return {keys[k][0]: keys[k][1](v) for k, v in d.items()}
 
 
-def _build_configs(args) -> tuple[SystemConfig, ChannelConfig, TrainConfig]:
-    desk = not args.paper_scale
-    if desk:
-        sys_cfg, ch_cfg = desk_scenario()
-        train = desk_train(mode=args.mode)
-    else:
-        sys_cfg, ch_cfg = default_scenario()
-        train = paper_train(mode=args.mode)
+def _build_configs(
+    args, n_epochs: int | None = None
+) -> tuple[SystemConfig, ChannelConfig, TrainConfig]:
+    """The scale profile (with n_epochs epochs when given), then the config
+    file, then the flags given."""
+    sys_cfg, ch_cfg, train = scale_configs(args.paper_scale, n_epochs=n_epochs)
     if args.config:
         raw = _load_json(args.config)
         _check_keys("the config file", raw, ("system", "train", "channel"))
@@ -189,21 +193,13 @@ def _cmd_run(args) -> int:
 
 def _cmd_experiment(args) -> int:
     raw = _load_json(args.spec)
-    _check_keys("the experiment spec", raw, SPEC_KEYS)
-    grid = raw.get("grid", [None])
-    if raw.get("kind") in ("sweep_mn", "timing"):
-        grid = [tuple(g) for g in grid]
-    spec = ExperimentSpec(
-        kind=raw["kind"],
-        schemes=tuple(raw.get("schemes", [SCHEME_GML_INDEPENDENT])),
-        grid=tuple(grid),
-        sample_count=int(raw.get("sample_count", 20)),
-        out_dir=args.out or raw.get("out_dir", "results"),
-        master_seed=args.seed if args.seed is not None
-        else int(raw.get("master_seed", 0)),
-        desk_scale=bool(raw.get("desk_scale", not args.paper_scale)),
-        n_epochs=raw.get("n_epochs"),
-        users=raw.get("users"),
+    _check_keys("the experiment spec", raw,
+                [f.name for f in dataclasses.fields(ExperimentSpec)])
+    spec = ExperimentSpec(**raw)
+    flags = {"out_dir": args.out, "master_seed": args.seed,
+             "desk_scale": False if args.paper_scale else None}
+    spec = dataclasses.replace(
+        spec, **{k: v for k, v in flags.items() if v is not None}
     )
     report = run_experiment(spec)
     print(f"{len(report.records)} cells, {len(report.failures)} failures")
@@ -217,15 +213,17 @@ def _cmd_experiment(args) -> int:
 def _cmd_grad_check(args) -> int:
     report = grad_check_command(
         n_instances=args.instances,
-        seed_base=1000 + (args.seed or 0),
+        seed_base=GRAD_CHECK_SEED_BASE + (args.seed or 0),
     )
     return 0 if report.passed else 1
 
 
 def _cmd_time(args) -> int:
-    sys_cfg, ch_cfg, train = _build_configs(args)
-    train = dataclasses.replace(train, n_epochs=args.epochs)
-    result = timing_probe(sys_cfg, train, repetitions=args.repetitions)
+    sys_cfg, ch_cfg, train = _build_configs(args, n_epochs=TIMING_EPOCHS)
+    if args.epochs is not None:
+        train = dataclasses.replace(train, n_epochs=args.epochs)
+    ch = generate_channels(sys_cfg, ch_cfg, np.random.default_rng(ch_cfg.seed))
+    result = timing_probe(sys_cfg, train, repetitions=args.repetitions, ch=ch)
     print(f"M={sys_cfg.M} N={sys_cfg.N} K={sys_cfg.K}")
     print(f"median: {result.median_s_per_epoch * 1e3:.3f} ms/epoch")
     print(f"min:    {result.min_s_per_epoch * 1e3:.3f} ms/epoch")
@@ -238,49 +236,41 @@ def build_parser() -> argparse.ArgumentParser:
         description="Joint precoder / STAR surface coefficient optimization",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--config", help="JSON config file (see module docs)")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--mode", choices=[MODE_INDEPENDENT, MODE_COUPLED],
-                       default=None)
-        p.add_argument("--out", help="output directory")
-        scale = p.add_mutually_exclusive_group()
-        scale.add_argument("--desk-scale", action="store_true", default=True,
-                           help="small fast configuration (default)")
-        scale.add_argument("--paper-scale", dest="paper_scale",
-                           action="store_true", default=False,
-                           help="full-scale configuration (64 antennas, "
-                                "100 elements)")
-
     p_run = sub.add_parser("run", help="single solve; prints the WSR")
-    common(p_run)
-    p_run.add_argument("--scheme", choices=list(SCHEMES), default=None)
-    p_run.set_defaults(func=_cmd_run)
-
     p_exp = sub.add_parser("experiment", help="run a spec-file experiment")
-    common(p_exp)
-    p_exp.add_argument("spec", help="JSON experiment spec file")
-    p_exp.set_defaults(func=_cmd_experiment)
-
     p_gc = sub.add_parser("grad-check",
                           help="analytic vs finite-difference gradient suite")
-    common(p_gc)
-    p_gc.add_argument("--instances", type=int, default=50)
-    p_gc.set_defaults(func=_cmd_grad_check)
-
     p_time = sub.add_parser("time", help="per-epoch wall-clock probe")
-    common(p_time)
+
+    # each subcommand declares only the shared flags it reads
+    for p in (p_run, p_time):
+        p.add_argument("--config", help="JSON config file (see module docs)")
+        p.add_argument("--mode", choices=[MODE_INDEPENDENT, MODE_COUPLED])
+    for p in (p_run, p_exp, p_gc, p_time):
+        p.add_argument("--seed", type=int)
+    for p in (p_run, p_exp):
+        p.add_argument("--out", help="output directory")
+    for p in (p_run, p_exp, p_time):
+        p.add_argument("--paper-scale", action="store_true",
+                       help="full-scale configuration (64 antennas, 100 "
+                            "elements); the desk scale otherwise")
+
+    p_run.add_argument("--scheme", choices=list(SCHEMES))
+    p_run.set_defaults(func=_cmd_run)
+    p_exp.add_argument("spec", help="JSON experiment spec file")
+    p_exp.set_defaults(func=_cmd_experiment)
+    p_gc.add_argument("--instances", type=int, default=GRAD_CHECK_INSTANCES)
+    p_gc.set_defaults(func=_cmd_grad_check)
     p_time.add_argument("--repetitions", type=int, default=5)
-    p_time.add_argument("--epochs", type=int, default=60)
+    p_time.add_argument("--epochs", type=int,
+                        help=f"epochs per timed run (default {TIMING_EPOCHS}, "
+                             "or the config file's train.n_epochs)")
     p_time.set_defaults(func=_cmd_time)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.mode is None and args.command in ("run", "time"):
-        args.mode = MODE_INDEPENDENT
     return args.func(args)
 
 

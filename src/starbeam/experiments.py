@@ -65,6 +65,10 @@ CONVERGENCE_HEADER = ["epoch", "wsr_best", "wsr_current", "penalty", "rho"]
 TIMING_HEADER = ["M", "N", "K", "median_s_per_epoch", "min_s_per_epoch"]
 SWEEP_HEADER = ["scheme", "grid_value", "sample", "wsr_final", "seconds"]
 
+# Epochs per timed run when none is given: enough for a steady per-epoch
+# time, few enough to repeat at paper scale.
+TIMING_EPOCHS = 60
+
 
 def desk_train(mode: str = MODE_INDEPENDENT, seed: int = 0,
                n_epochs: int = 300) -> TrainConfig:
@@ -109,12 +113,18 @@ class ExperimentSpec:
     out_dir: str = "results"
     master_seed: int = 0
     desk_scale: bool = True
-    n_epochs: int | None = None  # None -> scale default (300 desk, 500 paper)
+    n_epochs: int | None = None  # None -> 300 desk, 500 paper; TIMING_EPOCHS timing
     users: int | None = None     # None -> scale default (2 desk, 4 paper)
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ConfigurationError(f"unknown experiment kind '{self.kind}'")
+        # lists (as read from JSON) become tuples, (M, N) grid pairs included
+        grid = self.grid
+        if self.kind in (KIND_SWEEP_MN, KIND_TIMING):
+            grid = [None if g is None else tuple(g) for g in grid]
+        object.__setattr__(self, "grid", tuple(grid))
+        object.__setattr__(self, "schemes", tuple(self.schemes))
         unknown = set(self.schemes) - set(SCHEMES)
         if unknown:
             raise ConfigurationError(f"unknown schemes: {sorted(unknown)}")
@@ -122,8 +132,16 @@ class ExperimentSpec:
             raise ConfigurationError("scheme list must be non-empty")
         if len(self.grid) == 0:
             raise ConfigurationError("grid must be non-empty")
-        if self.sample_count < 1:
-            raise ConfigurationError("sample_count must be >= 1")
+        for name in ("sample_count", "n_epochs", "users"):
+            value = getattr(self, name)
+            if value is None and name != "sample_count":
+                continue  # the scale default
+            if type(value) is not int or value < 1:  # a bool is not a count
+                raise ConfigurationError(
+                    f"{name} must be an integer >= 1, got {value!r}")
+        if not isinstance(self.desk_scale, bool):
+            raise ConfigurationError(
+                f"desk_scale must be true or false, got {self.desk_scale!r}")
 
 
 @dataclass
@@ -135,9 +153,6 @@ class CellRecord:
     sample: int
     wsr_final: float
     seconds: float
-    wsr_best_trace: np.ndarray | None = None
-    phase_diff_trace: np.ndarray | None = None
-    residual_final: float = float("nan")
     error: str | None = None
 
 
@@ -174,16 +189,24 @@ _SCHEME_TAG = {name: i + 1 for i, name in enumerate(SCHEMES)}
 _CHANNEL_TAG = 0
 
 
-def _base_configs(spec: ExperimentSpec) -> tuple[SystemConfig, ChannelConfig, int]:
-    if spec.desk_scale:
-        sys_cfg, ch_cfg = desk_scenario(K=spec.users if spec.users else 2)
-        n_epochs = spec.n_epochs if spec.n_epochs else 300
-    else:
+def scale_configs(
+    paper_scale: bool, users: int | None = None, n_epochs: int | None = None,
+) -> tuple[SystemConfig, ChannelConfig, TrainConfig]:
+    """The configs of the published scale (default_scenario, paper_train)
+    or the desk scale (desk_scenario, desk_train), independent mode, seed
+    0. users replaces K (user sides and weights then follow K) and n_epochs
+    the epoch count; None keeps the scale's."""
+    if paper_scale:
         sys_cfg, ch_cfg = default_scenario()
-        if spec.users:
-            sys_cfg = replace(sys_cfg, K=spec.users, user_sides=None, weights=None)
-        n_epochs = spec.n_epochs if spec.n_epochs else 500
-    return sys_cfg, ch_cfg, n_epochs
+        train = paper_train()
+    else:
+        sys_cfg, ch_cfg = desk_scenario()
+        train = desk_train()
+    if users is not None:
+        sys_cfg = replace(sys_cfg, K=users, user_sides=None, weights=None)
+    if n_epochs is not None:
+        train = replace(train, n_epochs=n_epochs)
+    return sys_cfg, ch_cfg, train
 
 
 def _apply_grid(sys_cfg: SystemConfig, kind: str, value) -> SystemConfig:
@@ -205,11 +228,12 @@ def _grid_label(kind: str, value) -> object:
     return value if value is not None else 0
 
 
-def _train_for(spec: ExperimentSpec, scheme: str, n_epochs: int, seed: int) -> TrainConfig:
+def _cell_train(base: TrainConfig, spec: ExperimentSpec, scheme: str,
+                gi: int, sample: int) -> TrainConfig:
+    """The scheme's mode and the cell's derived seed on the spec's profile."""
     mode = MODE_COUPLED if scheme == SCHEME_GML_COUPLED else MODE_INDEPENDENT
-    if spec.desk_scale:
-        return desk_train(mode=mode, seed=seed, n_epochs=n_epochs)
-    return replace(paper_train(mode=mode, seed=seed), n_epochs=n_epochs)
+    seed = _derive_seed(spec.master_seed, _SCHEME_TAG[scheme], gi, sample)
+    return replace(base, mode=mode, seed=seed)
 
 
 def run_scheme(
@@ -243,7 +267,9 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
 
     os.makedirs(spec.out_dir, exist_ok=True)
     report = ExperimentReport(spec)
-    base_sys, ch_cfg, n_epochs = _base_configs(spec)
+    base_sys, ch_cfg, base_train = scale_configs(
+        not spec.desk_scale, spec.users, spec.n_epochs
+    )
 
     for gi, gval in enumerate(spec.grid):
         sys_cfg = _apply_grid(base_sys, spec.kind, gval)
@@ -253,8 +279,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
             )
             ch = generate_channels(sys_cfg, ch_cfg, ch_rng)
             for scheme in spec.schemes:
-                seed = _derive_seed(spec.master_seed, _SCHEME_TAG[scheme], gi, sample)
-                train = _train_for(spec, scheme, n_epochs, seed)
+                train = _cell_train(base_train, spec, scheme, gi, sample)
                 label = _grid_label(spec.kind, gval)
                 started = time.perf_counter()
                 try:
@@ -267,27 +292,21 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
                                    time.perf_counter() - started, error=msg)
                     )
                     continue
-                rec = CellRecord(
+                report.records.append(CellRecord(
                     scheme=scheme,
                     grid_value=label,
                     sample=sample,
                     wsr_final=sol.wsr_opt,
                     seconds=time.perf_counter() - started,
-                    wsr_best_trace=sol.traces.get("wsr_best"),
-                    residual_final=float(
-                        sol.traces["residual_max"][-1]
-                    ) if "residual_max" in sol.traces else float("nan"),
-                )
-                if spec.kind == KIND_PHASE_TRACE:
-                    rec.phase_diff_trace = sol.traces.get("phase_diff")
-                report.records.append(rec)
+                ))
                 if spec.kind == KIND_CONVERGENCE:
                     path = os.path.join(spec.out_dir,
                                         f"convergence_{scheme}_s{sample}.csv")
                     write_convergence_csv(path, sol.traces)
                     report.csv_paths.append(path)
-                if spec.kind == KIND_PHASE_TRACE and rec.phase_diff_trace is not None:
-                    _write_phase_trace_csv(report, spec, scheme, sample, rec)
+                if spec.kind == KIND_PHASE_TRACE and "phase_diff" in sol.traces:
+                    _write_phase_trace_csv(report, spec, scheme, sample,
+                                           sol.traces["phase_diff"])
 
     _write_sweep_csv(report, spec)
     if spec.kind in (KIND_SWEEP_N, KIND_SWEEP_PMAX, KIND_SWEEP_MN):
@@ -310,8 +329,7 @@ def write_convergence_csv(path: str, traces: dict[str, np.ndarray]) -> None:
     _write_csv(path, CONVERGENCE_HEADER, rows)
 
 
-def _write_phase_trace_csv(report, spec, scheme, sample, rec: CellRecord) -> None:
-    trace = rec.phase_diff_trace
+def _write_phase_trace_csv(report, spec, scheme, sample, trace: np.ndarray) -> None:
     n = trace.shape[1]
     header = ["epoch"] + [f"elem_{i}" for i in range(n)]
     rows = [[e] + [repr(float(v)) for v in trace[e]] for e in range(trace.shape[0])]
@@ -372,14 +390,15 @@ def timing_probe(sys_cfg: SystemConfig, train: TrainConfig,
 def _run_timing_experiment(spec: ExperimentSpec) -> ExperimentReport:
     os.makedirs(spec.out_dir, exist_ok=True)
     report = ExperimentReport(spec)
-    base_sys, ch_cfg, _ = _base_configs(spec)
-    n_epochs = spec.n_epochs if spec.n_epochs else 60
+    n_epochs = TIMING_EPOCHS if spec.n_epochs is None else spec.n_epochs
+    base_sys, ch_cfg, base_train = scale_configs(
+        not spec.desk_scale, spec.users, n_epochs
+    )
     repetitions = max(spec.sample_count, 3)
     rows = []
     for gi, gval in enumerate(spec.grid):
         sys_cfg = _apply_grid(base_sys, KIND_TIMING, gval)
-        train = _train_for(spec, spec.schemes[0], n_epochs,
-                           _derive_seed(spec.master_seed, _SCHEME_TAG[spec.schemes[0]], gi, 0))
+        train = _cell_train(base_train, spec, spec.schemes[0], gi, 0)
         ch = generate_channels(
             sys_cfg, ch_cfg,
             np.random.default_rng(_derive_seed(spec.master_seed, _CHANNEL_TAG, gi, 0)),

@@ -28,13 +28,12 @@ coupled point its own derivative drops out). The reported solution
 hardens the best state by projecting its phases and re-evaluating the
 rate there.
 
-Selection of the reported state: in independent mode, the refined state
-with the highest rate over all outer iterations. In coupled mode, the
-refined state with the highest post-projection rate among the phase-locked
-ones (max |cos(theta_t - theta_r)| below COUPLING_TOL, checked on every
-outer iteration); if no state ever locked, the one with the highest
-post-projection rate overall, and its residual_pre_projection then shows
-that it is not locked.
+Selection of the reported state: the refined state, over all outer
+iterations, that ranks highest on (phase-locked, post-projection rate),
+the first of equals winning. Only coupled mode locks, when max
+|cos(theta_t - theta_r)| is below COUPLING_TOL, so independent mode
+reports the highest raw rate. A coupled run that never locked reports its
+highest post-projection rate, and residual_pre_projection shows the miss.
 """
 from __future__ import annotations
 
@@ -103,14 +102,14 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if min(self.n_epochs, self.n_outer, self.n_inner, self.n1, self.n2) < 1:
             raise ConfigurationError("iteration counts must all be >= 1")
-        if min(self.lr_w, self.lr_a, self.lr_theta) <= 0:
-            raise ConfigurationError("learning rates must be positive")
+        # written so that NaN fails every check
+        for name in ("lr_w", "lr_a", "lr_theta", "regulator_gain"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ConfigurationError(f"{name} must be positive and finite")
         if self.mode not in (MODE_INDEPENDENT, MODE_COUPLED):
             raise ConfigurationError(f"unknown mode '{self.mode}'")
         if not 0 < self.rho_min <= self.rho_max < np.inf:
             raise ConfigurationError("require 0 < rho_min <= rho_max < inf")
-        if not self.regulator_gain > 0:
-            raise ConfigurationError("regulator gain must be positive")
 
 
 @dataclass(frozen=True)
@@ -293,12 +292,10 @@ def initial_state(
     cfg: SystemConfig,
     rng: np.random.Generator,
     beta_init: np.ndarray | None = None,
-    theta_init: np.ndarray | None = None,
 ) -> BeamformingState:
     """Feasible starting point: power-normalized complex-Gaussian precoder,
-    balanced amplitudes (or the given profile), uniform phases (or the
-    given profile). The generator is consumed identically whether or not
-    overrides are supplied."""
+    balanced amplitudes (or the given profile), uniform phases. The
+    generator is consumed identically whether or not beta_init is given."""
     W0 = (
         rng.standard_normal((cfg.M, cfg.K)) + 1j * rng.standard_normal((cfg.M, cfg.K))
     ) / np.sqrt(2.0)
@@ -309,10 +306,6 @@ def initial_state(
         beta0 = np.asarray(beta_init, dtype=float).copy()
         if beta0.shape != (2 * cfg.N,):
             raise ConfigurationError("beta_init must have length 2N")
-    if theta_init is not None:
-        theta0 = np.asarray(theta_init, dtype=float).copy()
-        if theta0.shape != (2 * cfg.N,):
-            raise ConfigurationError("theta_init must have length 2N")
     n = cfg.N
     bt, br = normalize_amplitudes(beta0[:n], beta0[n:])
     return _make_state(W0, np.concatenate([bt, br]), wrap_phase(theta0))
@@ -330,7 +323,6 @@ def run_meta_loop(
     enable_an: bool = True,
     enable_tn: bool = True,
     beta_init: np.ndarray | None = None,
-    theta_init: np.ndarray | None = None,
 ) -> Solution:
     """Run the loop with optional frozen variable groups (used by the
     comparison schemes). A disabled network leaves its variable group at
@@ -346,22 +338,20 @@ def run_meta_loop(
     adams = (adam_init(pn.flat), adam_init(an.flat), adam_init(tn.flat))
     rates = (train.lr_w, train.lr_a, train.lr_theta)
 
-    start = initial_state(sys_cfg, rng, beta_init, theta_init)
+    start = initial_state(sys_cfg, rng, beta_init)
     W0, beta0, theta0 = start.W, start.beta, start.theta
 
     # Most recent refined values, carried across outer iterations/epochs.
     W_star, beta_star, theta_star = W0, beta0, theta0
 
-    # Best-so-far candidates (r_proj, r_cur, residual, W, beta, theta_hard);
-    # in independent mode r_proj == r_cur and theta_hard is theta itself.
-    # `best` ranks on the raw rate and is reported in independent mode.
-    # Coupled mode ranks on the post-projection rate and reports the best
-    # phase-locked state once one exists: the global post-projection argmax
-    # sits mid-curriculum, within a few epochs of the raw argmax, where
-    # phases are only half-locked.
-    best: tuple | None = None
-    best_proj: tuple | None = None
-    best_locked: tuple | None = None
+    # The state to report so far, ((locked, r_proj), r_cur, residual, W,
+    # beta, theta_hard), ranked on its first entry; in independent mode
+    # r_proj == r_cur, theta_hard is theta itself and nothing is locked.
+    # Coupled mode prefers any phase-locked state: the global
+    # post-projection argmax sits mid-curriculum, within a few epochs of
+    # the raw argmax, where phases are only half-locked.
+    chosen: tuple | None = None
+    wsr_best = -np.inf  # the highest raw rate so far, for its trace
 
     n_epochs = train.n_epochs
     traces = {
@@ -440,16 +430,10 @@ def run_meta_loop(
                     f"epoch {epoch}, outer iteration {outer}: {err}"
                 ) from err
 
-            cand = (r_proj, r_cur, residual, W_star, beta_star, theta_hard)
-            if best is None or r_cur > best[1]:
-                best = cand
-            if coupled:
-                if best_proj is None or r_proj > best_proj[0]:
-                    best_proj = cand
-                if residual < COUPLING_TOL and (
-                    best_locked is None or r_proj > best_locked[0]
-                ):
-                    best_locked = cand
+            wsr_best = max(wsr_best, r_cur)
+            rank = (coupled and residual < COUPLING_TOL, r_proj)
+            if chosen is None or rank > chosen[0]:
+                chosen = (rank, r_cur, residual, W_star, beta_star, theta_hard)
 
         inv = 1.0 / train.n_outer
         for net, grad, adam, lr in zip((pn, an, tn), (grad_pn, grad_an, grad_tn),
@@ -460,12 +444,11 @@ def run_meta_loop(
                 adam_step(net.flat, grad, adam, lr)
 
         idx = epoch - 1
-        chosen = (best_locked or best_proj) if coupled else best
         traces["wsr_current"][idx] = r_cur
-        traces["wsr_best"][idx] = best[1]
+        traces["wsr_best"][idx] = wsr_best
         # Post-projection rate of the state that would be reported if the
         # run ended here; in coupled mode it may drop once a state locks.
-        traces["wsr_best_post_projection"][idx] = chosen[0]
+        traces["wsr_best_post_projection"][idx] = chosen[0][1]
         traces["rho"][idx] = rho
         traces["penalty"][idx] = rho * dev_sq
         traces["power_rel_err"][idx] = (
@@ -477,7 +460,7 @@ def run_meta_loop(
         traces["residual_max"][idx] = residual
         traces["phase_diff"][idx] = wrap_phase(final.theta_t - final.theta_r)
 
-    wsr_opt, wsr_pre, residual_pre, W_best, beta_best, theta_opt = chosen
+    (_, wsr_opt), wsr_pre, residual_pre, W_best, beta_best, theta_opt = chosen
     opt_state = _make_state(W_best, beta_best, theta_opt)
     feasible = bool(
         np.max(coupling_residual(opt_state.theta_t, opt_state.theta_r)) < 1e-9

@@ -90,6 +90,17 @@ class TestGeneration:
         with pytest.raises(ConfigurationError):
             ChannelConfig(los_mode="parabolic")
 
+    @pytest.mark.parametrize("field, value", [
+        ("rician_k_g", np.nan), ("rician_k_h", np.inf),
+        ("user_area_radius", np.inf), ("pathloss_a", np.inf),
+        ("pathloss_b", np.nan), ("bs_pos", (np.nan, 0.0)),
+        ("ris_pos", (100.0, np.inf)), ("center_t", (100.0, np.nan)),
+        ("center_r", (-np.inf, 15.0)),
+    ])
+    def test_non_finite_value_rejected(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            ChannelConfig(**{field: value})
+
 
 class TestDefaultScenario:
     def test_dimensions(self):

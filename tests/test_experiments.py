@@ -13,13 +13,24 @@ from starbeam import (
     sign_test_p_value,
     timing_probe,
 )
-from starbeam.cli import _build_configs, build_parser, main as cli_main
+from starbeam import channels, cli, experiments
+from starbeam.cli import (
+    CHANNEL_KEYS,
+    SYSTEM_KEYS,
+    TRAIN_KEYS,
+    _build_configs,
+    build_parser,
+    main as cli_main,
+)
 from starbeam.constraints import COUPLING_TOL
 from starbeam.errors import ConfigurationError
 from starbeam.experiments import (
     CONVERGENCE_HEADER,
     SWEEP_HEADER,
+    TIMING_EPOCHS,
     TIMING_HEADER,
+    ExperimentReport,
+    TimingResult,
     desk_train,
 )
 
@@ -97,6 +108,22 @@ class TestSweepExperiment:
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ConfigurationError):
             ExperimentSpec(kind="sweep_n", schemes=("magic",))
+
+
+class TestExperimentSpec:
+    @pytest.mark.parametrize("field, value", [
+        ("users", 0), ("n_epochs", 0), ("n_epochs", True), ("users", 1.5),
+        ("sample_count", 2.0), ("desk_scale", "false"),
+    ])
+    def test_bad_value_rejected(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            ExperimentSpec(kind="convergence", **{field: value})
+
+    def test_json_lists_become_tuples(self):
+        spec = ExperimentSpec(kind="sweep_mn", schemes=["random_phase"],
+                              grid=[[8, 16], [4, 8]])
+        assert spec.schemes == ("random_phase",)
+        assert spec.grid == ((8, 16), (4, 8))
 
 
 class TestPhaseTraceExperiment:
@@ -217,16 +244,103 @@ class TestCli:
         ("system", "noise_power_w", "noise_power"),
         ("system", "weights", "weights"),
         ("train", "rho_max", "rho_max"),
+        ("train", "lr_w", "lr_w"),
+        ("channel", "pathloss_b_db_per_decade", "pathloss_b"),
+        ("channel", "ris_pos_m", "ris_pos"),
     ])
     def test_non_finite_config_value_rejected(self, tmp_path, section, key, field):
         # json.load accepts the NaN literal, so the config classes must
         # reject it themselves
-        value = [1.0, float("nan")] if key == "weights" else float("nan")
+        value = float("nan")
+        if key in ("weights", "ris_pos_m"):
+            value = [1.0, value]
         path = self._write_config(tmp_path, {section: {key: value}})
         with open(path) as fh:
             assert "NaN" in fh.read()
         with pytest.raises(ConfigurationError, match=field):
             cli_main(["run", "--config", path])
+
+    def test_config_file_mode_reaches_run(self, tmp_path):
+        out = str(tmp_path / "run_out")
+        path = self._write_config(
+            tmp_path, {"train": {"n_epochs": 3, "mode": "coupled"}})
+        assert cli_main(["run", "--config", path, "--out", out]) == 0
+        with open(os.path.join(out, "solution.json")) as fh:
+            summary = json.load(fh)
+        assert (summary["scheme"], summary["mode"]) == ("gml_coupled", "coupled")
+
+    def test_time_draws_channels_from_config(self, tmp_path, monkeypatch):
+        draws = []
+
+        def spy(sys_cfg, ch_cfg, rng):
+            draws.append((ch_cfg, rng.bit_generator.state))
+            return generate(sys_cfg, ch_cfg, rng)
+
+        generate = channels.generate_channels
+        monkeypatch.setattr(cli, "generate_channels", spy)
+        monkeypatch.setattr(experiments, "generate_channels", spy)
+        path = self._write_config(tmp_path, {
+            "train": {"seed": 3},
+            "channel": {"rician_k_g": 0.0, "seed": 42},
+        })
+        assert cli_main(["time", "--config", path, "--repetitions", "3",
+                         "--epochs", "2"]) == 0
+        [(ch_cfg, state)] = draws
+        assert (ch_cfg.rician_k_g, ch_cfg.seed) == (0.0, 42)
+        assert state == np.random.default_rng(42).bit_generator.state
+
+    @pytest.mark.parametrize("file_epochs, flag, expected", [
+        (None, [], TIMING_EPOCHS),
+        (7, [], 7),
+        (7, ["--epochs", "4"], 4),
+    ])
+    def test_time_epochs_precedence(self, tmp_path, monkeypatch,
+                                    file_epochs, flag, expected):
+        seen = []
+
+        def probe(sys_cfg, train, repetitions, ch):
+            seen.append(train.n_epochs)
+            return TimingResult(1.0, 1.0)
+
+        monkeypatch.setattr(cli, "timing_probe", probe)
+        train = {} if file_epochs is None else {"n_epochs": file_epochs}
+        path = self._write_config(tmp_path, {"train": train})
+        assert cli_main(["time", "--config", path] + flag) == 0
+        assert seen == [expected]
+
+    @pytest.mark.parametrize("command, flag", [
+        ("run", "--desk-scale"),
+        ("experiment", "--config"),
+        ("experiment", "--mode"),
+        ("experiment", "--desk-scale"),
+        ("grad-check", "--config"),
+        ("grad-check", "--mode"),
+        ("grad-check", "--out"),
+        ("grad-check", "--paper-scale"),
+        ("grad-check", "--desk-scale"),
+        ("time", "--out"),
+        ("time", "--desk-scale"),
+    ])
+    def test_flag_the_subcommand_does_not_read_rejected(self, command, flag):
+        argv = [command, "spec.json"] if command == "experiment" else [command]
+        argv.append(flag)
+        if flag in ("--config", "--mode", "--out"):
+            argv.append({"--mode": "coupled"}.get(flag, "cfg.json"))
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        assert exc.value.code == 2
+
+    def test_documented_example_config_builds(self, tmp_path):
+        doc = cli.__doc__
+        start = doc.index("\n    {\n") + 1
+        example = json.loads(doc[start:doc.index("\n    }\n", start) + 6])
+        assert set(example["system"]) == set(SYSTEM_KEYS)
+        assert set(example["train"]) == set(TRAIN_KEYS)
+        assert set(example["channel"]) == set(CHANNEL_KEYS)
+        path = self._write_config(tmp_path, example)
+        args = build_parser().parse_args(["run", "--config", path])
+        sys_cfg, ch_cfg, train = _build_configs(args)
+        assert (sys_cfg.M, train.n_epochs, ch_cfg.los_mode) == (8, 300, "ula")
 
     def test_config_file_values_reach_the_configs(self, tmp_path):
         path = self._write_config(tmp_path, {
@@ -267,6 +381,28 @@ class TestCli:
             json.dump(spec, fh)
         with pytest.raises(ConfigurationError, match="experiment spec"):
             cli_main(["experiment", spec_path, "--out", out])
+
+    def test_experiment_flags_override_the_spec(self, tmp_path, monkeypatch):
+        seen = []
+
+        def run(spec):
+            seen.append(spec)
+            return ExperimentReport(spec)
+
+        monkeypatch.setattr(cli, "run_experiment", run)
+        spec_path = str(tmp_path / "spec.json")
+        with open(spec_path, "w") as fh:
+            json.dump({"kind": "timing", "grid": [[8, 16]], "desk_scale": True,
+                       "master_seed": 1, "out_dir": "elsewhere"}, fh)
+        assert cli_main(["experiment", spec_path]) == 0
+        assert cli_main(["experiment", spec_path, "--paper-scale",
+                         "--seed", "5", "--out", "here"]) == 0
+        kept, overridden = seen
+        assert (kept.desk_scale, kept.master_seed, kept.out_dir) == (
+            True, 1, "elsewhere")
+        assert kept.grid == ((8, 16),)
+        assert (overridden.desk_scale, overridden.master_seed,
+                overridden.out_dir) == (False, 5, "here")
 
     def test_grad_check_subcommand(self):
         assert cli_main(["grad-check", "--instances", "3"]) == 0

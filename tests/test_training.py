@@ -74,6 +74,15 @@ class TestPenaltySchedule:
         with pytest.raises(ConfigurationError):
             TrainConfig(rho_max=np.inf)
 
+    @pytest.mark.parametrize("field, value", [
+        ("lr_w", np.nan), ("lr_a", np.inf), ("lr_theta", np.nan),
+        ("regulator_gain", np.inf), ("regulator_gain", np.nan),
+        ("rho_max", np.nan),
+    ])
+    def test_non_finite_value_rejected(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            TrainConfig(**{field: value})
+
 
 def coupled_tn_objective(cfg, ch, state, rho):
     """Reference phase-network loss of coupled mode: the negative rate plus
