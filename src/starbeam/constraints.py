@@ -15,6 +15,7 @@ from .model import TWO_PI, CoupledAuxiliary
 # Feasible per-element phase differences, in the canonical tie-break order:
 # the first candidate attaining the minimum deviation wins.
 PHASE_DIFF_CANDIDATES = (np.pi / 2, -np.pi / 2, 3 * np.pi / 2, -3 * np.pi / 2)
+_CANDIDATES = np.array(PHASE_DIFF_CANDIDATES)
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -69,15 +70,16 @@ def project_coupled_phases(
     Each element is independent: for difference offset t the minimizer is
     ((theta_t + theta_r + t) / 2, (theta_t + theta_r - t) / 2), so the four
     candidate offsets are scanned and the first minimum kept. Inputs are
-    treated as plain reals (no circular wrapping); deviation is Euclidean.
+    (N,) vectors of plain reals (no circular wrapping); deviation is
+    Euclidean.
     """
     tt = np.asarray(theta_t, dtype=float)
     tr = np.asarray(theta_r, dtype=float)
     diff = tt - tr
     # Squared deviation of candidate t is (t - diff)^2 / 2; the common 1/2
     # does not affect the argmin.
-    scores = np.stack([(t - diff) ** 2 for t in PHASE_DIFF_CANDIDATES])
-    chosen = np.asarray(PHASE_DIFF_CANDIDATES)[np.argmin(scores, axis=0)]
+    scores = (_CANDIDATES[:, None] - diff) ** 2
+    chosen = _CANDIDATES[np.argmin(scores, axis=0)]
     half_sum = 0.5 * (tt + tr)
     half_t = 0.5 * chosen
     return CoupledAuxiliary(half_sum + half_t, half_sum - half_t)

@@ -44,6 +44,8 @@ SCHEMES = (
     SCHEME_PGA_ORACLE,
 )
 
+_GML_SCHEMES = (SCHEME_GML_INDEPENDENT, SCHEME_GML_COUPLED)
+
 KIND_CONVERGENCE = "convergence"
 KIND_SWEEP_N = "sweep_n"
 KIND_SWEEP_PMAX = "sweep_pmax"
@@ -103,7 +105,9 @@ class ExperimentSpec:
 
     Grid semantics by kind: sweep_n -> element counts N; sweep_pmax ->
     transmit power in watts; sweep_mn and timing -> (M, N) pairs;
-    convergence / phase_trace / grad_check ignore the grid (one point).
+    convergence and phase_trace solve one point and take no grid;
+    grad_check ignores it. timing times one GML scheme and repeats it
+    sample_count (>= 3) times.
     """
 
     kind: str
@@ -142,6 +146,19 @@ class ExperimentSpec:
         if not isinstance(self.desk_scale, bool):
             raise ConfigurationError(
                 f"desk_scale must be true or false, got {self.desk_scale!r}")
+        if self.kind in (KIND_CONVERGENCE, KIND_PHASE_TRACE) and self.grid != (None,):
+            raise ConfigurationError(
+                f"grid must be left unset for kind '{self.kind}', which solves "
+                f"one point; got {self.grid!r}")
+        if self.kind == KIND_TIMING:
+            if len(self.schemes) != 1 or self.schemes[0] not in _GML_SCHEMES:
+                raise ConfigurationError(
+                    f"schemes of a timing experiment must be one of "
+                    f"{list(_GML_SCHEMES)}, got {list(self.schemes)}")
+            if self.sample_count < 3:
+                raise ConfigurationError(
+                    f"sample_count of a timing experiment is its number of "
+                    f"timed repetitions and must be >= 3, got {self.sample_count}")
 
 
 @dataclass
@@ -243,7 +260,7 @@ def run_scheme(
     train: TrainConfig,
 ) -> Solution:
     """Dispatch one scheme on one prepared instance."""
-    if scheme in (SCHEME_GML_INDEPENDENT, SCHEME_GML_COUPLED):
+    if scheme in _GML_SCHEMES:
         return run_gml(sys_cfg, ch, train)
     if scheme == SCHEME_RANDOM_PHASE:
         return random_phase_baseline(sys_cfg, ch, train)
@@ -394,7 +411,6 @@ def _run_timing_experiment(spec: ExperimentSpec) -> ExperimentReport:
     base_sys, ch_cfg, base_train = scale_configs(
         not spec.desk_scale, spec.users, n_epochs
     )
-    repetitions = max(spec.sample_count, 3)
     rows = []
     for gi, gval in enumerate(spec.grid):
         sys_cfg = _apply_grid(base_sys, KIND_TIMING, gval)
@@ -403,7 +419,7 @@ def _run_timing_experiment(spec: ExperimentSpec) -> ExperimentReport:
             sys_cfg, ch_cfg,
             np.random.default_rng(_derive_seed(spec.master_seed, _CHANNEL_TAG, gi, 0)),
         )
-        result = timing_probe(sys_cfg, train, repetitions=repetitions, ch=ch)
+        result = timing_probe(sys_cfg, train, repetitions=spec.sample_count, ch=ch)
         rows.append([sys_cfg.M, sys_cfg.N, sys_cfg.K,
                      repr(result.median_s_per_epoch), repr(result.min_s_per_epoch)])
         report.records.append(

@@ -1,11 +1,20 @@
 """Closed-form ascent gradients of the weighted sum-rate, plus an
 independent central-difference oracle.
 
-One call of :func:`wsr_gradients` yields a :class:`GradientBundle` with all
-three gradients and the weighted sum-rate at the state, the rate computed
-from the same SINRs by :func:`model.wsr` and so bitwise equal to
-:func:`model.evaluate_wsr` there. A caller that needs several of these at
-one state computes the bundle once.
+The gradients come in three pieces. :func:`received_field` is the shared
+stage: the effective rows, the received amplitudes U, the SINRs and the
+chain-rule coefficient matrix C at one state. :func:`precoder_pullback`
+turns it into the precoder gradient, and :func:`surface_pullback` into the
+per-side bracket from which the amplitude and phase gradients follow.
+
+:func:`wsr_gradients` composes all three into a :class:`GradientBundle`
+with the weighted sum-rate at the state, the rate computed from the same
+SINRs by :func:`model.wsr` and so bitwise equal to
+:func:`model.evaluate_wsr` there. The meta-loop's refined point, the
+gradient-ascent oracle and the finite-difference cross-check take the full
+bundle. The loop's inner blocks each feed their network one gradient, so
+they call the stage and the one pullback they need, and compute no rate;
+their values are bitwise those of the bundle at the same state.
 
 Convention for the complex precoder gradient: grad_w is the conjugate
 (Wirtinger) ascent direction, i.e. for every perturbation matrix D
@@ -16,17 +25,17 @@ equivalently grad_w = 0.5 * (dR/dRe(W) + j * dR/dIm(W)). Amplitude and
 phase gradients are ordinary partial derivatives over the concatenated
 (t-half, r-half) vectors of length 2N.
 
-The bundle differentiates the per-side form of :mod:`model`: each user's
+The pieces differentiate the per-side form of :mod:`model`: each user's
 row of N coefficients is picked from (c_t, c_r) by its side, and each
 user's N-dimensional contribution is summed into the half of its side.
-It shares the effective rows and the SINR arithmetic with
+They share the effective rows and the SINR arithmetic with
 :func:`model.all_sinrs`; the stacked 2N-dimensional form survives only as
 the :func:`model.sinr_augmented` cross-check.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -54,41 +63,79 @@ class GradientBundle:
     rate: float = float("nan")
 
 
+class ReceivedField(NamedTuple):
+    """What the users receive at one state, and how the rate weighs it."""
+
+    rows: np.ndarray    # (K, M) effective downlink rows
+    U: np.ndarray       # (K, K) U[k, j]: amplitude user k gets from column j
+    gammas: np.ndarray  # (K,) SINRs
+    C: np.ndarray       # (K, K) chain-rule coefficients of |U[k, j]|^2
+
+
+def received_field(
+    cfg: SystemConfig,
+    ch: ChannelSet,
+    W: np.ndarray,
+    beta: np.ndarray,
+    phasor: np.ndarray,
+) -> ReceivedField:
+    """The stage shared by both pullbacks, at the state with precoder W,
+    amplitudes beta and surface phasors exp(j * theta), both (2N,).
+
+    Derivation: the rate of user k depends on the signal power |U[k, k]|^2
+    and the interference sum_{j != k} |U[k, j]|^2. Chain-ruling log2(1 +
+    gamma) gives a per-(k, j) coefficient matrix C (positive on the
+    diagonal, -gamma_k-scaled off it) that weights the elementary
+    derivatives of |U[k, j]|^2 with respect to each variable group.
+    Dimensions are the caller's to check.
+    """
+    rows = effective_rows(cfg, ch, beta * phasor)
+    U = rows @ W
+    gammas, denom = received_sinrs(cfg, U)
+    sig_coef = cfg.weights / (_LN2 * (1.0 + gammas) * denom)    # (K,)
+    k = cfg.K
+    C = np.repeat(-(sig_coef * gammas), k).reshape(k, k)
+    C.reshape(-1)[:: k + 1] = sig_coef
+    return ReceivedField(rows, U, gammas, C)
+
+
+def precoder_pullback(field: ReceivedField) -> np.ndarray:
+    """The (M, K) precoder ascent direction, rows^H (C * U)."""
+    return field.rows.conj().T @ (field.C * field.U)
+
+
+def surface_pullback(
+    cfg: SystemConfig,
+    ch: ChannelSet,
+    field: ReceivedField,
+    precoded: np.ndarray,
+    phasor: np.ndarray,
+) -> np.ndarray:
+    """The (2N,) complex per-side bracket b, from which the amplitude
+    gradient is 2 Re(b) and the phase gradient -2 beta Im(b). precoded is
+    G @ W, (N, K), and phasor exp(j * theta), at the field's state."""
+    # per user k and element n: sum_j C[k,j] * conj(U[k,j]) * conj(h[k,n])
+    # * precoded[n,j]; the bracket sums it over the users of each side, into
+    # the t half or the r half, and applies the element's phase.
+    prod = np.conj(ch.h) * ((field.C * np.conj(field.U)) @ precoded.T)  # (K, N)
+    return phasor * (cfg.side_mask * prod[:, None, :]).sum(axis=0).ravel()
+
+
 def wsr_gradients(
     cfg: SystemConfig, ch: ChannelSet, state: BeamformingState
 ) -> GradientBundle:
-    """All three analytic gradients and the rate at one state.
-
-    Derivation: with u[k, j] the amplitude user k receives from precoder
-    column j, the rate of user k depends on the signal power |u[k, k]|^2
-    and the interference sum_{j != k} |u[k, j]|^2. Chain-ruling log2(1 +
-    gamma) gives a per-(k, j) coefficient matrix C (positive on the
-    diagonal, -gamma_k-scaled off it) that weights the elementary
-    derivatives of |u[k, j]|^2 with respect to each variable group.
-    """
+    """All three analytic gradients and the rate at one state."""
     check_dimensions(cfg, ch, state)
-    amp = state.beta
-    phase = np.exp(1j * state.theta)
-    rows = effective_rows(cfg, ch, amp * phase)                 # (K, M)
-    precoded = ch.G @ state.W                                   # (N, K)
-    U = rows @ state.W                                          # (K, K)
-
-    gammas, denom = received_sinrs(cfg, U)
-    sig_coef = cfg.weights / (_LN2 * (1.0 + gammas) * denom)    # (K,)
-    C = np.tile((-(sig_coef * gammas))[:, None], (1, cfg.K))
-    np.fill_diagonal(C, sig_coef)
-
-    grad_w = rows.conj().T @ (C * U)
-
-    # per user k and element n: sum_j C[k,j] * conj(U[k,j]) * conj(h[k,n])
-    # * precoded[n,j]; bracket sums it over the users of each side, into
-    # the t half or the r half, and applies the element's phase.
-    prod = np.conj(ch.h) * ((C * np.conj(U)) @ precoded.T)     # (K, N)
-    on_side = cfg.side_index[:, None, None] == np.arange(2)[:, None]  # (K, 2, 1)
-    bracket = phase * (on_side * prod[:, None, :]).sum(axis=0).ravel()  # (2N,)
-    grad_beta = 2.0 * bracket.real
-    grad_theta = -2.0 * amp * bracket.imag
-    return GradientBundle(grad_w, grad_beta, grad_theta, wsr(cfg, gammas))
+    beta = state.beta
+    phasor = np.exp(1j * state.theta)
+    field = received_field(cfg, ch, state.W, beta, phasor)
+    bracket = surface_pullback(cfg, ch, field, ch.G @ state.W, phasor)
+    return GradientBundle(
+        precoder_pullback(field),
+        2.0 * bracket.real,
+        -2.0 * beta * bracket.imag,
+        wsr(cfg, field.gammas),
+    )
 
 
 def state_to_vector(state: BeamformingState) -> np.ndarray:

@@ -46,7 +46,8 @@ class SystemConfig:
     weights (finite, non-negative, at least one positive). user_sides
     labels each user "transmission" or "reflection" and partitions the user
     set; side_index, derived from it and not settable, is 0 for each
-    transmission user and 1 for each reflection user.
+    transmission user and 1 for each reflection user, and side_mask, also
+    derived, is the (K, 2, 1) boolean one-hot of side_index.
     """
 
     M: int
@@ -57,6 +58,7 @@ class SystemConfig:
     user_sides: tuple[str, ...] | None = None
     weights: np.ndarray | None = None
     side_index: np.ndarray = field(init=False, repr=False, compare=False)
+    side_mask: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if min(self.M, self.N, self.K) < 1:
@@ -76,8 +78,10 @@ class SystemConfig:
                 f"user side labels must be '{TRANSMISSION}' or '{REFLECTION}'"
             )
         object.__setattr__(self, "user_sides", sides)
-        object.__setattr__(self, "side_index", _locked(
-            np.array([s == REFLECTION for s in sides], dtype=np.intp)))
+        side_index = np.array([s == REFLECTION for s in sides], dtype=np.intp)
+        object.__setattr__(self, "side_index", _locked(side_index))
+        object.__setattr__(self, "side_mask", _locked(
+            side_index[:, None, None] == np.arange(2)[:, None]))
 
         w = self.weights
         w = np.ones(self.K) if w is None else np.array(w, dtype=float)

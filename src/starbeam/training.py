@@ -9,12 +9,19 @@ precoder network every epoch, the amplitude and phase networks on their
 own intervals). What improves across epochs is the networks, not a
 persistent iterate.
 
-One gradient bundle per state: each inner step differentiates its current
-state once, and each outer iteration takes the refined point's three loss
-gradients and its rate from one :func:`wsr_gradients` call. Only the
-hardened copy of a coupled-mode state, a different state, is evaluated
-separately. Backward passes add into one flat gradient vector per network,
-and Adam updates each network's flat parameter vector in place.
+Gradients by need: each inner step feeds its network one gradient, so it
+calls :func:`received_field` and the one pullback it needs
+(:func:`precoder_pullback` in the precoder block, :func:`surface_pullback`
+in the amplitude and phase blocks) and computes no rate. Within an outer
+iteration the amplitude and phase blocks share G @ W of the refined
+precoder, and each phase profile's phasors exp(j * theta) are computed
+once: the start profile's once per run, each refined profile's once when
+the phase block produces it, for the next precoder and amplitude blocks.
+Each outer iteration takes the refined point's three loss gradients and
+its rate from one full :func:`wsr_gradients` bundle. Only the hardened
+copy of a coupled-mode state, a different state, is evaluated separately.
+Backward passes add into one flat gradient vector per network, and Adam
+updates each network's flat parameter vector in place.
 
 Loss plumbing: each network's parameters receive the gradient of its own
 loss through its own update chain only; the other variable groups and the
@@ -52,7 +59,12 @@ from .constraints import (
     wrap_phase,
 )
 from .errors import ConfigurationError, DegenerateInputError
-from .gradients import wsr_gradients
+from .gradients import (
+    precoder_pullback,
+    received_field,
+    surface_pullback,
+    wsr_gradients,
+)
 from .model import (
     TWO_PI,
     BeamformingState,
@@ -174,15 +186,18 @@ def _precoder_block(
     pn: Mlp,
     W0: np.ndarray,
     beta: np.ndarray,
-    theta: np.ndarray,
+    phasor: np.ndarray,
     cfg: SystemConfig,
     ch: ChannelSet,
     n_inner: int,
 ):
+    """Refine the precoder from W0 at fixed amplitudes and phasors
+    exp(j * theta); returns it and the tape of its backward pass. The other
+    blocks take the same shared terms and return the same way."""
     W = W0
     tape = []
     for _ in range(n_inner):
-        grad = wsr_gradients(cfg, ch, _make_state(W, beta, theta)).grad_w
+        grad = precoder_pullback(received_field(cfg, ch, W, beta, phasor))
         delta, cache = pn_forward_with_cache(pn, grad)
         w_raw = W + delta
         sq = np.vdot(w_raw, w_raw).real
@@ -216,16 +231,19 @@ def _amplitude_block(
     an: Mlp,
     beta0: np.ndarray,
     W: np.ndarray,
-    theta: np.ndarray,
+    precoded: np.ndarray,
+    phasor: np.ndarray,
     cfg: SystemConfig,
     ch: ChannelSet,
     n_inner: int,
 ):
+    """precoded is G @ W."""
     beta = beta0
     n = beta0.size // 2
     tape = []
     for _ in range(n_inner):
-        grad = wsr_gradients(cfg, ch, _make_state(W, beta, theta)).grad_beta
+        field = received_field(cfg, ch, W, beta, phasor)
+        grad = 2.0 * surface_pullback(cfg, ch, field, precoded, phasor).real
         delta, cache = an.forward_with_cache(grad)
         raw = beta + delta
         bt, br = normalize_amplitudes(raw[:n], raw[n:])
@@ -257,22 +275,28 @@ def _amplitude_block_backward(an: Mlp, tape, grad_beta_out: np.ndarray,
 def _phase_block(
     tn: Mlp,
     theta0: np.ndarray,
+    phasor0: np.ndarray,
     W: np.ndarray,
+    precoded: np.ndarray,
     beta: np.ndarray,
     cfg: SystemConfig,
     ch: ChannelSet,
     n_inner: int,
     gain: float,
 ):
-    theta = theta0
+    """phasor0 is exp(j * theta0). Returns the refined phases, their
+    phasors and the tape."""
+    theta, phasor = theta0, phasor0
     tape = []
     for _ in range(n_inner):
-        grad = wsr_gradients(cfg, ch, _make_state(W, beta, theta)).grad_theta
-        raw, cache = tn.forward_with_cache(grad)
+        field = received_field(cfg, ch, W, beta, phasor)
+        bracket = surface_pullback(cfg, ch, field, precoded, phasor)
+        raw, cache = tn.forward_with_cache(-2.0 * beta * bracket.imag)
         sig = sigmoid(raw)
         tape.append((cache, sig))
         theta = wrap_phase(theta + gain * sig)
-    return theta, tape
+        phasor = np.exp(1j * theta)
+    return theta, phasor, tape
 
 
 def _phase_block_backward(tn: Mlp, tape, grad_theta_out: np.ndarray,
@@ -340,9 +364,10 @@ def run_meta_loop(
 
     start = initial_state(sys_cfg, rng, beta_init)
     W0, beta0, theta0 = start.W, start.beta, start.theta
+    phasor0 = np.exp(1j * theta0)
 
     # Most recent refined values, carried across outer iterations/epochs.
-    W_star, beta_star, theta_star = W0, beta0, theta0
+    W_star, beta_star, theta_star, phasor_star = W0, beta0, theta0, phasor0
 
     # The state to report so far, ((locked, r_proj), r_cur, residual, W,
     # beta, theta_hard), ranked on its first entry; in independent mode
@@ -377,16 +402,19 @@ def run_meta_loop(
         for outer in range(1, train.n_outer + 1):
             try:
                 W_star, tape_w = _precoder_block(
-                    pn, W0, beta_star, theta_star, sys_cfg, ch, train.n_inner
+                    pn, W0, beta_star, phasor_star, sys_cfg, ch, train.n_inner
                 )
+                if enable_an or enable_tn:
+                    precoded = ch.G @ W_star
                 if enable_an:
                     beta_star, tape_a = _amplitude_block(
-                        an, beta0, W_star, theta_star, sys_cfg, ch, train.n_inner
+                        an, beta0, W_star, precoded, phasor_star, sys_cfg, ch,
+                        train.n_inner,
                     )
                 if enable_tn:
-                    theta_star, tape_t = _phase_block(
-                        tn, theta0, W_star, beta_star, sys_cfg, ch,
-                        train.n_inner, train.regulator_gain,
+                    theta_star, phasor_star, tape_t = _phase_block(
+                        tn, theta0, phasor0, W_star, precoded, beta_star,
+                        sys_cfg, ch, train.n_inner, train.regulator_gain,
                     )
 
                 final = _make_state(W_star, beta_star, theta_star)

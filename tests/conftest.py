@@ -8,6 +8,7 @@ from starbeam import (
     normalize_amplitudes,
     normalize_power,
 )
+from starbeam.model import REFLECTION as R, TRANSMISSION as T
 
 
 def make_instance(seed, M=4, N=8, K=2, noise=None, weights=None, user_sides=None):
@@ -34,3 +35,24 @@ def make_instance(seed, M=4, N=8, K=2, noise=None, weights=None, user_sides=None
 @pytest.fixture
 def instance():
     return make_instance(0)
+
+
+# Edge cases of the per-side kernel, as (seed, (M, N, K), user_sides,
+# weights): interleaved sides, one side only, one user, one element, one
+# antenna and a zero weight.
+edge_cases = pytest.mark.parametrize("seed, dims, sides, weights", [
+    (50, (4, 6, 3), (R, T, R), None),
+    (51, (4, 6, 3), (R, R, R), None),
+    (52, (3, 5, 2), (T, T), None),
+    (53, (4, 6, 1), (T,), None),
+    (54, (4, 6, 1), (R,), None),
+    (55, (4, 1, 2), None, None),
+    (56, (1, 6, 2), None, None),
+    (57, (4, 6, 3), (R, T, R), [1.5, 0.0, 0.5]),
+], ids=["interleaved", "all_reflection", "all_transmission", "K1_t", "K1_r",
+        "N1", "M1", "zero_weight"])
+
+
+def make_edge_instance(seed, dims, sides, weights):
+    M, N, K = dims
+    return make_instance(seed, M=M, N=N, K=K, user_sides=sides, weights=weights)

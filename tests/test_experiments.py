@@ -119,6 +119,24 @@ class TestExperimentSpec:
         with pytest.raises(ConfigurationError, match=field):
             ExperimentSpec(kind="convergence", **{field: value})
 
+    @pytest.mark.parametrize("kind", ["convergence", "phase_trace"])
+    def test_grid_rejected_on_one_point_kinds(self, kind):
+        with pytest.raises(ConfigurationError, match="grid"):
+            ExperimentSpec(kind=kind, grid=(1, 2))
+
+    def test_timing_rejects_several_schemes(self):
+        with pytest.raises(ConfigurationError, match="schemes"):
+            ExperimentSpec(kind="timing", schemes=("gml_independent",
+                                                   "gml_coupled"))
+
+    def test_timing_rejects_a_scheme_it_does_not_time(self):
+        with pytest.raises(ConfigurationError, match="schemes"):
+            ExperimentSpec(kind="timing", schemes=("pga_oracle",))
+
+    def test_timing_rejects_fewer_than_three_repetitions(self):
+        with pytest.raises(ConfigurationError, match="sample_count"):
+            ExperimentSpec(kind="timing", sample_count=2)
+
     def test_json_lists_become_tuples(self):
         spec = ExperimentSpec(kind="sweep_mn", schemes=["random_phase"],
                               grid=[[8, 16], [4, 8]])

@@ -21,7 +21,7 @@ from starbeam.experiments import (
 from starbeam.gradients import state_from_vector, state_to_vector
 from starbeam.model import REFLECTION, TRANSMISSION
 
-from conftest import make_instance
+from conftest import edge_cases, make_edge_instance, make_instance
 
 
 class TestPrecoderGradient:
@@ -176,22 +176,11 @@ class TestPerSideKernel:
     degenerate sizes must all agree with the per-user SINR expressions and
     with central differences."""
 
-    @pytest.mark.parametrize("seed, dims, sides, weights", [
-        (50, (4, 6, 3), (R, T, R), None),
-        (51, (4, 6, 3), (R, R, R), None),
-        (52, (3, 5, 2), (T, T), None),
-        (53, (4, 6, 1), (T,), None),
-        (54, (4, 6, 1), (R,), None),
-        (55, (4, 1, 2), None, None),
-        (56, (1, 6, 2), None, None),
-        (57, (4, 6, 3), (R, T, R), [1.5, 0.0, 0.5]),
-    ], ids=["interleaved", "all_reflection", "all_transmission", "K1_t", "K1_r",
-            "N1", "M1", "zero_weight"])
+    @edge_cases
     def test_matches_direct_sinr_and_finite_differences(self, seed, dims, sides,
                                                         weights):
-        M, N, K = dims
-        cfg, ch, state = make_instance(seed, M=M, N=N, K=K, user_sides=sides,
-                                       weights=weights)
+        cfg, ch, state = make_edge_instance(seed, dims, sides, weights)
+        K, N = cfg.K, cfg.N
         gammas = all_sinrs(cfg, ch, state)
         for k in range(K):
             assert gammas[k] == pytest.approx(sinr(cfg, ch, state, k), rel=1e-12)

@@ -16,7 +16,12 @@ from starbeam import (
     wsr_gradients,
 )
 from starbeam import training
-from starbeam.constraints import COUPLING_TOL, coupling_residual, project_coupled_phases
+from starbeam.constraints import (
+    COUPLING_TOL,
+    coupling_residual,
+    project_coupled_phases,
+    wrap_phase,
+)
 from starbeam.model import TWO_PI
 from starbeam.networks import Mlp
 from starbeam.training import (
@@ -33,7 +38,7 @@ from starbeam.training import (
     initial_state,
 )
 
-from conftest import make_instance
+from conftest import edge_cases, make_edge_instance, make_instance
 
 
 def zero_nets(cfg):
@@ -168,49 +173,113 @@ class TestLosses:
                 TrainConfig(rho_min=bad)
 
 
+def shared_terms(ch, state):
+    """G @ W and the phasors exp(j * theta) the loop passes its blocks."""
+    return ch.G @ state.W, np.exp(1j * state.theta)
+
+
 class TestInnerUpdates:
     """The inner blocks of the loop, one refinement of one group each."""
 
     def test_zero_pn_leaves_state(self, instance):
         cfg, ch, state = instance
+        _, phasor = shared_terms(ch, state)
         W, _ = _precoder_block(zero_nets(cfg).pn, state.W, state.beta,
-                               state.theta, cfg, ch, 1)
+                               phasor, cfg, ch, 1)
         assert np.allclose(W, state.W, rtol=1e-14)
 
     def test_precoder_power_restored(self, instance):
         cfg, ch, state = instance
         nets = init_networks(cfg, np.random.default_rng(0))
-        W, _ = _precoder_block(nets.pn, state.W, state.beta, state.theta,
+        _, phasor = shared_terms(ch, state)
+        W, _ = _precoder_block(nets.pn, state.W, state.beta, phasor,
                                cfg, ch, 3)
         assert np.vdot(W, W).real == pytest.approx(cfg.p_max, rel=1e-9)
 
     def test_zero_an_leaves_amplitudes(self, instance):
         cfg, ch, state = instance
         beta, _ = _amplitude_block(zero_nets(cfg).an, state.beta, state.W,
-                                   state.theta, cfg, ch, 1)
+                                   *shared_terms(ch, state), cfg, ch, 1)
         assert np.allclose(beta, state.beta, atol=1e-14)
 
     def test_amplitude_energy_conservation(self, instance):
         cfg, ch, state = instance
         nets = init_networks(cfg, np.random.default_rng(1))
-        beta, _ = _amplitude_block(nets.an, state.beta, state.W, state.theta,
-                                   cfg, ch, 2)
+        beta, _ = _amplitude_block(nets.an, state.beta, state.W,
+                                   *shared_terms(ch, state), cfg, ch, 2)
         n = cfg.N
         assert np.max(np.abs(beta[:n]**2 + beta[n:]**2 - 1)) < 1e-12
 
     def test_zero_tn_shifts_by_pi(self, instance):
         cfg, ch, state = instance
-        theta, _ = _phase_block(zero_nets(cfg).tn, state.theta, state.W,
-                                state.beta, cfg, ch, 1, TWO_PI)
+        precoded, phasor = shared_terms(ch, state)
+        theta, _, _ = _phase_block(zero_nets(cfg).tn, state.theta, phasor,
+                                   state.W, precoded, state.beta, cfg, ch, 1,
+                                   TWO_PI)
         expected = np.mod(state.theta + np.pi, 2 * np.pi)
         assert np.allclose(theta, expected, atol=1e-12)
 
     def test_phases_stay_wrapped(self, instance):
         cfg, ch, state = instance
         nets = init_networks(cfg, np.random.default_rng(2))
-        theta, _ = _phase_block(nets.tn, state.theta, state.W, state.beta,
-                                cfg, ch, 4, TWO_PI)
+        precoded, phasor = shared_terms(ch, state)
+        theta, _, _ = _phase_block(nets.tn, state.theta, phasor, state.W,
+                                   precoded, state.beta, cfg, ch, 4, TWO_PI)
         assert (theta >= 0).all() and (theta < 2 * np.pi).all()
+
+
+class RecordingMlp(Mlp):
+    """A copy of a network that keeps every input it is fed."""
+
+    def __init__(self, net):
+        super().__init__(net.w1, net.b1, net.w2, net.b2)
+        self.inputs = []
+
+    def forward_with_cache(self, x):
+        self.inputs.append(np.array(x))
+        return super().forward_with_cache(x)
+
+
+def assert_bitwise(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+class TestLeanBlocks:
+    """Each inner block computes only the gradient it feeds its network,
+    from the shared G @ W and phasors; that gradient is bitwise the one of
+    the full bundle at the same state, at the block's first step and at the
+    second, the state the first step produced."""
+
+    @edge_cases
+    def test_block_inputs_equal_full_bundle(self, seed, dims, sides, weights):
+        cfg, ch, state = make_edge_instance(seed, dims, sides, weights)
+        nets = init_networks(cfg, np.random.default_rng(seed))
+        pn, an, tn = (RecordingMlp(n) for n in (nets.pn, nets.an, nets.tn))
+        W0, beta0, theta0 = state.W, state.beta, state.theta
+        precoded, phasor = shared_terms(ch, state)
+
+        def bundle(W, beta, theta):
+            return wsr_gradients(cfg, ch, _make_state(W, beta, theta))
+
+        W1, _ = _precoder_block(pn, W0, beta0, phasor, cfg, ch, 1)
+        _precoder_block(pn, W0, beta0, phasor, cfg, ch, 2)
+        for x, W in zip(pn.inputs[1:], (W0, W1)):
+            g = bundle(W, beta0, theta0).grad_w
+            assert_bitwise(x, np.vstack([g.real.T, g.imag.T]))
+
+        beta1, _ = _amplitude_block(an, beta0, W0, precoded, phasor, cfg, ch, 1)
+        _amplitude_block(an, beta0, W0, precoded, phasor, cfg, ch, 2)
+        for x, beta in zip(an.inputs[1:], (beta0, beta1)):
+            assert_bitwise(x, bundle(W0, beta, theta0).grad_beta)
+
+        theta1, phasor1, _ = _phase_block(tn, theta0, phasor, W0, precoded,
+                                          beta0, cfg, ch, 1, TWO_PI)
+        assert_bitwise(phasor1, np.exp(1j * theta1))
+        _phase_block(tn, theta0, phasor, W0, precoded, beta0, cfg, ch, 2,
+                     TWO_PI)
+        for x, theta in zip(tn.inputs[1:], (theta0, theta1)):
+            assert_bitwise(x, bundle(W0, beta0, theta).grad_theta)
 
 
 class TestMetaGradients:
@@ -222,16 +291,18 @@ class TestMetaGradients:
         rng = np.random.default_rng(4)
         self.nets = init_networks(self.cfg, rng)
         self.start = initial_state(self.cfg, rng)
+        self.phasor0 = np.exp(1j * self.start.theta)
         self.gain = 2 * np.pi
 
     def _forward(self):
-        s = self.start
-        W, tw = _precoder_block(self.nets.pn, s.W, s.beta, s.theta,
+        s, phasor0 = self.start, self.phasor0
+        W, tw = _precoder_block(self.nets.pn, s.W, s.beta, phasor0,
                                 self.cfg, self.ch, 1)
-        beta, ta = _amplitude_block(self.nets.an, s.beta, W, s.theta,
+        precoded = self.ch.G @ W
+        beta, ta = _amplitude_block(self.nets.an, s.beta, W, precoded, phasor0,
                                     self.cfg, self.ch, 1)
-        theta, tt = _phase_block(self.nets.tn, s.theta, W, beta,
-                                 self.cfg, self.ch, 1, self.gain)
+        theta, _, tt = _phase_block(self.nets.tn, s.theta, phasor0, W, precoded,
+                                    beta, self.cfg, self.ch, 1, self.gain)
         return W, beta, theta, tw, ta, tt
 
     def _check(self, grads, net_attr, loss_fn, rng):
@@ -258,18 +329,19 @@ class TestMetaGradients:
         _precoder_block_backward(self.nets.pn, tw, -bundle.grad_w, g_pn)
         _amplitude_block_backward(self.nets.an, ta, -bundle.grad_beta, g_an)
         _phase_block_backward(self.nets.tn, tt, -bundle.grad_theta, self.gain, g_tn)
-        s = self.start
+        s, phasor0, precoded = self.start, self.phasor0, ch.G @ W
 
         def loss_pn(pn):
-            w2, _ = _precoder_block(pn, s.W, s.beta, s.theta, cfg, ch, 1)
+            w2, _ = _precoder_block(pn, s.W, s.beta, phasor0, cfg, ch, 1)
             return -evaluate_wsr(cfg, ch, _make_state(w2, beta, theta))
 
         def loss_an(an):
-            b2, _ = _amplitude_block(an, s.beta, W, s.theta, cfg, ch, 1)
+            b2, _ = _amplitude_block(an, s.beta, W, precoded, phasor0, cfg, ch, 1)
             return -evaluate_wsr(cfg, ch, _make_state(W, b2, theta))
 
         def loss_tn(tn):
-            t2, _ = _phase_block(tn, s.theta, W, beta, cfg, ch, 1, self.gain)
+            t2, _, _ = _phase_block(tn, s.theta, phasor0, W, precoded, beta,
+                                    cfg, ch, 1, self.gain)
             return -evaluate_wsr(cfg, ch, _make_state(W, beta, t2))
 
         rng = np.random.default_rng(5)
@@ -287,10 +359,11 @@ class TestMetaGradients:
         # the phase-network loss gradient as run_meta_loop forms it
         g_t = -wsr_gradients(cfg, ch, final).grad_theta + 2.0 * rho * (theta - proj)
         g_tn = _phase_block_backward(self.nets.tn, tt, g_t, self.gain, None)
-        s = self.start
+        s, precoded = self.start, ch.G @ W
 
         def loss_tn(tn):
-            t2, _ = _phase_block(tn, s.theta, W, beta, cfg, ch, 1, self.gain)
+            t2, _, _ = _phase_block(tn, s.theta, self.phasor0, W, precoded, beta,
+                                    cfg, ch, 1, self.gain)
             return coupled_tn_objective(cfg, ch, _make_state(W, beta, t2), rho)
 
         self._check(g_tn, "tn", loss_tn, np.random.default_rng(6))
@@ -404,6 +477,26 @@ class TestRunGml:
         assert states.index(self.expected_pick(states)) % 2 == 0
         self.check_reported(sol, states)
         assert sol.residual_pre_projection < COUPLING_TOL
+
+    @pytest.mark.parametrize("mode", ["independent", "coupled"])
+    def test_one_full_bundle_per_outer_iteration(self, monkeypatch, mode):
+        """The inner blocks compute only the gradients they feed their
+        networks; the refined point of each outer iteration takes the one
+        full bundle."""
+        sys_cfg, ch, train = self.small_setup(mode=mode, n_epochs=6, n_outer=2)
+        states = []
+
+        def bundle_spy(cfg, chans, state):
+            states.append(state)
+            return wsr_gradients(cfg, chans, state)
+
+        monkeypatch.setattr(training, "wsr_gradients", bundle_spy)
+        sol = run_gml(sys_cfg, ch, train)
+        assert len(states) == train.n_epochs * train.n_outer
+        # the last bundle is at the last refined state, which the trace shows
+        last = states[-1]
+        assert np.array_equal(sol.traces["phase_diff"][-1],
+                              wrap_phase(last.theta_t - last.theta_r))
 
     def test_deterministic_bitwise(self):
         sys_cfg, ch, train = self.small_setup()
