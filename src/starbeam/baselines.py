@@ -53,14 +53,13 @@ def pga_oracle(
     sys_cfg: SystemConfig,
     ch: ChannelSet,
     steps: int = 300,
-    step_sizes: tuple[float, float, float] | None = None,
     seed: int = 0,
 ) -> Solution:
     """Monotone projected gradient ascent over (W, beta, theta) with
     backtracking step control; independent-phase model only.
 
-    step_sizes are the (precoder, amplitude, phase) base steps; when None
-    they are scaled from the variable and gradient norms at the start.
+    The (precoder, amplitude, phase) base steps are scaled from the
+    variable and gradient norms at the start.
     Each accepted iterate is renormalized, so every point on the trace is
     feasible, and the rate trace is non-decreasing by construction. There
     is no penalty, so the penalty and rho traces are zero, as in
@@ -73,15 +72,10 @@ def pga_oracle(
     n = sys_cfg.N
 
     bundle = wsr_gradients(sys_cfg, ch, state)
-    if step_sizes is None:
-        tiny = np.finfo(float).tiny
-        s_w = np.sqrt(sys_cfg.p_max) / max(np.linalg.norm(bundle.grad_w), tiny)
-        s_b = np.sqrt(n) / max(np.linalg.norm(bundle.grad_beta), tiny)
-        s_t = np.pi * np.sqrt(2 * n) / max(np.linalg.norm(bundle.grad_theta), tiny)
-        step_sizes = (float(s_w), float(s_b), float(s_t))
-    if min(step_sizes) <= 0:
-        raise ConfigurationError("step sizes must be positive")
-    s_w, s_b, s_t = step_sizes
+    tiny = np.finfo(float).tiny
+    s_w = float(np.sqrt(sys_cfg.p_max) / max(np.linalg.norm(bundle.grad_w), tiny))
+    s_b = float(np.sqrt(n) / max(np.linalg.norm(bundle.grad_beta), tiny))
+    s_t = float(np.pi * np.sqrt(2 * n) / max(np.linalg.norm(bundle.grad_theta), tiny))
 
     def project(W, beta, theta) -> BeamformingState:
         W = normalize_power(W, sys_cfg.p_max)

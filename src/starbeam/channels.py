@@ -167,28 +167,30 @@ _CHANNEL_HEADER = "starbeam-channels v1"
 
 
 def save_channels(path: str, ch: ChannelSet) -> None:
-    """Write a channel set as portable text: a version line, a dimension
-    line "N M K", then one line per G row and one per user vector, each a
-    sequence of "re im" pairs printed with %.17g (lossless for float64)."""
+    """Write :func:`channels_to_text` of a channel set to a file."""
     with open(path, "w", encoding="ascii") as fh:
-        _write_channels(fh, ch)
-
-
-def _write_channels(fh, ch: ChannelSet) -> None:
-    fh.write(f"{_CHANNEL_HEADER}\n{ch.N} {ch.M} {ch.K}\n")
-    for row in ch.G:
-        fh.write(" ".join(f"{z.real:.17g} {z.imag:.17g}" for z in row) + "\n")
-    for row in ch.h:
-        fh.write(" ".join(f"{z.real:.17g} {z.imag:.17g}" for z in row) + "\n")
+        fh.write(channels_to_text(ch))
 
 
 def load_channels(path: str) -> ChannelSet:
     """Inverse of :func:`save_channels`."""
     with open(path, "r", encoding="ascii") as fh:
-        return _read_channels(fh)
+        return channels_from_text(fh.read())
 
 
-def _read_channels(fh) -> ChannelSet:
+def channels_to_text(ch: ChannelSet) -> str:
+    """A channel set as portable text: a version line, a dimension line
+    "N M K", then one line per G row and one per user vector, each a
+    sequence of "re im" pairs printed with %.17g (lossless for float64)."""
+    rows = [" ".join(f"{z.real:.17g} {z.imag:.17g}" for z in row)
+            for row in (*ch.G, *ch.h)]
+    return "\n".join([_CHANNEL_HEADER, f"{ch.N} {ch.M} {ch.K}", *rows]) + "\n"
+
+
+def channels_from_text(text: str) -> ChannelSet:
+    """Inverse of :func:`channels_to_text`; a malformed text raises
+    ValueError naming what is wrong."""
+    fh = io.StringIO(text)
     header = fh.readline().strip()
     if header != _CHANNEL_HEADER:
         raise ValueError(f"unrecognized channel file header: {header!r}")
@@ -214,13 +216,3 @@ def _read_channels(fh) -> ChannelSet:
     if fh.read().strip():
         raise ValueError("unexpected data after the last channel row")
     return ch
-
-
-def channels_to_text(ch: ChannelSet) -> str:
-    buf = io.StringIO()
-    _write_channels(buf, ch)
-    return buf.getvalue()
-
-
-def channels_from_text(text: str) -> ChannelSet:
-    return _read_channels(io.StringIO(text))

@@ -1,6 +1,6 @@
-"""Experiment driver: convergence traces, parameter sweeps, timing probes,
-phase-difference trajectories, and the gradient cross-check, all emitted as
-CSV files with fixed headers.
+"""Experiment driver: convergence traces, parameter sweeps, timing probes
+and phase-difference trajectories, all emitted as CSV files with fixed
+headers, and the gradient cross-check behind ``starbeam grad-check``.
 
 Determinism: a master seed and the cell coordinates (scheme, grid index,
 sample index) fully determine every non-timing value. Channels are keyed
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 import os
 import time
 from dataclasses import dataclass, field, replace
@@ -52,7 +53,6 @@ KIND_SWEEP_PMAX = "sweep_pmax"
 KIND_SWEEP_MN = "sweep_mn"
 KIND_TIMING = "timing"
 KIND_PHASE_TRACE = "phase_trace"
-KIND_GRAD_CHECK = "grad_check"
 KINDS = (
     KIND_CONVERGENCE,
     KIND_SWEEP_N,
@@ -60,8 +60,9 @@ KINDS = (
     KIND_SWEEP_MN,
     KIND_TIMING,
     KIND_PHASE_TRACE,
-    KIND_GRAD_CHECK,
 )
+_ONE_POINT_KINDS = (KIND_CONVERGENCE, KIND_PHASE_TRACE)
+_PAIR_KINDS = (KIND_SWEEP_MN, KIND_TIMING)
 
 CONVERGENCE_HEADER = ["epoch", "wsr_best", "wsr_current", "penalty", "rho"]
 TIMING_HEADER = ["M", "N", "K", "median_s_per_epoch", "min_s_per_epoch"]
@@ -98,16 +99,47 @@ def paper_train(mode: str = MODE_INDEPENDENT, seed: int = 0) -> TrainConfig:
     return TrainConfig(mode=mode, seed=seed)
 
 
+def _is_int(value, least: int = 1) -> bool:
+    """An integer >= least; a bool is not one."""
+    return (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and value >= least)
+
+
+def _grid_point(kind: str, value) -> tuple[dict, object]:
+    """The SystemConfig fields one grid value sets, and its label in the
+    CSVs: N for sweep_n, p_max in watts for sweep_pmax, M and N for
+    sweep_mn and timing (label "MxN"), none for the one-point kinds (label
+    0). A value its kind cannot solve raises ConfigurationError naming grid."""
+    if kind in _ONE_POINT_KINDS:
+        return {}, 0
+    if kind == KIND_SWEEP_N:
+        if _is_int(value):
+            return {"N": int(value)}, value
+        what = "an element count N, an integer >= 1"
+    elif kind == KIND_SWEEP_PMAX:
+        if (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                and 0 < value < math.inf):
+            return {"p_max": float(value)}, value
+        what = "a transmit power p_max in watts, finite and > 0"
+    else:
+        if isinstance(value, tuple) and len(value) == 2 and all(map(_is_int, value)):
+            return {"M": int(value[0]), "N": int(value[1])}, f"{value[0]}x{value[1]}"
+        what = "an (M, N) pair of integers >= 1"
+    raise ConfigurationError(
+        f"each grid value of a {kind} experiment must be {what}; got {value!r}")
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """One experiment: which schemes, over which grid, how many channel
-    samples, where to write CSVs.
+    samples, where to write CSVs. Every field is checked when the spec is
+    built; an invalid one raises ConfigurationError naming it.
 
-    Grid semantics by kind: sweep_n -> element counts N; sweep_pmax ->
-    transmit power in watts; sweep_mn and timing -> (M, N) pairs;
-    convergence and phase_trace solve one point and take no grid;
-    grad_check ignores it. timing times one GML scheme and repeats it
-    sample_count (>= 3) times.
+    Every kind reads every field but grid: sweep_n takes element counts N,
+    sweep_pmax transmit powers in watts, sweep_mn and timing (M, N) pairs;
+    convergence and phase_trace solve one point and take no grid. timing
+    times one GML scheme and repeats it sample_count (>= 3) times.
+    phase_trace rejects pga_oracle, which records no phase trace.
     """
 
     kind: str
@@ -123,10 +155,14 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ConfigurationError(f"unknown experiment kind '{self.kind}'")
+        for name in ("schemes", "grid"):
+            if not isinstance(getattr(self, name), (list, tuple, np.ndarray)):
+                raise ConfigurationError(
+                    f"{name} must be a list, got {getattr(self, name)!r}")
         # lists (as read from JSON) become tuples, (M, N) grid pairs included
         grid = self.grid
-        if self.kind in (KIND_SWEEP_MN, KIND_TIMING):
-            grid = [None if g is None else tuple(g) for g in grid]
+        if self.kind in _PAIR_KINDS:
+            grid = [tuple(g) if isinstance(g, (list, np.ndarray)) else g for g in grid]
         object.__setattr__(self, "grid", tuple(grid))
         object.__setattr__(self, "schemes", tuple(self.schemes))
         unknown = set(self.schemes) - set(SCHEMES)
@@ -134,22 +170,21 @@ class ExperimentSpec:
             raise ConfigurationError(f"unknown schemes: {sorted(unknown)}")
         if not self.schemes:
             raise ConfigurationError("scheme list must be non-empty")
-        if len(self.grid) == 0:
-            raise ConfigurationError("grid must be non-empty")
-        for name in ("sample_count", "n_epochs", "users"):
+        for name, least in (("sample_count", 1), ("n_epochs", 1), ("users", 1),
+                            ("master_seed", 0)):
             value = getattr(self, name)
-            if value is None and name != "sample_count":
+            if value is None and name in ("n_epochs", "users"):
                 continue  # the scale default
-            if type(value) is not int or value < 1:  # a bool is not a count
+            if not _is_int(value, least):
                 raise ConfigurationError(
-                    f"{name} must be an integer >= 1, got {value!r}")
+                    f"{name} must be an integer >= {least}, got {value!r}")
         if not isinstance(self.desk_scale, bool):
             raise ConfigurationError(
                 f"desk_scale must be true or false, got {self.desk_scale!r}")
-        if self.kind in (KIND_CONVERGENCE, KIND_PHASE_TRACE) and self.grid != (None,):
+        if self.kind == KIND_PHASE_TRACE and SCHEME_PGA_ORACLE in self.schemes:
             raise ConfigurationError(
-                f"grid must be left unset for kind '{self.kind}', which solves "
-                f"one point; got {self.grid!r}")
+                f"schemes of a phase_trace experiment cannot include "
+                f"{SCHEME_PGA_ORACLE}, which records no phase trace")
         if self.kind == KIND_TIMING:
             if len(self.schemes) != 1 or self.schemes[0] not in _GML_SCHEMES:
                 raise ConfigurationError(
@@ -159,6 +194,15 @@ class ExperimentSpec:
                 raise ConfigurationError(
                     f"sample_count of a timing experiment is its number of "
                     f"timed repetitions and must be >= 3, got {self.sample_count}")
+        if self.kind in _ONE_POINT_KINDS:
+            if len(self.grid) != 1 or self.grid[0] is not None:
+                raise ConfigurationError(
+                    f"grid must be left unset for kind '{self.kind}', which "
+                    f"solves one point; got {self.grid!r}")
+        elif not self.grid:
+            raise ConfigurationError(f"grid of a {self.kind} experiment must be non-empty")
+        for value in self.grid:
+            _grid_point(self.kind, value)
 
 
 @dataclass
@@ -192,9 +236,7 @@ class GradCheckReport:
     n_instances: int
     max_rel_err: float
     max_abs_err_small: float
-    rel_tol: float = 1e-6
-    abs_tol: float = 1e-9
-    passed: bool = False
+    passed: bool
 
 
 def _derive_seed(master: int, *tags: int) -> int:
@@ -224,25 +266,6 @@ def scale_configs(
     if n_epochs is not None:
         train = replace(train, n_epochs=n_epochs)
     return sys_cfg, ch_cfg, train
-
-
-def _apply_grid(sys_cfg: SystemConfig, kind: str, value) -> SystemConfig:
-    if value is None:
-        return sys_cfg
-    if kind == KIND_SWEEP_N:
-        return replace(sys_cfg, N=int(value))
-    if kind == KIND_SWEEP_PMAX:
-        return replace(sys_cfg, p_max=float(value))
-    if kind in (KIND_SWEEP_MN, KIND_TIMING):
-        m, n = value
-        return replace(sys_cfg, M=int(m), N=int(n))
-    return sys_cfg
-
-
-def _grid_label(kind: str, value) -> object:
-    if kind in (KIND_SWEEP_MN, KIND_TIMING) and value is not None:
-        return f"{value[0]}x{value[1]}"
-    return value if value is not None else 0
 
 
 def _cell_train(base: TrainConfig, spec: ExperimentSpec, scheme: str,
@@ -277,8 +300,6 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     Per-cell failures are recorded, not fatal; callers should treat a
     non-empty failure list as a nonzero-exit condition.
     """
-    if spec.kind == KIND_GRAD_CHECK:
-        return _run_grad_check_experiment(spec)
     if spec.kind == KIND_TIMING:
         return _run_timing_experiment(spec)
 
@@ -289,7 +310,8 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     )
 
     for gi, gval in enumerate(spec.grid):
-        sys_cfg = _apply_grid(base_sys, spec.kind, gval)
+        fields, label = _grid_point(spec.kind, gval)
+        sys_cfg = replace(base_sys, **fields)
         for sample in range(spec.sample_count):
             ch_rng = np.random.default_rng(
                 _derive_seed(spec.master_seed, _CHANNEL_TAG, gi, sample)
@@ -297,7 +319,6 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
             ch = generate_channels(sys_cfg, ch_cfg, ch_rng)
             for scheme in spec.schemes:
                 train = _cell_train(base_train, spec, scheme, gi, sample)
-                label = _grid_label(spec.kind, gval)
                 started = time.perf_counter()
                 try:
                     sol = run_scheme(scheme, sys_cfg, ch, train)
@@ -321,7 +342,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
                                         f"convergence_{scheme}_s{sample}.csv")
                     write_convergence_csv(path, sol.traces)
                     report.csv_paths.append(path)
-                if spec.kind == KIND_PHASE_TRACE and "phase_diff" in sol.traces:
+                if spec.kind == KIND_PHASE_TRACE:
                     _write_phase_trace_csv(report, spec, scheme, sample,
                                            sol.traces["phase_diff"])
 
@@ -413,7 +434,8 @@ def _run_timing_experiment(spec: ExperimentSpec) -> ExperimentReport:
     )
     rows = []
     for gi, gval in enumerate(spec.grid):
-        sys_cfg = _apply_grid(base_sys, KIND_TIMING, gval)
+        fields, label = _grid_point(KIND_TIMING, gval)
+        sys_cfg = replace(base_sys, **fields)
         train = _cell_train(base_train, spec, spec.schemes[0], gi, 0)
         ch = generate_channels(
             sys_cfg, ch_cfg,
@@ -423,7 +445,7 @@ def _run_timing_experiment(spec: ExperimentSpec) -> ExperimentReport:
         rows.append([sys_cfg.M, sys_cfg.N, sys_cfg.K,
                      repr(result.median_s_per_epoch), repr(result.min_s_per_epoch)])
         report.records.append(
-            CellRecord(spec.schemes[0], _grid_label(KIND_TIMING, gval), 0,
+            CellRecord(spec.schemes[0], label, 0,
                        float("nan"), result.median_s_per_epoch)
         )
     path = os.path.join(spec.out_dir, "timing.csv")
@@ -463,10 +485,10 @@ def random_gradient_instance(
 
 def gradient_errors(
     analytic: GradientBundle, reference: GradientBundle,
-    small_cut: float = 1e-10,
 ) -> tuple[float, float]:
     """(max relative error, max absolute error on small coordinates);
-    coordinates with |reference| < small_cut are compared absolutely."""
+    coordinates with |reference| < GRAD_CHECK_SMALL_CUT are compared
+    absolutely."""
     a = np.concatenate([
         analytic.grad_w.real.ravel(), analytic.grad_w.imag.ravel(),
         analytic.grad_beta, analytic.grad_theta,
@@ -475,21 +497,21 @@ def gradient_errors(
         reference.grad_w.real.ravel(), reference.grad_w.imag.ravel(),
         reference.grad_beta, reference.grad_theta,
     ])
-    small = np.abs(f) < small_cut
-    max_rel = 0.0
-    max_abs = 0.0
-    if (~small).any():
-        max_rel = float(np.max(np.abs(a[~small] - f[~small]) / np.abs(f[~small])))
-    if small.any():
-        max_abs = float(np.max(np.abs(a[small] - f[small])))
-    return max_rel, max_abs
+    small = np.abs(f) < GRAD_CHECK_SMALL_CUT
+    err = np.abs(a - f)
+    max_rel = float(np.max(err[~small] / np.abs(f[~small]), initial=0.0))
+    return max_rel, float(np.max(err[small], initial=0.0))
 
 
 # The cross-check runs central differences at 1e-4 rather than the 1e-6
 # library default: for these unit-scale objectives 1e-4 balances roundoff
 # against truncation, while at 1e-6 the roundoff floor alone exceeds the
-# tolerance on the smallest gradient coordinates.
+# tolerance on the smallest gradient coordinates. A coordinate whose
+# reference is below GRAD_CHECK_SMALL_CUT is compared absolutely.
 GRAD_CHECK_STEP = 1e-4
+GRAD_CHECK_SMALL_CUT = 1e-10
+GRAD_CHECK_REL_TOL = 1e-6
+GRAD_CHECK_ABS_TOL = 1e-9
 GRAD_CHECK_INSTANCES = 50
 GRAD_CHECK_SEED_BASE = 1000
 
@@ -497,19 +519,18 @@ GRAD_CHECK_SEED_BASE = 1000
 def grad_check_command(
     n_instances: int = GRAD_CHECK_INSTANCES,
     seed_base: int = GRAD_CHECK_SEED_BASE,
-    step: float = GRAD_CHECK_STEP,
     verbose: bool = True,
 ) -> GradCheckReport:
     """Run the analytic-vs-central-difference suite; passes when every
-    instance meets max relative error < 1e-6 (absolute < 1e-9 where the
-    reference coordinate is below 1e-10)."""
+    instance meets max relative error < GRAD_CHECK_REL_TOL (absolute <
+    GRAD_CHECK_ABS_TOL on the small coordinates)."""
     worst_rel = 0.0
     worst_abs = 0.0
     for i in range(n_instances):
         cfg, ch, state = random_gradient_instance(seed_base + i)
         analytic = wsr_gradients(cfg, ch, state)
         fd = finite_diff_gradient(
-            lambda st: evaluate_wsr(cfg, ch, st), state, step=step
+            lambda st: evaluate_wsr(cfg, ch, st), state, step=GRAD_CHECK_STEP
         )
         rel, ab = gradient_errors(analytic, fd)
         worst_rel = max(worst_rel, rel)
@@ -518,36 +539,14 @@ def grad_check_command(
         n_instances=n_instances,
         max_rel_err=worst_rel,
         max_abs_err_small=worst_abs,
+        passed=worst_rel < GRAD_CHECK_REL_TOL and worst_abs < GRAD_CHECK_ABS_TOL,
     )
-    report.passed = worst_rel < report.rel_tol and worst_abs < report.abs_tol
     if verbose:
         status = "PASS" if report.passed else "FAIL"
         print(
             f"[{status}] gradient cross-check over {n_instances} instances: "
-            f"max rel err {worst_rel:.3e} (tol {report.rel_tol:g}), "
-            f"max abs err on small coords {worst_abs:.3e} (tol {report.abs_tol:g})"
-        )
-    return report
-
-
-def _run_grad_check_experiment(spec: ExperimentSpec) -> ExperimentReport:
-    os.makedirs(spec.out_dir, exist_ok=True)
-    report = ExperimentReport(spec)
-    check = grad_check_command(
-        n_instances=max(spec.sample_count, GRAD_CHECK_INSTANCES),
-        seed_base=GRAD_CHECK_SEED_BASE + spec.master_seed,
-    )
-    path = os.path.join(spec.out_dir, "grad_check.csv")
-    _write_csv(
-        path,
-        ["n_instances", "max_rel_err", "max_abs_err_small", "passed"],
-        [[check.n_instances, repr(check.max_rel_err),
-          repr(check.max_abs_err_small), int(check.passed)]],
-    )
-    report.csv_paths.append(path)
-    if not check.passed:
-        report.failures.append(
-            f"gradient cross-check failed: rel {check.max_rel_err:.3e}"
+            f"max rel err {worst_rel:.3e} (tol {GRAD_CHECK_REL_TOL:g}), "
+            f"max abs err on small coords {worst_abs:.3e} (tol {GRAD_CHECK_ABS_TOL:g})"
         )
     return report
 

@@ -23,6 +23,11 @@ import numpy as np
 
 from .errors import ConfigurationError
 
+# Adam's moment decay rates and denominator floor, the textbook defaults.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+
 
 class Mlp:
     """Two affine maps with a rectified-linear activation between them.
@@ -146,16 +151,12 @@ class AdamState:
     second_moment: np.ndarray
     buffers: np.ndarray = field(repr=False)  # two arrays shaped like params
     step_count: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
 
 
-def adam_init(params: np.ndarray, beta1: float = 0.9, beta2: float = 0.999,
-              epsilon: float = 1e-8) -> AdamState:
+def adam_init(params: np.ndarray) -> AdamState:
     """Zero-initialized moments matching the parameter vector."""
     return AdamState(np.zeros_like(params), np.zeros_like(params),
-                     np.empty((2,) + params.shape), 0, beta1, beta2, epsilon)
+                     np.empty((2,) + params.shape))
 
 
 def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState,
@@ -174,7 +175,7 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState,
         raise ValueError("non-finite gradient; update rejected")
     state.step_count += 1
     t = state.step_count
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1.0 - b1**t
     c2 = 1.0 - b2**t
     m, v = state.first_moment, state.second_moment
@@ -193,6 +194,6 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState,
     s *= lr
     np.divide(v, c2, out=u)
     np.sqrt(u, out=u)
-    u += state.epsilon
+    u += ADAM_EPSILON
     s /= u
     params -= s

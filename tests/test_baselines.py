@@ -94,6 +94,4 @@ class TestPgaOracle:
     def test_step_size_validation(self):
         sys_cfg, ch, _ = setup_instance(seed=8)
         with pytest.raises(ConfigurationError):
-            pga_oracle(sys_cfg, ch, steps=10, step_sizes=(1.0, -1.0, 1.0))
-        with pytest.raises(ConfigurationError):
             pga_oracle(sys_cfg, ch, steps=0)

@@ -137,6 +137,27 @@ class TestExperimentSpec:
         with pytest.raises(ConfigurationError, match="sample_count"):
             ExperimentSpec(kind="timing", sample_count=2)
 
+    @pytest.mark.parametrize("fields, named", [
+        ({"kind": "grad_check"}, "kind"),
+        ({"kind": "sweep_n"}, "grid"),
+        ({"kind": "sweep_n", "grid": (16.7,)}, "grid"),
+        ({"kind": "sweep_n", "grid": (8, 0)}, "grid"),
+        ({"kind": "sweep_n", "grid": (True,)}, "grid"),
+        ({"kind": "sweep_n", "grid": 16}, "grid"),
+        ({"kind": "sweep_pmax", "grid": (0.01, float("nan"))}, "grid"),
+        ({"kind": "sweep_mn", "grid": ((8, 16, 2),)}, "grid"),
+        ({"kind": "sweep_mn", "grid": (8, 16)}, "grid"),
+        ({"kind": "timing", "grid": ((8, 16), None)}, "grid"),
+        ({"kind": "phase_trace", "schemes": ("gml_coupled", "pga_oracle")},
+         "schemes"),
+        ({"kind": "convergence", "master_seed": -1}, "master_seed"),
+    ])
+    def test_spec_rejected_when_built(self, tmp_path, fields, named):
+        out = tmp_path / "out"
+        with pytest.raises(ConfigurationError, match=named):
+            ExperimentSpec(out_dir=str(out), **fields)
+        assert not out.exists()
+
     def test_json_lists_become_tuples(self):
         spec = ExperimentSpec(kind="sweep_mn", schemes=["random_phase"],
                               grid=[[8, 16], [4, 8]])
@@ -179,19 +200,6 @@ class TestTimingExperiment:
         assert header == TIMING_HEADER
         assert [r[:2] for r in rows] == [["8", "16"], ["8", "32"]]
         assert all(float(r[3]) > 0 for r in rows)
-
-
-class TestGradCheckExperiment:
-    def test_passes_and_writes_csv(self, tmp_path):
-        spec = ExperimentSpec(
-            kind="grad_check", sample_count=5, out_dir=str(tmp_path),
-        )
-        report = run_experiment(spec)
-        assert not report.failures
-        header, rows = read_csv(os.path.join(str(tmp_path), "grad_check.csv"))
-        assert header == ["n_instances", "max_rel_err", "max_abs_err_small",
-                          "passed"]
-        assert rows[0][3] == "1"
 
 
 class TestSignTest:
