@@ -3,7 +3,7 @@
 Subcommands, each taking only the flags listed (any other is an error):
 
     run         single solve: --config --seed --mode --out --paper-scale
-                --scheme
+                --scheme (default: the GML scheme of the mode)
     experiment  spec-file driven batch: SPEC --seed --out --paper-scale
     grad-check  analytic-vs-finite-difference suite: --seed --instances
     time        per-epoch timing: --config --seed --mode --paper-scale
@@ -12,6 +12,9 @@ Subcommands, each taking only the flags listed (any other is an error):
 Settings resolve in one order, each step overriding the last: the scale
 profile (desk, or the published scale under --paper-scale), the config
 file, then the flags given; --seed sets the training and channel seeds.
+--scheme sets the training mode to the scheme's (experiments.SCHEME_MODE,
+as run_experiment does): the config file's train.mode yields to it, and a
+--mode that contradicts it is an error.
 For experiment, the spec (ExperimentSpec fields as JSON keys) replaces
 profile and file, and --out, --seed and --paper-scale override its
 out_dir, master_seed and desk_scale.
@@ -37,13 +40,16 @@ keys mirror the config dataclasses; units are watts, meters, and radians:
     }
 
 Missing sections/keys keep the scale profile's values (time's profile runs
-TIMING_EPOCHS epochs); an unknown section or key is an error.
+TIMING_EPOCHS epochs); an unknown section or key is an error, and so is a
+value of the wrong JSON type, such as a bool, a string or 16.7 for N.
 """
 from __future__ import annotations
 
 import argparse
 import dataclasses
 import json
+import math
+import numbers
 import os
 import sys
 
@@ -57,9 +63,11 @@ from .experiments import (
     GRAD_CHECK_SEED_BASE,
     SCHEME_GML_COUPLED,
     SCHEME_GML_INDEPENDENT,
+    SCHEME_MODE,
     SCHEMES,
     TIMING_EPOCHS,
     ExperimentSpec,
+    _is_int,
     grad_check_command,
     run_experiment,
     run_scheme,
@@ -71,15 +79,20 @@ from .model import SystemConfig
 from .training import MODE_COUPLED, MODE_INDEPENDENT, TrainConfig
 
 
-def _floats(values) -> tuple[float, ...]:
-    return tuple(float(v) for v in values)
+# Value type -> (what it takes, check); the config dataclasses check bounds.
+_VALUE_CHECKS = {
+    int: ("an integer", lambda v: _is_int(v, least=-math.inf)),
+    float: ("a number", lambda v: isinstance(v, numbers.Real)
+            and not isinstance(v, bool)),
+    str: ("a string", lambda v: isinstance(v, str)),
+}
 
-
-# Config-file key -> (dataclass field, converter), one table per section.
+# Config-file key -> (dataclass field, value type), one table per section;
+# a list [type] takes a list of values of that type and gives a tuple.
 SYSTEM_KEYS = {
     "M": ("M", int), "N": ("N", int), "K": ("K", int),
     "p_max_w": ("p_max", float), "noise_power_w": ("noise_power", float),
-    "weights": ("weights", _floats), "user_sides": ("user_sides", tuple),
+    "weights": ("weights", [float]), "user_sides": ("user_sides", [str]),
 }
 TRAIN_KEYS = {
     "n_epochs": ("n_epochs", int), "n_outer": ("n_outer", int),
@@ -91,8 +104,8 @@ TRAIN_KEYS = {
 }
 CHANNEL_KEYS = {
     "rician_k_g": ("rician_k_g", float), "rician_k_h": ("rician_k_h", float),
-    "bs_pos_m": ("bs_pos", _floats), "ris_pos_m": ("ris_pos", _floats),
-    "center_t_m": ("center_t", _floats), "center_r_m": ("center_r", _floats),
+    "bs_pos_m": ("bs_pos", [float]), "ris_pos_m": ("ris_pos", [float]),
+    "center_t_m": ("center_t", [float]), "center_r_m": ("center_r", [float]),
     "user_area_radius_m": ("user_area_radius", float),
     "pathloss_a_db": ("pathloss_a", float),
     "pathloss_b_db_per_decade": ("pathloss_b", float),
@@ -113,10 +126,26 @@ def _check_keys(where: str, d: dict, known) -> None:
         )
 
 
+def _value(where: str, kind, value):
+    """One config-file value, checked against its type and converted; a
+    value of the wrong JSON type raises ConfigurationError naming where."""
+    if isinstance(kind, list):
+        if not isinstance(value, list):
+            raise ConfigurationError(
+                f"{where} must be a list of {_VALUE_CHECKS[kind[0]][0]}s, "
+                f"got {value!r}")
+        return tuple(_value(where, kind[0], v) for v in value)
+    what, check = _VALUE_CHECKS[kind]
+    if not check(value):
+        raise ConfigurationError(f"{where} must be {what}, got {value!r}")
+    return kind(value)
+
+
 def _fields(section: str, d: dict, keys: dict) -> dict:
     """The dataclass field values that one config-file section sets."""
     _check_keys(f"'{section}'", d, keys)
-    return {keys[k][0]: keys[k][1](v) for k, v in d.items()}
+    return {keys[k][0]: _value(f"{section}.{k}", keys[k][1], v)
+            for k, v in d.items()}
 
 
 def _build_configs(
@@ -148,13 +177,18 @@ def _build_configs(
 
 
 def _cmd_run(args) -> int:
-    sys_cfg, ch_cfg, train = _build_configs(args)
     scheme = args.scheme
+    if scheme is not None and args.mode not in (None, SCHEME_MODE[scheme]):
+        raise ConfigurationError(
+            f"--mode {args.mode} contradicts --scheme {scheme}, which runs "
+            f"in {SCHEME_MODE[scheme]} mode")
+    sys_cfg, ch_cfg, train = _build_configs(args)
     if scheme is None:
         scheme = (
             SCHEME_GML_COUPLED if train.mode == MODE_COUPLED
             else SCHEME_GML_INDEPENDENT
         )
+    train = dataclasses.replace(train, mode=SCHEME_MODE[scheme])
     ch = generate_channels(sys_cfg, ch_cfg, np.random.default_rng(ch_cfg.seed))
     sol = run_scheme(scheme, sys_cfg, ch, train)
     print(f"scheme:              {scheme}")

@@ -1,11 +1,16 @@
-"""Experiment driver: convergence traces, parameter sweeps, timing probes
-and phase-difference trajectories, all emitted as CSV files with fixed
-headers, and the gradient cross-check behind ``starbeam grad-check``.
+"""Experiment driver: convergence traces, parameter sweeps and
+phase-difference trajectories, all emitted as CSV files with fixed headers;
+the per-epoch timing probe behind ``starbeam time``; and the gradient
+cross-check behind ``starbeam grad-check``.
+
+Every experiment kind solves each (scheme, grid point, channel sample) cell
+once through run_scheme, and records its rate and wall-clock seconds; a
+sweep_mn experiment thus also gives each scheme's runtime against (M, N).
 
 Determinism: a master seed and the cell coordinates (scheme, grid index,
-sample index) fully determine every non-timing value. Channels are keyed
-by (grid index, sample index) only, so schemes are compared on identical
-channel draws.
+sample index) fully determine every value but the seconds. Channels are
+keyed by (grid index, sample index) only, so schemes are compared on
+identical channel draws.
 """
 from __future__ import annotations
 
@@ -37,35 +42,32 @@ SCHEME_GML_COUPLED = "gml_coupled"
 SCHEME_RANDOM_PHASE = "random_phase"
 SCHEME_CONVENTIONAL_RIS = "conventional_ris"
 SCHEME_PGA_ORACLE = "pga_oracle"
-SCHEMES = (
-    SCHEME_GML_INDEPENDENT,
-    SCHEME_GML_COUPLED,
-    SCHEME_RANDOM_PHASE,
-    SCHEME_CONVENTIONAL_RIS,
-    SCHEME_PGA_ORACLE,
-)
-
-_GML_SCHEMES = (SCHEME_GML_INDEPENDENT, SCHEME_GML_COUPLED)
+# The training mode each scheme runs in, for run_experiment and for
+# `starbeam run --scheme` alike.
+SCHEME_MODE = {
+    SCHEME_GML_INDEPENDENT: MODE_INDEPENDENT,
+    SCHEME_GML_COUPLED: MODE_COUPLED,
+    SCHEME_RANDOM_PHASE: MODE_INDEPENDENT,
+    SCHEME_CONVENTIONAL_RIS: MODE_INDEPENDENT,
+    SCHEME_PGA_ORACLE: MODE_INDEPENDENT,
+}
+SCHEMES = tuple(SCHEME_MODE)
 
 KIND_CONVERGENCE = "convergence"
 KIND_SWEEP_N = "sweep_n"
 KIND_SWEEP_PMAX = "sweep_pmax"
 KIND_SWEEP_MN = "sweep_mn"
-KIND_TIMING = "timing"
 KIND_PHASE_TRACE = "phase_trace"
 KINDS = (
     KIND_CONVERGENCE,
     KIND_SWEEP_N,
     KIND_SWEEP_PMAX,
     KIND_SWEEP_MN,
-    KIND_TIMING,
     KIND_PHASE_TRACE,
 )
 _ONE_POINT_KINDS = (KIND_CONVERGENCE, KIND_PHASE_TRACE)
-_PAIR_KINDS = (KIND_SWEEP_MN, KIND_TIMING)
 
 CONVERGENCE_HEADER = ["epoch", "wsr_best", "wsr_current", "penalty", "rho"]
-TIMING_HEADER = ["M", "N", "K", "median_s_per_epoch", "min_s_per_epoch"]
 SWEEP_HEADER = ["scheme", "grid_value", "sample", "wsr_final", "seconds"]
 
 # Epochs per timed run when none is given: enough for a steady per-epoch
@@ -108,8 +110,8 @@ def _is_int(value, least: int = 1) -> bool:
 def _grid_point(kind: str, value) -> tuple[dict, object]:
     """The SystemConfig fields one grid value sets, and its label in the
     CSVs: N for sweep_n, p_max in watts for sweep_pmax, M and N for
-    sweep_mn and timing (label "MxN"), none for the one-point kinds (label
-    0). A value its kind cannot solve raises ConfigurationError naming grid."""
+    sweep_mn (label "MxN"), none for the one-point kinds (label 0). A
+    value its kind cannot solve raises ConfigurationError naming grid."""
     if kind in _ONE_POINT_KINDS:
         return {}, 0
     if kind == KIND_SWEEP_N:
@@ -132,14 +134,13 @@ def _grid_point(kind: str, value) -> tuple[dict, object]:
 @dataclass(frozen=True)
 class ExperimentSpec:
     """One experiment: which schemes, over which grid, how many channel
-    samples, where to write CSVs. Every field is checked when the spec is
-    built; an invalid one raises ConfigurationError naming it.
+    samples per grid point, where to write CSVs. Every field is checked
+    when the spec is built; an invalid one raises ConfigurationError naming it.
 
     Every kind reads every field but grid: sweep_n takes element counts N,
-    sweep_pmax transmit powers in watts, sweep_mn and timing (M, N) pairs;
-    convergence and phase_trace solve one point and take no grid. timing
-    times one GML scheme and repeats it sample_count (>= 3) times.
-    phase_trace rejects pga_oracle, which records no phase trace.
+    sweep_pmax transmit powers in watts, sweep_mn (M, N) pairs; convergence
+    and phase_trace solve one point and take no grid. phase_trace rejects
+    pga_oracle, which records no phase trace.
     """
 
     kind: str
@@ -149,7 +150,7 @@ class ExperimentSpec:
     out_dir: str = "results"
     master_seed: int = 0
     desk_scale: bool = True
-    n_epochs: int | None = None  # None -> 300 desk, 500 paper; TIMING_EPOCHS timing
+    n_epochs: int | None = None  # None -> 300 desk, 500 paper
     users: int | None = None     # None -> scale default (2 desk, 4 paper)
 
     def __post_init__(self) -> None:
@@ -161,7 +162,7 @@ class ExperimentSpec:
                     f"{name} must be a list, got {getattr(self, name)!r}")
         # lists (as read from JSON) become tuples, (M, N) grid pairs included
         grid = self.grid
-        if self.kind in _PAIR_KINDS:
+        if self.kind == KIND_SWEEP_MN:
             grid = [tuple(g) if isinstance(g, (list, np.ndarray)) else g for g in grid]
         object.__setattr__(self, "grid", tuple(grid))
         object.__setattr__(self, "schemes", tuple(self.schemes))
@@ -185,15 +186,6 @@ class ExperimentSpec:
             raise ConfigurationError(
                 f"schemes of a phase_trace experiment cannot include "
                 f"{SCHEME_PGA_ORACLE}, which records no phase trace")
-        if self.kind == KIND_TIMING:
-            if len(self.schemes) != 1 or self.schemes[0] not in _GML_SCHEMES:
-                raise ConfigurationError(
-                    f"schemes of a timing experiment must be one of "
-                    f"{list(_GML_SCHEMES)}, got {list(self.schemes)}")
-            if self.sample_count < 3:
-                raise ConfigurationError(
-                    f"sample_count of a timing experiment is its number of "
-                    f"timed repetitions and must be >= 3, got {self.sample_count}")
         if self.kind in _ONE_POINT_KINDS:
             if len(self.grid) != 1 or self.grid[0] is not None:
                 raise ConfigurationError(
@@ -271,9 +263,8 @@ def scale_configs(
 def _cell_train(base: TrainConfig, spec: ExperimentSpec, scheme: str,
                 gi: int, sample: int) -> TrainConfig:
     """The scheme's mode and the cell's derived seed on the spec's profile."""
-    mode = MODE_COUPLED if scheme == SCHEME_GML_COUPLED else MODE_INDEPENDENT
     seed = _derive_seed(spec.master_seed, _SCHEME_TAG[scheme], gi, sample)
-    return replace(base, mode=mode, seed=seed)
+    return replace(base, mode=SCHEME_MODE[scheme], seed=seed)
 
 
 def run_scheme(
@@ -283,7 +274,7 @@ def run_scheme(
     train: TrainConfig,
 ) -> Solution:
     """Dispatch one scheme on one prepared instance."""
-    if scheme in _GML_SCHEMES:
+    if scheme in (SCHEME_GML_INDEPENDENT, SCHEME_GML_COUPLED):
         return run_gml(sys_cfg, ch, train)
     if scheme == SCHEME_RANDOM_PHASE:
         return random_phase_baseline(sys_cfg, ch, train)
@@ -300,9 +291,6 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     Per-cell failures are recorded, not fatal; callers should treat a
     non-empty failure list as a nonzero-exit condition.
     """
-    if spec.kind == KIND_TIMING:
-        return _run_timing_experiment(spec)
-
     os.makedirs(spec.out_dir, exist_ok=True)
     report = ExperimentReport(spec)
     base_sys, ch_cfg, base_train = scale_configs(
@@ -425,35 +413,6 @@ def timing_probe(sys_cfg: SystemConfig, train: TrainConfig,
     return TimingResult(float(np.median(per_epoch)), float(np.min(per_epoch)))
 
 
-def _run_timing_experiment(spec: ExperimentSpec) -> ExperimentReport:
-    os.makedirs(spec.out_dir, exist_ok=True)
-    report = ExperimentReport(spec)
-    n_epochs = TIMING_EPOCHS if spec.n_epochs is None else spec.n_epochs
-    base_sys, ch_cfg, base_train = scale_configs(
-        not spec.desk_scale, spec.users, n_epochs
-    )
-    rows = []
-    for gi, gval in enumerate(spec.grid):
-        fields, label = _grid_point(KIND_TIMING, gval)
-        sys_cfg = replace(base_sys, **fields)
-        train = _cell_train(base_train, spec, spec.schemes[0], gi, 0)
-        ch = generate_channels(
-            sys_cfg, ch_cfg,
-            np.random.default_rng(_derive_seed(spec.master_seed, _CHANNEL_TAG, gi, 0)),
-        )
-        result = timing_probe(sys_cfg, train, repetitions=spec.sample_count, ch=ch)
-        rows.append([sys_cfg.M, sys_cfg.N, sys_cfg.K,
-                     repr(result.median_s_per_epoch), repr(result.min_s_per_epoch)])
-        report.records.append(
-            CellRecord(spec.schemes[0], label, 0,
-                       float("nan"), result.median_s_per_epoch)
-        )
-    path = os.path.join(spec.out_dir, "timing.csv")
-    _write_csv(path, TIMING_HEADER, rows)
-    report.csv_paths.append(path)
-    return report
-
-
 # --- gradient cross-check ---------------------------------------------------
 
 
@@ -523,7 +482,11 @@ def grad_check_command(
 ) -> GradCheckReport:
     """Run the analytic-vs-central-difference suite; passes when every
     instance meets max relative error < GRAD_CHECK_REL_TOL (absolute <
-    GRAD_CHECK_ABS_TOL on the small coordinates)."""
+    GRAD_CHECK_ABS_TOL on the small coordinates). A check over no instance
+    would pass without checking anything, so n_instances must be >= 1."""
+    if not _is_int(n_instances):
+        raise ConfigurationError(
+            f"n_instances must be an integer >= 1, got {n_instances!r}")
     worst_rel = 0.0
     worst_abs = 0.0
     for i in range(n_instances):

@@ -61,8 +61,9 @@ class SystemConfig:
     side_mask: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if min(self.M, self.N, self.K) < 1:
-            raise ConfigurationError("M, N, K must all be >= 1")
+        for name in ("M", "N", "K"):
+            if getattr(self, name) < 1:
+                raise ConfigurationError(f"{name} must be >= 1")
         for name in ("p_max", "noise_power"):
             if not 0 < getattr(self, name) < np.inf:
                 raise ConfigurationError(f"{name} must be positive and finite (watts)")

@@ -112,8 +112,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if min(self.n_epochs, self.n_outer, self.n_inner, self.n1, self.n2) < 1:
-            raise ConfigurationError("iteration counts must all be >= 1")
+        for name in ("n_epochs", "n_outer", "n_inner", "n1", "n2"):
+            if getattr(self, name) < 1:
+                raise ConfigurationError(f"{name} must be >= 1")
         # written so that NaN fails every check
         for name in ("lr_w", "lr_a", "lr_theta", "regulator_gain"):
             if not 0 < getattr(self, name) < np.inf:

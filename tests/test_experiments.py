@@ -28,7 +28,6 @@ from starbeam.experiments import (
     CONVERGENCE_HEADER,
     SWEEP_HEADER,
     TIMING_EPOCHS,
-    TIMING_HEADER,
     ExperimentReport,
     TimingResult,
     desk_train,
@@ -124,19 +123,6 @@ class TestExperimentSpec:
         with pytest.raises(ConfigurationError, match="grid"):
             ExperimentSpec(kind=kind, grid=(1, 2))
 
-    def test_timing_rejects_several_schemes(self):
-        with pytest.raises(ConfigurationError, match="schemes"):
-            ExperimentSpec(kind="timing", schemes=("gml_independent",
-                                                   "gml_coupled"))
-
-    def test_timing_rejects_a_scheme_it_does_not_time(self):
-        with pytest.raises(ConfigurationError, match="schemes"):
-            ExperimentSpec(kind="timing", schemes=("pga_oracle",))
-
-    def test_timing_rejects_fewer_than_three_repetitions(self):
-        with pytest.raises(ConfigurationError, match="sample_count"):
-            ExperimentSpec(kind="timing", sample_count=2)
-
     @pytest.mark.parametrize("fields, named", [
         ({"kind": "grad_check"}, "kind"),
         ({"kind": "sweep_n"}, "grid"),
@@ -147,10 +133,11 @@ class TestExperimentSpec:
         ({"kind": "sweep_pmax", "grid": (0.01, float("nan"))}, "grid"),
         ({"kind": "sweep_mn", "grid": ((8, 16, 2),)}, "grid"),
         ({"kind": "sweep_mn", "grid": (8, 16)}, "grid"),
-        ({"kind": "timing", "grid": ((8, 16), None)}, "grid"),
+        ({"kind": "sweep_mn", "grid": ((8, 16), None)}, "grid"),
         ({"kind": "phase_trace", "schemes": ("gml_coupled", "pga_oracle")},
          "schemes"),
         ({"kind": "convergence", "master_seed": -1}, "master_seed"),
+        ({"kind": "timing"}, "kind"),
     ])
     def test_spec_rejected_when_built(self, tmp_path, fields, named):
         out = tmp_path / "out"
@@ -188,18 +175,6 @@ class TestTimingExperiment:
         sys_cfg, _ = desk_scenario()
         with pytest.raises(ConfigurationError):
             timing_probe(sys_cfg, desk_train(n_epochs=5), repetitions=2)
-
-    def test_timing_csv(self, tmp_path):
-        spec = ExperimentSpec(
-            kind="timing", schemes=("gml_independent",),
-            grid=((8, 16), (8, 32)), sample_count=3,
-            out_dir=str(tmp_path), master_seed=4, n_epochs=5,
-        )
-        report = run_experiment(spec)
-        header, rows = read_csv(os.path.join(str(tmp_path), "timing.csv"))
-        assert header == TIMING_HEADER
-        assert [r[:2] for r in rows] == [["8", "16"], ["8", "32"]]
-        assert all(float(r[3]) > 0 for r in rows)
 
 
 class TestSignTest:
@@ -285,6 +260,61 @@ class TestCli:
             assert "NaN" in fh.read()
         with pytest.raises(ConfigurationError, match=field):
             cli_main(["run", "--config", path])
+
+    @pytest.mark.parametrize("raw, named", [
+        ({"system": {"N": 16.7}}, "system.N"),
+        ({"train": {"n_epochs": 3.9}}, "train.n_epochs"),
+        ({"system": {"K": True}}, "system.K"),
+        ({"system": {"M": "8"}}, "system.M"),
+        ({"train": {"lr_w": True}}, "train.lr_w"),
+        ({"system": {"weights": [1.0, "2"]}}, "system.weights"),
+        ({"channel": {"bs_pos_m": 0.0}}, "channel.bs_pos_m"),
+        ({"train": {"mode": 1}}, "train.mode"),
+        ({"train": {"n1": 0}}, "n1 must be >= 1"),
+        ({"system": {"K": 0}}, "K must be >= 1"),
+    ])
+    def test_config_value_rejected(self, tmp_path, raw, named):
+        path = self._write_config(tmp_path, raw)
+        args = build_parser().parse_args(["run", "--config", path])
+        with pytest.raises(ConfigurationError, match=named):
+            _build_configs(args)
+
+    @pytest.mark.parametrize("argv, named", [
+        (["run", "--scheme", "gml_independent", "--mode", "coupled"],
+         "--mode coupled contradicts --scheme gml_independent"),
+        (["run", "--scheme", "random_phase", "--mode", "coupled"],
+         "--mode coupled contradicts --scheme random_phase"),
+        (["run", "--scheme", "pga_oracle", "--mode", "coupled"],
+         "--mode coupled contradicts --scheme pga_oracle"),
+        (["run", "--scheme", "gml_coupled", "--mode", "independent"],
+         "--mode independent contradicts --scheme gml_coupled"),
+        (["grad-check", "--instances", "0"], "n_instances"),
+        (["grad-check", "--instances", "-3"], "n_instances"),
+    ])
+    def test_flag_value_rejected(self, argv, named):
+        with pytest.raises(ConfigurationError, match=named):
+            cli_main(argv)
+
+    @pytest.mark.parametrize("file_mode, flags, expected", [
+        ("coupled", ["--scheme", "random_phase"], ("random_phase", "independent")),
+        ("independent", ["--scheme", "gml_coupled"], ("gml_coupled", "coupled")),
+        ("independent", ["--scheme", "gml_coupled", "--mode", "coupled"],
+         ("gml_coupled", "coupled")),
+    ])
+    def test_scheme_sets_the_mode(self, tmp_path, monkeypatch, file_mode,
+                                  flags, expected):
+        seen = []
+
+        def run(scheme, sys_cfg, ch, train):
+            seen.append((scheme, train.mode))
+            return run_scheme(scheme, sys_cfg, ch, train)
+
+        run_scheme = cli.run_scheme
+        monkeypatch.setattr(cli, "run_scheme", run)
+        path = self._write_config(
+            tmp_path, {"train": {"n_epochs": 3, "mode": file_mode}})
+        assert cli_main(["run", "--config", path] + flags) == 0
+        assert seen == [expected]
 
     def test_config_file_mode_reaches_run(self, tmp_path):
         out = str(tmp_path / "run_out")
@@ -418,7 +448,7 @@ class TestCli:
         monkeypatch.setattr(cli, "run_experiment", run)
         spec_path = str(tmp_path / "spec.json")
         with open(spec_path, "w") as fh:
-            json.dump({"kind": "timing", "grid": [[8, 16]], "desk_scale": True,
+            json.dump({"kind": "sweep_mn", "grid": [[8, 16]], "desk_scale": True,
                        "master_seed": 1, "out_dir": "elsewhere"}, fh)
         assert cli_main(["experiment", spec_path]) == 0
         assert cli_main(["experiment", spec_path, "--paper-scale",

@@ -147,6 +147,9 @@ def cases():
         ("experiment/sweep_pmax", lambda: _experiment(
             kind="sweep_pmax", schemes=("random_phase", "conventional_ris"),
             grid=(1e-3, 1e-2), sample_count=2, master_seed=3, n_epochs=40)),
+        ("experiment/sweep_mn", lambda: _experiment(
+            kind="sweep_mn", schemes=("gml_independent", "pga_oracle"),
+            grid=((4, 8), (8, 16)), sample_count=2, master_seed=4, n_epochs=40)),
     ]
     return out
 
