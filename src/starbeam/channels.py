@@ -2,9 +2,9 @@
 
 All devices sit at the same altitude, so positions are 2-D coordinates in
 meters and distances Euclidean. Path loss follows the log-distance law
-a + b * log10(d) in dB; channels mix a unit-modulus line-of-sight structure
-with circularly-symmetric Gaussian scattering, weighted by the Rician
-factor.
+a + b * log10(d) in dB; channels mix a steering-vector line-of-sight
+structure (half-wavelength spacing, uniformly random angles) with
+circularly-symmetric Gaussian scattering, weighted by the Rician factor.
 """
 from __future__ import annotations
 
@@ -13,11 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, require_int
 from .model import TRANSMISSION, ChannelSet, SystemConfig
-
-LOS_ULA = "ula"    # steering-vector line-of-sight (half-wavelength spacing)
-LOS_ONES = "ones"  # all-ones line-of-sight, simplest reproducible structure
 
 
 def dbm_to_watts(dbm: float) -> float:
@@ -30,7 +27,9 @@ class ChannelConfig:
 
     Positions are (x, y) meters. center_t / center_r are the disc centers
     of the transmission-side and reflection-side user areas. Path loss is
-    pathloss_a + pathloss_b * log10(d_meters) in dB.
+    pathloss_a + pathloss_b * log10(d_meters) in dB. The BS must sit away
+    from the surface, and neither user disc may reach it, so every link
+    distance is positive.
     """
 
     rician_k_g: float = 10.0            # BS-to-surface Rician factor (linear)
@@ -42,7 +41,6 @@ class ChannelConfig:
     user_area_radius: float = 5.0       # meters
     pathloss_a: float = 35.6            # dB offset at 1 m
     pathloss_b: float = 22.0            # dB per decade
-    los_mode: str = LOS_ULA
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -54,8 +52,18 @@ class ChannelConfig:
                      "pathloss_a", "pathloss_b"):
             if not np.isfinite(getattr(self, name)).all():
                 raise ConfigurationError(f"{name} must be finite")
-        if self.los_mode not in (LOS_ULA, LOS_ONES):
-            raise ConfigurationError(f"unknown los_mode '{self.los_mode}'")
+        require_int("seed", self.seed, 0)
+        if _distance(self.bs_pos, self.ris_pos) == 0:
+            raise ConfigurationError("bs_pos must differ from ris_pos")
+        for name in ("center_t", "center_r"):
+            if _distance(getattr(self, name), self.ris_pos) <= self.user_area_radius:
+                raise ConfigurationError(
+                    f"the user disc at {name} with user_area_radius "
+                    f"{self.user_area_radius} contains ris_pos")
+
+
+def _distance(a, b) -> float:
+    return float(np.hypot(*(np.asarray(b) - np.asarray(a))))
 
 
 def path_loss_linear(d: float, cfg: ChannelConfig) -> float:
@@ -107,27 +115,18 @@ def generate_channels(
     n, m, k_users = sys_cfg.N, sys_cfg.M, sys_cfg.K
     positions = sample_user_positions(sys_cfg, cfg, rng)
 
-    d_g = float(np.hypot(*(np.asarray(cfg.ris_pos) - np.asarray(cfg.bs_pos))))
-    loss_g = path_loss_linear(d_g, cfg)
-    if cfg.los_mode == LOS_ULA:
-        arrival, departure = rng.uniform(-np.pi, np.pi, size=2)
-        g_los = np.outer(_steering(n, arrival), np.conj(_steering(m, departure)))
-    else:
-        g_los = np.ones((n, m), dtype=np.complex128)
+    loss_g = path_loss_linear(_distance(cfg.bs_pos, cfg.ris_pos), cfg)
+    arrival, departure = rng.uniform(-np.pi, np.pi, size=2)
+    g_los = np.outer(_steering(n, arrival), np.conj(_steering(m, departure)))
     G = loss_g * _rician_mix(g_los, _cn01(rng, (n, m)), cfg.rician_k_g)
 
     user_angles = rng.uniform(-np.pi, np.pi, size=k_users)
     h_nlos = _cn01(rng, (k_users, n))
     h = np.empty((k_users, n), dtype=np.complex128)
-    ris = np.asarray(cfg.ris_pos)
     for k in range(k_users):
-        d_k = float(np.hypot(*(positions[k] - ris)))
-        loss_k = path_loss_linear(d_k, cfg)
-        if cfg.los_mode == LOS_ULA:
-            h_los = _steering(n, user_angles[k])
-        else:
-            h_los = np.ones(n, dtype=np.complex128)
-        h[k] = loss_k * _rician_mix(h_los, h_nlos[k], cfg.rician_k_h)
+        loss_k = path_loss_linear(_distance(cfg.ris_pos, positions[k]), cfg)
+        h[k] = loss_k * _rician_mix(_steering(n, user_angles[k]), h_nlos[k],
+                                    cfg.rician_k_h)
     return ChannelSet(G, h)
 
 

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check every
+config class uses."""
+import numbers
 
 
 class ConfigurationError(ValueError):
@@ -8,3 +10,16 @@ class ConfigurationError(ValueError):
 class DegenerateInputError(ValueError):
     """Numerically degenerate input (e.g. an all-zero precoder) that the
     caller must fix by re-initializing."""
+
+
+def is_int(value, least: int = 1) -> bool:
+    """An integer >= least; a bool is not one."""
+    return (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and value >= least)
+
+
+def require_int(name: str, value, least: int = 1) -> None:
+    """Raise ConfigurationError naming the field unless is_int(value, least)."""
+    if not is_int(value, least):
+        raise ConfigurationError(
+            f"{name} must be >= {least} and an integer; got {value!r}")

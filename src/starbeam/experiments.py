@@ -26,7 +26,7 @@ import numpy as np
 from .baselines import conventional_ris_baseline, pga_oracle, random_phase_baseline
 from .channels import ChannelConfig, desk_scenario, default_scenario, generate_channels
 from .constraints import normalize_amplitudes, normalize_power
-from .errors import ConfigurationError
+from .errors import ConfigurationError, is_int, require_int
 from .gradients import GradientBundle, finite_diff_gradient, wsr_gradients
 from .model import BeamformingState, ChannelSet, SystemConfig, evaluate_wsr
 from .training import (
@@ -101,12 +101,6 @@ def paper_train(mode: str = MODE_INDEPENDENT, seed: int = 0) -> TrainConfig:
     return TrainConfig(mode=mode, seed=seed)
 
 
-def _is_int(value, least: int = 1) -> bool:
-    """An integer >= least; a bool is not one."""
-    return (isinstance(value, numbers.Integral) and not isinstance(value, bool)
-            and value >= least)
-
-
 def _grid_point(kind: str, value) -> tuple[dict, object]:
     """The SystemConfig fields one grid value sets, and its label in the
     CSVs: N for sweep_n, p_max in watts for sweep_pmax, M and N for
@@ -115,7 +109,7 @@ def _grid_point(kind: str, value) -> tuple[dict, object]:
     if kind in _ONE_POINT_KINDS:
         return {}, 0
     if kind == KIND_SWEEP_N:
-        if _is_int(value):
+        if is_int(value):
             return {"N": int(value)}, value
         what = "an element count N, an integer >= 1"
     elif kind == KIND_SWEEP_PMAX:
@@ -124,7 +118,7 @@ def _grid_point(kind: str, value) -> tuple[dict, object]:
             return {"p_max": float(value)}, value
         what = "a transmit power p_max in watts, finite and > 0"
     else:
-        if isinstance(value, tuple) and len(value) == 2 and all(map(_is_int, value)):
+        if isinstance(value, tuple) and len(value) == 2 and all(map(is_int, value)):
             return {"M": int(value[0]), "N": int(value[1])}, f"{value[0]}x{value[1]}"
         what = "an (M, N) pair of integers >= 1"
     raise ConfigurationError(
@@ -151,7 +145,6 @@ class ExperimentSpec:
     master_seed: int = 0
     desk_scale: bool = True
     n_epochs: int | None = None  # None -> 300 desk, 500 paper
-    users: int | None = None     # None -> scale default (2 desk, 4 paper)
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
@@ -171,14 +164,10 @@ class ExperimentSpec:
             raise ConfigurationError(f"unknown schemes: {sorted(unknown)}")
         if not self.schemes:
             raise ConfigurationError("scheme list must be non-empty")
-        for name, least in (("sample_count", 1), ("n_epochs", 1), ("users", 1),
-                            ("master_seed", 0)):
-            value = getattr(self, name)
-            if value is None and name in ("n_epochs", "users"):
-                continue  # the scale default
-            if not _is_int(value, least):
-                raise ConfigurationError(
-                    f"{name} must be an integer >= {least}, got {value!r}")
+        require_int("sample_count", self.sample_count)
+        if self.n_epochs is not None:  # None keeps the scale default
+            require_int("n_epochs", self.n_epochs)
+        require_int("master_seed", self.master_seed, 0)
         if not isinstance(self.desk_scale, bool):
             raise ConfigurationError(
                 f"desk_scale must be true or false, got {self.desk_scale!r}")
@@ -213,8 +202,12 @@ class CellRecord:
 class ExperimentReport:
     spec: ExperimentSpec
     records: list[CellRecord] = field(default_factory=list)
-    failures: list[str] = field(default_factory=list)
     csv_paths: list[str] = field(default_factory=list)
+
+    @property
+    def failures(self) -> list[str]:
+        """The error of each failed cell, in record order."""
+        return [r.error for r in self.records if r.error is not None]
 
 
 @dataclass
@@ -241,20 +234,17 @@ _CHANNEL_TAG = 0
 
 
 def scale_configs(
-    paper_scale: bool, users: int | None = None, n_epochs: int | None = None,
+    paper_scale: bool, n_epochs: int | None = None,
 ) -> tuple[SystemConfig, ChannelConfig, TrainConfig]:
     """The configs of the published scale (default_scenario, paper_train)
     or the desk scale (desk_scenario, desk_train), independent mode, seed
-    0. users replaces K (user sides and weights then follow K) and n_epochs
-    the epoch count; None keeps the scale's."""
+    0. n_epochs replaces the epoch count; None keeps the scale's."""
     if paper_scale:
         sys_cfg, ch_cfg = default_scenario()
         train = paper_train()
     else:
         sys_cfg, ch_cfg = desk_scenario()
         train = desk_train()
-    if users is not None:
-        sys_cfg = replace(sys_cfg, K=users, user_sides=None, weights=None)
     if n_epochs is not None:
         train = replace(train, n_epochs=n_epochs)
     return sys_cfg, ch_cfg, train
@@ -294,7 +284,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     os.makedirs(spec.out_dir, exist_ok=True)
     report = ExperimentReport(spec)
     base_sys, ch_cfg, base_train = scale_configs(
-        not spec.desk_scale, spec.users, spec.n_epochs
+        not spec.desk_scale, spec.n_epochs
     )
 
     for gi, gval in enumerate(spec.grid):
@@ -311,12 +301,11 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
                 try:
                     sol = run_scheme(scheme, sys_cfg, ch, train)
                 except Exception as err:  # recorded, not fatal
-                    msg = f"{scheme}/grid={label}/sample={sample}: {err}"
-                    report.failures.append(msg)
-                    report.records.append(
-                        CellRecord(scheme, label, sample, float("nan"),
-                                   time.perf_counter() - started, error=msg)
-                    )
+                    report.records.append(CellRecord(
+                        scheme, label, sample, float("nan"),
+                        time.perf_counter() - started,
+                        error=f"{scheme}/grid={label}/sample={sample}: {err}",
+                    ))
                     continue
                 report.records.append(CellRecord(
                     scheme=scheme,
@@ -483,10 +472,10 @@ def grad_check_command(
     """Run the analytic-vs-central-difference suite; passes when every
     instance meets max relative error < GRAD_CHECK_REL_TOL (absolute <
     GRAD_CHECK_ABS_TOL on the small coordinates). A check over no instance
-    would pass without checking anything, so n_instances must be >= 1."""
-    if not _is_int(n_instances):
-        raise ConfigurationError(
-            f"n_instances must be an integer >= 1, got {n_instances!r}")
+    would pass without checking anything, so n_instances must be >= 1;
+    instance i draws from seed seed_base + i, so seed_base must be >= 0."""
+    require_int("n_instances", n_instances)
+    require_int("seed_base", seed_base, 0)
     worst_rel = 0.0
     worst_abs = 0.0
     for i in range(n_instances):

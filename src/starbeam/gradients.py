@@ -55,12 +55,12 @@ _LN2 = float(np.log(2.0))
 @dataclass(frozen=True)
 class GradientBundle:
     """Ascent directions for the three variable groups, and the weighted
-    sum-rate at the state they were taken at (nan if not computed)."""
+    sum-rate at the state they were taken at."""
 
     grad_w: np.ndarray      # (M, K) complex, conjugate-gradient convention
     grad_beta: np.ndarray   # (2N,) d(WSR)/d(beta_t, beta_r)
     grad_theta: np.ndarray  # (2N,) d(WSR)/d(theta_t, theta_r)
-    rate: float = float("nan")
+    rate: float
 
 
 class ReceivedField(NamedTuple):

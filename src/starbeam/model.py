@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, require_int
 
 TRANSMISSION = "transmission"
 REFLECTION = "reflection"
@@ -62,8 +62,7 @@ class SystemConfig:
 
     def __post_init__(self) -> None:
         for name in ("M", "N", "K"):
-            if getattr(self, name) < 1:
-                raise ConfigurationError(f"{name} must be >= 1")
+            require_int(name, getattr(self, name))
         for name in ("p_max", "noise_power"):
             if not 0 < getattr(self, name) < np.inf:
                 raise ConfigurationError(f"{name} must be positive and finite (watts)")

@@ -44,7 +44,6 @@ highest post-projection rate, and residual_pre_projection shows the miss.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,7 +57,7 @@ from .constraints import (
     sigmoid,
     wrap_phase,
 )
-from .errors import ConfigurationError, DegenerateInputError
+from .errors import ConfigurationError, DegenerateInputError, require_int
 from .gradients import (
     precoder_pullback,
     received_field,
@@ -89,6 +88,10 @@ PN_HIDDEN = 200
 AN_HIDDEN = 300
 TN_HIDDEN = 300
 
+# Each phase-network step adds REGULATOR_GAIN * sigmoid(raw) to the phases:
+# an increment in (0, 2*pi), so one step can reach any phase.
+REGULATOR_GAIN = TWO_PI
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -108,15 +111,14 @@ class TrainConfig:
     mode: str = MODE_INDEPENDENT
     rho_min: float = 1e-2     # coupled-mode penalty weight at epoch 0
     rho_max: float = 1e2      # and at the final epoch
-    regulator_gain: float = TWO_PI  # phase increments lie in (0, gain)
     seed: int = 0
 
     def __post_init__(self) -> None:
         for name in ("n_epochs", "n_outer", "n_inner", "n1", "n2"):
-            if getattr(self, name) < 1:
-                raise ConfigurationError(f"{name} must be >= 1")
+            require_int(name, getattr(self, name))
+        require_int("seed", self.seed, 0)
         # written so that NaN fails every check
-        for name in ("lr_w", "lr_a", "lr_theta", "regulator_gain"):
+        for name in ("lr_w", "lr_a", "lr_theta"):
             if not 0 < getattr(self, name) < np.inf:
                 raise ConfigurationError(f"{name} must be positive and finite")
         if self.mode not in (MODE_INDEPENDENT, MODE_COUPLED):
@@ -138,7 +140,8 @@ class SubNetworks:
 class Solution:
     """Result of one run: the selected state (see the module docstring),
     hardened onto the coupled set when applicable, the rate achieved there,
-    and per-epoch traces.
+    and per-epoch traces. A solve carries no wall clock; its caller times
+    it (run_experiment, timing_probe and `starbeam run` do).
 
     W_opt, beta_opt, wsr_pre_projection and residual_pre_projection all
     describe that one state before hardening; theta_opt holds its phases
@@ -153,7 +156,6 @@ class Solution:
     feasible_coupled: bool
     mode: str
     traces: dict[str, np.ndarray] = field(default_factory=dict)
-    seconds: float = 0.0        # wall clock, excluded from determinism claims
 
 
 def init_networks(cfg: SystemConfig, rng: np.random.Generator) -> SubNetworks:
@@ -283,7 +285,6 @@ def _phase_block(
     cfg: SystemConfig,
     ch: ChannelSet,
     n_inner: int,
-    gain: float,
 ):
     """phasor0 is exp(j * theta0). Returns the refined phases, their
     phasors and the tape."""
@@ -295,17 +296,17 @@ def _phase_block(
         raw, cache = tn.forward_with_cache(-2.0 * beta * bracket.imag)
         sig = sigmoid(raw)
         tape.append((cache, sig))
-        theta = wrap_phase(theta + gain * sig)
+        theta = wrap_phase(theta + REGULATOR_GAIN * sig)
         phasor = np.exp(1j * theta)
     return theta, phasor, tape
 
 
 def _phase_block_backward(tn: Mlp, tape, grad_theta_out: np.ndarray,
-                          gain: float, acc: np.ndarray | None) -> np.ndarray:
+                          acc: np.ndarray | None) -> np.ndarray:
     g = grad_theta_out
     for cache, sig in reversed(tape):
-        # wrap is an a.e. identity; the regulator contributes gain*sig*(1-sig)
-        acc = mlp_backward(tn, cache, g * gain * sig * (1.0 - sig), acc)
+        # wrap is an a.e. identity; d(gain * sigmoid)/d(raw) = gain*sig*(1-sig)
+        acc = mlp_backward(tn, cache, g * REGULATOR_GAIN * sig * (1.0 - sig), acc)
         # d(theta_next)/d(theta_prev) = 1, so g passes through unchanged
     return acc
 
@@ -353,7 +354,6 @@ def run_meta_loop(
     comparison schemes). A disabled network leaves its variable group at
     the initial profile for the entire run."""
     check_dimensions(sys_cfg, ch)
-    started = time.perf_counter()
     coupled = train.mode == MODE_COUPLED
     n = sys_cfg.N
 
@@ -415,7 +415,7 @@ def run_meta_loop(
                 if enable_tn:
                     theta_star, phasor_star, tape_t = _phase_block(
                         tn, theta0, phasor0, W_star, precoded, beta_star,
-                        sys_cfg, ch, train.n_inner, train.regulator_gain,
+                        sys_cfg, ch, train.n_inner,
                     )
 
                 final = _make_state(W_star, beta_star, theta_star)
@@ -451,9 +451,7 @@ def run_meta_loop(
                     g_t = -bundle.grad_theta
                     if coupled:
                         g_t = g_t + 2.0 * rho * (theta_star - proj)
-                    grad_tn = _phase_block_backward(
-                        tn, tape_t, g_t, train.regulator_gain, grad_tn
-                    )
+                    grad_tn = _phase_block_backward(tn, tape_t, g_t, grad_tn)
             except (DegenerateInputError, ConfigurationError) as err:
                 raise type(err)(
                     f"epoch {epoch}, outer iteration {outer}: {err}"
@@ -504,5 +502,4 @@ def run_meta_loop(
         feasible_coupled=feasible,
         mode=train.mode,
         traces=traces,
-        seconds=time.perf_counter() - started,
     )

@@ -14,7 +14,7 @@ from starbeam import (
     path_loss_linear,
     save_channels,
 )
-from starbeam.channels import LOS_ONES, sample_user_positions
+from starbeam.channels import sample_user_positions
 from starbeam.errors import ConfigurationError
 
 
@@ -46,13 +46,18 @@ class TestGeneration:
         assert np.array_equal(a.h, b.h)
 
     def test_large_rician_factor_limit(self):
-        # With the all-ones line-of-sight structure the limit is the pure
-        # path-loss-scaled constant matrix.
+        # The limit is the pure line-of-sight channel: steering entries have
+        # modulus 1, so every entry's modulus is its link's path loss.
         sys_cfg, _ = desk_scenario()
-        cfg = ChannelConfig(rician_k_g=1e12, rician_k_h=1e12, los_mode=LOS_ONES)
+        cfg = ChannelConfig(rician_k_g=1e12, rician_k_h=1e12)
         ch = generate_channels(sys_cfg, cfg, np.random.default_rng(0))
         loss = path_loss_linear(100.0, cfg)
-        assert np.linalg.norm(ch.G - loss) / np.linalg.norm(ch.G) < 1e-5
+        assert np.linalg.norm(np.abs(ch.G) - loss) / np.linalg.norm(ch.G) < 1e-5
+        # user positions are the first draws of the same seed
+        pos = sample_user_positions(sys_cfg, cfg, np.random.default_rng(0))
+        for k in range(sys_cfg.K):
+            loss_k = path_loss_linear(np.linalg.norm(pos[k] - cfg.ris_pos), cfg)
+            assert np.max(np.abs(np.abs(ch.h[k]) - loss_k)) < 1e-5 * loss_k
 
     def test_zero_rician_factor_variance(self):
         sys_cfg = SystemConfig(M=10, N=10, K=1, p_max=1.0, noise_power=1.0)
@@ -86,10 +91,6 @@ class TestGeneration:
                 center = ch_cfg.center_t if side == "transmission" else ch_cfg.center_r
                 assert np.linalg.norm(pos[k] - center) <= ch_cfg.user_area_radius
 
-    def test_los_mode_validation(self):
-        with pytest.raises(ConfigurationError):
-            ChannelConfig(los_mode="parabolic")
-
     @pytest.mark.parametrize("field, value", [
         ("rician_k_g", np.nan), ("rician_k_h", np.inf),
         ("user_area_radius", np.inf), ("pathloss_a", np.inf),
@@ -100,6 +101,18 @@ class TestGeneration:
     def test_non_finite_value_rejected(self, field, value):
         with pytest.raises(ConfigurationError, match=field):
             ChannelConfig(**{field: value})
+
+    @pytest.mark.parametrize("fields, named", [
+        ({"seed": -3}, "seed"),
+        ({"seed": 1.5}, "seed"),
+        ({"bs_pos": (100.0, 0.0)}, "bs_pos"),
+        ({"center_t": (100.0, 0.0), "user_area_radius": 0.0}, "center_t"),
+        ({"center_r": (103.0, 4.0)}, "center_r"),
+        ({"user_area_radius": 15.0}, "user_area_radius"),
+    ])
+    def test_seed_or_geometry_rejected(self, fields, named):
+        with pytest.raises(ConfigurationError, match=named):
+            ChannelConfig(**fields)
 
 
 class TestDefaultScenario:

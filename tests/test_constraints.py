@@ -3,7 +3,6 @@ import pytest
 
 from starbeam import (
     DegenerateInputError,
-    TrainConfig,
     coupling_residual,
     normalize_amplitudes,
     normalize_power,
@@ -11,13 +10,14 @@ from starbeam import (
     wrap_phase,
 )
 from starbeam.constraints import PHASE_DIFF_CANDIDATES, sigmoid
+from starbeam.training import REGULATOR_GAIN
 
 TWO_PI = 2 * np.pi
 
 
 def regulate(raw):
-    """The loop's bounded phase increment at the default regulator gain."""
-    return TrainConfig().regulator_gain * sigmoid(raw)
+    """The loop's bounded phase increment."""
+    return REGULATOR_GAIN * sigmoid(raw)
 
 
 def advance(theta, delta):

@@ -100,6 +100,16 @@ class TestSweepExperiment:
             assert int(n) == len(vals)
             assert float(mean) == pytest.approx(np.mean(vals), rel=1e-12)
 
+    def test_failed_cell_is_recorded_and_listed(self, tmp_path):
+        spec = ExperimentSpec(
+            kind="sweep_n", schemes=("conventional_ris", "random_phase"),
+            grid=(15,), sample_count=1, out_dir=str(tmp_path), n_epochs=2,
+        )
+        report = run_experiment(spec)
+        failed, solved = report.records
+        assert "even N" in failed.error and solved.error is None
+        assert report.failures == [failed.error]
+
     def test_grid_must_not_be_empty(self):
         with pytest.raises(ConfigurationError):
             ExperimentSpec(kind="sweep_n", grid=())
@@ -111,7 +121,7 @@ class TestSweepExperiment:
 
 class TestExperimentSpec:
     @pytest.mark.parametrize("field, value", [
-        ("users", 0), ("n_epochs", 0), ("n_epochs", True), ("users", 1.5),
+        ("n_epochs", 0), ("n_epochs", True),
         ("sample_count", 2.0), ("desk_scale", "false"),
     ])
     def test_bad_value_rejected(self, field, value):
@@ -234,6 +244,8 @@ class TestCli:
         ({"system": {"M": 4, "p_max": 1.0}}, "'system'"),
         ({"channel": {"rician_k": 3.0}}, "'channel'"),
         ({"trian": {"n_epochs": 3}}, "the config file"),
+        ({"train": {"regulator_gain_rad": 6.0}}, "regulator_gain_rad"),
+        ({"channel": {"los_mode": "ula"}}, "los_mode"),
     ])
     def test_unknown_config_key_rejected(self, tmp_path, raw, where):
         path = self._write_config(tmp_path, raw)
@@ -272,6 +284,11 @@ class TestCli:
         ({"train": {"mode": 1}}, "train.mode"),
         ({"train": {"n1": 0}}, "n1 must be >= 1"),
         ({"system": {"K": 0}}, "K must be >= 1"),
+        ({"train": {"seed": -1}}, "seed"),
+        ({"channel": {"seed": -3}}, "seed"),
+        ({"channel": {"bs_pos_m": [100.0, 0.0]}}, "bs_pos"),
+        ({"channel": {"center_t_m": [100.0, 0.0], "user_area_radius_m": 0.0}},
+         "center_t"),
     ])
     def test_config_value_rejected(self, tmp_path, raw, named):
         path = self._write_config(tmp_path, raw)
@@ -290,6 +307,8 @@ class TestCli:
          "--mode independent contradicts --scheme gml_coupled"),
         (["grad-check", "--instances", "0"], "n_instances"),
         (["grad-check", "--instances", "-3"], "n_instances"),
+        (["run", "--seed", "-1"], "seed"),
+        (["grad-check", "--seed", "-5000"], "seed_base"),
     ])
     def test_flag_value_rejected(self, argv, named):
         with pytest.raises(ConfigurationError, match=named):
@@ -396,7 +415,7 @@ class TestCli:
         path = self._write_config(tmp_path, example)
         args = build_parser().parse_args(["run", "--config", path])
         sys_cfg, ch_cfg, train = _build_configs(args)
-        assert (sys_cfg.M, train.n_epochs, ch_cfg.los_mode) == (8, 300, "ula")
+        assert (sys_cfg.M, train.n_epochs, ch_cfg.seed) == (8, 300, 0)
 
     def test_config_file_values_reach_the_configs(self, tmp_path):
         path = self._write_config(tmp_path, {
@@ -459,6 +478,21 @@ class TestCli:
         assert kept.grid == ((8, 16),)
         assert (overridden.desk_scale, overridden.master_seed,
                 overridden.out_dir) == (False, 5, "here")
+
+    def test_pga_run_prints_its_wall_clock(self, tmp_path, monkeypatch, capsys):
+        clock = iter([10.0, 12.5])
+        monkeypatch.setattr(cli, "perf_counter", lambda: next(clock))
+        path = self._write_config(tmp_path, {"train": {"n_epochs": 3}})
+        assert cli_main(["run", "--scheme", "pga_oracle", "--config", path]) == 0
+        assert "wall clock:          2.50 s" in capsys.readouterr().out
+
+    def test_experiment_spec_setting_users_rejected(self, tmp_path):
+        spec_path = str(tmp_path / "spec.json")
+        with open(spec_path, "w") as fh:
+            json.dump({"kind": "convergence", "schemes": ["random_phase"],
+                       "sample_count": 1, "n_epochs": 2, "users": 3}, fh)
+        with pytest.raises(ConfigurationError, match="users"):
+            cli_main(["experiment", spec_path, "--out", str(tmp_path / "out")])
 
     def test_grad_check_subcommand(self):
         assert cli_main(["grad-check", "--instances", "3"]) == 0

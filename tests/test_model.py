@@ -243,6 +243,15 @@ class TestTypes:
         with pytest.raises(ConfigurationError, match=field):
             SystemConfig(**args)
 
+    @pytest.mark.parametrize("field, value", [
+        ("M", 8.5), ("M", True), ("N", 16.0), ("K", np.float64(2.0)),
+    ])
+    def test_config_rejects_non_integer_dimension(self, field, value):
+        args = {"M": 1, "N": 1, "K": 2, "p_max": 1.0, "noise_power": 1.0,
+                field: value}
+        with pytest.raises(ConfigurationError, match=field):
+            SystemConfig(**args)
+
     def test_side_index_follows_sides(self):
         cfg = SystemConfig(M=1, N=1, K=3, p_max=1, noise_power=1,
                            user_sides=(REFLECTION, TRANSMISSION, REFLECTION))

@@ -22,7 +22,6 @@ from starbeam.constraints import (
     project_coupled_phases,
     wrap_phase,
 )
-from starbeam.model import TWO_PI
 from starbeam.networks import Mlp
 from starbeam.training import (
     AN_HIDDEN,
@@ -81,10 +80,16 @@ class TestPenaltySchedule:
 
     @pytest.mark.parametrize("field, value", [
         ("lr_w", np.nan), ("lr_a", np.inf), ("lr_theta", np.nan),
-        ("regulator_gain", np.inf), ("regulator_gain", np.nan),
         ("rho_max", np.nan),
     ])
     def test_non_finite_value_rejected(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("n_epochs", 2.5), ("n1", True), ("seed", -1), ("seed", 1.0),
+    ])
+    def test_non_integer_count_or_negative_seed_rejected(self, field, value):
         with pytest.raises(ConfigurationError, match=field):
             TrainConfig(**{field: value})
 
@@ -214,8 +219,7 @@ class TestInnerUpdates:
         cfg, ch, state = instance
         precoded, phasor = shared_terms(ch, state)
         theta, _, _ = _phase_block(zero_nets(cfg).tn, state.theta, phasor,
-                                   state.W, precoded, state.beta, cfg, ch, 1,
-                                   TWO_PI)
+                                   state.W, precoded, state.beta, cfg, ch, 1)
         expected = np.mod(state.theta + np.pi, 2 * np.pi)
         assert np.allclose(theta, expected, atol=1e-12)
 
@@ -224,7 +228,7 @@ class TestInnerUpdates:
         nets = init_networks(cfg, np.random.default_rng(2))
         precoded, phasor = shared_terms(ch, state)
         theta, _, _ = _phase_block(nets.tn, state.theta, phasor, state.W,
-                                   precoded, state.beta, cfg, ch, 4, TWO_PI)
+                                   precoded, state.beta, cfg, ch, 4)
         assert (theta >= 0).all() and (theta < 2 * np.pi).all()
 
 
@@ -274,10 +278,9 @@ class TestLeanBlocks:
             assert_bitwise(x, bundle(W0, beta, theta0).grad_beta)
 
         theta1, phasor1, _ = _phase_block(tn, theta0, phasor, W0, precoded,
-                                          beta0, cfg, ch, 1, TWO_PI)
+                                          beta0, cfg, ch, 1)
         assert_bitwise(phasor1, np.exp(1j * theta1))
-        _phase_block(tn, theta0, phasor, W0, precoded, beta0, cfg, ch, 2,
-                     TWO_PI)
+        _phase_block(tn, theta0, phasor, W0, precoded, beta0, cfg, ch, 2)
         for x, theta in zip(tn.inputs[1:], (theta0, theta1)):
             assert_bitwise(x, bundle(W0, beta0, theta).grad_theta)
 
@@ -292,7 +295,6 @@ class TestMetaGradients:
         self.nets = init_networks(self.cfg, rng)
         self.start = initial_state(self.cfg, rng)
         self.phasor0 = np.exp(1j * self.start.theta)
-        self.gain = 2 * np.pi
 
     def _forward(self):
         s, phasor0 = self.start, self.phasor0
@@ -302,7 +304,7 @@ class TestMetaGradients:
         beta, ta = _amplitude_block(self.nets.an, s.beta, W, precoded, phasor0,
                                     self.cfg, self.ch, 1)
         theta, _, tt = _phase_block(self.nets.tn, s.theta, phasor0, W, precoded,
-                                    beta, self.cfg, self.ch, 1, self.gain)
+                                    beta, self.cfg, self.ch, 1)
         return W, beta, theta, tw, ta, tt
 
     def _check(self, grads, net_attr, loss_fn, rng):
@@ -328,7 +330,7 @@ class TestMetaGradients:
                             (self.nets.pn, self.nets.an, self.nets.tn))
         _precoder_block_backward(self.nets.pn, tw, -bundle.grad_w, g_pn)
         _amplitude_block_backward(self.nets.an, ta, -bundle.grad_beta, g_an)
-        _phase_block_backward(self.nets.tn, tt, -bundle.grad_theta, self.gain, g_tn)
+        _phase_block_backward(self.nets.tn, tt, -bundle.grad_theta, g_tn)
         s, phasor0, precoded = self.start, self.phasor0, ch.G @ W
 
         def loss_pn(pn):
@@ -341,7 +343,7 @@ class TestMetaGradients:
 
         def loss_tn(tn):
             t2, _, _ = _phase_block(tn, s.theta, phasor0, W, precoded, beta,
-                                    cfg, ch, 1, self.gain)
+                                    cfg, ch, 1)
             return -evaluate_wsr(cfg, ch, _make_state(W, beta, t2))
 
         rng = np.random.default_rng(5)
@@ -358,12 +360,12 @@ class TestMetaGradients:
         proj = np.concatenate([aux.theta_t_aux, aux.theta_r_aux])
         # the phase-network loss gradient as run_meta_loop forms it
         g_t = -wsr_gradients(cfg, ch, final).grad_theta + 2.0 * rho * (theta - proj)
-        g_tn = _phase_block_backward(self.nets.tn, tt, g_t, self.gain, None)
+        g_tn = _phase_block_backward(self.nets.tn, tt, g_t, None)
         s, precoded = self.start, ch.G @ W
 
         def loss_tn(tn):
             t2, _, _ = _phase_block(tn, s.theta, self.phasor0, W, precoded, beta,
-                                    cfg, ch, 1, self.gain)
+                                    cfg, ch, 1)
             return coupled_tn_objective(cfg, ch, _make_state(W, beta, t2), rho)
 
         self._check(g_tn, "tn", loss_tn, np.random.default_rng(6))

@@ -2,12 +2,15 @@
 two source trees can be shown to give bitwise identical results.
 
 Each digest covers every field of the ``Solution`` (arrays by dtype, shape
-and bytes, numbers by their float64 bytes) and every trace, except
-``seconds``, the wall clock. The experiment cases hash the CSV files that
-``run_experiment`` writes, without their ``seconds`` column.
+and bytes, numbers by their float64 bytes) and every trace. The experiment
+cases hash the CSV files that ``run_experiment`` writes, without their
+``seconds`` column, the wall clock.
 
 Digests depend on the BLAS build and the CPU, so they are compared only
-between two runs on one machine, never against stored values:
+between two runs on one machine, never against stored values. Each tree
+is listed by its own copy of the tool, which matches the fields of that
+tree's ``Solution`` (a field that a change removes is no longer there to
+skip or to hash):
 
     python tools/solution_digests.py > head.txt
     (in a checkout of the other tree) python tools/solution_digests.py > base.txt
@@ -49,7 +52,6 @@ from starbeam import (  # noqa: E402
 
 BATTERY_SEEDS = 20   # the acceptance battery: channel 1000 + s, train seed s
 BATTERY_EPOCHS = 300
-EXCLUDED_FIELDS = ("seconds",)
 
 
 def _update(h, name: str, value) -> None:
@@ -67,12 +69,10 @@ def _update(h, name: str, value) -> None:
 
 
 def solution_digest(sol) -> str:
-    """sha256 over every field of a Solution and its traces, except the
-    wall clock."""
+    """sha256 over every field of a Solution and its traces."""
     h = hashlib.sha256()
     for f in dataclasses.fields(sol):
-        if f.name not in EXCLUDED_FIELDS:
-            _update(h, f.name, getattr(sol, f.name))
+        _update(h, f.name, getattr(sol, f.name))
     return h.hexdigest()
 
 
