@@ -12,8 +12,8 @@ from .constraints import (
     wrap_phase,
 )
 from .errors import ConfigurationError
-from .gradients import wsr_gradients
-from .model import BeamformingState, ChannelSet, SystemConfig, evaluate_wsr
+from .gradients import precoder_pullback, received_field, surface_pullback
+from .model import ChannelSet, SystemConfig, check_dimensions, effective_rows, wsr
 from .training import (
     MODE_INDEPENDENT,
     Solution,
@@ -64,41 +64,58 @@ def pga_oracle(
     feasible, and the rate trace is non-decreasing by construction. There
     is no penalty, so the penalty and rho traces are zero, as in
     independent mode.
+
+    The iterate is kept as arrays (W, beta, theta) with its phasors
+    exp(j * theta) and its received field; no state object is built. Each
+    candidate is evaluated once, through its effective rows and field, and
+    its rate is bitwise :func:`model.evaluate_wsr` of the state. The
+    accepted candidate's field and phasors give the next step's gradients
+    without re-evaluating it.
     """
     if steps < 1:
         raise ConfigurationError("steps must be >= 1")
+    check_dimensions(sys_cfg, ch)
     rng = np.random.default_rng(seed)
-    state = initial_state(sys_cfg, rng)
+    start = initial_state(sys_cfg, rng)
     n = sys_cfg.N
 
-    bundle = wsr_gradients(sys_cfg, ch, state)
-    tiny = np.finfo(float).tiny
-    s_w = float(np.sqrt(sys_cfg.p_max) / max(np.linalg.norm(bundle.grad_w), tiny))
-    s_b = float(np.sqrt(n) / max(np.linalg.norm(bundle.grad_beta), tiny))
-    s_t = float(np.pi * np.sqrt(2 * n) / max(np.linalg.norm(bundle.grad_theta), tiny))
+    def evaluate(W, beta, theta):
+        """The state, its phasors, its field and its rate."""
+        phasor = np.exp(1j * theta)
+        field = received_field(
+            sys_cfg, effective_rows(sys_cfg, ch, beta * phasor), W
+        )
+        return (W, beta, theta, phasor, field), wsr(sys_cfg, field.gammas)
 
-    def project(W, beta, theta) -> BeamformingState:
+    def project(W, beta, theta):
         W = normalize_power(W, sys_cfg.p_max)
         bt, br = normalize_amplitudes(beta[:n], beta[n:])
-        return BeamformingState(W, bt, br, *np.split(wrap_phase(theta), 2))
+        return evaluate(W, np.concatenate([bt, br]), wrap_phase(theta))
 
-    rate = bundle.rate
+    current, rate = evaluate(start.W, start.beta, start.theta)
+    tiny = np.finfo(float).tiny
     trace = np.zeros(steps)
     shrink = 1.0
     for it in range(steps):
-        if it > 0:  # step 0 uses the start bundle
-            bundle = wsr_gradients(sys_cfg, ch, state)
+        W, beta, theta, phasor, field = current
+        bracket = surface_pullback(sys_cfg, ch, field, ch.G @ W, phasor)
+        grad_w = precoder_pullback(field)
+        grad_beta = 2.0 * bracket.real
+        grad_theta = -2.0 * beta * bracket.imag
+        if it == 0:  # the base steps, from the norms at the start
+            s_w = float(np.sqrt(sys_cfg.p_max) / max(np.linalg.norm(grad_w), tiny))
+            s_b = float(np.sqrt(n) / max(np.linalg.norm(grad_beta), tiny))
+            s_t = float(np.pi * np.sqrt(2 * n) / max(np.linalg.norm(grad_theta), tiny))
         accepted = False
         t = min(1.0, 2.0 * shrink)
         for _ in range(40):
-            candidate = project(
-                state.W + t * s_w * bundle.grad_w,
-                state.beta + t * s_b * bundle.grad_beta,
-                state.theta + t * s_t * bundle.grad_theta,
+            candidate, cand_rate = project(
+                W + t * s_w * grad_w,
+                beta + t * s_b * grad_beta,
+                theta + t * s_t * grad_theta,
             )
-            cand_rate = evaluate_wsr(sys_cfg, ch, candidate)
             if cand_rate > rate:
-                state, rate, shrink, accepted = candidate, cand_rate, t, True
+                current, rate, shrink, accepted = candidate, cand_rate, t, True
                 break
             t *= 0.5
         trace[it] = rate
@@ -106,15 +123,16 @@ def pga_oracle(
             trace[it:] = rate
             break
 
-    residual = coupling_residual(state.theta_t, state.theta_r)
+    W, beta, theta = current[:3]
+    residual = coupling_residual(theta[:n], theta[n:])
     return Solution(
-        W_opt=state.W,
-        beta_opt=state.beta,
-        theta_opt=state.theta,
+        W_opt=W,
+        beta_opt=beta,
+        theta_opt=theta,
         wsr_opt=rate,
         wsr_pre_projection=rate,
-        residual_pre_projection=float(np.max(residual)),
-        feasible_coupled=bool(np.max(residual) < 1e-9),
+        residual_pre_projection=float(residual.max()),
+        feasible_coupled=bool(residual.max() < 1e-9),
         mode=MODE_INDEPENDENT,
         traces={"wsr_best": trace, "wsr_current": trace.copy(),
                 "penalty": np.zeros(steps), "rho": np.zeros(steps)},

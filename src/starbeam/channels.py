@@ -9,6 +9,8 @@ circularly-symmetric Gaussian scattering, weighted by the Rician factor.
 from __future__ import annotations
 
 import io
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,8 +27,9 @@ def dbm_to_watts(dbm: float) -> float:
 class ChannelConfig:
     """Geometry and fading statistics of the simulated deployment.
 
-    Positions are (x, y) meters. center_t / center_r are the disc centers
-    of the transmission-side and reflection-side user areas. Path loss is
+    Positions are (x, y) meters, two finite reals each. center_t /
+    center_r are the disc centers of the transmission-side and
+    reflection-side user areas. Path loss is
     pathloss_a + pathloss_b * log10(d_meters) in dB. The BS must sit away
     from the surface, and neither user disc may reach it, so every link
     distance is positive.
@@ -48,8 +51,12 @@ class ChannelConfig:
         for name in ("rician_k_g", "rician_k_h", "user_area_radius"):
             if not 0 <= getattr(self, name) < np.inf:
                 raise ConfigurationError(f"{name} must be >= 0 and finite")
-        for name in ("bs_pos", "ris_pos", "center_t", "center_r",
-                     "pathloss_a", "pathloss_b"):
+        for name in ("bs_pos", "ris_pos", "center_t", "center_r"):
+            if not _is_position(getattr(self, name)):
+                raise ConfigurationError(
+                    f"{name} must be two finite reals (x, y); "
+                    f"got {getattr(self, name)!r}")
+        for name in ("pathloss_a", "pathloss_b"):
             if not np.isfinite(getattr(self, name)).all():
                 raise ConfigurationError(f"{name} must be finite")
         require_int("seed", self.seed, 0)
@@ -60,6 +67,17 @@ class ChannelConfig:
                 raise ConfigurationError(
                     f"the user disc at {name} with user_area_radius "
                     f"{self.user_area_radius} contains ris_pos")
+
+
+def _is_position(value) -> bool:
+    """Two finite reals; a bool is not one."""
+    try:
+        coords = tuple(value)
+    except TypeError:
+        return False
+    return len(coords) == 2 and all(
+        isinstance(c, numbers.Real) and not isinstance(c, bool)
+        and math.isfinite(c) for c in coords)
 
 
 def _distance(a, b) -> float:

@@ -17,14 +17,19 @@ from .model import TWO_PI, CoupledAuxiliary
 PHASE_DIFF_CANDIDATES = (np.pi / 2, -np.pi / 2, 3 * np.pi / 2, -3 * np.pi / 2)
 _CANDIDATES = np.array(PHASE_DIFF_CANDIDATES)
 
+# The open unit interval to which sigmoid clamps.
+_TINY = np.finfo(float).tiny
+_BELOW_ONE = np.nextafter(1.0, 0.0)
+
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """Numerically stable logistic function, clamped to the open unit
     interval so downstream range guarantees survive rounding."""
     x = np.asarray(x, dtype=float)
     z = np.exp(-np.abs(x))
-    out = np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
-    return np.clip(out, np.finfo(float).tiny, np.nextafter(1.0, 0.0))
+    d = 1.0 + z
+    out = np.where(x >= 0, 1.0 / d, z / d)
+    return np.maximum(np.minimum(out, _BELOW_ONE), _TINY)
 
 
 def wrap_phase(theta: np.ndarray) -> np.ndarray:

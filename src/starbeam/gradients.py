@@ -2,19 +2,29 @@
 independent central-difference oracle.
 
 The gradients come in three pieces. :func:`received_field` is the shared
-stage: the effective rows, the received amplitudes U, the SINRs and the
-chain-rule coefficient matrix C at one state. :func:`precoder_pullback`
-turns it into the precoder gradient, and :func:`surface_pullback` into the
-per-side bracket from which the amplitude and phase gradients follow.
+stage: from the effective rows of :func:`model.effective_rows` and the
+precoder it forms the received amplitudes U, the SINRs and the chain-rule
+coefficient matrix C. :func:`precoder_pullback` turns it into the precoder
+gradient, and :func:`surface_pullback` into the per-side bracket from
+which the amplitude and phase gradients follow. The weighted sum-rate at
+the state is :func:`model.wsr` of the field's SINRs, bitwise
+:func:`model.evaluate_wsr` there.
 
-:func:`wsr_gradients` composes all three into a :class:`GradientBundle`
-with the weighted sum-rate at the state, the rate computed from the same
-SINRs by :func:`model.wsr` and so bitwise equal to
-:func:`model.evaluate_wsr` there. The meta-loop's refined point, the
-gradient-ascent oracle and the finite-difference cross-check take the full
-bundle. The loop's inner blocks each feed their network one gradient, so
-they call the stage and the one pullback they need, and compute no rate;
-their values are bitwise those of the bundle at the same state.
+Callers take the pieces they need, each once per state:
+
+- the meta-loop's precoder block: the field and the precoder pullback, at
+  rows it is handed (the refined point's, as beta and theta are fixed);
+- its amplitude and phase blocks: rows, the field and the surface
+  pullback, for the one gradient each feeds its network;
+- its refined point: rows, the field, the precoder pullback and the rate,
+  and the surface pullback on the epochs that update the amplitude or
+  phase network; its rows serve the next precoder block;
+- :func:`baselines.pga_oracle`: rows, the field and the rate of every
+  candidate, and both pullbacks of each accepted one.
+
+:func:`wsr_gradients` composes all of them into a :class:`GradientBundle`
+at a :class:`model.BeamformingState`, for the finite-difference
+cross-check and the tests; its values are bitwise those of the pieces.
 
 Convention for the complex precoder gradient: grad_w is the conjugate
 (Wirtinger) ascent direction, i.e. for every perturbation matrix D
@@ -73,14 +83,10 @@ class ReceivedField(NamedTuple):
 
 
 def received_field(
-    cfg: SystemConfig,
-    ch: ChannelSet,
-    W: np.ndarray,
-    beta: np.ndarray,
-    phasor: np.ndarray,
+    cfg: SystemConfig, rows: np.ndarray, W: np.ndarray
 ) -> ReceivedField:
-    """The stage shared by both pullbacks, at the state with precoder W,
-    amplitudes beta and surface phasors exp(j * theta), both (2N,).
+    """The stage shared by both pullbacks, at precoder W and the (K, M)
+    effective rows of the surface coefficients (:func:`model.effective_rows`).
 
     Derivation: the rate of user k depends on the signal power |U[k, k]|^2
     and the interference sum_{j != k} |U[k, j]|^2. Chain-ruling log2(1 +
@@ -89,7 +95,6 @@ def received_field(
     derivatives of |U[k, j]|^2 with respect to each variable group.
     Dimensions are the caller's to check.
     """
-    rows = effective_rows(cfg, ch, beta * phasor)
     U = rows @ W
     gammas, denom = received_sinrs(cfg, U)
     sig_coef = cfg.weights / (_LN2 * (1.0 + gammas) * denom)    # (K,)
@@ -117,7 +122,7 @@ def surface_pullback(
     # per user k and element n: sum_j C[k,j] * conj(U[k,j]) * conj(h[k,n])
     # * precoded[n,j]; the bracket sums it over the users of each side, into
     # the t half or the r half, and applies the element's phase.
-    prod = np.conj(ch.h) * ((field.C * np.conj(field.U)) @ precoded.T)  # (K, N)
+    prod = ch.h_conj * ((field.C * np.conj(field.U)) @ precoded.T)  # (K, N)
     return phasor * (cfg.side_mask * prod[:, None, :]).sum(axis=0).ravel()
 
 
@@ -128,7 +133,7 @@ def wsr_gradients(
     check_dimensions(cfg, ch, state)
     beta = state.beta
     phasor = np.exp(1j * state.theta)
-    field = received_field(cfg, ch, state.W, beta, phasor)
+    field = received_field(cfg, effective_rows(cfg, ch, beta * phasor), state.W)
     bracket = surface_pullback(cfg, ch, field, ch.G @ state.W, phasor)
     return GradientBundle(
         precoder_pullback(field),
@@ -158,8 +163,10 @@ def state_from_vector(vec: np.ndarray, M: int, N: int, K: int) -> BeamformingSta
     mk = M * K
     w_re = vec[:mk].reshape(M, K)
     w_im = vec[mk : 2 * mk].reshape(M, K)
-    parts = np.split(vec[2 * mk :], 4)
-    return BeamformingState(w_re + 1j * w_im, *parts)
+    s = vec[2 * mk :]
+    return BeamformingState(
+        w_re + 1j * w_im, s[:N], s[N : 2 * N], s[2 * N : 3 * N], s[3 * N :]
+    )
 
 
 def finite_diff_gradient(

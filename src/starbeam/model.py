@@ -100,12 +100,15 @@ class ChannelSet:
 
     G is the (N, M) BS-to-surface channel; h is (K, N) with row k the
     surface-to-user-k vector (the SINR uses its conjugate transpose).
-    These are the only copies: the optimizer works on the per-side form,
-    and only the :func:`sinr_augmented` cross-check stacks them.
+    h_conj, derived from h and not settable, is its elementwise
+    conjugate, which every gradient and rate evaluation takes. These are
+    the only copies: the optimizer works on the per-side form, and only
+    the :func:`sinr_augmented` cross-check stacks them.
     """
 
     G: np.ndarray
     h: np.ndarray
+    h_conj: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         G = np.array(self.G, dtype=np.complex128)
@@ -124,6 +127,7 @@ class ChannelSet:
                 raise ConfigurationError(f"channel {name} has non-finite entries")
         object.__setattr__(self, "G", _locked(G))
         object.__setattr__(self, "h", _locked(h))
+        object.__setattr__(self, "h_conj", _locked(np.conj(h)))
 
     @property
     def N(self) -> int:
@@ -218,14 +222,14 @@ def effective_rows(cfg: SystemConfig, ch: ChannelSet, coef: np.ndarray) -> np.nd
     k is (conj(h_k) * c) @ G, where c is the row of user k's side picked
     from coef = (c_t, c_r), the 2N complex surface coefficients. Row k maps
     precoder column w_j to the amplitude user k receives from it."""
-    return (np.conj(ch.h) * coef.reshape(2, -1)[cfg.side_index]) @ ch.G
+    return (ch.h_conj * coef.reshape(2, -1)[cfg.side_index]) @ ch.G
 
 
 def received_sinrs(cfg: SystemConfig, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(SINRs, their denominators) from the (K, K) received amplitudes,
     U[k, j] being what user k receives from precoder column j."""
     power = np.abs(U) ** 2
-    signal = np.diagonal(power)
+    signal = power.diagonal()
     denom = power.sum(axis=1) - signal + cfg.noise_power
     return signal / denom, denom
 
@@ -282,7 +286,7 @@ def wsr(cfg: SystemConfig, gammas: np.ndarray) -> float:
         raise ConfigurationError(f"gammas must have shape ({cfg.K},)")
     if (g < 0).any():
         raise ValueError("SINR values must be non-negative")
-    return float(np.sum(cfg.weights * np.log2(1.0 + g)))
+    return float((cfg.weights * np.log2(1.0 + g)).sum())
 
 
 def evaluate_wsr(cfg: SystemConfig, ch: ChannelSet, state: BeamformingState) -> float:

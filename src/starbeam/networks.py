@@ -136,7 +136,7 @@ def pn_forward_with_cache(net: Mlp, grad_w: np.ndarray) -> tuple[np.ndarray, tup
     if net.output_dim != net.input_dim:
         raise ConfigurationError("precoder network must map M -> M")
     k = grad_w.shape[1]
-    batch = np.vstack([grad_w.real.T, grad_w.imag.T])  # (2K, M)
+    batch = np.concatenate([grad_w.real.T, grad_w.imag.T])  # (2K, M)
     out, cache = net.forward_with_cache(batch)
     return (out[:k] + 1j * out[k:]).T, cache
 

@@ -17,9 +17,13 @@ iteration the amplitude and phase blocks share G @ W of the refined
 precoder, and each phase profile's phasors exp(j * theta) are computed
 once: the start profile's once per run, each refined profile's once when
 the phase block produces it, for the next precoder and amplitude blocks.
-Each outer iteration takes the refined point's three loss gradients and
-its rate from one full :func:`wsr_gradients` bundle. Only the hardened
-copy of a coupled-mode state, a different state, is evaluated separately.
+Each outer iteration evaluates the refined point once, from the pieces
+and not through :func:`wsr_gradients`: its effective rows, its field, the
+precoder loss gradient and the rate, and the amplitude and phase loss
+gradients only on epochs that update those networks, reusing the
+precoder's G @ W. Its rows are the next precoder block's, whose amplitudes
+and phases stay fixed. Only the hardened copy of a coupled-mode state, a
+different state, is evaluated separately, from its rows and SINRs.
 Backward passes add into one flat gradient vector per network, and Adam
 updates each network's flat parameter vector in place.
 
@@ -29,7 +33,7 @@ gradient fed to the network input are treated as constants. In coupled
 mode the phase-network loss adds rho * ||theta - theta_proj||^2, where
 theta_proj is the exact per-element projection onto the coupled set. The
 losses are never evaluated: the loop forms their gradients from the
-refined point's bundle, the phase network's as -grad_theta + 2 * rho *
+refined point's field, the phase network's as -grad_theta + 2 * rho *
 (theta - theta_proj) (theta_proj moves with theta, but as the nearest
 coupled point its own derivative drops out). The reported solution
 hardens the best state by projecting its phases and re-evaluating the
@@ -58,19 +62,16 @@ from .constraints import (
     wrap_phase,
 )
 from .errors import ConfigurationError, DegenerateInputError, require_int
-from .gradients import (
-    precoder_pullback,
-    received_field,
-    surface_pullback,
-    wsr_gradients,
-)
+from .gradients import precoder_pullback, received_field, surface_pullback
 from .model import (
     TWO_PI,
     BeamformingState,
     ChannelSet,
     SystemConfig,
     check_dimensions,
-    evaluate_wsr,
+    effective_rows,
+    received_sinrs,
+    wsr,
 )
 from .networks import (
     Mlp,
@@ -188,19 +189,18 @@ def _make_state(W: np.ndarray, beta: np.ndarray, theta: np.ndarray) -> Beamformi
 def _precoder_block(
     pn: Mlp,
     W0: np.ndarray,
-    beta: np.ndarray,
-    phasor: np.ndarray,
+    rows: np.ndarray,
     cfg: SystemConfig,
-    ch: ChannelSet,
     n_inner: int,
 ):
-    """Refine the precoder from W0 at fixed amplitudes and phasors
-    exp(j * theta); returns it and the tape of its backward pass. The other
-    blocks take the same shared terms and return the same way."""
+    """Refine the precoder from W0 at fixed surface coefficients, given by
+    their effective rows; returns it and the tape of its backward pass.
+    The other blocks take the shared G @ W and phasors exp(j * theta) and
+    return the same way."""
     W = W0
     tape = []
     for _ in range(n_inner):
-        grad = precoder_pullback(received_field(cfg, ch, W, beta, phasor))
+        grad = precoder_pullback(received_field(cfg, rows, W))
         delta, cache = pn_forward_with_cache(pn, grad)
         w_raw = W + delta
         sq = np.vdot(w_raw, w_raw).real
@@ -224,7 +224,7 @@ def _precoder_block_backward(pn: Mlp, tape, grad_w_out: np.ndarray,
         # d loss = 2 Re<g, dW_out>, W_out = scale(w_raw) * w_raw
         q = np.vdot(g, w_raw).real
         g_raw = scale * g - (scale * q / sq) * w_raw
-        grad_batch = np.vstack([2.0 * g_raw.real.T, 2.0 * g_raw.imag.T])
+        grad_batch = np.concatenate([2.0 * g_raw.real.T, 2.0 * g_raw.imag.T])
         acc = mlp_backward(pn, cache, grad_batch, acc)
         g = g_raw
     return acc
@@ -245,7 +245,7 @@ def _amplitude_block(
     n = beta0.size // 2
     tape = []
     for _ in range(n_inner):
-        field = received_field(cfg, ch, W, beta, phasor)
+        field = received_field(cfg, effective_rows(cfg, ch, beta * phasor), W)
         grad = 2.0 * surface_pullback(cfg, ch, field, precoded, phasor).real
         delta, cache = an.forward_with_cache(grad)
         raw = beta + delta
@@ -291,7 +291,7 @@ def _phase_block(
     theta, phasor = theta0, phasor0
     tape = []
     for _ in range(n_inner):
-        field = received_field(cfg, ch, W, beta, phasor)
+        field = received_field(cfg, effective_rows(cfg, ch, beta * phasor), W)
         bracket = surface_pullback(cfg, ch, field, precoded, phasor)
         raw, cache = tn.forward_with_cache(-2.0 * beta * bracket.imag)
         sig = sigmoid(raw)
@@ -367,8 +367,10 @@ def run_meta_loop(
     W0, beta0, theta0 = start.W, start.beta, start.theta
     phasor0 = np.exp(1j * theta0)
 
-    # Most recent refined values, carried across outer iterations/epochs.
+    # Most recent refined values, carried across outer iterations/epochs,
+    # and the effective rows of (beta_star, phasor_star).
     W_star, beta_star, theta_star, phasor_star = W0, beta0, theta0, phasor0
+    rows = effective_rows(sys_cfg, ch, beta0 * phasor0)
 
     # The state to report so far, ((locked, r_proj), r_cur, residual, W,
     # beta, theta_hard), ranked on its first entry; in independent mode
@@ -403,52 +405,61 @@ def run_meta_loop(
         for outer in range(1, train.n_outer + 1):
             try:
                 W_star, tape_w = _precoder_block(
-                    pn, W0, beta_star, phasor_star, sys_cfg, ch, train.n_inner
+                    pn, W0, rows, sys_cfg, train.n_inner
                 )
                 if enable_an or enable_tn:
                     precoded = ch.G @ W_star
-                if enable_an:
-                    beta_star, tape_a = _amplitude_block(
-                        an, beta0, W_star, precoded, phasor_star, sys_cfg, ch,
-                        train.n_inner,
-                    )
-                if enable_tn:
-                    theta_star, phasor_star, tape_t = _phase_block(
-                        tn, theta0, phasor0, W_star, precoded, beta_star,
-                        sys_cfg, ch, train.n_inner,
-                    )
+                    if enable_an:
+                        beta_star, tape_a = _amplitude_block(
+                            an, beta0, W_star, precoded, phasor_star, sys_cfg,
+                            ch, train.n_inner,
+                        )
+                    if enable_tn:
+                        theta_star, phasor_star, tape_t = _phase_block(
+                            tn, theta0, phasor0, W_star, precoded, beta_star,
+                            sys_cfg, ch, train.n_inner,
+                        )
+                    rows = effective_rows(sys_cfg, ch, beta_star * phasor_star)
 
-                final = _make_state(W_star, beta_star, theta_star)
-                bundle = wsr_gradients(sys_cfg, ch, final)
-                r_cur = bundle.rate
-                residual = float(
-                    np.max(coupling_residual(final.theta_t, final.theta_r))
-                )
+                # The refined point, evaluated once; its rows serve the next
+                # precoder block.
+                field = received_field(sys_cfg, rows, W_star)
+                r_cur = wsr(sys_cfg, field.gammas)
+                theta_t, theta_r = theta_star[:n], theta_star[n:]
+                residual = float(coupling_residual(theta_t, theta_r).max())
 
                 r_proj = r_cur
                 theta_hard = theta_star
                 dev_sq = 0.0
                 if coupled:
-                    aux = project_coupled_phases(final.theta_t, final.theta_r)
+                    aux = project_coupled_phases(theta_t, theta_r)
                     proj = np.concatenate([aux.theta_t_aux, aux.theta_r_aux])
                     dev = theta_star - proj
                     dev_sq = float(dev @ dev)
                     theta_hard = wrap_phase(proj)
-                    r_proj = evaluate_wsr(
-                        sys_cfg, ch, _make_state(W_star, beta_star, theta_hard)
+                    hard_rows = effective_rows(
+                        sys_cfg, ch, beta_star * np.exp(1j * theta_hard)
+                    )
+                    r_proj = wsr(
+                        sys_cfg, received_sinrs(sys_cfg, hard_rows @ W_star)[0]
                     )
 
                 # Per-network losses all sit at the refined point; each
-                # parameter set sees only its own update chain.
+                # parameter set sees only its own update chain. The loss
+                # gradients are the negated ascent directions.
                 grad_pn = _precoder_block_backward(
-                    pn, tape_w, -bundle.grad_w, grad_pn
+                    pn, tape_w, -precoder_pullback(field), grad_pn
                 )
+                if update_an or update_tn:
+                    bracket = surface_pullback(
+                        sys_cfg, ch, field, precoded, phasor_star
+                    )
                 if update_an:
                     grad_an = _amplitude_block_backward(
-                        an, tape_a, -bundle.grad_beta, grad_an
+                        an, tape_a, -2.0 * bracket.real, grad_an
                     )
                 if update_tn:
-                    g_t = -bundle.grad_theta
+                    g_t = 2.0 * beta_star * bracket.imag
                     if coupled:
                         g_t = g_t + 2.0 * rho * (theta_star - proj)
                     grad_tn = _phase_block_backward(tn, tape_t, g_t, grad_tn)
@@ -479,18 +490,17 @@ def run_meta_loop(
         traces["rho"][idx] = rho
         traces["penalty"][idx] = rho * dev_sq
         traces["power_rel_err"][idx] = (
-            abs(final.transmit_power - sys_cfg.p_max) / sys_cfg.p_max
+            abs(np.vdot(W_star, W_star).real - sys_cfg.p_max) / sys_cfg.p_max
         )
         traces["amp_max_err"][idx] = float(
-            np.max(np.abs(final.beta_t**2 + final.beta_r**2 - 1.0))
+            np.abs(beta_star[:n]**2 + beta_star[n:]**2 - 1.0).max()
         )
         traces["residual_max"][idx] = residual
-        traces["phase_diff"][idx] = wrap_phase(final.theta_t - final.theta_r)
+        traces["phase_diff"][idx] = wrap_phase(theta_t - theta_r)
 
     (_, wsr_opt), wsr_pre, residual_pre, W_best, beta_best, theta_opt = chosen
-    opt_state = _make_state(W_best, beta_best, theta_opt)
     feasible = bool(
-        np.max(coupling_residual(opt_state.theta_t, opt_state.theta_r)) < 1e-9
+        np.max(coupling_residual(theta_opt[:n], theta_opt[n:])) < 1e-9
     )
     return Solution(
         W_opt=W_best,

@@ -2,15 +2,19 @@ import numpy as np
 import pytest
 
 from starbeam import (
+    BeamformingState,
     ConfigurationError,
     TrainConfig,
     conventional_ris_baseline,
     desk_scenario,
+    evaluate_wsr,
     generate_channels,
     pga_oracle,
     random_phase_baseline,
 )
 from starbeam.model import SystemConfig
+
+from conftest import edge_cases, make_edge_instance
 
 
 def setup_instance(seed=0, n_epochs=25, K=2):
@@ -95,3 +99,30 @@ class TestPgaOracle:
         sys_cfg, ch, _ = setup_instance(seed=8)
         with pytest.raises(ConfigurationError):
             pga_oracle(sys_cfg, ch, steps=0)
+
+    @staticmethod
+    def check_accepted_rates(sys_cfg, ch, steps, seed):
+        """A run cut after s steps is the first s steps of a longer one, so
+        each accepted rate on the long trace is a reported rate, which must
+        equal evaluate_wsr at the reported state bit for bit."""
+        full = pga_oracle(sys_cfg, ch, steps=steps, seed=seed)
+        # precondition: most steps accept a candidate
+        assert (np.diff(full.traces["wsr_best"]) > 0).sum() >= steps // 2
+        n = sys_cfg.N
+        for s in range(1, steps + 1):
+            sol = pga_oracle(sys_cfg, ch, steps=s, seed=seed)
+            state = BeamformingState(sol.W_opt, sol.beta_opt[:n], sol.beta_opt[n:],
+                                     sol.theta_opt[:n], sol.theta_opt[n:])
+            assert sol.wsr_opt == evaluate_wsr(sys_cfg, ch, state)
+            assert np.array_equal(sol.traces["wsr_best"],
+                                  full.traces["wsr_best"][:s])
+
+    def test_every_accepted_rate_is_the_state_rate(self):
+        sys_cfg, ch, _ = setup_instance(seed=9)
+        self.check_accepted_rates(sys_cfg, ch, steps=30, seed=9)
+
+    @edge_cases
+    def test_every_accepted_rate_is_the_state_rate_on_edge_cases(
+            self, seed, dims, sides, weights):
+        sys_cfg, ch, _ = make_edge_instance(seed, dims, sides, weights)
+        self.check_accepted_rates(sys_cfg, ch, steps=8, seed=seed)

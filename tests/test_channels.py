@@ -114,6 +114,23 @@ class TestGeneration:
         with pytest.raises(ConfigurationError, match=named):
             ChannelConfig(**fields)
 
+    @pytest.mark.parametrize("field, value", [
+        ("ris_pos", (100.0,)), ("center_t", (1.0,)),
+        ("bs_pos", (0.0, 0.0, 0.0)), ("center_r", ()),
+        ("bs_pos", 0.0), ("ris_pos", "xy"), ("center_t", (100.0, "15")),
+        ("center_r", (True, 15.0)), ("ris_pos", ((100.0, 0.0),)),
+    ])
+    def test_malformed_position_rejected(self, field, value):
+        with pytest.raises(ConfigurationError, match=f"{field} must be two"):
+            ChannelConfig(**{field: value})
+
+    def test_position_of_two_reals_accepted(self):
+        cfg = ChannelConfig(bs_pos=[0, 1], ris_pos=np.array([100.0, 0.0]),
+                            center_t=(np.float64(100.0), -15))
+        sys_cfg, _ = desk_scenario(K=2)
+        ch = generate_channels(sys_cfg, cfg, np.random.default_rng(0))
+        assert np.isfinite(ch.G).all() and np.isfinite(ch.h).all()
+
 
 class TestDefaultScenario:
     def test_dimensions(self):

@@ -146,6 +146,20 @@ class TestRegulator:
         out = regulate(np.array([-1e300, 1e300]))
         assert 0 < out[0] and out[1] < TWO_PI
 
+    def test_sigmoid_bitwise_equals_clipped_expression(self):
+        """sigmoid equals the textbook stable form clipped with np.clip,
+        bit for bit, on signed zeros, infinities, NaN, saturating and
+        ordinary inputs."""
+        x = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 800.0, -800.0,
+                      36.7, -36.7, 745.2, -745.2, 1e-300, -1e-300, 0.3, -2.5])
+        z = np.exp(-np.abs(x))
+        expected = np.clip(
+            np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z)),
+            np.finfo(float).tiny, np.nextafter(1.0, 0.0))
+        out = sigmoid(x)
+        assert out.dtype == expected.dtype and out.shape == expected.shape
+        assert out.tobytes() == expected.tobytes()
+
 
 class TestApplyPhaseDelta:
     def test_wraparound(self):

@@ -296,6 +296,19 @@ class TestCli:
         with pytest.raises(ConfigurationError, match=named):
             _build_configs(args)
 
+    @pytest.mark.parametrize("key, value, field", [
+        ("bs_pos_m", [0.0, 0.0, 0.0], "bs_pos"),
+        ("ris_pos_m", [100.0], "ris_pos"),
+        ("center_t_m", [1.0], "center_t"),
+        ("center_r_m", [], "center_r"),
+    ])
+    def test_malformed_position_in_config_rejected(self, tmp_path, key, value,
+                                                   field):
+        path = self._write_config(tmp_path, {"channel": {key: value}})
+        args = build_parser().parse_args(["run", "--config", path])
+        with pytest.raises(ConfigurationError, match=f"{field} must be two"):
+            _build_configs(args)
+
     @pytest.mark.parametrize("argv, named", [
         (["run", "--scheme", "gml_independent", "--mode", "coupled"],
          "--mode coupled contradicts --scheme gml_independent"),

@@ -22,6 +22,8 @@ from starbeam.constraints import (
     project_coupled_phases,
     wrap_phase,
 )
+from starbeam.gradients import received_field, surface_pullback
+from starbeam.model import effective_rows, wsr
 from starbeam.networks import Mlp
 from starbeam.training import (
     AN_HIDDEN,
@@ -35,6 +37,7 @@ from starbeam.training import (
     _precoder_block,
     _precoder_block_backward,
     initial_state,
+    run_meta_loop,
 )
 
 from conftest import edge_cases, make_edge_instance, make_instance
@@ -110,6 +113,58 @@ def assert_close(analytic, reference):
     assert err < 1e-6 * np.linalg.norm(reference)
 
 
+def record_refined_state(monkeypatch):
+    """Patch the loop's three forward blocks to record their outputs.
+    Returns a function giving the state they last refined, the refined
+    point of the current outer iteration when every block runs."""
+    out = {}
+
+    def spy(name, block):
+        def wrapped(*args):
+            result = block(*args)
+            out[name] = result[0]
+            return result
+        return wrapped
+
+    for name in ("precoder", "amplitude", "phase"):
+        attr = f"_{name}_block"
+        monkeypatch.setattr(training, attr, spy(name, getattr(training, attr)))
+    return lambda: _make_state(out["precoder"], out["amplitude"], out["phase"])
+
+
+def record_fed_gradients(monkeypatch, cfg, ch, train):
+    """Run the loop with every network updated every epoch and one outer
+    iteration. Returns, per epoch, the refined state, rho, the loss
+    gradient the loop passed to each network's backward pass, and the
+    rates the loop took (the raw rate, then in coupled mode the hardened
+    copy's)."""
+    refined = record_refined_state(monkeypatch)
+    fed = []
+
+    def rate_spy(cfg_, gammas):
+        rate = wsr(cfg_, gammas)
+        if not fed or len(fed[-1][3]) == (2 if train.mode == "coupled" else 1):
+            rho = rho_at(train, len(fed) + 1) if train.mode == "coupled" else 0.0
+            fed.append((refined(), rho, {}, []))
+        fed[-1][3].append(rate)
+        return rate
+
+    def spy(name, backward):
+        def wrapped(net, tape, grad_out, *rest):
+            fed[-1][2][name] = grad_out.copy()
+            return backward(net, tape, grad_out, *rest)
+        return wrapped
+
+    monkeypatch.setattr(training, "wsr", rate_spy)
+    for name, block in (("pn", "precoder"), ("an", "amplitude"), ("tn", "phase")):
+        attr = f"_{block}_block_backward"
+        monkeypatch.setattr(training, attr, spy(name, getattr(training, attr)))
+    run_gml(cfg, ch, train)
+    assert len(fed) == train.n_epochs
+    assert all(len(grads) == 3 for _, _, grads, _ in fed)
+    return fed
+
+
 def fed_loss_gradients(monkeypatch, mode, n_epochs=3):
     """Run the loop on a unit-scale instance with every network updated
     every epoch. Returns the config, the channels and, per epoch, the
@@ -117,28 +172,8 @@ def fed_loss_gradients(monkeypatch, mode, n_epochs=3):
     network's backward pass."""
     cfg, ch, _ = make_instance(3, M=4, N=6, K=2)
     train = TrainConfig(n_epochs=n_epochs, mode=mode, n1=1, n2=1, seed=2)
-    last_state, fed = [], []
-
-    def bundle_spy(cfg_, ch_, state):
-        last_state[:] = [state]
-        return wsr_gradients(cfg_, ch_, state)
-
-    def spy(name, backward):
-        def wrapped(net, tape, grad_out, *rest):
-            if name == "pn":  # the first backward pass of each epoch
-                rho = rho_at(train, len(fed) + 1) if mode == "coupled" else 0.0
-                fed.append((last_state[0], rho, {}))
-            fed[-1][2][name] = grad_out.copy()
-            return backward(net, tape, grad_out, *rest)
-        return wrapped
-
-    monkeypatch.setattr(training, "wsr_gradients", bundle_spy)
-    for name, block in (("pn", "precoder"), ("an", "amplitude"), ("tn", "phase")):
-        attr = f"_{block}_block_backward"
-        monkeypatch.setattr(training, attr, spy(name, getattr(training, attr)))
-    run_gml(cfg, ch, train)
-    assert len(fed) == n_epochs
-    return cfg, ch, fed
+    fed = record_fed_gradients(monkeypatch, cfg, ch, train)
+    return cfg, ch, [(state, rho, grads) for state, rho, grads, _ in fed]
 
 
 class TestLosses:
@@ -183,22 +218,25 @@ def shared_terms(ch, state):
     return ch.G @ state.W, np.exp(1j * state.theta)
 
 
+def state_rows(cfg, ch, state):
+    """The effective rows the loop passes its precoder block."""
+    return effective_rows(cfg, ch, state.beta * np.exp(1j * state.theta))
+
+
 class TestInnerUpdates:
     """The inner blocks of the loop, one refinement of one group each."""
 
     def test_zero_pn_leaves_state(self, instance):
         cfg, ch, state = instance
-        _, phasor = shared_terms(ch, state)
-        W, _ = _precoder_block(zero_nets(cfg).pn, state.W, state.beta,
-                               phasor, cfg, ch, 1)
+        W, _ = _precoder_block(zero_nets(cfg).pn, state.W,
+                               state_rows(cfg, ch, state), cfg, 1)
         assert np.allclose(W, state.W, rtol=1e-14)
 
     def test_precoder_power_restored(self, instance):
         cfg, ch, state = instance
         nets = init_networks(cfg, np.random.default_rng(0))
-        _, phasor = shared_terms(ch, state)
-        W, _ = _precoder_block(nets.pn, state.W, state.beta, phasor,
-                               cfg, ch, 3)
+        W, _ = _precoder_block(nets.pn, state.W, state_rows(cfg, ch, state),
+                               cfg, 3)
         assert np.vdot(W, W).real == pytest.approx(cfg.p_max, rel=1e-9)
 
     def test_zero_an_leaves_amplitudes(self, instance):
@@ -266,8 +304,9 @@ class TestLeanBlocks:
         def bundle(W, beta, theta):
             return wsr_gradients(cfg, ch, _make_state(W, beta, theta))
 
-        W1, _ = _precoder_block(pn, W0, beta0, phasor, cfg, ch, 1)
-        _precoder_block(pn, W0, beta0, phasor, cfg, ch, 2)
+        rows = state_rows(cfg, ch, state)
+        W1, _ = _precoder_block(pn, W0, rows, cfg, 1)
+        _precoder_block(pn, W0, rows, cfg, 2)
         for x, W in zip(pn.inputs[1:], (W0, W1)):
             g = bundle(W, beta0, theta0).grad_w
             assert_bitwise(x, np.vstack([g.real.T, g.imag.T]))
@@ -285,6 +324,108 @@ class TestLeanBlocks:
             assert_bitwise(x, bundle(W0, beta0, theta).grad_theta)
 
 
+class TestRefinedPoint:
+    """The loop evaluates each refined state once, from the pieces of the
+    gradient kernel, and its rows serve the next precoder block; what it
+    feeds the networks is bitwise what the full bundle gives."""
+
+    @edge_cases
+    @pytest.mark.parametrize("mode", ["independent", "coupled"])
+    def test_loss_gradients_and_rate_equal_full_bundle(
+            self, monkeypatch, mode, seed, dims, sides, weights):
+        cfg, ch, _ = make_edge_instance(seed, dims, sides, weights)
+        train = TrainConfig(n_epochs=3, mode=mode, n1=1, n2=1, seed=seed)
+        for state, rho, grads, rates in record_fed_gradients(
+                monkeypatch, cfg, ch, train):
+            bundle = wsr_gradients(cfg, ch, state)
+            g_t = -bundle.grad_theta
+            expected_rates = [bundle.rate]
+            if mode == "coupled":
+                aux = project_coupled_phases(state.theta_t, state.theta_r)
+                proj = np.concatenate([aux.theta_t_aux, aux.theta_r_aux])
+                g_t = g_t + 2.0 * rho * (state.theta - proj)
+                hard = _make_state(state.W, state.beta, wrap_phase(proj))
+                expected_rates.append(evaluate_wsr(cfg, ch, hard))
+            assert_bitwise(grads["pn"], -bundle.grad_w)
+            assert_bitwise(grads["an"], -bundle.grad_beta)
+            assert_bitwise(grads["tn"], g_t)
+            assert rates == expected_rates
+
+    @pytest.mark.parametrize("enable_an, enable_tn", [
+        (True, True), (False, True), (True, False), (False, False)])
+    def test_surface_bracket_only_on_update_epochs(
+            self, monkeypatch, enable_an, enable_tn):
+        """Besides the n_inner brackets of each running surface block, an
+        epoch takes one at the refined point exactly when it updates the
+        amplitude or phase network."""
+        cfg, ch, _ = make_instance(3, M=4, N=6, K=2)
+        train = TrainConfig(n_epochs=7, n_inner=2, n1=2, n2=3, seed=1)
+        per_epoch = []
+        precoder = training._precoder_block
+
+        def precoder_spy(*args):
+            per_epoch.append(0)  # n_outer is 1: one precoder block per epoch
+            return precoder(*args)
+
+        def bracket_spy(*args):
+            per_epoch[-1] += 1
+            return surface_pullback(*args)
+
+        monkeypatch.setattr(training, "_precoder_block", precoder_spy)
+        monkeypatch.setattr(training, "surface_pullback", bracket_spy)
+        run_meta_loop(cfg, ch, train, enable_an=enable_an, enable_tn=enable_tn)
+        assert len(per_epoch) == train.n_epochs
+        blocks = train.n_inner * (enable_an + enable_tn)
+        for epoch, count in enumerate(per_epoch, 1):
+            update = ((enable_an and epoch % train.n1 == 0)
+                      or (enable_tn and epoch % train.n2 == 0))
+            assert count == blocks + update
+
+    @pytest.mark.parametrize("enable_an, enable_tn", [
+        (True, True), (False, True), (False, False)])
+    def test_precoder_block_reuses_refined_rows(
+            self, monkeypatch, enable_an, enable_tn):
+        """With n_inner = 3 and two outer iterations, each precoder block
+        gives what it gives at rows recomputed from the amplitudes and
+        phasors it runs at."""
+        cfg, ch, _ = make_instance(7, M=4, N=6, K=2)
+        train = TrainConfig(n_epochs=3, n_outer=2, n_inner=3, n1=1, n2=1,
+                            seed=1)
+        rng = np.random.default_rng(train.seed)
+        init_networks(cfg, rng)  # consumed as the loop consumes it
+        start = initial_state(cfg, rng)
+        surface = {"beta": start.beta, "phasor": np.exp(1j * start.theta)}
+        blocks = {name: getattr(training, f"_{name}_block")
+                  for name in ("precoder", "amplitude", "phase")}
+        outputs = []
+
+        def precoder_spy(pn, W0, rows, cfg_, n_inner):
+            result = blocks["precoder"](pn, W0, rows, cfg_, n_inner)
+            fresh = effective_rows(cfg, ch, surface["beta"] * surface["phasor"])
+            W_fresh, _ = blocks["precoder"](pn, W0, fresh, cfg_, n_inner)
+            assert n_inner == 3
+            assert_bitwise(rows, fresh)
+            assert_bitwise(result[0], W_fresh)
+            outputs.append(result[0])
+            return result
+
+        def amplitude_spy(*args):
+            result = blocks["amplitude"](*args)
+            surface["beta"] = result[0]
+            return result
+
+        def phase_spy(*args):
+            result = blocks["phase"](*args)
+            surface["phasor"] = result[1]
+            return result
+
+        monkeypatch.setattr(training, "_precoder_block", precoder_spy)
+        monkeypatch.setattr(training, "_amplitude_block", amplitude_spy)
+        monkeypatch.setattr(training, "_phase_block", phase_spy)
+        run_meta_loop(cfg, ch, train, enable_an=enable_an, enable_tn=enable_tn)
+        assert len(outputs) == train.n_epochs * train.n_outer
+
+
 class TestMetaGradients:
     """Each network's parameter gradient (through its own update chain,
     inputs and other groups held fixed) must match finite differences."""
@@ -295,11 +436,11 @@ class TestMetaGradients:
         self.nets = init_networks(self.cfg, rng)
         self.start = initial_state(self.cfg, rng)
         self.phasor0 = np.exp(1j * self.start.theta)
+        self.rows0 = state_rows(self.cfg, self.ch, self.start)
 
     def _forward(self):
         s, phasor0 = self.start, self.phasor0
-        W, tw = _precoder_block(self.nets.pn, s.W, s.beta, phasor0,
-                                self.cfg, self.ch, 1)
+        W, tw = _precoder_block(self.nets.pn, s.W, self.rows0, self.cfg, 1)
         precoded = self.ch.G @ W
         beta, ta = _amplitude_block(self.nets.an, s.beta, W, precoded, phasor0,
                                     self.cfg, self.ch, 1)
@@ -334,7 +475,7 @@ class TestMetaGradients:
         s, phasor0, precoded = self.start, self.phasor0, ch.G @ W
 
         def loss_pn(pn):
-            w2, _ = _precoder_block(pn, s.W, s.beta, phasor0, cfg, ch, 1)
+            w2, _ = _precoder_block(pn, s.W, self.rows0, cfg, 1)
             return -evaluate_wsr(cfg, ch, _make_state(w2, beta, theta))
 
         def loss_an(an):
@@ -401,34 +542,41 @@ class TestRunGml:
     def spied_coupled_run(self, monkeypatch, **kwargs):
         """Coupled run with the loop's rates recorded. Returns the solution
         and, per refined state in loop order (every outer iteration of every
-        epoch), (raw rate, raw residual, post-projection rate). The raw rate
-        is the one the loop takes from the refined state's gradient bundle,
-        the last bundle before each evaluation of a hardened copy."""
+        epoch), (raw rate, raw residual, post-projection rate, the bytes of
+        the hardened phases). The loop takes two rates per refined state:
+        the raw one at the refined point, then the one of its hardened copy,
+        whose phases are the wrapped projection the loop computes."""
         sys_cfg, ch, train = self.small_setup(mode="coupled", **kwargs)
-        calls = []
-        last_bundle = []
+        refined = record_refined_state(monkeypatch)
+        calls, projections = [], []
 
-        def bundle_spy(cfg, chans, state):
-            bundle = wsr_gradients(cfg, chans, state)
-            last_bundle[:] = [(state, bundle.rate)]
-            return bundle
-
-        def spy(cfg, chans, state):
-            rate = evaluate_wsr(cfg, chans, state)
-            calls.extend(last_bundle + [(state, rate)])
+        def rate_spy(cfg, gammas):
+            rate = wsr(cfg, gammas)
+            calls.append((refined(), rate))
             return rate
 
-        monkeypatch.setattr(training, "wsr_gradients", bundle_spy)
-        monkeypatch.setattr(training, "evaluate_wsr", spy)
+        def projection_spy(theta_t, theta_r):
+            aux = project_coupled_phases(theta_t, theta_r)
+            projections.append(
+                wrap_phase(np.concatenate([aux.theta_t_aux, aux.theta_r_aux])))
+            return aux
+
+        monkeypatch.setattr(training, "wsr", rate_spy)
+        monkeypatch.setattr(training, "project_coupled_phases", projection_spy)
         sol = run_gml(sys_cfg, ch, train)
         assert len(calls) == 2 * train.n_epochs * train.n_outer
+        assert len(projections) == train.n_epochs * train.n_outer
         states = []
-        for (raw, r_cur), (hard, r_proj) in zip(calls[::2], calls[1::2]):
+        for (raw, r_cur), (same, r_proj), theta_hard in zip(
+                calls[::2], calls[1::2], projections):
             # each refined state is followed by its hardened copy
+            hard = _make_state(same.W, same.beta, theta_hard)
             assert r_cur == evaluate_wsr(sys_cfg, ch, raw)
+            assert r_proj == evaluate_wsr(sys_cfg, ch, hard)
             assert np.array_equal(hard.W, raw.W)
             assert max_residual(hard) < 1e-9 <= max_residual(raw)
-            states.append((r_cur, max_residual(raw), r_proj))
+            states.append((r_cur, max_residual(raw), r_proj,
+                           hard.theta.tobytes()))
         return sol, states
 
     @staticmethod
@@ -441,7 +589,8 @@ class TestRunGml:
     def check_reported(self, sol, states):
         """The solution and the post-projection trace follow the rule, and
         the reported rates and residual describe the one picked state."""
-        r_cur, residual, r_proj = self.expected_pick(states)
+        r_cur, residual, r_proj, theta_hard = self.expected_pick(states)
+        assert sol.theta_opt.tobytes() == theta_hard
         assert sol.wsr_opt == r_proj
         assert sol.wsr_pre_projection == r_cur
         assert sol.residual_pre_projection == residual
@@ -483,19 +632,28 @@ class TestRunGml:
     @pytest.mark.parametrize("mode", ["independent", "coupled"])
     def test_one_full_bundle_per_outer_iteration(self, monkeypatch, mode):
         """The inner blocks compute only the gradients they feed their
-        networks; the refined point of each outer iteration takes the one
-        full bundle."""
+        networks; the refined point of each outer iteration takes one
+        received field, after the n_inner fields of each block, at the
+        refined state."""
         sys_cfg, ch, train = self.small_setup(mode=mode, n_epochs=6, n_outer=2)
-        states = []
+        refined = record_refined_state(monkeypatch)
+        per_outer = 3 * train.n_inner + 1
+        calls, states = [], []
 
-        def bundle_spy(cfg, chans, state):
-            states.append(state)
-            return wsr_gradients(cfg, chans, state)
+        def field_spy(cfg, rows, W):
+            calls.append(None)
+            if len(calls) % per_outer == 0:  # the refined point's field
+                state = refined()
+                assert_bitwise(rows, state_rows(cfg, ch, state))
+                assert_bitwise(W, state.W)
+                states.append(state)
+            return received_field(cfg, rows, W)
 
-        monkeypatch.setattr(training, "wsr_gradients", bundle_spy)
+        monkeypatch.setattr(training, "received_field", field_spy)
         sol = run_gml(sys_cfg, ch, train)
+        assert len(calls) == train.n_epochs * train.n_outer * per_outer
         assert len(states) == train.n_epochs * train.n_outer
-        # the last bundle is at the last refined state, which the trace shows
+        # the last field is at the last refined state, which the trace shows
         last = states[-1]
         assert np.array_equal(sol.traces["phase_diff"][-1],
                               wrap_phase(last.theta_t - last.theta_r))
