@@ -51,6 +51,7 @@ from .experiments import (
 from .gradients import (
     GradientBundle,
     finite_diff_gradient,
+    wsr_finite_diff,
     wsr_gradients,
 )
 from .model import (

@@ -11,7 +11,7 @@ from .constraints import (
     normalize_power,
     wrap_phase,
 )
-from .errors import ConfigurationError
+from .errors import ConfigurationError, require_int
 from .gradients import precoder_pullback, received_field, surface_pullback
 from .model import ChannelSet, SystemConfig, check_dimensions, effective_rows, wsr
 from .training import (
@@ -72,8 +72,8 @@ def pga_oracle(
     accepted candidate's field and phasors give the next step's gradients
     without re-evaluating it.
     """
-    if steps < 1:
-        raise ConfigurationError("steps must be >= 1")
+    require_int("steps", steps)
+    require_int("seed", seed, 0)
     check_dimensions(sys_cfg, ch)
     rng = np.random.default_rng(seed)
     start = initial_state(sys_cfg, rng)

@@ -47,18 +47,19 @@ class ChannelConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        # written so that NaN fails every check
+        for name in ("rician_k_g", "rician_k_h", "user_area_radius",
+                     "pathloss_a", "pathloss_b"):
+            if not _is_real(getattr(self, name)):
+                raise ConfigurationError(
+                    f"{name} must be a finite real; got {getattr(self, name)!r}")
         for name in ("rician_k_g", "rician_k_h", "user_area_radius"):
-            if not 0 <= getattr(self, name) < np.inf:
-                raise ConfigurationError(f"{name} must be >= 0 and finite")
+            if getattr(self, name) < 0:
+                raise ConfigurationError(f"{name} must be >= 0")
         for name in ("bs_pos", "ris_pos", "center_t", "center_r"):
             if not _is_position(getattr(self, name)):
                 raise ConfigurationError(
                     f"{name} must be two finite reals (x, y); "
                     f"got {getattr(self, name)!r}")
-        for name in ("pathloss_a", "pathloss_b"):
-            if not np.isfinite(getattr(self, name)).all():
-                raise ConfigurationError(f"{name} must be finite")
         require_int("seed", self.seed, 0)
         if _distance(self.bs_pos, self.ris_pos) == 0:
             raise ConfigurationError("bs_pos must differ from ris_pos")
@@ -69,15 +70,19 @@ class ChannelConfig:
                     f"{self.user_area_radius} contains ris_pos")
 
 
+def _is_real(value) -> bool:
+    """A finite real number; a bool is not one."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
 def _is_position(value) -> bool:
-    """Two finite reals; a bool is not one."""
+    """Two finite reals."""
     try:
         coords = tuple(value)
     except TypeError:
         return False
-    return len(coords) == 2 and all(
-        isinstance(c, numbers.Real) and not isinstance(c, bool)
-        and math.isfinite(c) for c in coords)
+    return len(coords) == 2 and all(_is_real(c) for c in coords)
 
 
 def _distance(a, b) -> float:

@@ -56,7 +56,7 @@ import numpy as np
 
 from .channels import ChannelConfig, generate_channels, save_channels
 from .constraints import COUPLING_TOL
-from .errors import ConfigurationError, is_int
+from .errors import ConfigurationError, is_int, require_int
 from .experiments import (
     GRAD_CHECK_INSTANCES,
     GRAD_CHECK_SEED_BASE,
@@ -244,10 +244,10 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_grad_check(args) -> int:
+    seed = 0 if args.seed is None else args.seed
+    require_int("seed", seed, 0)
     report = grad_check_command(
-        n_instances=args.instances,
-        seed_base=GRAD_CHECK_SEED_BASE + (args.seed or 0),
-    )
+        n_instances=args.instances, seed_base=GRAD_CHECK_SEED_BASE + seed)
     return 0 if report.passed else 1
 
 

@@ -27,8 +27,8 @@ from .baselines import conventional_ris_baseline, pga_oracle, random_phase_basel
 from .channels import ChannelConfig, desk_scenario, default_scenario, generate_channels
 from .constraints import normalize_amplitudes, normalize_power
 from .errors import ConfigurationError, is_int, require_int
-from .gradients import GradientBundle, finite_diff_gradient, wsr_gradients
-from .model import BeamformingState, ChannelSet, SystemConfig, evaluate_wsr
+from .gradients import GradientBundle, wsr_finite_diff, wsr_gradients
+from .model import BeamformingState, ChannelSet, SystemConfig
 from .training import (
     MODE_COUPLED,
     MODE_INDEPENDENT,
@@ -481,9 +481,7 @@ def grad_check_command(
     for i in range(n_instances):
         cfg, ch, state = random_gradient_instance(seed_base + i)
         analytic = wsr_gradients(cfg, ch, state)
-        fd = finite_diff_gradient(
-            lambda st: evaluate_wsr(cfg, ch, st), state, step=GRAD_CHECK_STEP
-        )
+        fd = wsr_finite_diff(cfg, ch, state, GRAD_CHECK_STEP)
         rel, ab = gradient_errors(analytic, fd)
         worst_rel = max(worst_rel, rel)
         worst_abs = max(worst_abs, ab)

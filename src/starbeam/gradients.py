@@ -1,5 +1,5 @@
-"""Closed-form ascent gradients of the weighted sum-rate, plus an
-independent central-difference oracle.
+"""Closed-form ascent gradients of the weighted sum-rate, plus
+central-difference references to check them against.
 
 The gradients come in three pieces. :func:`received_field` is the shared
 stage: from the effective rows of :func:`model.effective_rows` and the
@@ -25,6 +25,12 @@ Callers take the pieces they need, each once per state:
 :func:`wsr_gradients` composes all of them into a :class:`GradientBundle`
 at a :class:`model.BeamformingState`, for the finite-difference
 cross-check and the tests; its values are bitwise those of the pieces.
+
+``starbeam grad-check`` takes the central differences of
+:func:`wsr_finite_diff`, which rates all 2P+1 probes of a state in one
+batched pass through the model kernels. :func:`finite_diff_gradient` is the
+per-state oracle, one state and one objective call per probe; on
+:func:`model.evaluate_wsr` it gives bitwise the same bundle.
 
 Convention for the complex precoder gradient: grad_w is the conjugate
 (Wirtinger) ascent direction, i.e. for every perturbation matrix D
@@ -158,15 +164,45 @@ def state_to_vector(state: BeamformingState) -> np.ndarray:
     )
 
 
+def _unpack(x: np.ndarray, M: int, N: int, K: int):
+    """(W, beta, theta) of real coordinate vectors x, (..., P) with the
+    layout of :func:`state_to_vector`; leading axes carry through."""
+    mk = M * K
+    W = (x[..., :mk] + 1j * x[..., mk : 2 * mk]).reshape(*x.shape[:-1], M, K)
+    return W, x[..., 2 * mk : 2 * mk + 2 * N], x[..., 2 * mk + 2 * N :]
+
+
 def state_from_vector(vec: np.ndarray, M: int, N: int, K: int) -> BeamformingState:
     """Inverse of :func:`state_to_vector`."""
-    mk = M * K
-    w_re = vec[:mk].reshape(M, K)
-    w_im = vec[mk : 2 * mk].reshape(M, K)
-    s = vec[2 * mk :]
-    return BeamformingState(
-        w_re + 1j * w_im, s[:N], s[N : 2 * N], s[2 * N : 3 * N], s[3 * N :]
-    )
+    W, beta, theta = _unpack(vec, M, N, K)
+    return BeamformingState(W, beta[:N], beta[N:], theta[:N], theta[N:])
+
+
+def _probes(state: BeamformingState, step: float) -> np.ndarray:
+    """The (2P+1, P) probes of the state's P real coordinates x0: row i is
+    x0 + step * e_i, row P + i is x0 - step * e_i and the last row x0. Only
+    the perturbed entries are written, so a -0.0 elsewhere keeps its sign."""
+    if not step > 0:
+        raise ValueError("step must be positive")
+    x0 = state_to_vector(state)
+    p = x0.size
+    X = np.tile(x0, (2 * p + 1, 1))
+    i = np.arange(p)
+    X[i, i] += step
+    X[p + i, i] -= step
+    return X
+
+
+def _difference_bundle(
+    rates: np.ndarray, step: float, M: int, N: int, K: int
+) -> GradientBundle:
+    """The central differences of the rates of :func:`_probes`, with the
+    precoder block as 0.5 * (d/dRe + j * d/dIm), comparable with the analytic
+    conjugate gradient, and the rate at the state itself."""
+    p = rates.size // 2
+    grad = (rates[:p] - rates[p : 2 * p]) / (2.0 * step)
+    grad_w, grad_beta, grad_theta = _unpack(grad, M, N, K)
+    return GradientBundle(0.5 * grad_w, grad_beta, grad_theta, float(rates[-1]))
 
 
 def finite_diff_gradient(
@@ -174,29 +210,25 @@ def finite_diff_gradient(
     state: BeamformingState,
     step: float = 1e-6,
 ) -> GradientBundle:
-    """Central differences over every real coordinate of the state.
-
-    The precoder block is reassembled as 0.5 * (d/dRe + j * d/dIm) so it is
-    directly comparable with the analytic conjugate gradient; the bundle's
-    rate is the objective at the state itself.
-    """
-    if not step > 0:
-        raise ValueError("step must be positive")
+    """Central differences of any objective over every real coordinate of
+    the state, one state and one objective call per probe: the per-state
+    oracle that :func:`wsr_finite_diff` is checked against."""
+    X = _probes(state, step)
     M, K = state.W.shape
     N = state.beta_t.shape[0]
-    x0 = state_to_vector(state)
-    grad = np.empty_like(x0)
-    for i in range(x0.size):
-        xp = x0.copy()
-        xp[i] += step
-        xm = x0.copy()
-        xm[i] -= step
-        grad[i] = (
-            objective(state_from_vector(xp, M, N, K))
-            - objective(state_from_vector(xm, M, N, K))
-        ) / (2.0 * step)
-    mk = M * K
-    grad_w = 0.5 * (grad[:mk] + 1j * grad[mk : 2 * mk]).reshape(M, K)
-    grad_beta = grad[2 * mk : 2 * mk + 2 * N]
-    grad_theta = grad[2 * mk + 2 * N :]
-    return GradientBundle(grad_w, grad_beta, grad_theta, objective(state))
+    rates = np.array([objective(state_from_vector(x, M, N, K)) for x in X])
+    return _difference_bundle(rates, step, M, N, K)
+
+
+def wsr_finite_diff(
+    cfg: SystemConfig, ch: ChannelSet, state: BeamformingState, step: float
+) -> GradientBundle:
+    """:func:`finite_diff_gradient` of :func:`model.evaluate_wsr`, bitwise,
+    with the rates of all probes from one batched pass through the model
+    kernels instead of one state per probe."""
+    check_dimensions(cfg, ch, state)
+    X = _probes(state, step)
+    W, beta, theta = _unpack(X, cfg.M, cfg.N, cfg.K)
+    rows = effective_rows(cfg, ch, beta * np.exp(1j * theta))
+    rates = wsr(cfg, received_sinrs(cfg, rows @ W)[0])
+    return _difference_bundle(rates, step, cfg.M, cfg.N, cfg.K)

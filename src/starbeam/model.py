@@ -218,19 +218,21 @@ def star_coefficient_vectors(state: BeamformingState) -> tuple[np.ndarray, np.nd
 
 
 def effective_rows(cfg: SystemConfig, ch: ChannelSet, coef: np.ndarray) -> np.ndarray:
-    """(K, M) matrix of effective downlink rows from the per-side form: row
-    k is (conj(h_k) * c) @ G, where c is the row of user k's side picked
-    from coef = (c_t, c_r), the 2N complex surface coefficients. Row k maps
-    precoder column w_j to the amplitude user k receives from it."""
-    return (ch.h_conj * coef.reshape(2, -1)[cfg.side_index]) @ ch.G
+    """(..., K, M) effective downlink rows from the per-side form: row k is
+    (conj(h_k) * c) @ G, where c is the row of user k's side picked from
+    coef = (c_t, c_r), the (..., 2N) complex surface coefficients, leading
+    axes a batch. Row k maps precoder column w_j to what user k receives."""
+    sides = coef.reshape(*coef.shape[:-1], 2, -1)[..., cfg.side_index, :]
+    return (ch.h_conj * sides) @ ch.G
 
 
 def received_sinrs(cfg: SystemConfig, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(SINRs, their denominators) from the (K, K) received amplitudes,
-    U[k, j] being what user k receives from precoder column j."""
+    """(SINRs, their denominators), each (..., K), from the (..., K, K)
+    received amplitudes, U[..., k, j] being what user k receives from
+    precoder column j. Leading axes are a batch of states."""
     power = np.abs(U) ** 2
-    signal = power.diagonal()
-    denom = power.sum(axis=1) - signal + cfg.noise_power
+    signal = power.diagonal(axis1=-2, axis2=-1)
+    denom = power.sum(axis=-1) - signal + cfg.noise_power
     return signal / denom, denom
 
 
@@ -279,14 +281,16 @@ def all_sinrs(cfg: SystemConfig, ch: ChannelSet, state: BeamformingState) -> np.
     return received_sinrs(cfg, rows @ state.W)[0]
 
 
-def wsr(cfg: SystemConfig, gammas: np.ndarray) -> float:
-    """Weighted sum-rate sum_k weights[k] * log2(1 + gammas[k])."""
+def wsr(cfg: SystemConfig, gammas: np.ndarray) -> float | np.ndarray:
+    """Weighted sum-rate sum_k weights[k] * log2(1 + gammas[..., k]): a
+    float for one (K,) vector, a (...,) array for a batch of them."""
     g = np.asarray(gammas, dtype=float)
-    if g.shape != (cfg.K,):
-        raise ConfigurationError(f"gammas must have shape ({cfg.K},)")
+    if g.shape[-1:] != (cfg.K,):
+        raise ConfigurationError(f"gammas must have shape (..., {cfg.K})")
     if (g < 0).any():
         raise ValueError("SINR values must be non-negative")
-    return float((cfg.weights * np.log2(1.0 + g)).sum())
+    rates = (cfg.weights * np.log2(1.0 + g)).sum(axis=-1)
+    return float(rates) if g.ndim == 1 else rates
 
 
 def evaluate_wsr(cfg: SystemConfig, ch: ChannelSet, state: BeamformingState) -> float:

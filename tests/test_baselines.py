@@ -100,6 +100,16 @@ class TestPgaOracle:
         with pytest.raises(ConfigurationError):
             pga_oracle(sys_cfg, ch, steps=0)
 
+    @pytest.mark.parametrize("kwargs, named", [
+        ({"steps": 2.5}, "steps"),
+        ({"steps": True}, "steps"),
+        ({"seed": -1}, "seed"),
+    ])
+    def test_bad_argument_named(self, kwargs, named):
+        sys_cfg, ch, _ = setup_instance(seed=8)
+        with pytest.raises(ConfigurationError, match=f"^{named} must be"):
+            pga_oracle(sys_cfg, ch, **kwargs)
+
     @staticmethod
     def check_accepted_rates(sys_cfg, ch, steps, seed):
         """A run cut after s steps is the first s steps of a longer one, so

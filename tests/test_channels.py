@@ -102,6 +102,13 @@ class TestGeneration:
         with pytest.raises(ConfigurationError, match=field):
             ChannelConfig(**{field: value})
 
+    @pytest.mark.parametrize("field", [
+        "rician_k_g", "rician_k_h", "user_area_radius", "pathloss_a", "pathloss_b",
+    ])
+    def test_bool_number_rejected(self, field):
+        with pytest.raises(ConfigurationError, match=f"^{field} must be a finite real"):
+            ChannelConfig(**{field: True})
+
     @pytest.mark.parametrize("fields, named", [
         ({"seed": -3}, "seed"),
         ({"seed": 1.5}, "seed"),

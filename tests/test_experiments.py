@@ -321,7 +321,8 @@ class TestCli:
         (["grad-check", "--instances", "0"], "n_instances"),
         (["grad-check", "--instances", "-3"], "n_instances"),
         (["run", "--seed", "-1"], "seed"),
-        (["grad-check", "--seed", "-5000"], "seed_base"),
+        (["grad-check", "--seed", "-5000"], "seed must be >= 0"),
+        (["grad-check", "--seed", "-5"], "seed must be >= 0"),
     ])
     def test_flag_value_rejected(self, argv, named):
         with pytest.raises(ConfigurationError, match=named):

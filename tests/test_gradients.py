@@ -6,20 +6,28 @@ import pytest
 from starbeam import (
     BeamformingState,
     ChannelSet,
+    ConfigurationError,
     SystemConfig,
     all_sinrs,
+    default_scenario,
+    desk_scenario,
     evaluate_wsr,
     finite_diff_gradient,
+    generate_channels,
     normalize_power,
     sinr,
     sinr_augmented,
+    wsr_finite_diff,
     wsr_gradients,
 )
 from starbeam.experiments import (
+    GRAD_CHECK_SEED_BASE,
     GRAD_CHECK_STEP,
+    grad_check_command,
     gradient_errors,
     random_gradient_instance,
 )
+from starbeam.training import initial_state
 from starbeam.gradients import state_from_vector, state_to_vector
 from starbeam.model import REFLECTION, TRANSMISSION
 
@@ -245,3 +253,62 @@ class TestOracleSuite:
         rel_good, _ = gradient_errors(analytic, fd)
         rel_bad, _ = gradient_errors(corrupted, fd)
         assert rel_good < 1e-6 < rel_bad
+
+
+class TestBatchedDifferences:
+    """wsr_finite_diff is the per-state oracle on evaluate_wsr, bit for bit,
+    and a gradient the analytic one agrees with."""
+
+    @staticmethod
+    def check(cfg, ch, state, step=GRAD_CHECK_STEP):
+        batched = wsr_finite_diff(cfg, ch, state, step)
+        oracle = finite_diff_gradient(lambda st: evaluate_wsr(cfg, ch, st), state,
+                                      step=step)
+        for name in ("grad_w", "grad_beta", "grad_theta", "rate"):
+            a, b = getattr(batched, name), getattr(oracle, name)
+            assert type(a) is type(b), name
+            assert np.shape(a) == np.shape(b), name
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), name
+        assert batched.rate == evaluate_wsr(cfg, ch, state)
+        analytic = wsr_gradients(cfg, ch, state)
+        for name in ("grad_w", "grad_beta", "grad_theta"):
+            a, f = getattr(analytic, name), getattr(batched, name)
+            assert np.linalg.norm(a - f) <= 1e-6 * np.linalg.norm(f) + 1e-9, name
+
+    def test_grad_check_seeds(self):
+        for i in range(250):
+            self.check(*random_gradient_instance(GRAD_CHECK_SEED_BASE + i))
+
+    @edge_cases
+    def test_edge_cases(self, seed, dims, sides, weights):
+        self.check(*make_edge_instance(seed, dims, sides, weights))
+
+    @pytest.mark.parametrize("scenario", [desk_scenario, default_scenario],
+                             ids=["desk", "paper"])
+    def test_initial_state(self, scenario):
+        cfg, ch_cfg = scenario()
+        ch = generate_channels(cfg, ch_cfg, np.random.default_rng(0))
+        self.check(cfg, ch, initial_state(cfg, np.random.default_rng(1)))
+
+    def test_rejects_bad_step_and_dimensions(self):
+        cfg, ch, state = make_instance(20)
+        with pytest.raises(ValueError, match="step must be positive"):
+            wsr_finite_diff(cfg, ch, state, 0.0)
+        other, _, _ = make_instance(20, M=5)
+        with pytest.raises(ConfigurationError, match="do not match"):
+            wsr_finite_diff(other, ch, state, GRAD_CHECK_STEP)
+
+    def test_grad_check_reports_the_oracle_errors(self):
+        for i in range(20):
+            seed = GRAD_CHECK_SEED_BASE + i
+            cfg, ch, state = random_gradient_instance(seed)
+            oracle = finite_diff_gradient(lambda st: evaluate_wsr(cfg, ch, st), state,
+                                          step=GRAD_CHECK_STEP)
+            rel, small_abs = gradient_errors(wsr_gradients(cfg, ch, state), oracle)
+            report = grad_check_command(1, seed, verbose=False)
+            assert (report.n_instances, report.max_rel_err,
+                    report.max_abs_err_small) == (1, rel, small_abs)
+
+    def test_grad_check_rejects_negative_seed_base(self):
+        with pytest.raises(ConfigurationError, match="seed_base"):
+            grad_check_command(1, -1, verbose=False)

@@ -13,7 +13,13 @@ from starbeam import (
     star_coefficient_vectors,
     wsr,
 )
-from starbeam.model import REFLECTION, TRANSMISSION, default_user_sides
+from starbeam.model import (
+    REFLECTION,
+    TRANSMISSION,
+    default_user_sides,
+    effective_rows,
+    received_sinrs,
+)
 
 from conftest import make_instance
 
@@ -269,3 +275,46 @@ class TestTypes:
         assert state.transmit_power == pytest.approx(
             np.linalg.norm(state.W, "fro") ** 2
         )
+
+
+def _bits(a):
+    a = np.asarray(a)
+    return a.dtype, a.shape, a.tobytes()
+
+
+class TestBatchedKernels:
+    """A (B, ...) stack through each rate kernel equals B single calls bit
+    for bit, as the batched finite differences rely on."""
+
+    @pytest.mark.parametrize("M, N", [(8, 16), (64, 100)], ids=["desk", "paper"])
+    @pytest.mark.parametrize("K", [1, 9])
+    def test_stack_equals_single_calls(self, M, N, K):
+        B = 20
+        cfg, ch, _ = make_instance(60 + K, M=M, N=N, K=K)
+        r = np.random.default_rng(K)
+        coef = r.uniform(0.3, 1.0, (B, 2 * N)) * np.exp(
+            1j * r.uniform(0, 2 * np.pi, (B, 2 * N)))
+        W = r.standard_normal((B, M, K)) + 1j * r.standard_normal((B, M, K))
+        rows = effective_rows(cfg, ch, coef)
+        U = rows @ W
+        gammas, denom = received_sinrs(cfg, U)
+        rates = wsr(cfg, gammas)
+        assert rows.shape == (B, K, M) and gammas.shape == (B, K)
+        assert rates.shape == (B,)
+        for b in range(B):
+            one_rows = effective_rows(cfg, ch, coef[b])
+            assert _bits(rows[b]) == _bits(one_rows)
+            assert _bits(U[b]) == _bits(one_rows @ W[b])
+            one_gammas, one_denom = received_sinrs(cfg, U[b])
+            assert _bits(gammas[b]) == _bits(one_gammas)
+            assert _bits(denom[b]) == _bits(one_denom)
+            one_rate = wsr(cfg, gammas[b])
+            assert isinstance(one_rate, float)
+            assert _bits(rates[b]) == _bits(one_rate)
+
+    def test_batched_wsr_checks_each_vector(self):
+        cfg = SystemConfig(M=2, N=2, K=2, p_max=1.0, noise_power=1.0)
+        with pytest.raises(ConfigurationError):
+            wsr(cfg, np.ones((3, 4)))
+        with pytest.raises(ValueError, match="non-negative"):
+            wsr(cfg, np.array([[1.0, 2.0], [0.5, -1e-3]]))

@@ -4,7 +4,12 @@ two source trees can be shown to give bitwise identical results.
 Each digest covers every field of the ``Solution`` (arrays by dtype, shape
 and bytes, numbers by their float64 bytes) and every trace. The experiment
 cases hash the CSV files that ``run_experiment`` writes, without their
-``seconds`` column, the wall clock.
+``seconds`` column, the wall clock. The grad-check cases hash, for each of
+the instances ``starbeam grad-check`` checks by default, the
+central-difference bundle and the command's one-instance report. The
+bundle is ``wsr_finite_diff``'s, or in a tree without it the per-state
+oracle's, so listing such a tree with this copy of the tool compares the
+batched differences against the oracle.
 
 Digests depend on the BLAS build and the CPU, so they are compared only
 between two runs on one machine, never against stored values. Each tree
@@ -42,7 +47,11 @@ from starbeam import (  # noqa: E402
     default_scenario,
     desk_scenario,
     desk_train,
+    evaluate_wsr,
+    experiments,
+    finite_diff_gradient,
     generate_channels,
+    gradients,
     paper_train,
     pga_oracle,
     random_phase_baseline,
@@ -69,7 +78,8 @@ def _update(h, name: str, value) -> None:
 
 
 def solution_digest(sol) -> str:
-    """sha256 over every field of a Solution and its traces."""
+    """sha256 over every field of a Solution and its traces (or of any
+    other dataclass)."""
     h = hashlib.sha256()
     for f in dataclasses.fields(sol):
         _update(h, f.name, getattr(sol, f.name))
@@ -96,6 +106,17 @@ def _experiment(**fields) -> str:
         if report.failures:
             raise RuntimeError(f"experiment failed: {report.failures}")
         return csv_digest(set(report.csv_paths))
+
+
+def _difference_bundle(seed: int):
+    """The grad-check's central-difference bundle on instance seed."""
+    cfg, ch, state = experiments.random_gradient_instance(seed)
+    step = experiments.GRAD_CHECK_STEP
+    batched = getattr(gradients, "wsr_finite_diff", None)
+    if batched is None:
+        return finite_diff_gradient(lambda st: evaluate_wsr(cfg, ch, st), state,
+                                    step=step)
+    return batched(cfg, ch, state, step)
 
 
 def cases():
@@ -151,6 +172,14 @@ def cases():
             kind="sweep_mn", schemes=("gml_independent", "pga_oracle"),
             grid=((4, 8), (8, 16)), sample_count=2, master_seed=4, n_epochs=40)),
     ]
+    for i in range(experiments.GRAD_CHECK_INSTANCES):
+        seed = experiments.GRAD_CHECK_SEED_BASE + i
+        out += [
+            (f"grad_check/bundle/s{seed}",
+             lambda seed=seed: solution_digest(_difference_bundle(seed))),
+            (f"grad_check/report/s{seed}", lambda seed=seed: solution_digest(
+                experiments.grad_check_command(1, seed, verbose=False))),
+        ]
     return out
 
 
