@@ -9,13 +9,11 @@ circularly-symmetric Gaussian scattering, weighted by the Rician factor.
 from __future__ import annotations
 
 import io
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, require_int
+from .errors import ConfigurationError, is_real, require_int
 from .model import TRANSMISSION, ChannelSet, SystemConfig
 
 
@@ -49,7 +47,7 @@ class ChannelConfig:
     def __post_init__(self) -> None:
         for name in ("rician_k_g", "rician_k_h", "user_area_radius",
                      "pathloss_a", "pathloss_b"):
-            if not _is_real(getattr(self, name)):
+            if not is_real(getattr(self, name)):
                 raise ConfigurationError(
                     f"{name} must be a finite real; got {getattr(self, name)!r}")
         for name in ("rician_k_g", "rician_k_h", "user_area_radius"):
@@ -70,19 +68,13 @@ class ChannelConfig:
                     f"{self.user_area_radius} contains ris_pos")
 
 
-def _is_real(value) -> bool:
-    """A finite real number; a bool is not one."""
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and math.isfinite(value))
-
-
 def _is_position(value) -> bool:
     """Two finite reals."""
     try:
         coords = tuple(value)
     except TypeError:
         return False
-    return len(coords) == 2 and all(_is_real(c) for c in coords)
+    return len(coords) == 2 and all(is_real(c) for c in coords)
 
 
 def _distance(a, b) -> float:

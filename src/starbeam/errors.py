@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and the integer check every
-config class uses."""
+"""Exception types shared across the package, and the integer and real
+checks every config class uses."""
+import math
 import numbers
 
 
@@ -16,6 +17,12 @@ def is_int(value, least: int = 1) -> bool:
     """An integer >= least; a bool is not one."""
     return (isinstance(value, numbers.Integral) and not isinstance(value, bool)
             and value >= least)
+
+
+def is_real(value) -> bool:
+    """A finite real number; a bool is not one."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 def require_int(name: str, value, least: int = 1) -> None:

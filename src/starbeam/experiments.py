@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import csv
 import math
-import numbers
 import os
 import time
 from dataclasses import dataclass, field, replace
@@ -26,7 +25,7 @@ import numpy as np
 from .baselines import conventional_ris_baseline, pga_oracle, random_phase_baseline
 from .channels import ChannelConfig, desk_scenario, default_scenario, generate_channels
 from .constraints import normalize_amplitudes, normalize_power
-from .errors import ConfigurationError, is_int, require_int
+from .errors import ConfigurationError, is_int, is_real, require_int
 from .gradients import GradientBundle, wsr_finite_diff, wsr_gradients
 from .model import BeamformingState, ChannelSet, SystemConfig
 from .training import (
@@ -113,8 +112,7 @@ def _grid_point(kind: str, value) -> tuple[dict, object]:
             return {"N": int(value)}, value
         what = "an element count N, an integer >= 1"
     elif kind == KIND_SWEEP_PMAX:
-        if (isinstance(value, numbers.Real) and not isinstance(value, bool)
-                and 0 < value < math.inf):
+        if is_real(value) and value > 0:
             return {"p_max": float(value)}, value
         what = "a transmit power p_max in watts, finite and > 0"
     else:
@@ -387,8 +385,7 @@ def timing_probe(sys_cfg: SystemConfig, train: TrainConfig,
                  repetitions: int = 5, ch: ChannelSet | None = None) -> TimingResult:
     """Median / min wall-clock seconds per epoch over timed repetitions,
     after one discarded warm-up run."""
-    if repetitions < 3:
-        raise ConfigurationError("timing needs at least 3 repetitions")
+    require_int("repetitions", repetitions, 3)
     if ch is None:
         ch = generate_channels(
             sys_cfg, ChannelConfig(), np.random.default_rng(train.seed)
@@ -411,23 +408,25 @@ def random_gradient_instance(
     """Unit-scale random instance (M <= 8, N <= 16, K <= 4) for the
     finite-difference cross-check; the noise floor is matched to the mean
     receive power so the SINRs are O(1) and the comparison is well
-    conditioned."""
+    conditioned. After the sizes and weights, one standard-normal draw
+    gives the real and imaginary parts of G, h and W, one uniform draw the
+    amplitudes and one the phases, (t half, r half) each: the stream of
+    drawing each block alone, in that order."""
+    require_int("seed", seed, 0)
     r = np.random.default_rng(seed)
     m = int(r.integers(2, 9))
     n = int(r.integers(2, 17))
     k = int(r.integers(1, 5))
     cfg = SystemConfig(M=m, N=n, K=k, p_max=float(k), noise_power=m * n / 2.0,
                        weights=r.uniform(0.5, 2.0, k))
-    G = (r.standard_normal((n, m)) + 1j * r.standard_normal((n, m))) / np.sqrt(2)
-    h = (r.standard_normal((k, n)) + 1j * r.standard_normal((k, n))) / np.sqrt(2)
-    ch = ChannelSet(G, h)
-    W = normalize_power(
-        r.standard_normal((m, k)) + 1j * r.standard_normal((m, k)), cfg.p_max
-    )
-    bt, br = normalize_amplitudes(r.uniform(0.3, 1.0, n), r.uniform(0.3, 1.0, n))
-    state = BeamformingState(
-        W, bt, br, r.uniform(0, 2 * np.pi, n), r.uniform(0, 2 * np.pi, n)
-    )
+    z = r.standard_normal(2 * (n * m + k * n + m * k))
+    g = z[: 2 * n * m].reshape(2, n, m)
+    h = z[2 * n * m : 2 * (n * m + k * n)].reshape(2, k, n)
+    w = z[2 * (n * m + k * n) :].reshape(2, m, k)
+    ch = ChannelSet((g[0] + 1j * g[1]) / np.sqrt(2), (h[0] + 1j * h[1]) / np.sqrt(2))
+    W = normalize_power(w[0] + 1j * w[1], cfg.p_max)
+    bt, br = normalize_amplitudes(*r.uniform(0.3, 1.0, (2, n)))
+    state = BeamformingState(W, bt, br, *r.uniform(0, 2 * np.pi, (2, n)))
     return cfg, ch, state
 
 

@@ -27,10 +27,12 @@ at a :class:`model.BeamformingState`, for the finite-difference
 cross-check and the tests; its values are bitwise those of the pieces.
 
 ``starbeam grad-check`` takes the central differences of
-:func:`wsr_finite_diff`, which rates all 2P+1 probes of a state in one
-batched pass through the model kernels. :func:`finite_diff_gradient` is the
-per-state oracle, one state and one objective call per probe; on
-:func:`model.evaluate_wsr` it gives bitwise the same bundle.
+:func:`wsr_finite_diff`, which rates the 2P+1 probes of a state by kind in
+one pass through the model kernels: the precoder probes reuse the state's
+effective rows, the surface probes and the state itself its precoder.
+:func:`finite_diff_gradient` is the per-state oracle, one state and one
+objective call per probe; on :func:`model.evaluate_wsr` it gives bitwise
+the same bundle.
 
 Convention for the complex precoder gradient: grad_w is the conjugate
 (Wirtinger) ascent direction, i.e. for every perturbation matrix D
@@ -55,6 +57,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .errors import is_real
 from .model import (
     BeamformingState,
     ChannelSet,
@@ -178,18 +181,17 @@ def state_from_vector(vec: np.ndarray, M: int, N: int, K: int) -> BeamformingSta
     return BeamformingState(W, beta[:N], beta[N:], theta[:N], theta[N:])
 
 
-def _probes(state: BeamformingState, step: float) -> np.ndarray:
-    """The (2P+1, P) probes of the state's P real coordinates x0: row i is
-    x0 + step * e_i, row P + i is x0 - step * e_i and the last row x0. Only
-    the perturbed entries are written, so a -0.0 elsewhere keeps its sign."""
-    if not step > 0:
-        raise ValueError("step must be positive")
-    x0 = state_to_vector(state)
+def _probes(x0: np.ndarray, step: float) -> np.ndarray:
+    """The (2p+1, p) probes of p real coordinates x0: row i is x0 + step *
+    e_i, row p + i is x0 - step * e_i and the last row x0. Only the
+    perturbed entries are written, so a -0.0 elsewhere keeps its sign."""
+    if not (is_real(step) and step > 0):
+        raise ValueError(
+            f"step must be positive and finite (a real, not a bool); got {step!r}")
     p = x0.size
-    X = np.tile(x0, (2 * p + 1, 1))
-    i = np.arange(p)
-    X[i, i] += step
-    X[p + i, i] -= step
+    X = np.repeat(x0[None], 2 * p + 1, axis=0)
+    X[:p].reshape(-1)[:: p + 1] += step  # a block's diagonal, as X is contiguous
+    X[p : 2 * p].reshape(-1)[:: p + 1] -= step
     return X
 
 
@@ -213,7 +215,7 @@ def finite_diff_gradient(
     """Central differences of any objective over every real coordinate of
     the state, one state and one objective call per probe: the per-state
     oracle that :func:`wsr_finite_diff` is checked against."""
-    X = _probes(state, step)
+    X = _probes(state_to_vector(state), step)
     M, K = state.W.shape
     N = state.beta_t.shape[0]
     rates = np.array([objective(state_from_vector(x, M, N, K)) for x in X])
@@ -224,11 +226,26 @@ def wsr_finite_diff(
     cfg: SystemConfig, ch: ChannelSet, state: BeamformingState, step: float
 ) -> GradientBundle:
     """:func:`finite_diff_gradient` of :func:`model.evaluate_wsr`, bitwise,
-    with the rates of all probes from one batched pass through the model
-    kernels instead of one state per probe."""
+    with the probes rated by kind in one pass through the model kernels.
+
+    The 2q precoder probes (q = 2MK) share the state's surface, so they take
+    its effective rows times their perturbed precoders. The 2s surface
+    probes (s = 4N) and x0 share state.W; their phasors are the state's,
+    but for exp(j * (theta ± step)) at each perturbed phase. The received
+    amplitudes are put back in the order of :func:`_probes` and rated by
+    one :func:`model.received_sinrs` and one :func:`model.wsr` call."""
     check_dimensions(cfg, ch, state)
-    X = _probes(state, step)
-    W, beta, theta = _unpack(X, cfg.M, cfg.N, cfg.K)
-    rows = effective_rows(cfg, ch, beta * np.exp(1j * theta))
-    rates = wsr(cfg, received_sinrs(cfg, rows @ W)[0])
+    x0 = state_to_vector(state)
+    q, s, n = 2 * cfg.M * cfg.K, 4 * cfg.N, 2 * cfg.N
+    Wp = _unpack(_probes(x0[:q], step)[:-1], cfg.M, cfg.N, cfg.K)[0]
+    S = _probes(x0[q:], step)  # beta+, theta+, beta-, theta-, x0
+    theta0 = x0[q + n :]
+    phasor = np.repeat(np.exp(1j * theta0)[None], 2 * s + 1, axis=0)
+    # the diagonals of the theta+ and theta- blocks
+    phasor[n : 2 * n].reshape(-1)[:: n + 1] = np.exp(1j * (theta0 + step))
+    phasor[s + n : s + 2 * n].reshape(-1)[:: n + 1] = np.exp(1j * (theta0 - step))
+    rows = effective_rows(cfg, ch, S[:, :n] * phasor)
+    U_w, U_s = rows[-1] @ Wp, rows @ state.W
+    U = np.concatenate([U_w[:q], U_s[:s], U_w[q:], U_s[s:]])
+    rates = wsr(cfg, received_sinrs(cfg, U)[0])
     return _difference_bundle(rates, step, cfg.M, cfg.N, cfg.K)

@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 
 from starbeam import (
+    BeamformingState,
+    ChannelSet,
     ExperimentSpec,
+    SystemConfig,
     TrainConfig,
     desk_scenario,
     run_experiment,
@@ -22,15 +25,17 @@ from starbeam.cli import (
     build_parser,
     main as cli_main,
 )
-from starbeam.constraints import COUPLING_TOL
+from starbeam.constraints import COUPLING_TOL, normalize_amplitudes, normalize_power
 from starbeam.errors import ConfigurationError
 from starbeam.experiments import (
     CONVERGENCE_HEADER,
+    GRAD_CHECK_SEED_BASE,
     SWEEP_HEADER,
     TIMING_EPOCHS,
     ExperimentReport,
     TimingResult,
     desk_train,
+    random_gradient_instance,
 )
 
 
@@ -185,6 +190,48 @@ class TestTimingExperiment:
         sys_cfg, _ = desk_scenario()
         with pytest.raises(ConfigurationError):
             timing_probe(sys_cfg, desk_train(n_epochs=5), repetitions=2)
+
+    @pytest.mark.parametrize("repetitions", [3.5, True, "5"])
+    def test_probe_repetitions_named(self, repetitions):
+        sys_cfg, _ = desk_scenario()
+        with pytest.raises(ConfigurationError, match="repetitions must be >= 3"):
+            timing_probe(sys_cfg, desk_train(n_epochs=5), repetitions=repetitions)
+
+
+def separate_draws(seed):
+    """random_gradient_instance drawn block by block, one call per array."""
+    r = np.random.default_rng(seed)
+    m, n, k = int(r.integers(2, 9)), int(r.integers(2, 17)), int(r.integers(1, 5))
+    cfg = SystemConfig(M=m, N=n, K=k, p_max=float(k), noise_power=m * n / 2.0,
+                       weights=r.uniform(0.5, 2.0, k))
+    G = (r.standard_normal((n, m)) + 1j * r.standard_normal((n, m))) / np.sqrt(2)
+    h = (r.standard_normal((k, n)) + 1j * r.standard_normal((k, n))) / np.sqrt(2)
+    W = normalize_power(r.standard_normal((m, k)) + 1j * r.standard_normal((m, k)),
+                        cfg.p_max)
+    bt, br = normalize_amplitudes(r.uniform(0.3, 1.0, n), r.uniform(0.3, 1.0, n))
+    state = BeamformingState(W, bt, br, r.uniform(0, 2 * np.pi, n),
+                             r.uniform(0, 2 * np.pi, n))
+    return cfg, ChannelSet(G, h), state
+
+
+class TestGradientInstance:
+    def test_equals_separate_draws(self):
+        for seed in range(GRAD_CHECK_SEED_BASE, GRAD_CHECK_SEED_BASE + 200):
+            (cfg, ch, st), (rc, rch, rst) = (random_gradient_instance(seed),
+                                              separate_draws(seed))
+            assert (cfg.M, cfg.N, cfg.K, cfg.p_max, cfg.noise_power) \
+                == (rc.M, rc.N, rc.K, rc.p_max, rc.noise_power)
+            pairs = [(cfg.weights, rc.weights), (ch.G, rch.G), (ch.h, rch.h)] + [
+                (getattr(st, f), getattr(rst, f))
+                for f in ("W", "beta_t", "beta_r", "theta_t", "theta_r")]
+            for a, b in pairs:
+                assert (a.dtype, a.shape) == (b.dtype, b.shape)
+                assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("seed", [-1, 2.5, True, "7"])
+    def test_bad_seed_named(self, seed):
+        with pytest.raises(ConfigurationError, match="seed must be >= 0"):
+            random_gradient_instance(seed)
 
 
 class TestSignTest:

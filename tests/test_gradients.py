@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -289,6 +290,24 @@ class TestBatchedDifferences:
         cfg, ch_cfg = scenario()
         ch = generate_channels(cfg, ch_cfg, np.random.default_rng(0))
         self.check(cfg, ch, initial_state(cfg, np.random.default_rng(1)))
+
+    @pytest.mark.parametrize("side", [TRANSMISSION, REFLECTION])
+    def test_one_antenna_element_and_user(self, side):
+        for seed in range(60, 70):
+            self.check(*make_instance(seed, M=1, N=1, K=1, user_sides=(side,)))
+
+    @pytest.mark.parametrize(
+        "step", [np.inf, -np.inf, np.nan, -1e-4, True, np.True_, "1e-4", None, 1e-4j],
+        ids=["inf", "-inf", "nan", "negative", "bool", "numpy_bool", "str", "None",
+             "complex"])
+    def test_step_must_be_a_finite_positive_real(self, step):
+        cfg, ch, state = make_instance(21)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="step must be positive"):
+                wsr_finite_diff(cfg, ch, state, step)
+            with pytest.raises(ValueError, match="step must be positive"):
+                finite_diff_gradient(lambda st: evaluate_wsr(cfg, ch, st), state, step)
 
     def test_rejects_bad_step_and_dimensions(self):
         cfg, ch, state = make_instance(20)
