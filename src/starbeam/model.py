@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, require_int
+from .errors import ConfigurationError, is_real, require_int
 
 TRANSMISSION = "transmission"
 REFLECTION = "reflection"
@@ -64,7 +64,7 @@ class SystemConfig:
         for name in ("M", "N", "K"):
             require_int(name, getattr(self, name))
         for name in ("p_max", "noise_power"):
-            if not 0 < getattr(self, name) < np.inf:
+            if not (is_real(getattr(self, name)) and getattr(self, name) > 0):
                 raise ConfigurationError(f"{name} must be positive and finite (watts)")
 
         sides = self.user_sides
@@ -239,7 +239,8 @@ def received_sinrs(cfg: SystemConfig, U: np.ndarray) -> tuple[np.ndarray, np.nda
 def sinr(cfg: SystemConfig, ch: ChannelSet, state: BeamformingState, k: int) -> float:
     """SINR of user k from the direct per-side expression."""
     check_dimensions(cfg, ch, state)
-    if not 0 <= k < cfg.K:
+    require_int("k", k, 0)
+    if k >= cfg.K:
         raise IndexError(f"user index {k} out of range for K={cfg.K}")
     c_t, c_r = star_coefficient_vectors(state)
     c = c_t if cfg.user_sides[k] == TRANSMISSION else c_r
@@ -256,7 +257,8 @@ def sinr_augmented(
     """SINR of user k from the stacked 2N-dimensional form; agrees with
     :func:`sinr` to floating-point accuracy."""
     check_dimensions(cfg, ch, state)
-    if not 0 <= k < cfg.K:
+    require_int("k", k, 0)
+    if k >= cfg.K:
         raise IndexError(f"user index {k} out of range for K={cfg.K}")
     # The stacked form, built here only: both coefficient halves in one 2N
     # vector, the channels duplicated to match, and a 0/1 mask selecting

@@ -10,10 +10,11 @@ contiguous float64 vector, ``Mlp.flat``, laid out w1 | b1 | w2 | b2 with
 row-major weights, and ``w1``, ``b1``, ``w2`` and ``b2`` are views into it.
 :func:`mlp_backward` writes or adds parameter gradients into one flat
 vector of the same layout, and :func:`adam_step` updates a flat parameter
-vector and its moments in place, one elementwise operation at a time into
-two work buffers preallocated in :class:`AdamState`; the operations and
-their order are those of the textbook expression form, so results match
-it bit for bit.
+vector and its moments in place, ADAM_BLOCK parameters at a time, one
+elementwise operation at a time into a block scratch in :class:`AdamState`;
+each element gets the textbook expression's operations in their order, so
+results match it bit for bit. A block of 32768 keeps its six operands
+(about 1.5 MB) in a 2 MB L2 cache, and every desk network is one block.
 """
 from __future__ import annotations
 
@@ -21,12 +22,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, is_real
 
 # Adam's moment decay rates and denominator floor, the textbook defaults.
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
+ADAM_BLOCK = 32768  # parameters per Adam pass; see the module docstring
 
 
 class Mlp:
@@ -143,29 +145,32 @@ def pn_forward_with_cache(net: Mlp, grad_w: np.ndarray) -> tuple[np.ndarray, tup
 
 @dataclass
 class AdamState:
-    """Moment estimates and step count for one flat parameter vector, with
-    two preallocated work buffers; :func:`adam_step` updates all of it in
-    place."""
+    """Moment estimates, step count and the block scratch of
+    :func:`adam_step` for one flat parameter vector of P entries; the step
+    updates all of it in place."""
 
     first_moment: np.ndarray
     second_moment: np.ndarray
-    buffers: np.ndarray = field(repr=False)  # two arrays shaped like params
+    buffers: np.ndarray = field(repr=False)  # (2, min(P, ADAM_BLOCK))
     step_count: int = 0
 
 
 def adam_init(params: np.ndarray) -> AdamState:
-    """Zero-initialized moments matching the parameter vector."""
+    """Zero-initialized moments matching the flat parameter vector."""
     return AdamState(np.zeros_like(params), np.zeros_like(params),
-                     np.empty((2,) + params.shape))
+                     np.empty((2, min(params.size, ADAM_BLOCK))))
 
 
 def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState,
               lr: float) -> None:
-    """One bias-corrected Adam update moving params against the loss
-    gradient, in place on params and state. Non-finite gradients are
-    rejected before anything changes."""
-    if not lr > 0:
-        raise ValueError("learning rate must be positive")
+    """One bias-corrected Adam update moving the flat params against the
+    loss gradient, in place on params and state; grads is only read. A bad
+    lr and non-finite gradients are rejected before anything changes."""
+    if not (is_real(lr) and lr > 0):
+        raise ValueError(f"lr must be a finite real > 0; got {lr!r}")
+    if not (isinstance(params, np.ndarray) and params.ndim == 1
+            and params.dtype == np.float64):
+        raise ConfigurationError("params must be a 1-D float64 vector")
     if grads.shape != params.shape:
         raise ConfigurationError(
             f"gradient shape {grads.shape} does not match parameter shape "
@@ -178,22 +183,25 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState,
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1.0 - b1**t
     c2 = 1.0 - b2**t
-    m, v = state.first_moment, state.second_moment
-    s, u = state.buffers
-    # m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g**2;
-    # params -= lr*(m/c1) / (sqrt(v/c2) + eps), one operation at a time in
-    # this order, so the result is bitwise that of the expression form.
-    m *= b1
-    np.multiply(grads, 1.0 - b1, out=s)
-    m += s
-    v *= b2
-    np.square(grads, out=s)
-    s *= 1.0 - b2
-    v += s
-    np.divide(m, c1, out=s)
-    s *= lr
-    np.divide(v, c2, out=u)
-    np.sqrt(u, out=u)
-    u += ADAM_EPSILON
-    s /= u
-    params -= s
+    for lo in range(0, params.size, ADAM_BLOCK):
+        block = slice(lo, lo + ADAM_BLOCK)
+        p, g = params[block], grads[block]
+        m, v = state.first_moment[block], state.second_moment[block]
+        s, u = state.buffers[0, :p.size], state.buffers[1, :p.size]
+        # m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g**2;
+        # p -= lr*(m/c1) / (sqrt(v/c2) + eps), one operation at a time in
+        # this order, so the result is bitwise that of the expression form.
+        m *= b1
+        np.multiply(g, 1.0 - b1, out=s)
+        m += s
+        v *= b2
+        np.square(g, out=s)
+        s *= 1.0 - b2
+        v += s
+        np.divide(m, c1, out=s)
+        s *= lr
+        np.divide(v, c2, out=u)
+        np.sqrt(u, out=u)
+        u += ADAM_EPSILON
+        s /= u
+        p -= s

@@ -24,8 +24,9 @@ gradients only on epochs that update those networks, reusing the
 precoder's G @ W. Its rows are the next precoder block's, whose amplitudes
 and phases stay fixed. Only the hardened copy of a coupled-mode state, a
 different state, is evaluated separately, from its rows and SINRs.
-Backward passes add into one flat gradient vector per network, and Adam
-updates each network's flat parameter vector in place.
+Backward passes add into one flat gradient vector per network, and each
+network steps right after its last backward pass, then drops its gradient;
+no backward pass reads another network's parameters, so the order is free.
 
 Loss plumbing: each network's parameters receive the gradient of its own
 loss through its own update chain only; the other variable groups and the
@@ -61,7 +62,7 @@ from .constraints import (
     sigmoid,
     wrap_phase,
 )
-from .errors import ConfigurationError, DegenerateInputError, require_int
+from .errors import ConfigurationError, DegenerateInputError, is_real, require_int
 from .gradients import precoder_pullback, received_field, surface_pullback
 from .model import (
     TWO_PI,
@@ -118,13 +119,13 @@ class TrainConfig:
         for name in ("n_epochs", "n_outer", "n_inner", "n1", "n2"):
             require_int(name, getattr(self, name))
         require_int("seed", self.seed, 0)
-        # written so that NaN fails every check
         for name in ("lr_w", "lr_a", "lr_theta"):
-            if not 0 < getattr(self, name) < np.inf:
+            if not (is_real(getattr(self, name)) and getattr(self, name) > 0):
                 raise ConfigurationError(f"{name} must be positive and finite")
         if self.mode not in (MODE_INDEPENDENT, MODE_COUPLED):
             raise ConfigurationError(f"unknown mode '{self.mode}'")
-        if not 0 < self.rho_min <= self.rho_max < np.inf:
+        if not (is_real(self.rho_min) and is_real(self.rho_max)
+                and 0 < self.rho_min <= self.rho_max):
             raise ConfigurationError("require 0 < rho_min <= rho_max < inf")
 
 
@@ -311,6 +312,13 @@ def _phase_block_backward(tn: Mlp, tape, grad_theta_out: np.ndarray,
     return acc
 
 
+def _adam_update(net: Mlp, grad: np.ndarray, adam, lr: float, n_outer: int) -> None:
+    """Adam step on the mean of n_outer summed gradients, formed in grad."""
+    if n_outer > 1:  # x * 1.0 == x
+        grad *= 1.0 / n_outer
+    adam_step(net.flat, grad, adam, lr)
+
+
 # --- the full run ----------------------------------------------------------
 
 
@@ -361,7 +369,6 @@ def run_meta_loop(
     nets = init_networks(sys_cfg, rng)
     pn, an, tn = nets.pn, nets.an, nets.tn
     adams = (adam_init(pn.flat), adam_init(an.flat), adam_init(tn.flat))
-    rates = (train.lr_w, train.lr_a, train.lr_theta)
 
     start = initial_state(sys_cfg, rng, beta_init)
     W0, beta0, theta0 = start.W, start.beta, start.theta
@@ -447,9 +454,13 @@ def run_meta_loop(
                 # Per-network losses all sit at the refined point; each
                 # parameter set sees only its own update chain. The loss
                 # gradients are the negated ascent directions.
+                last = outer == train.n_outer
                 grad_pn = _precoder_block_backward(
                     pn, tape_w, -precoder_pullback(field), grad_pn
                 )
+                if last:  # the gradient is final: step, and drop it
+                    _adam_update(pn, grad_pn, adams[0], train.lr_w, train.n_outer)
+                    grad_pn = None
                 if update_an or update_tn:
                     bracket = surface_pullback(
                         sys_cfg, ch, field, precoded, phasor_star
@@ -458,11 +469,17 @@ def run_meta_loop(
                     grad_an = _amplitude_block_backward(
                         an, tape_a, -2.0 * bracket.real, grad_an
                     )
+                    if last:
+                        _adam_update(an, grad_an, adams[1], train.lr_a, train.n_outer)
+                        grad_an = None
                 if update_tn:
                     g_t = 2.0 * beta_star * bracket.imag
                     if coupled:
                         g_t = g_t + 2.0 * rho * (theta_star - proj)
                     grad_tn = _phase_block_backward(tn, tape_t, g_t, grad_tn)
+                    if last:
+                        _adam_update(tn, grad_tn, adams[2], train.lr_theta, train.n_outer)
+                        grad_tn = None
             except (DegenerateInputError, ConfigurationError) as err:
                 raise type(err)(
                     f"epoch {epoch}, outer iteration {outer}: {err}"
@@ -472,14 +489,6 @@ def run_meta_loop(
             rank = (coupled and residual < COUPLING_TOL, r_proj)
             if chosen is None or rank > chosen[0]:
                 chosen = (rank, r_cur, residual, W_star, beta_star, theta_hard)
-
-        inv = 1.0 / train.n_outer
-        for net, grad, adam, lr in zip((pn, an, tn), (grad_pn, grad_an, grad_tn),
-                                       adams, rates):
-            if grad is not None:  # the network is updated this epoch
-                if train.n_outer > 1:  # x * 1.0 == x
-                    grad *= inv
-                adam_step(net.flat, grad, adam, lr)
 
         idx = epoch - 1
         traces["wsr_current"][idx] = r_cur

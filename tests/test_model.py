@@ -95,6 +95,15 @@ class TestSinr:
         cfg, ch, state = make_instance(3)
         with pytest.raises(IndexError):
             sinr(cfg, ch, state, cfg.K)
+        with pytest.raises(IndexError):
+            sinr_augmented(cfg, ch, state, cfg.K)
+
+    @pytest.mark.parametrize("fn", [sinr, sinr_augmented])
+    @pytest.mark.parametrize("k", [True, 1.5, -1, np.float64(1.0)])
+    def test_non_integer_or_negative_user_rejected(self, fn, k):
+        cfg, ch, state = make_instance(3)
+        with pytest.raises(ConfigurationError, match="k must"):
+            fn(cfg, ch, state, k)
 
     def test_dimension_mismatch(self):
         cfg, ch, state = make_instance(4)

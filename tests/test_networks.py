@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from starbeam import (
     init_mlp,
     init_networks,
 )
-from starbeam.networks import mlp_backward, pn_forward_with_cache
+from starbeam.networks import ADAM_BLOCK, mlp_backward, pn_forward_with_cache
 
 PARAM_NAMES = ("w1", "b1", "w2", "b2")  # the order of Mlp.split and Mlp.flat
 
@@ -200,6 +202,72 @@ class TestAdam:
     def test_shape_mismatch(self):
         with pytest.raises(ConfigurationError):
             adam_step(self.params, np.zeros(2), self.state, lr=0.1)
+
+    @pytest.mark.parametrize("size", [1, 32767, 32768, 32769, 65539])
+    def test_blocks_match_reference_adam_bitwise(self, size):
+        """Block edges and a short last block: params and both moments
+        equal the textbook expression form bit for bit, with gradients
+        holding signed zeros and magnitudes from 1e-4 to 1e2."""
+        rng = np.random.default_rng(size)
+        params = rng.standard_normal(size)
+        ref = {"x": params.copy()}
+        ref_state = _reference_adam_init(ref)
+        state = adam_init(params)
+        assert state.buffers.shape == (2, min(size, ADAM_BLOCK))
+        for _ in range(5):
+            grads = rng.standard_normal(size) * 10.0 ** rng.uniform(-4, 2, size)
+            grads[rng.random(size) < 0.1] = 0.0
+            grads[rng.random(size) < 0.1] = -0.0
+            ref, ref_state = _reference_adam_step(ref, {"x": grads}, ref_state, 5e-3)
+            adam_step(params, grads, state, 5e-3)
+            assert params.tobytes() == ref["x"].tobytes()
+        assert state.first_moment.tobytes() == ref_state[0]["x"].tobytes()
+        assert state.second_moment.tobytes() == ref_state[1]["x"].tobytes()
+        assert state.step_count == ref_state[2] == 5
+
+    def test_gradient_is_only_read(self):
+        rng = np.random.default_rng(12)
+        params = rng.standard_normal(ADAM_BLOCK + 5)
+        grads = rng.standard_normal(params.size)
+        kept = grads.copy()
+        state = adam_init(params)
+        for _ in range(2):
+            adam_step(params, grads, state, 1e-3)
+        assert grads.tobytes() == kept.tobytes()
+
+    def test_step_allocates_no_full_size_scratch(self):
+        size = 120_500  # a paper-scale amplitude or phase network
+        rng = np.random.default_rng(13)
+        params, grads = rng.standard_normal(size), rng.standard_normal(size)
+        state = adam_init(params)
+        tracemalloc.start()
+        try:
+            adam_step(params, grads, state, 1e-3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < size * 8 / 4
+
+    @pytest.mark.parametrize("lr", [np.inf, np.nan, True, 0.0, -1e-3])
+    def test_bad_learning_rate_rejected_before_any_change(self, lr):
+        adam_step(self.params, np.array([0.1, -0.2, 0.3]), self.state, lr=0.1)
+        params = self.params.copy()
+        m = self.state.first_moment.copy()
+        with pytest.raises(ValueError, match="lr must"):
+            adam_step(self.params, np.array([0.1, 0.2, 0.3]), self.state, lr=lr)
+        assert self.state.step_count == 1
+        assert np.array_equal(self.params, params)
+        assert np.array_equal(self.state.first_moment, m)
+
+    @pytest.mark.parametrize("params", [
+        np.zeros((2, 3)), np.zeros(6, dtype=np.float32), np.zeros(6, dtype=int),
+        np.zeros(()), [0.0] * 6,
+    ])
+    def test_non_flat_float_params_rejected(self, params):
+        state = adam_init(np.zeros(6))
+        with pytest.raises(ConfigurationError, match="params"):
+            adam_step(params, np.zeros(np.shape(params)), state, lr=0.1)
+        assert state.step_count == 0
 
     def test_matches_reference_dict_adam_bitwise(self):
         cfg, _ = default_scenario()

@@ -1,3 +1,6 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,12 +8,15 @@ from starbeam import (
     BeamformingState,
     ConfigurationError,
     SubNetworks,
+    SystemConfig,
     TrainConfig,
+    default_scenario,
     evaluate_wsr,
     generate_channels,
     desk_scenario,
     finite_diff_gradient,
     init_networks,
+    paper_train,
     rho_at,
     run_gml,
     wsr_gradients,
@@ -95,6 +101,17 @@ class TestPenaltySchedule:
     def test_non_integer_count_or_negative_seed_rejected(self, field, value):
         with pytest.raises(ConfigurationError, match=field):
             TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("cls, field", [
+        (SystemConfig, "p_max"), (SystemConfig, "noise_power"),
+        (TrainConfig, "lr_w"), (TrainConfig, "lr_a"), (TrainConfig, "lr_theta"),
+        (TrainConfig, "rho_min"), (TrainConfig, "rho_max"),
+    ])
+    def test_bool_real_field_rejected(self, cls, field):
+        args = ({"M": 1, "N": 1, "K": 1, "p_max": 1.0, "noise_power": 1.0}
+                if cls is SystemConfig else {})
+        with pytest.raises(ConfigurationError, match=field):
+            cls(**{**args, field: True})
 
 
 def coupled_tn_objective(cfg, ch, state, rho):
@@ -657,6 +674,64 @@ class TestRunGml:
         last = states[-1]
         assert np.array_equal(sol.traces["phase_diff"][-1],
                               wrap_phase(last.theta_t - last.theta_r))
+
+    def test_each_network_steps_once_right_after_its_last_backward(
+            self, monkeypatch):
+        """Each network takes one Adam step per epoch, right after its
+        last backward pass of the epoch, on the gradient that pass
+        returned; with n_outer = 2 that is in the second outer iteration."""
+        sys_cfg, ch, _ = self.small_setup()
+        train = TrainConfig(n_epochs=3, n_outer=2, n1=1, n2=1, lr_w=1e-3,
+                            lr_a=2e-3, lr_theta=3e-3)
+        net_of_rate = {train.lr_w: "pn", train.lr_a: "an", train.lr_theta: "tn"}
+        events = []
+        adam_step = training.adam_step
+
+        def backward_spy(name, backward):
+            def wrapped(*args):
+                acc = backward(*args)
+                events.append(("backward", name, acc))
+                return acc
+            return wrapped
+
+        def adam_spy(params, grads, state, lr):
+            events.append(("step", net_of_rate[lr], grads))
+            adam_step(params, grads, state, lr)
+
+        for name, block in (("pn", "precoder"), ("an", "amplitude"),
+                            ("tn", "phase")):
+            attr = f"_{block}_block_backward"
+            monkeypatch.setattr(training, attr,
+                                backward_spy(name, getattr(training, attr)))
+        monkeypatch.setattr(training, "adam_step", adam_spy)
+        run_gml(sys_cfg, ch, train)
+        per_epoch = 3 * (train.n_outer + 1)
+        assert len(events) == train.n_epochs * per_epoch
+        for start in range(0, len(events), per_epoch):
+            epoch = events[start:start + per_epoch]
+            for name in ("pn", "an", "tn"):
+                mine = [i for i, event in enumerate(epoch) if event[1] == name]
+                kinds = [epoch[i][0] for i in mine]
+                assert kinds == ["backward"] * train.n_outer + ["step"]
+                assert mine[-1] == mine[-2] + 1
+                assert epoch[mine[-1]][2] is epoch[mine[-2]][2]
+
+    @pytest.mark.parametrize("mode", ["independent", "coupled"])
+    def test_paper_solve_array_memory(self, mode):
+        """A paper-scale solve holds the parameters, their two moments, one
+        gradient at a time and a block scratch per network: its traced peak
+        stays under 4.5 float64 words per network parameter."""
+        cfg, ch_cfg = default_scenario()
+        ch = generate_channels(cfg, ch_cfg, np.random.default_rng(100))
+        nets = init_networks(cfg, np.random.default_rng(0))
+        n_params = nets.pn.flat.size + nets.an.flat.size + nets.tn.flat.size
+        tracemalloc.start()
+        try:
+            run_gml(cfg, ch, replace(paper_train(mode), n_epochs=5))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * 8 * n_params
 
     def test_deterministic_bitwise(self):
         sys_cfg, ch, train = self.small_setup()

@@ -156,6 +156,11 @@ def cases():
         train = replace(paper_train(mode), n_epochs=50)
         out.append((f"paper_50_epochs/{mode}", lambda train=train: solution_digest(
             run_gml(paper_cfg, paper_ch, train))))
+    # Multi-block Adam steps on gradients summed over two outer iterations.
+    for mode in ("independent", "coupled"):
+        train = replace(paper_train(mode), n_epochs=10, n_outer=2)
+        out.append((f"paper_outer2/{mode}", lambda train=train: solution_digest(
+            run_gml(paper_cfg, paper_ch, train))))
 
     out += [
         ("experiment/convergence", lambda: _experiment(
