@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, is_real, require_int
-from .model import TRANSMISSION, ChannelSet, SystemConfig
+from .errors import ConfigurationError, Kind, check_fields
+from .model import ChannelSet, SystemConfig
 
 
 def dbm_to_watts(dbm: float) -> float:
@@ -25,9 +25,9 @@ def dbm_to_watts(dbm: float) -> float:
 class ChannelConfig:
     """Geometry and fading statistics of the simulated deployment.
 
-    Positions are (x, y) meters, two finite reals each. center_t /
-    center_r are the disc centers of the transmission-side and
-    reflection-side user areas. Path loss is
+    Positions are (x, y) meters, two finite reals each, stored as a tuple
+    of floats. center_t / center_r are the disc centers of the
+    transmission-side and reflection-side user areas. Path loss is
     pathloss_a + pathloss_b * log10(d_meters) in dB. The BS must sit away
     from the surface, and neither user disc may reach it, so every link
     distance is positive.
@@ -44,21 +44,16 @@ class ChannelConfig:
     pathloss_b: float = 22.0            # dB per decade
     seed: int = 0
 
+    FIELD_KINDS = {
+        "rician_k_g": Kind.NON_NEGATIVE, "rician_k_h": Kind.NON_NEGATIVE,
+        "bs_pos": Kind.POSITION, "ris_pos": Kind.POSITION,
+        "center_t": Kind.POSITION, "center_r": Kind.POSITION,
+        "user_area_radius": Kind.NON_NEGATIVE,
+        "pathloss_a": Kind.FINITE, "pathloss_b": Kind.FINITE, "seed": Kind.SEED,
+    }
+
     def __post_init__(self) -> None:
-        for name in ("rician_k_g", "rician_k_h", "user_area_radius",
-                     "pathloss_a", "pathloss_b"):
-            if not is_real(getattr(self, name)):
-                raise ConfigurationError(
-                    f"{name} must be a finite real; got {getattr(self, name)!r}")
-        for name in ("rician_k_g", "rician_k_h", "user_area_radius"):
-            if getattr(self, name) < 0:
-                raise ConfigurationError(f"{name} must be >= 0")
-        for name in ("bs_pos", "ris_pos", "center_t", "center_r"):
-            if not _is_position(getattr(self, name)):
-                raise ConfigurationError(
-                    f"{name} must be two finite reals (x, y); "
-                    f"got {getattr(self, name)!r}")
-        require_int("seed", self.seed, 0)
+        check_fields(self, self.FIELD_KINDS)
         if _distance(self.bs_pos, self.ris_pos) == 0:
             raise ConfigurationError("bs_pos must differ from ris_pos")
         for name in ("center_t", "center_r"):
@@ -66,15 +61,6 @@ class ChannelConfig:
                 raise ConfigurationError(
                     f"the user disc at {name} with user_area_radius "
                     f"{self.user_area_radius} contains ris_pos")
-
-
-def _is_position(value) -> bool:
-    """Two finite reals."""
-    try:
-        coords = tuple(value)
-    except TypeError:
-        return False
-    return len(coords) == 2 and all(is_real(c) for c in coords)
 
 
 def _distance(a, b) -> float:
@@ -109,12 +95,7 @@ def sample_user_positions(
     """(K, 2) user coordinates, uniform over each side's disc."""
     radii = cfg.user_area_radius * np.sqrt(rng.random(sys_cfg.K))
     angles = 2.0 * np.pi * rng.random(sys_cfg.K)
-    centers = np.array(
-        [
-            cfg.center_t if side == TRANSMISSION else cfg.center_r
-            for side in sys_cfg.user_sides
-        ]
-    )
+    centers = np.array([cfg.center_t, cfg.center_r])[sys_cfg.side_index]
     offsets = np.stack([radii * np.cos(angles), radii * np.sin(angles)], axis=1)
     return centers + offsets
 

@@ -38,16 +38,17 @@ keys mirror the config dataclasses; units are watts, meters, and radians:
     }
 
 Missing sections/keys keep the scale profile's values (time's profile runs
-TIMING_EPOCHS epochs); an unknown section or key is an error, and so is a
-value of the wrong JSON type, such as a bool, a string or 16.7 for N.
+TIMING_EPOCHS epochs); an unknown section or key is an error. The values a
+key takes come from its config class: each class declares the kind of
+each field in one table, FIELD_KINDS (the kinds are in errors.py), and a
+value of another kind, such as a bool, a string or 16.7 for N, is an error
+that names the key and the field ("system.N: N must be ...").
 """
 from __future__ import annotations
 
 import argparse
 import dataclasses
 import json
-import math
-import numbers
 import os
 import sys
 from time import perf_counter
@@ -56,7 +57,7 @@ import numpy as np
 
 from .channels import ChannelConfig, generate_channels, save_channels
 from .constraints import COUPLING_TOL
-from .errors import ConfigurationError, is_int, require_int
+from .errors import ConfigurationError, require_int
 from .experiments import (
     GRAD_CHECK_INSTANCES,
     GRAD_CHECK_SEED_BASE,
@@ -77,36 +78,20 @@ from .model import SystemConfig
 from .training import MODE_COUPLED, MODE_INDEPENDENT, TrainConfig
 
 
-# Value type -> (what it takes, check); the config dataclasses check bounds.
-_VALUE_CHECKS = {
-    int: ("an integer", lambda v: is_int(v, least=-math.inf)),
-    float: ("a number", lambda v: isinstance(v, numbers.Real)
-            and not isinstance(v, bool)),
-    str: ("a string", lambda v: isinstance(v, str)),
-}
-
-# Config-file key -> (dataclass field, value type), one table per section;
-# a list [type] takes a list of values of that type and gives a tuple.
+# Config-file key -> config field, one table per section. Each value is
+# checked against its field's kind in the config class's FIELD_KINDS.
 SYSTEM_KEYS = {
-    "M": ("M", int), "N": ("N", int), "K": ("K", int),
-    "p_max_w": ("p_max", float), "noise_power_w": ("noise_power", float),
-    "weights": ("weights", [float]), "user_sides": ("user_sides", [str]),
+    "M": "M", "N": "N", "K": "K", "p_max_w": "p_max",
+    "noise_power_w": "noise_power", "weights": "weights",
+    "user_sides": "user_sides",
 }
-TRAIN_KEYS = {
-    "n_epochs": ("n_epochs", int), "n_outer": ("n_outer", int),
-    "n_inner": ("n_inner", int), "lr_w": ("lr_w", float), "lr_a": ("lr_a", float),
-    "lr_theta": ("lr_theta", float), "n1": ("n1", int), "n2": ("n2", int),
-    "mode": ("mode", str), "rho_min": ("rho_min", float),
-    "rho_max": ("rho_max", float), "seed": ("seed", int),
-}
+TRAIN_KEYS = {name: name for name in TrainConfig.FIELD_KINDS}
 CHANNEL_KEYS = {
-    "rician_k_g": ("rician_k_g", float), "rician_k_h": ("rician_k_h", float),
-    "bs_pos_m": ("bs_pos", [float]), "ris_pos_m": ("ris_pos", [float]),
-    "center_t_m": ("center_t", [float]), "center_r_m": ("center_r", [float]),
-    "user_area_radius_m": ("user_area_radius", float),
-    "pathloss_a_db": ("pathloss_a", float),
-    "pathloss_b_db_per_decade": ("pathloss_b", float),
-    "seed": ("seed", int),
+    "rician_k_g": "rician_k_g", "rician_k_h": "rician_k_h",
+    "bs_pos_m": "bs_pos", "ris_pos_m": "ris_pos",
+    "center_t_m": "center_t", "center_r_m": "center_r",
+    "user_area_radius_m": "user_area_radius", "pathloss_a_db": "pathloss_a",
+    "pathloss_b_db_per_decade": "pathloss_b", "seed": "seed",
 }
 
 
@@ -123,25 +108,12 @@ def _check_keys(where: str, d: dict, known) -> None:
         )
 
 
-def _value(where: str, kind, value):
-    """One config-file value, checked against its type and converted; a
-    value of the wrong JSON type raises ConfigurationError naming where."""
-    if isinstance(kind, list):
-        if not isinstance(value, list):
-            raise ConfigurationError(
-                f"{where} must be a list of {_VALUE_CHECKS[kind[0]][0]}s, "
-                f"got {value!r}")
-        return tuple(_value(where, kind[0], v) for v in value)
-    what, check = _VALUE_CHECKS[kind]
-    if not check(value):
-        raise ConfigurationError(f"{where} must be {what}, got {value!r}")
-    return kind(value)
-
-
-def _fields(section: str, d: dict, keys: dict) -> dict:
-    """The dataclass field values that one config-file section sets."""
+def _fields(section: str, d: dict, keys: dict, cls) -> dict:
+    """The field values of config class cls that one config-file section
+    sets, each checked against its kind in cls.FIELD_KINDS; an error names
+    the key and the field."""
     _check_keys(f"'{section}'", d, keys)
-    return {keys[k][0]: _value(f"{section}.{k}", keys[k][1], v)
+    return {keys[k]: cls.FIELD_KINDS[keys[k]].check(f"{section}.{k}: {keys[k]}", v)
             for k, v in d.items()}
 
 
@@ -157,14 +129,12 @@ def _build_configs(
         # sides and weights not given follow K, not the scale's defaults
         sys_cfg = dataclasses.replace(sys_cfg, **{
             "user_sides": None, "weights": None,
-            **_fields("system", raw.get("system", {}), SYSTEM_KEYS),
+            **_fields("system", raw.get("system", {}), SYSTEM_KEYS, SystemConfig),
         })
-        train = dataclasses.replace(
-            train, **_fields("train", raw.get("train", {}), TRAIN_KEYS)
-        )
-        ch_cfg = dataclasses.replace(
-            ch_cfg, **_fields("channel", raw.get("channel", {}), CHANNEL_KEYS)
-        )
+        train = dataclasses.replace(train, **_fields(
+            "train", raw.get("train", {}), TRAIN_KEYS, TrainConfig))
+        ch_cfg = dataclasses.replace(ch_cfg, **_fields(
+            "channel", raw.get("channel", {}), CHANNEL_KEYS, ChannelConfig))
     if args.mode:
         train = dataclasses.replace(train, mode=args.mode)
     if args.seed is not None:
@@ -226,8 +196,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_experiment(args) -> int:
     raw = _load_json(args.spec)
-    _check_keys("the experiment spec", raw,
-                [f.name for f in dataclasses.fields(ExperimentSpec)])
+    _check_keys("the experiment spec", raw, ExperimentSpec.FIELD_KINDS)
     spec = ExperimentSpec(**raw)
     flags = {"out_dir": args.out, "master_seed": args.seed,
              "desk_scale": False if args.paper_scale else None}

@@ -1,7 +1,12 @@
-"""Exception types shared across the package, and the integer and real
-checks every config class uses."""
+"""Exception types shared across the package, the integer and real checks,
+and the field kinds. Each config class declares the kind of each field in
+one table, FIELD_KINDS, which check_fields runs when the class is built
+and the CLI runs on each config-file value."""
 import math
 import numbers
+from typing import Callable, NamedTuple
+
+import numpy as np
 
 
 class ConfigurationError(ValueError):
@@ -30,3 +35,61 @@ def require_int(name: str, value, least: int = 1) -> None:
     if not is_int(value, least):
         raise ConfigurationError(
             f"{name} must be >= {least} and an integer; got {value!r}")
+
+
+class Kind(NamedTuple):
+    """The values one config field takes: what they are, in the words of
+    the error message; the test a value must pass; and the form in which
+    a value that passes is stored. The kinds are class attributes (LIST,
+    COUNT, SEED, POSITIVE, NON_NEGATIVE, FINITE, POSITION, FLAG, TEXT) or
+    built by choice, listed and or_none."""
+
+    what: str
+    ok: Callable[[object], bool]
+    store: Callable[[object], object] = lambda value: value
+
+    def check(self, name: str, value):
+        """value in its stored form; ConfigurationError naming name unless
+        ok(value)."""
+        if not self.ok(value):
+            raise ConfigurationError(f"{name} must be {self.what}; got {value!r}")
+        return self.store(value)
+
+    @staticmethod
+    def choice(*options: str) -> "Kind":
+        """One of the given strings."""
+        return Kind(f"one of {', '.join(map(repr, options))}",
+                    lambda v: isinstance(v, str) and v in options)
+
+    def listed(self) -> "Kind":
+        """A non-empty list of values of this kind, stored as a tuple."""
+        return Kind(f"a non-empty list, each {self.what}",
+                    lambda v: Kind.LIST.ok(v) and len(v) > 0 and all(map(self.ok, v)),
+                    lambda v: tuple(map(self.store, v)))
+
+    def or_none(self) -> "Kind":
+        """A value of this kind, or None."""
+        return Kind(f"{self.what}, or None", lambda v: v is None or self.ok(v),
+                    lambda v: v if v is None else self.store(v))
+
+
+# a list, a tuple or an array of at least one dimension
+Kind.LIST = Kind("a list", lambda v: isinstance(v, (list, tuple)) or (
+    isinstance(v, np.ndarray) and v.ndim > 0), tuple)
+Kind.COUNT = Kind(">= 1 and an integer", is_int)
+Kind.SEED = Kind(">= 0 and an integer", lambda v: is_int(v, 0))
+Kind.POSITIVE = Kind("a finite real > 0", lambda v: is_real(v) and v > 0, float)
+Kind.NON_NEGATIVE = Kind("a finite real >= 0", lambda v: is_real(v) and v >= 0, float)
+Kind.FINITE = Kind("a finite real", is_real, float)
+Kind.POSITION = Kind("two finite reals (x, y)",
+                     lambda v: Kind.LIST.ok(v) and len(v) == 2 and all(map(is_real, v)),
+                     lambda v: tuple(map(float, v)))
+Kind.FLAG = Kind("true or false", lambda v: isinstance(v, bool))
+Kind.TEXT = Kind("a string", lambda v: isinstance(v, str))
+
+
+def check_fields(obj, kinds: dict) -> None:
+    """Check each field of the frozen dataclass obj against its kind in
+    kinds, and store its value in the kind's form."""
+    for name, kind in kinds.items():
+        object.__setattr__(obj, name, kind.check(name, getattr(obj, name)))

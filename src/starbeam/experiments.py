@@ -25,7 +25,7 @@ import numpy as np
 from .baselines import conventional_ris_baseline, pga_oracle, random_phase_baseline
 from .channels import ChannelConfig, desk_scenario, default_scenario, generate_channels
 from .constraints import normalize_amplitudes, normalize_power
-from .errors import ConfigurationError, is_int, is_real, require_int
+from .errors import ConfigurationError, Kind, check_fields, is_int, is_real, require_int
 from .gradients import GradientBundle, wsr_finite_diff, wsr_gradients
 from .model import BeamformingState, ChannelSet, SystemConfig
 from .training import (
@@ -144,31 +144,22 @@ class ExperimentSpec:
     desk_scale: bool = True
     n_epochs: int | None = None  # None -> 300 desk, 500 paper
 
+    # the kind of each field; which grid values a kind takes is checked
+    # by _grid_point
+    FIELD_KINDS = {
+        "kind": Kind.choice(*KINDS), "schemes": Kind.choice(*SCHEMES).listed(),
+        "grid": Kind.LIST, "sample_count": Kind.COUNT, "out_dir": Kind.TEXT,
+        "master_seed": Kind.SEED, "desk_scale": Kind.FLAG,
+        "n_epochs": Kind.COUNT.or_none(),
+    }
+
     def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise ConfigurationError(f"unknown experiment kind '{self.kind}'")
-        for name in ("schemes", "grid"):
-            if not isinstance(getattr(self, name), (list, tuple, np.ndarray)):
-                raise ConfigurationError(
-                    f"{name} must be a list, got {getattr(self, name)!r}")
+        check_fields(self, self.FIELD_KINDS)
         # lists (as read from JSON) become tuples, (M, N) grid pairs included
-        grid = self.grid
         if self.kind == KIND_SWEEP_MN:
-            grid = [tuple(g) if isinstance(g, (list, np.ndarray)) else g for g in grid]
-        object.__setattr__(self, "grid", tuple(grid))
-        object.__setattr__(self, "schemes", tuple(self.schemes))
-        unknown = set(self.schemes) - set(SCHEMES)
-        if unknown:
-            raise ConfigurationError(f"unknown schemes: {sorted(unknown)}")
-        if not self.schemes:
-            raise ConfigurationError("scheme list must be non-empty")
-        require_int("sample_count", self.sample_count)
-        if self.n_epochs is not None:  # None keeps the scale default
-            require_int("n_epochs", self.n_epochs)
-        require_int("master_seed", self.master_seed, 0)
-        if not isinstance(self.desk_scale, bool):
-            raise ConfigurationError(
-                f"desk_scale must be true or false, got {self.desk_scale!r}")
+            object.__setattr__(self, "grid", tuple(
+                tuple(g) if isinstance(g, (list, np.ndarray)) else g
+                for g in self.grid))
         if self.kind == KIND_PHASE_TRACE and SCHEME_PGA_ORACLE in self.schemes:
             raise ConfigurationError(
                 f"schemes of a phase_trace experiment cannot include "

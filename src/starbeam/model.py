@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, is_real, require_int
+from .errors import ConfigurationError, Kind, check_fields, require_int
 
 TRANSMISSION = "transmission"
 REFLECTION = "reflection"
@@ -60,35 +60,27 @@ class SystemConfig:
     side_index: np.ndarray = field(init=False, repr=False, compare=False)
     side_mask: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        for name in ("M", "N", "K"):
-            require_int(name, getattr(self, name))
-        for name in ("p_max", "noise_power"):
-            if not (is_real(getattr(self, name)) and getattr(self, name) > 0):
-                raise ConfigurationError(f"{name} must be positive and finite (watts)")
+    FIELD_KINDS = {
+        "M": Kind.COUNT, "N": Kind.COUNT, "K": Kind.COUNT,
+        "p_max": Kind.POSITIVE, "noise_power": Kind.POSITIVE,
+        "user_sides": Kind.choice(TRANSMISSION, REFLECTION).listed().or_none(),
+        "weights": Kind.FINITE.listed().or_none(),
+    }
 
-        sides = self.user_sides
-        if sides is None:
-            sides = default_user_sides(self.K)
-        sides = tuple(sides)
-        if len(sides) != self.K:
+    def __post_init__(self) -> None:
+        check_fields(self, self.FIELD_KINDS)
+        if self.user_sides is None:
+            object.__setattr__(self, "user_sides", default_user_sides(self.K))
+        if len(self.user_sides) != self.K:
             raise ConfigurationError("user_sides must have one label per user")
-        if any(s not in (TRANSMISSION, REFLECTION) for s in sides):
-            raise ConfigurationError(
-                f"user side labels must be '{TRANSMISSION}' or '{REFLECTION}'"
-            )
-        object.__setattr__(self, "user_sides", sides)
-        side_index = np.array([s == REFLECTION for s in sides], dtype=np.intp)
+        side_index = np.array([s == REFLECTION for s in self.user_sides], dtype=np.intp)
         object.__setattr__(self, "side_index", _locked(side_index))
         object.__setattr__(self, "side_mask", _locked(
             side_index[:, None, None] == np.arange(2)[:, None]))
 
-        w = self.weights
-        w = np.ones(self.K) if w is None else np.array(w, dtype=float)
+        w = np.ones(self.K) if self.weights is None else np.array(self.weights)
         if w.shape != (self.K,):
             raise ConfigurationError("weights must have shape (K,)")
-        if not np.isfinite(w).all():
-            raise ConfigurationError("weights must be finite")
         if (w < 0).any() or not (w > 0).any():
             raise ConfigurationError("weights must be >= 0 with at least one > 0")
         object.__setattr__(self, "weights", _locked(w))

@@ -62,7 +62,7 @@ from .constraints import (
     sigmoid,
     wrap_phase,
 )
-from .errors import ConfigurationError, DegenerateInputError, is_real, require_int
+from .errors import ConfigurationError, DegenerateInputError, Kind, check_fields
 from .gradients import precoder_pullback, received_field, surface_pullback
 from .model import (
     TWO_PI,
@@ -115,18 +115,19 @@ class TrainConfig:
     rho_max: float = 1e2      # and at the final epoch
     seed: int = 0
 
+    FIELD_KINDS = {
+        "n_epochs": Kind.COUNT, "n_outer": Kind.COUNT, "n_inner": Kind.COUNT,
+        "lr_w": Kind.POSITIVE, "lr_a": Kind.POSITIVE, "lr_theta": Kind.POSITIVE,
+        "n1": Kind.COUNT, "n2": Kind.COUNT,
+        "mode": Kind.choice(MODE_INDEPENDENT, MODE_COUPLED),
+        "rho_min": Kind.POSITIVE, "rho_max": Kind.POSITIVE, "seed": Kind.SEED,
+    }
+
     def __post_init__(self) -> None:
-        for name in ("n_epochs", "n_outer", "n_inner", "n1", "n2"):
-            require_int(name, getattr(self, name))
-        require_int("seed", self.seed, 0)
-        for name in ("lr_w", "lr_a", "lr_theta"):
-            if not (is_real(getattr(self, name)) and getattr(self, name) > 0):
-                raise ConfigurationError(f"{name} must be positive and finite")
-        if self.mode not in (MODE_INDEPENDENT, MODE_COUPLED):
-            raise ConfigurationError(f"unknown mode '{self.mode}'")
-        if not (is_real(self.rho_min) and is_real(self.rho_max)
-                and 0 < self.rho_min <= self.rho_max):
-            raise ConfigurationError("require 0 < rho_min <= rho_max < inf")
+        check_fields(self, self.FIELD_KINDS)
+        if self.rho_min > self.rho_max:
+            raise ConfigurationError(
+                f"rho_min must be <= rho_max; got {self.rho_min!r} > {self.rho_max!r}")
 
 
 @dataclass(frozen=True)

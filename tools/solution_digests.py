@@ -9,7 +9,8 @@ the instances ``starbeam grad-check`` checks by default, the
 central-difference bundle and the command's one-instance report. The
 bundle is ``wsr_finite_diff``'s, or in a tree without it the per-state
 oracle's, so listing such a tree with this copy of the tool compares the
-batched differences against the oracle.
+batched differences against the oracle. The cli_config cases solve from
+a config file read through ``cli._build_configs``.
 
 Digests depend on the BLAS build and the CPU, so they are compared only
 between two runs on one machine, never against stored values. Each tree
@@ -31,6 +32,7 @@ import argparse
 import csv
 import dataclasses
 import hashlib
+import json
 import os
 import sys
 import tempfile
@@ -43,6 +45,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
 
 from starbeam import (  # noqa: E402
     ExperimentSpec,
+    cli,
     conventional_ris_baseline,
     default_scenario,
     desk_scenario,
@@ -61,6 +64,23 @@ from starbeam import (  # noqa: E402
 
 BATTERY_SEEDS = 20   # the acceptance battery: channel 1000 + s, train seed s
 BATTERY_EPOCHS = 300
+
+# A config file for `starbeam run`, every key set. Real-valued keys are
+# written as integers where they can be, so the cli_config cases solve
+# from converted file values: a conversion that changes a value changes
+# their digests (one that changes only its type, 3000 to 3000.0, cannot).
+CLI_CONFIG = {
+    "system": {"M": 8, "N": 16, "K": 2, "p_max_w": 0.01, "noise_power_w": 1e-14,
+               "weights": [1, 2], "user_sides": ["reflection", "transmission"]},
+    "train": {"n_epochs": 100, "n_outer": 1, "n_inner": 1, "lr_w": 0.001,
+              "lr_a": 0.005, "lr_theta": 0.005, "n1": 5, "n2": 1,
+              "mode": "independent", "rho_min": 0.3, "rho_max": 3000, "seed": 4},
+    "channel": {"rician_k_g": 10, "rician_k_h": 8, "bs_pos_m": [0, 0],
+                "ris_pos_m": [100, 0], "center_t_m": [100, -15],
+                "center_r_m": [100, 15], "user_area_radius_m": 5,
+                "pathloss_a_db": 35.6, "pathloss_b_db_per_decade": 22,
+                "seed": 1004},
+}
 
 
 def _update(h, name: str, value) -> None:
@@ -106,6 +126,18 @@ def _experiment(**fields) -> str:
         if report.failures:
             raise RuntimeError(f"experiment failed: {report.failures}")
         return csv_digest(set(report.csv_paths))
+
+
+def _cli_config(mode: str) -> str:
+    """The solve of `starbeam run --config CLI_CONFIG --mode mode`."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w", encoding="ascii") as fh:
+            json.dump(CLI_CONFIG, fh)
+        args = cli.build_parser().parse_args(["run", "--config", path, "--mode", mode])
+        sys_cfg, ch_cfg, train = cli._build_configs(args)
+    ch = generate_channels(sys_cfg, ch_cfg, np.random.default_rng(ch_cfg.seed))
+    return solution_digest(run_gml(sys_cfg, ch, train))
 
 
 def _difference_bundle(seed: int):
@@ -161,6 +193,9 @@ def cases():
         train = replace(paper_train(mode), n_epochs=10, n_outer=2)
         out.append((f"paper_outer2/{mode}", lambda train=train: solution_digest(
             run_gml(paper_cfg, paper_ch, train))))
+
+    for mode in ("independent", "coupled"):
+        out.append((f"cli_config/{mode}", lambda mode=mode: _cli_config(mode)))
 
     out += [
         ("experiment/convergence", lambda: _experiment(
