@@ -106,7 +106,7 @@ def received_field(
     """
     U = rows @ W
     gammas, denom = received_sinrs(cfg, U)
-    sig_coef = cfg.weights / (_LN2 * (1.0 + gammas) * denom)    # (K,)
+    sig_coef = cfg.weight_array / (_LN2 * (1.0 + gammas) * denom)    # (K,)
     k = cfg.K
     C = np.repeat(-(sig_coef * gammas), k).reshape(k, k)
     C.reshape(-1)[:: k + 1] = sig_coef

@@ -43,11 +43,14 @@ class SystemConfig:
 
     M: BS antennas, N: surface elements, K: single-antenna users.
     p_max and noise_power are linear watts. weights are the per-user rate
-    weights (finite, non-negative, at least one positive). user_sides
-    labels each user "transmission" or "reflection" and partitions the user
-    set; side_index, derived from it and not settable, is 0 for each
-    transmission user and 1 for each reflection user, and side_mask, also
-    derived, is the (K, 2, 1) boolean one-hot of side_index.
+    weights (finite, non-negative, at least one positive; all ones when not
+    given), stored as a tuple of floats, so that configs compare and hash;
+    weight_array, derived from it and not settable, is the same values as
+    a read-only (K,) array, which the rate and its gradients read.
+    user_sides labels each user "transmission" or "reflection" and
+    partitions the user set; side_index, derived from it and not settable,
+    is 0 for each transmission user and 1 for each reflection user, and
+    side_mask, also derived, is the (K, 2, 1) boolean one-hot of side_index.
     """
 
     M: int
@@ -56,7 +59,8 @@ class SystemConfig:
     p_max: float
     noise_power: float
     user_sides: tuple[str, ...] | None = None
-    weights: np.ndarray | None = None
+    weights: tuple[float, ...] | None = None
+    weight_array: np.ndarray = field(init=False, repr=False, compare=False)
     side_index: np.ndarray = field(init=False, repr=False, compare=False)
     side_mask: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -83,7 +87,8 @@ class SystemConfig:
             raise ConfigurationError("weights must have shape (K,)")
         if (w < 0).any() or not (w > 0).any():
             raise ConfigurationError("weights must be >= 0 with at least one > 0")
-        object.__setattr__(self, "weights", _locked(w))
+        object.__setattr__(self, "weights", tuple(w.tolist()))
+        object.__setattr__(self, "weight_array", _locked(w))
 
 
 @dataclass(frozen=True)
@@ -281,9 +286,9 @@ def wsr(cfg: SystemConfig, gammas: np.ndarray) -> float | np.ndarray:
     g = np.asarray(gammas, dtype=float)
     if g.shape[-1:] != (cfg.K,):
         raise ConfigurationError(f"gammas must have shape (..., {cfg.K})")
-    if (g < 0).any():
+    if not (g >= 0).all():  # also rejects NaN
         raise ValueError("SINR values must be non-negative")
-    rates = (cfg.weights * np.log2(1.0 + g)).sum(axis=-1)
+    rates = (cfg.weight_array * np.log2(1.0 + g)).sum(axis=-1)
     return float(rates) if g.ndim == 1 else rates
 
 

@@ -5,16 +5,26 @@ The precoder network consumes the complex (M, K) gradient as a batch of
 2K real M-vectors through shared weights; the amplitude and phase networks
 consume their 2N-dimensional gradient vectors directly.
 
+Precision: the networks run in NET_DTYPE, float32. Their parameters,
+activations, parameter gradients and Adam moments and scratch are float32;
+every input a network is fed is cast to its dtype, and the callers take
+its outputs back to float64. The channels, the beamforming state, the rate
+gradients and the constraint checks stay float64: low precision in the
+networks, full precision in the physics. An :class:`Mlp` keeps the dtype
+of the arrays it is built from, so a float64 copy of a network runs the
+same code in float64.
+
 Parameter layout: each network keeps all of its parameters in one
-contiguous float64 vector, ``Mlp.flat``, laid out w1 | b1 | w2 | b2 with
+contiguous vector, ``Mlp.flat``, laid out w1 | b1 | w2 | b2 with
 row-major weights, and ``w1``, ``b1``, ``w2`` and ``b2`` are views into it.
 :func:`mlp_backward` writes or adds parameter gradients into one flat
 vector of the same layout, and :func:`adam_step` updates a flat parameter
 vector and its moments in place, ADAM_BLOCK parameters at a time, one
 elementwise operation at a time into a block scratch in :class:`AdamState`;
 each element gets the textbook expression's operations in their order, so
-results match it bit for bit. A block of 32768 keeps its six operands
-(about 1.5 MB) in a 2 MB L2 cache, and every desk network is one block.
+results match it bit for bit. In float32 the six operands of a block of
+32768 take about 0.75 MB, well inside a 2 MB L2 cache, and every desk
+network is one block.
 """
 from __future__ import annotations
 
@@ -29,21 +39,28 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
 ADAM_BLOCK = 32768  # parameters per Adam pass; see the module docstring
+NET_DTYPE = np.float32  # of every network built by init_mlp; see the docstring
+# Entries of the scratch that mlp_backward's add path forms a weight
+# gradient in, a block of rows at a time (float32: 32 KB).
+BACKWARD_CHUNK = 8192
 
 
 class Mlp:
     """Two affine maps with a rectified-linear activation between them.
 
-    The arrays passed in are copied into ``flat``; ``w1`` (hidden, in),
-    ``b1`` (hidden,), ``w2`` (out, hidden) and ``b2`` (out,) are views into
-    it, so an in-place update of ``flat`` updates the network.
+    The arrays passed in are copied into ``flat``, whose dtype is theirs
+    (float32 arrays give a float32 network, float64 ones a float64 one,
+    integers float64); ``w1`` (hidden, in), ``b1`` (hidden,), ``w2``
+    (out, hidden) and ``b2`` (out,) are views into it, so an in-place
+    update of ``flat`` updates the network.
     """
 
     def __init__(self, w1, b1, w2, b2) -> None:
         self.hidden_dim, self.input_dim = np.shape(w1)
         self.output_dim = np.shape(w2)[0]
         h, o = self.hidden_dim, self.output_dim
-        self.flat = np.empty(h * (self.input_dim + 1) + o * (h + 1))
+        dtype = np.result_type(*map(np.asarray, (w1, b1, w2, b2)), NET_DTYPE)
+        self.flat = np.empty(h * (self.input_dim + 1) + o * (h + 1), dtype)
         views = self.split(self.flat)
         for view, value in zip(views, (w1, b1, w2, b2)):
             view[...] = value
@@ -63,8 +80,9 @@ class Mlp:
 
     def forward_with_cache(self, x: np.ndarray) -> tuple[np.ndarray, tuple]:
         """Forward pass that also returns the intermediates needed by
-        :func:`mlp_backward`."""
-        x = np.asarray(x, dtype=float)
+        :func:`mlp_backward`; x is cast to the network's dtype, and so is
+        the output."""
+        x = np.asarray(x, dtype=self.flat.dtype)
         if x.ndim not in (1, 2) or x.shape[-1] != self.input_dim:
             raise ConfigurationError(
                 f"input shape {x.shape} does not match network input "
@@ -80,15 +98,15 @@ class Mlp:
 
 def init_mlp(input_dim: int, hidden_dim: int, output_dim: int,
              rng: np.random.Generator) -> Mlp:
-    """Uniform +-1/sqrt(fan_in) weights, zero biases."""
+    """Uniform +-1/sqrt(fan_in) weights, zero biases, in NET_DTYPE. The
+    weights are drawn in float64 and then rounded, so the generator is
+    consumed as a float64 network would consume it."""
     s1 = 1.0 / np.sqrt(input_dim)
     s2 = 1.0 / np.sqrt(hidden_dim)
-    return Mlp(
-        w1=rng.uniform(-s1, s1, size=(hidden_dim, input_dim)),
-        b1=np.zeros(hidden_dim),
-        w2=rng.uniform(-s2, s2, size=(output_dim, hidden_dim)),
-        b2=np.zeros(output_dim),
-    )
+    w1 = rng.uniform(-s1, s1, size=(hidden_dim, input_dim))
+    w2 = rng.uniform(-s2, s2, size=(output_dim, hidden_dim))
+    return Mlp(w1.astype(NET_DTYPE), np.zeros(hidden_dim, NET_DTYPE),
+               w2.astype(NET_DTYPE), np.zeros(output_dim, NET_DTYPE))
 
 
 def mlp_backward(net: Mlp, cache: tuple, grad_out: np.ndarray,
@@ -97,9 +115,12 @@ def mlp_backward(net: Mlp, cache: tuple, grad_out: np.ndarray,
     ``forward_with_cache`` as a flat vector laid out like ``net.flat``:
     added into acc, or written into a new vector when acc is None, which
     saves zeroing it and a pass over it. Returns the vector; grad_out
-    matches the output shape."""
+    matches the output shape and is cast to the network's dtype, as the
+    vector is in it. The add path forms each weight gradient in a scratch
+    of BACKWARD_CHUNK entries (or one row, if wider), a block of rows at a
+    time, not as a temporary of the weights' size."""
     x2, pre, hidden, single = cache
-    g = np.asarray(grad_out, dtype=float)
+    g = np.asarray(grad_out, dtype=net.flat.dtype)
     g2 = g[None, :] if single else g
     grad_hidden = (g2 @ net.w2) * (pre > 0.0)
     # For a single input the weight gradients are outer products, which
@@ -114,9 +135,15 @@ def mlp_backward(net: Mlp, cache: tuple, grad_out: np.ndarray,
         g2.sum(axis=0, out=g_b2)
         return acc
     g_w1, g_b1, g_w2, g_b2 = net.split(acc)
-    g_w1 += outer(grad_hidden.T, x2)
+    scratch = np.empty(max(BACKWARD_CHUNK, net.input_dim, net.hidden_dim), acc.dtype)
+    for g_w, left, right in ((g_w1, grad_hidden.T, x2), (g_w2, g2.T, hidden)):
+        rows = max(1, BACKWARD_CHUNK // g_w.shape[1])
+        for lo in range(0, g_w.shape[0], rows):
+            part = g_w[lo:lo + rows]
+            product = scratch[:part.size].reshape(part.shape)
+            outer(left[lo:lo + rows], right, out=product)
+            part += product
     g_b1 += grad_hidden.sum(axis=0)
-    g_w2 += outer(g2.T, hidden)
     g_b2 += g2.sum(axis=0)
     return acc
 
@@ -127,7 +154,7 @@ def pn_forward_with_cache(net: Mlp, grad_w: np.ndarray) -> tuple[np.ndarray, tup
 
     The gradient is split into 2K real M-vectors (the K real parts, then
     the K imaginary parts), pushed through the shared network, and the
-    outputs recombined column-wise into a complex (M, K) update.
+    outputs recombined column-wise into a complex128 (M, K) update.
     """
     grad_w = np.asarray(grad_w, dtype=np.complex128)
     if grad_w.ndim != 2 or grad_w.shape[0] != net.input_dim:
@@ -140,14 +167,15 @@ def pn_forward_with_cache(net: Mlp, grad_w: np.ndarray) -> tuple[np.ndarray, tup
     k = grad_w.shape[1]
     batch = np.concatenate([grad_w.real.T, grad_w.imag.T])  # (2K, M)
     out, cache = net.forward_with_cache(batch)
+    out = out.astype(np.float64, copy=False)
     return (out[:k] + 1j * out[k:]).T, cache
 
 
 @dataclass
 class AdamState:
     """Moment estimates, step count and the block scratch of
-    :func:`adam_step` for one flat parameter vector of P entries; the step
-    updates all of it in place."""
+    :func:`adam_step` for one flat parameter vector of P entries, all in
+    its dtype; the step updates all of it in place."""
 
     first_moment: np.ndarray
     second_moment: np.ndarray
@@ -156,26 +184,34 @@ class AdamState:
 
 
 def adam_init(params: np.ndarray) -> AdamState:
-    """Zero-initialized moments matching the flat parameter vector."""
+    """Zero-initialized moments matching the flat parameter vector, and a
+    block scratch in its dtype."""
     return AdamState(np.zeros_like(params), np.zeros_like(params),
-                     np.empty((2, min(params.size, ADAM_BLOCK))))
+                     np.empty((2, min(params.size, ADAM_BLOCK)), params.dtype))
 
 
 def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState,
               lr: float) -> None:
     """One bias-corrected Adam update moving the flat params against the
-    loss gradient, in place on params and state; grads is only read. A bad
-    lr and non-finite gradients are rejected before anything changes."""
+    loss gradient, in place on params and state; grads is only read. The
+    arithmetic is in the params' dtype, which grads and the state must
+    share. A bad lr and non-finite gradients are rejected before anything
+    changes."""
     if not (is_real(lr) and lr > 0):
         raise ValueError(f"lr must be a finite real > 0; got {lr!r}")
+    dtype = state.first_moment.dtype
     if not (isinstance(params, np.ndarray) and params.ndim == 1
-            and params.dtype == np.float64):
-        raise ConfigurationError("params must be a 1-D float64 vector")
+            and params.dtype == dtype and np.issubdtype(dtype, np.floating)):
+        raise ConfigurationError(
+            f"params must be a 1-D float vector of the state's dtype, {dtype}")
     if grads.shape != params.shape:
         raise ConfigurationError(
             f"gradient shape {grads.shape} does not match parameter shape "
             f"{params.shape}"
         )
+    if grads.dtype != dtype:
+        raise ConfigurationError(
+            f"gradient dtype {grads.dtype} does not match parameter dtype {dtype}")
     if not np.isfinite(grads).all():
         raise ValueError("non-finite gradient; update rejected")
     state.step_count += 1

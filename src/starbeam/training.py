@@ -28,6 +28,15 @@ Backward passes add into one flat gradient vector per network, and each
 network steps right after its last backward pass, then drops its gradient;
 no backward pass reads another network's parameters, so the order is free.
 
+Precision: the networks, their parameter gradients and their Adam state
+are float32 (networks.NET_DTYPE); the states, the rates, the loss
+gradients and the constraint checks stay float64. The boundary is the
+network call: a network casts the float64 gradient it is fed, and each
+block takes the output back to float64 before it touches the state (a
+complex128 precoder update, beta + delta, the phase network's raw output
+before the sigmoid); a backward pass casts its float64 loss gradient as it
+enters the network.
+
 Loss plumbing: each network's parameters receive the gradient of its own
 loss through its own update chain only; the other variable groups and the
 gradient fed to the network input are treated as constants. In coupled
@@ -39,6 +48,14 @@ refined point's field, the phase network's as -grad_theta + 2 * rho *
 coupled point its own derivative drops out). The reported solution
 hardens the best state by projecting its phases and re-evaluating the
 rate there.
+
+Phase-rate decay: in coupled mode the phase network's Adam rate falls
+geometrically over the run, lr_theta * PHASE_RATE_FLOOR ** (epoch /
+n_epochs). Each epoch the phase network remakes the whole phase profile
+from theta0, and at a constant rate its steps keep the coupling residual
+jittering around 0.02-0.05 through the second half of a run; the decay
+makes the lock hold to the last epoch. Independent mode and the other two
+networks keep constant rates.
 
 Selection of the reported state: the refined state, over all outer
 iterations, that ranks highest on (phase-locked, post-projection rate),
@@ -93,6 +110,10 @@ TN_HIDDEN = 300
 # Each phase-network step adds REGULATOR_GAIN * sigmoid(raw) to the phases:
 # an increment in (0, 2*pi), so one step can reach any phase.
 REGULATOR_GAIN = TWO_PI
+
+# In coupled mode the phase network's Adam rate decays geometrically, from
+# lr_theta at epoch 0 to PHASE_RATE_FLOOR * lr_theta at the final epoch.
+PHASE_RATE_FLOOR = 0.1
 
 
 @dataclass(frozen=True)
@@ -250,7 +271,7 @@ def _amplitude_block(
         field = received_field(cfg, effective_rows(cfg, ch, beta * phasor), W)
         grad = 2.0 * surface_pullback(cfg, ch, field, precoded, phasor).real
         delta, cache = an.forward_with_cache(grad)
-        raw = beta + delta
+        raw = beta + delta  # float64, as beta is
         bt, br = normalize_amplitudes(raw[:n], raw[n:])
         tape.append((cache, raw))
         beta = np.concatenate([bt, br])
@@ -296,7 +317,7 @@ def _phase_block(
         field = received_field(cfg, effective_rows(cfg, ch, beta * phasor), W)
         bracket = surface_pullback(cfg, ch, field, precoded, phasor)
         raw, cache = tn.forward_with_cache(-2.0 * beta * bracket.imag)
-        sig = sigmoid(raw)
+        sig = sigmoid(raw.astype(np.float64))
         tape.append((cache, sig))
         theta = wrap_phase(theta + REGULATOR_GAIN * sig)
         phasor = np.exp(1j * theta)
@@ -404,6 +425,8 @@ def run_meta_loop(
 
     for epoch in range(1, n_epochs + 1):
         rho = rho_at(train, epoch) if coupled else 0.0
+        lr_tn = (train.lr_theta * PHASE_RATE_FLOOR ** (epoch / n_epochs)
+                 if coupled else train.lr_theta)
         update_an = enable_an and epoch % train.n1 == 0
         update_tn = enable_tn and epoch % train.n2 == 0
         # Per-network loss gradients summed over the outer iterations; None
@@ -479,7 +502,7 @@ def run_meta_loop(
                         g_t = g_t + 2.0 * rho * (theta_star - proj)
                     grad_tn = _phase_block_backward(tn, tape_t, g_t, grad_tn)
                     if last:
-                        _adam_update(tn, grad_tn, adams[2], train.lr_theta, train.n_outer)
+                        _adam_update(tn, grad_tn, adams[2], lr_tn, train.n_outer)
                         grad_tn = None
             except (DegenerateInputError, ConfigurationError) as err:
                 raise type(err)(

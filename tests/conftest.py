@@ -4,6 +4,7 @@ import pytest
 from starbeam import (
     BeamformingState,
     ChannelSet,
+    Mlp,
     SystemConfig,
     normalize_amplitudes,
     normalize_power,
@@ -56,3 +57,10 @@ edge_cases = pytest.mark.parametrize("seed, dims, sides, weights", [
 def make_edge_instance(seed, dims, sides, weights):
     M, N, K = dims
     return make_instance(seed, M=M, N=N, K=K, user_sides=sides, weights=weights)
+
+
+def float64_copy(net):
+    """A float64 network with the parameters of net: finite-difference
+    checks of a float32 network's gradient run on it, where a step of 1e-6
+    is far above the rounding of the parameters."""
+    return Mlp(*net.split(net.flat.astype(np.float64)))

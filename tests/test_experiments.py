@@ -221,7 +221,7 @@ class TestGradientInstance:
                                               separate_draws(seed))
             assert (cfg.M, cfg.N, cfg.K, cfg.p_max, cfg.noise_power) \
                 == (rc.M, rc.N, rc.K, rc.p_max, rc.noise_power)
-            pairs = [(cfg.weights, rc.weights), (ch.G, rch.G), (ch.h, rch.h)] + [
+            pairs = [(cfg.weight_array, rc.weight_array), (ch.G, rch.G), (ch.h, rch.h)] + [
                 (getattr(st, f), getattr(rst, f))
                 for f in ("W", "beta_t", "beta_r", "theta_t", "theta_r")]
             for a, b in pairs:
@@ -487,7 +487,7 @@ class TestCli:
         args = build_parser().parse_args(["run", "--config", path,
                                           "--mode", "coupled"])
         sys_cfg, _, train = _build_configs(args)
-        assert sys_cfg.weights.tolist() == [1.0, 0.0, 2.0]
+        assert sys_cfg.weights == (1.0, 0.0, 2.0)
         assert sys_cfg.side_index.tolist() == [1, 0, 1]
         assert (train.rho_min, train.rho_max) == (0.5, 50.0)
 

@@ -57,7 +57,7 @@ class TestPrecoderGradient:
         cfg, ch, state = make_instance(8, K=1)
         doubled = SystemConfig(M=cfg.M, N=cfg.N, K=1, p_max=cfg.p_max,
                                noise_power=cfg.noise_power,
-                               weights=2 * cfg.weights)
+                               weights=2 * cfg.weight_array)
         assert np.allclose(wsr_gradients(doubled, ch, state).grad_w,
                            2 * wsr_gradients(cfg, ch, state).grad_w, rtol=1e-12)
 

@@ -154,6 +154,13 @@ class TestWsr:
         with pytest.raises(ValueError):
             wsr(cfg, np.array([-0.1]))
 
+    @pytest.mark.parametrize("gammas", [[np.nan, 1.0], [1.0, np.nan],
+                                        [[1.0, 2.0], [0.5, np.nan]]])
+    def test_nan_sinr_rejected(self, gammas):
+        cfg = SystemConfig(M=1, N=1, K=2, p_max=1, noise_power=1)
+        with pytest.raises(ValueError, match="non-negative"):
+            wsr(cfg, np.array(gammas))
+
     def test_length_mismatch(self):
         cfg = SystemConfig(M=1, N=1, K=2, p_max=1, noise_power=1)
         with pytest.raises(ConfigurationError):
@@ -192,7 +199,7 @@ class TestInvariances:
             M=cfg.M, N=cfg.N, K=cfg.K, p_max=cfg.p_max,
             noise_power=cfg.noise_power,
             user_sides=tuple(cfg.user_sides[i] for i in perm),
-            weights=cfg.weights[perm],
+            weights=cfg.weight_array[perm],
         )
         ch_p = ChannelSet(ch.G, ch.h[perm])
         state_p = BeamformingState(state.W[:, perm], state.beta_t, state.beta_r,
@@ -266,6 +273,20 @@ class TestTypes:
                 field: value}
         with pytest.raises(ConfigurationError, match=field):
             SystemConfig(**args)
+
+    def test_configs_with_several_users_compare_and_hash(self):
+        args = {"M": 2, "N": 4, "K": 2, "p_max": 1.0, "noise_power": 1.0}
+        a, b = SystemConfig(**args), SystemConfig(**args, weights=[1, 1])
+        c = SystemConfig(**args, weights=np.array([1.0, 2.0]))
+        assert a == b and hash(a) == hash(b)
+        assert a != c and len({a, b, c}) == 2
+        assert c.weights == (1.0, 2.0)
+        assert all(type(w) is float for w in c.weights)
+        assert c.weight_array.tolist() == [1.0, 2.0]
+        with pytest.raises(ValueError):
+            c.weight_array[0] = 0.0
+        with pytest.raises(TypeError):
+            SystemConfig(**args, weight_array=[1.0, 1.0])
 
     def test_side_index_follows_sides(self):
         cfg = SystemConfig(M=1, N=1, K=3, p_max=1, noise_power=1,

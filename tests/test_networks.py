@@ -12,7 +12,15 @@ from starbeam import (
     init_mlp,
     init_networks,
 )
-from starbeam.networks import ADAM_BLOCK, mlp_backward, pn_forward_with_cache
+from starbeam.networks import (
+    ADAM_BLOCK,
+    BACKWARD_CHUNK,
+    NET_DTYPE,
+    mlp_backward,
+    pn_forward_with_cache,
+)
+
+from conftest import float64_copy
 
 PARAM_NAMES = ("w1", "b1", "w2", "b2")  # the order of Mlp.split and Mlp.flat
 
@@ -48,7 +56,7 @@ class TestMlp:
 
     def test_backward_matches_finite_differences(self):
         rng = np.random.default_rng(2)
-        net = init_mlp(4, 6, 3, rng)
+        net = float64_copy(init_mlp(4, 6, 3, rng))
         x = rng.standard_normal((2, 4))
         gy = rng.standard_normal((2, 3))
         y, cache = net.forward_with_cache(x)
@@ -74,6 +82,73 @@ class TestMlp:
         acc = once.copy()
         assert mlp_backward(net, cache, gy, acc) is acc
         assert np.array_equal(acc, once + once)
+
+    @pytest.mark.parametrize("din, hidden, batch", [
+        (64, 200, None), (64, 200, 8), (BACKWARD_CHUNK + 3, 2, None)])
+    def test_backward_adds_by_blocks_of_rows(self, din, hidden, batch):
+        """Weights of more than BACKWARD_CHUNK entries (a paper-scale
+        precoder network) are added a block of rows at a time, with a
+        short last block, and rows wider than that one at a time; every
+        row gets its product once."""
+        rng = np.random.default_rng(14)
+        net = init_mlp(din, hidden, din, rng)
+        assert net.w1.size > BACKWARD_CHUNK and net.w2.size > BACKWARD_CHUNK
+        x = rng.standard_normal(din if batch is None else (batch, din))
+        _, cache = net.forward_with_cache(x)
+        gy = rng.standard_normal(x.shape)
+        once = mlp_backward(net, cache, gy)
+        acc = once.copy()
+        mlp_backward(net, cache, gy, acc)
+        np.testing.assert_allclose(acc, once + once, rtol=1e-6,
+                                   atol=1e-6 * np.abs(once).max())
+
+    def test_backward_add_path_forms_no_weight_sized_temporary(self):
+        rng = np.random.default_rng(15)
+        net = init_mlp(200, 300, 200, rng)  # a paper-scale AN or TN
+        _, cache = net.forward_with_cache(rng.standard_normal(200))
+        gy = rng.standard_normal(200)
+        acc = mlp_backward(net, cache, gy)
+        mlp_backward(net, cache, gy, acc)  # warm-up
+        tracemalloc.start()
+        try:
+            mlp_backward(net, cache, gy, acc)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < net.w1.nbytes / 2
+
+    def test_init_networks_are_float32_from_the_float64_stream(self):
+        """init_mlp draws its weights in float64, as before, and rounds
+        them, so the generator is left where a float64 network leaves it
+        and the start state that follows is the same."""
+        cfg, _ = default_scenario()
+        rng, ref = np.random.default_rng(16), np.random.default_rng(16)
+        nets = init_networks(cfg, rng)
+        for net in (nets.pn, nets.an, nets.tn):
+            s1, s2 = 1 / np.sqrt(net.input_dim), 1 / np.sqrt(net.hidden_dim)
+            w1 = ref.uniform(-s1, s1, size=net.w1.shape)
+            w2 = ref.uniform(-s2, s2, size=net.w2.shape)
+            assert net.flat.dtype == NET_DTYPE == np.float32
+            assert np.array_equal(net.w1, w1.astype(np.float32))
+            assert np.array_equal(net.w2, w2.astype(np.float32))
+            assert not net.b1.any() and not net.b2.any()
+            state = adam_init(net.flat)
+            for arr in (state.first_moment, state.second_moment, state.buffers):
+                assert arr.dtype == np.float32
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_network_keeps_the_dtype_of_its_arrays(self, dtype):
+        rng = np.random.default_rng(17)
+        arrays = [rng.standard_normal(shape).astype(dtype)
+                  for shape in ((6, 4), 6, (4, 6), 4)]
+        net = Mlp(*arrays)
+        assert net.flat.dtype == dtype
+        y, cache = net.forward_with_cache(rng.standard_normal(4))
+        assert y.dtype == dtype and all(a.dtype == dtype for a in cache[:3])
+        assert mlp_backward(net, cache, rng.standard_normal(4)).dtype == dtype
+        g = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
+        assert pn_forward(net, g).dtype == np.complex128
 
     def test_parameters_are_views_of_flat(self):
         rng = np.random.default_rng(9)
@@ -205,21 +280,25 @@ class TestAdam:
 
     @pytest.mark.parametrize("size", [1, 32767, 32768, 32769, 65539])
     def test_blocks_match_reference_adam_bitwise(self, size):
-        """Block edges and a short last block: params and both moments
-        equal the textbook expression form bit for bit, with gradients
-        holding signed zeros and magnitudes from 1e-4 to 1e2."""
+        """Block edges and a short last block, in the networks' float32:
+        params and both moments equal the textbook expression form bit for
+        bit, with gradients holding signed zeros and magnitudes from 1e-4
+        to 1e2."""
         rng = np.random.default_rng(size)
-        params = rng.standard_normal(size)
+        params = rng.standard_normal(size).astype(NET_DTYPE)
         ref = {"x": params.copy()}
         ref_state = _reference_adam_init(ref)
         state = adam_init(params)
         assert state.buffers.shape == (2, min(size, ADAM_BLOCK))
+        assert state.buffers.dtype == NET_DTYPE
         for _ in range(5):
             grads = rng.standard_normal(size) * 10.0 ** rng.uniform(-4, 2, size)
+            grads = grads.astype(NET_DTYPE)
             grads[rng.random(size) < 0.1] = 0.0
             grads[rng.random(size) < 0.1] = -0.0
             ref, ref_state = _reference_adam_step(ref, {"x": grads}, ref_state, 5e-3)
             adam_step(params, grads, state, 5e-3)
+            assert ref["x"].dtype == NET_DTYPE
             assert params.tobytes() == ref["x"].tobytes()
         assert state.first_moment.tobytes() == ref_state[0]["x"].tobytes()
         assert state.second_moment.tobytes() == ref_state[1]["x"].tobytes()
@@ -269,6 +348,19 @@ class TestAdam:
             adam_step(params, np.zeros(np.shape(params)), state, lr=0.1)
         assert state.step_count == 0
 
+    def test_operands_of_another_dtype_rejected(self):
+        """params, grads and the state share one float dtype: float64
+        params against a float32 state, or float64 gradients for float32
+        params, are rejected before anything changes."""
+        params = np.ones(6, dtype=np.float32)
+        state = adam_init(params)
+        with pytest.raises(ConfigurationError, match="params"):
+            adam_step(np.ones(6), np.zeros(6), state, lr=0.1)
+        with pytest.raises(ConfigurationError, match="gradient dtype"):
+            adam_step(params, np.ones(6), state, lr=0.1)
+        assert state.step_count == 0
+        assert np.array_equal(params, np.ones(6))
+
     def test_matches_reference_dict_adam_bitwise(self):
         cfg, _ = default_scenario()
         nets = init_networks(cfg, np.random.default_rng(10))
@@ -278,7 +370,8 @@ class TestAdam:
             ref_state = _reference_adam_init(ref)
             state = adam_init(net.flat)
             for _ in range(50):
-                grads = {k: rng.standard_normal(v.shape) * 10.0 ** rng.uniform(-4, 2)
+                grads = {k: (rng.standard_normal(v.shape)
+                             * 10.0 ** rng.uniform(-4, 2)).astype(NET_DTYPE)
                          for k, v in ref.items()}
                 flat_grads = np.concatenate([grads[k].ravel() for k in PARAM_NAMES])
                 ref, ref_state = _reference_adam_step(ref, grads, ref_state, 5e-3)

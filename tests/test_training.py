@@ -46,7 +46,7 @@ from starbeam.training import (
     run_meta_loop,
 )
 
-from conftest import edge_cases, make_edge_instance, make_instance
+from conftest import edge_cases, float64_copy, make_edge_instance, make_instance
 
 
 def zero_nets(cfg):
@@ -445,12 +445,14 @@ class TestRefinedPoint:
 
 class TestMetaGradients:
     """Each network's parameter gradient (through its own update chain,
-    inputs and other groups held fixed) must match finite differences."""
+    inputs and other groups held fixed) must match finite differences,
+    taken on float64 copies of the networks."""
 
     def setup_method(self):
         self.cfg, self.ch, _ = make_instance(3, M=4, N=6, K=2)
         rng = np.random.default_rng(4)
-        self.nets = init_networks(self.cfg, rng)
+        nets = init_networks(self.cfg, rng)
+        self.nets = SubNetworks(*map(float64_copy, (nets.pn, nets.an, nets.tn)))
         self.start = initial_state(self.cfg, rng)
         self.phasor0 = np.exp(1j * self.start.theta)
         self.rows0 = state_rows(self.cfg, self.ch, self.start)
@@ -556,6 +558,12 @@ class TestRunGml:
                             n_outer=n_outer)
         return sys_cfg, ch, train
 
+    # The first train seeds at which the two selection tests below have a
+    # choice to make (their preconditions). With the phase-rate decay most
+    # coupled runs' best post-projection state is itself locked.
+    SEED_BEST_UNLOCKED = 6
+    SEED_PICK_IN_FIRST_OUTER = 1
+
     def spied_coupled_run(self, monkeypatch, **kwargs):
         """Coupled run with the loop's rates recorded. Returns the solution
         and, per refined state in loop order (every outer iteration of every
@@ -619,7 +627,8 @@ class TestRunGml:
         assert trace[-1] == sol.wsr_opt
 
     def test_coupled_reports_best_locked_state(self, monkeypatch):
-        sol, states = self.spied_coupled_run(monkeypatch, n_epochs=40)
+        sol, states = self.spied_coupled_run(
+            monkeypatch, n_epochs=40, seed=self.SEED_BEST_UNLOCKED)
         # precondition: the run locks, and its best post-projection state
         # overall does not, so the rule has a choice to make
         assert (sol.traces["residual_max"] < COUPLING_TOL).any()
@@ -636,7 +645,8 @@ class TestRunGml:
         assert sol.residual_pre_projection >= COUPLING_TOL
 
     def test_coupled_selection_sees_every_outer_iteration(self, monkeypatch):
-        sol, states = self.spied_coupled_run(monkeypatch, n_epochs=40, n_outer=2)
+        sol, states = self.spied_coupled_run(
+            monkeypatch, n_epochs=40, n_outer=2, seed=self.SEED_PICK_IN_FIRST_OUTER)
         # the residual trace is the last outer iteration's of each epoch
         assert np.array_equal(sol.traces["residual_max"],
                               [s[1] for s in states[1::2]])
@@ -717,21 +727,68 @@ class TestRunGml:
                 assert epoch[mine[-1]][2] is epoch[mine[-2]][2]
 
     @pytest.mark.parametrize("mode", ["independent", "coupled"])
-    def test_paper_solve_array_memory(self, mode):
-        """A paper-scale solve holds the parameters, their two moments, one
-        gradient at a time and a block scratch per network: its traced peak
-        stays under 4.5 float64 words per network parameter."""
+    def test_phase_rate_decays_in_coupled_mode_only(self, monkeypatch, mode):
+        """Coupled mode steps the phase network at lr_theta *
+        PHASE_RATE_FLOOR ** (epoch / n_epochs); independent mode at
+        lr_theta. The other two networks keep their rates in both modes."""
+        sys_cfg, ch, _ = self.small_setup()
+        train = TrainConfig(n_epochs=6, mode=mode, n1=1, n2=2, lr_w=1e-3,
+                            lr_a=2e-3, lr_theta=3e-3)
+        nets, rates = [], {"pn": [], "an": [], "tn": []}
+        init, adam_step = training.init_networks, training.adam_step
+
+        def init_spy(*args):
+            nets.append(init(*args))
+            return nets[-1]
+
+        def adam_spy(params, grads, state, lr):
+            name = next(n for n in rates if params is getattr(nets[0], n).flat)
+            rates[name].append(lr)
+            adam_step(params, grads, state, lr)
+
+        monkeypatch.setattr(training, "init_networks", init_spy)
+        monkeypatch.setattr(training, "adam_step", adam_spy)
+        run_gml(sys_cfg, ch, train)
+        n = train.n_epochs
+        tn_epochs = range(train.n2, n + 1, train.n2)
+        floor = training.PHASE_RATE_FLOOR if mode == "coupled" else 1.0
+        assert 0 < training.PHASE_RATE_FLOOR < 1
+        assert rates["pn"] == [train.lr_w] * n
+        assert rates["an"] == [train.lr_a] * n
+        assert rates["tn"] == [train.lr_theta * floor ** (e / n) for e in tn_epochs]
+
+    @staticmethod
+    def paper_peak_words(mode, n_outer):
+        """Traced peak of a 5-epoch paper-scale solve, in words of the
+        networks' dtype per network parameter."""
         cfg, ch_cfg = default_scenario()
         ch = generate_channels(cfg, ch_cfg, np.random.default_rng(100))
         nets = init_networks(cfg, np.random.default_rng(0))
         n_params = nets.pn.flat.size + nets.an.flat.size + nets.tn.flat.size
+        train = replace(paper_train(mode), n_epochs=5, n_outer=n_outer)
         tracemalloc.start()
         try:
-            run_gml(cfg, ch, replace(paper_train(mode), n_epochs=5))
+            run_gml(cfg, ch, train)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 4.5 * 8 * n_params
+        return peak / (nets.pn.flat.itemsize * n_params)
+
+    @pytest.mark.parametrize("mode", ["independent", "coupled"])
+    def test_paper_solve_array_memory(self, mode):
+        """A paper-scale solve holds the parameters, their two moments, one
+        gradient at a time and a block scratch per network: its traced peak
+        stays under 4.5 words of the networks' dtype per network
+        parameter."""
+        assert self.paper_peak_words(mode, n_outer=1) <= 4.5
+
+    @pytest.mark.parametrize("mode", ["independent", "coupled"])
+    def test_paper_solve_array_memory_two_outer_iterations(self, mode):
+        """With two outer iterations a second gradient is alive, and the
+        backward passes add into it through a small scratch: the peak stays
+        under 4.9 words (about 4.85 measured; a temporary of a weight
+        matrix per addition took it to about 4.97)."""
+        assert self.paper_peak_words(mode, n_outer=2) <= 4.9
 
     def test_deterministic_bitwise(self):
         sys_cfg, ch, train = self.small_setup()
