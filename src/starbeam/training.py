@@ -79,7 +79,7 @@ from .constraints import (
     sigmoid,
     wrap_phase,
 )
-from .errors import ConfigurationError, DegenerateInputError, Kind, check_fields
+from .errors import ConfigurationError, DegenerateInputError, Kind, check_fields, is_int
 from .gradients import precoder_pullback, received_field, surface_pullback
 from .model import (
     TWO_PI,
@@ -195,8 +195,9 @@ def init_networks(cfg: SystemConfig, rng: np.random.Generator) -> SubNetworks:
 def rho_at(train: TrainConfig, epoch: int) -> float:
     """Penalty weight at an epoch: rho_min * (rho_max/rho_min)^(epoch/n)
     with n = train.n_epochs."""
-    if not 0 <= epoch <= train.n_epochs:
-        raise ValueError("epoch must lie in [0, n_epochs]")
+    if not (is_int(epoch, 0) and epoch <= train.n_epochs):
+        raise ValueError(
+            f"epoch must be an integer in [0, n_epochs]; got {epoch!r}")
     ratio = train.rho_max / train.rho_min
     return float(train.rho_min * ratio ** (epoch / train.n_epochs))
 
@@ -383,6 +384,8 @@ def run_meta_loop(
     """Run the loop with optional frozen variable groups (used by the
     comparison schemes). A disabled network leaves its variable group at
     the initial profile for the entire run."""
+    Kind.FLAG.check("enable_an", enable_an)
+    Kind.FLAG.check("enable_tn", enable_tn)
     check_dimensions(sys_cfg, ch)
     coupled = train.mode == MODE_COUPLED
     n = sys_cfg.N

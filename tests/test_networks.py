@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -42,6 +43,17 @@ class TestMlp:
         assert np.all(np.abs(net.w1) <= 1 / np.sqrt(6))
         assert np.all(np.abs(net.w2) <= 1 / np.sqrt(20))
         assert np.all(net.b1 == 0) and np.all(net.b2 == 0)
+
+    @pytest.mark.parametrize("arg", [0, 1, 2])
+    @pytest.mark.parametrize("value", [2.5, 0, True, "4", np.float64(4.0)])
+    def test_bad_dimension_named(self, arg, value):
+        dims = [4, 6, 3]
+        dims[arg] = value
+        name = ("input_dim", "hidden_dim", "output_dim")[arg]
+        rng = np.random.default_rng(0)
+        with pytest.raises(ConfigurationError, match=name):
+            init_mlp(*dims, rng)
+        assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
 
     def test_zero_network_is_zero(self):
         net = zero_mlp(4, 8, 4)
@@ -255,13 +267,49 @@ class TestAdam:
         params = self.params.copy()
         m = self.state.first_moment.copy()
         v = self.state.second_moment.copy()
-        for bad in (np.nan, np.inf):
+        for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError):
                 adam_step(self.params, np.array([0.0, bad, 1.0]), self.state, lr=0.1)
             assert self.state.step_count == 1
             assert np.array_equal(self.params, params)
             assert np.array_equal(self.state.first_moment, m)
             assert np.array_equal(self.state.second_moment, v)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in dot:RuntimeWarning")
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gradient_whose_square_overflows_rejected(self, dtype):
+        """An entry above sqrt(finfo(dtype).max) would make the second
+        moment inf and freeze its parameter; it is rejected, in either
+        sign and in any block, before anything changes. Two entries of the
+        largest magnitude not above that bound are accepted, though the
+        sum of their squares overflows, and leave the moments finite."""
+        size = ADAM_BLOCK + 5
+        limit = np.sqrt(np.finfo(dtype).max, dtype=np.float64)
+        top = dtype(limit)
+        if top > limit:
+            top = np.nextafter(top, dtype(0))
+        above = np.nextafter(top, dtype(np.inf))
+        params = np.linspace(-1, 1, size).astype(dtype)
+        state = adam_init(params)
+        adam_step(params, np.full(size, 0.5, dtype), state, lr=0.1)
+        kept = (params.copy(), state.first_moment.copy(),
+                state.second_moment.copy())
+        huge = dtype(2e19 if dtype == np.float32 else 1e155)
+        for index, bad in ((3, above), (size - 2, -above), (ADAM_BLOCK, huge)):
+            grads = np.full(size, 0.25, dtype)
+            grads[index] = bad
+            with pytest.raises(ValueError, match="overflows"):
+                adam_step(params, grads, state, lr=0.1)
+            assert state.step_count == 1
+            for now, before in zip((params, state.first_moment,
+                                    state.second_moment), kept):
+                assert now.tobytes() == before.tobytes()
+        grads = np.full(size, 0.25, dtype)
+        grads[[3, size - 2]] = top, -top
+        adam_step(params, grads, state, lr=0.1)
+        assert state.step_count == 2
+        assert np.isfinite(state.second_moment).all()
+        assert np.isfinite(params).all()
 
     def test_bounded_step_over_many_updates(self):
         rng = np.random.default_rng(6)
@@ -281,7 +329,7 @@ class TestAdam:
     @pytest.mark.parametrize("size", [1, 32767, 32768, 32769, 65539])
     def test_blocks_match_reference_adam_bitwise(self, size):
         """Block edges and a short last block, in the networks' float32:
-        params and both moments equal the textbook expression form bit for
+        params and both moments equal the reordered expression form bit for
         bit, with gradients holding signed zeros and magnitudes from 1e-4
         to 1e2."""
         rng = np.random.default_rng(size)
@@ -291,12 +339,8 @@ class TestAdam:
         state = adam_init(params)
         assert state.buffers.shape == (2, min(size, ADAM_BLOCK))
         assert state.buffers.dtype == NET_DTYPE
-        for _ in range(5):
-            grads = rng.standard_normal(size) * 10.0 ** rng.uniform(-4, 2, size)
-            grads = grads.astype(NET_DTYPE)
-            grads[rng.random(size) < 0.1] = 0.0
-            grads[rng.random(size) < 0.1] = -0.0
-            ref, ref_state = _reference_adam_step(ref, {"x": grads}, ref_state, 5e-3)
+        for grads in _block_test_gradients(rng, size):
+            ref, ref_state = _reordered_adam_step(ref, {"x": grads}, ref_state, 5e-3)
             adam_step(params, grads, state, 5e-3)
             assert ref["x"].dtype == NET_DTYPE
             assert params.tobytes() == ref["x"].tobytes()
@@ -315,17 +359,21 @@ class TestAdam:
         assert grads.tobytes() == kept.tobytes()
 
     def test_step_allocates_no_full_size_scratch(self):
+        """The step, its checks included, allocates nothing that grows with
+        the parameter count: a few scalars, under 4 KB, in either dtype."""
         size = 120_500  # a paper-scale amplitude or phase network
         rng = np.random.default_rng(13)
-        params, grads = rng.standard_normal(size), rng.standard_normal(size)
-        state = adam_init(params)
-        tracemalloc.start()
-        try:
-            adam_step(params, grads, state, 1e-3)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < size * 8 / 4
+        for dtype in (np.float32, np.float64):
+            params = rng.standard_normal(size).astype(dtype)
+            grads = rng.standard_normal(size).astype(dtype)
+            state = adam_init(params)
+            tracemalloc.start()
+            try:
+                adam_step(params, grads, state, 1e-3)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 4096, dtype
 
     @pytest.mark.parametrize("lr", [np.inf, np.nan, True, 0.0, -1e-3])
     def test_bad_learning_rate_rejected_before_any_change(self, lr):
@@ -374,7 +422,7 @@ class TestAdam:
                              * 10.0 ** rng.uniform(-4, 2)).astype(NET_DTYPE)
                          for k, v in ref.items()}
                 flat_grads = np.concatenate([grads[k].ravel() for k in PARAM_NAMES])
-                ref, ref_state = _reference_adam_step(ref, grads, ref_state, 5e-3)
+                ref, ref_state = _reordered_adam_step(ref, grads, ref_state, 5e-3)
                 adam_step(net.flat, flat_grads, state, 5e-3)
                 for key in PARAM_NAMES:
                     assert np.array_equal(getattr(net, key), ref[key])
@@ -384,9 +432,50 @@ class TestAdam:
                     flat, np.concatenate([dicts[k].ravel() for k in PARAM_NAMES]))
             assert state.step_count == ref_state[2] == 50
 
+    @pytest.mark.parametrize("size", [1, 32767, 32768, 32769, 65539])
+    def test_departs_from_textbook_adam_by_a_few_ulps(self, size):
+        """On the gradients of the bitwise test, the reordered step stays
+        within 16 float32 ULPs of the textbook form (at most 5 for the
+        params and 7 for the first moment measured). Each ULP is that of
+        the scale that sets the value's rounding: for a parameter, the
+        largest magnitude it has held, or the rate if larger; for the first
+        moment, compared as m' * (1 - beta1) against m, the decayed sum of
+        |g|. v is the same expression in both, bit for bit."""
+        rng = np.random.default_rng(size)
+        params = rng.standard_normal(size).astype(NET_DTYPE)
+        ref = {"x": params.copy()}
+        ref_state = _reference_adam_init(ref)
+        state = adam_init(params)
+        p_scale = np.maximum(np.abs(params), NET_DTYPE(5e-3))
+        m_scale = np.zeros(size, NET_DTYPE)
+        for grads in _block_test_gradients(rng, size):
+            ref, ref_state = _reference_adam_step(ref, {"x": grads}, ref_state, 5e-3)
+            adam_step(params, grads, state, 5e-3)
+            p_scale = np.maximum(p_scale, np.abs(ref["x"]))
+            m_scale = 0.9 * m_scale + 0.1 * np.abs(grads)
+            m = state.first_moment * (1.0 - 0.9)
+            for got, want, scale in ((params, ref["x"], p_scale),
+                                     (m, ref_state[0]["x"], m_scale)):
+                gap = np.abs(got.astype(np.float64) - want)
+                ulp = np.spacing(np.maximum(scale, np.finfo(NET_DTYPE).tiny))
+                assert (gap <= 16 * ulp).all()
+            assert state.second_moment.tobytes() == ref_state[1]["x"].tobytes()
 
-# The dict-of-arrays Adam that the flat in-place one replaced, kept as the
-# reference it must reproduce bit for bit.
+
+def _block_test_gradients(rng, size, steps=5):
+    """float32 gradients with signed zeros and magnitudes from 1e-4 to 1e2."""
+    for _ in range(steps):
+        grads = rng.standard_normal(size) * 10.0 ** rng.uniform(-4, 2, size)
+        grads = grads.astype(NET_DTYPE)
+        grads[rng.random(size) < 0.1] = 0.0
+        grads[rng.random(size) < 0.1] = -0.0
+        yield grads
+
+
+# Two dict-of-arrays Adams: the textbook expression form, and the reordered
+# one (Kingma & Ba, arXiv 1412.6980, section 2) whose first moment is
+# m' = m / (1 - beta1). adam_step must reproduce the reordered form bit for
+# bit and stay within a few ULPs of the textbook one.
 def _reference_adam_init(params):
     return ({k: np.zeros_like(v) for k, v in params.items()},
             {k: np.zeros_like(v) for k, v in params.items()}, 0)
@@ -408,3 +497,21 @@ def _reference_adam_step(params, grads, state, lr, beta1=0.9, beta2=0.999,
         new_params[key] = p - lr * (m / c1) / (np.sqrt(v / c2) + epsilon)
     return new_params, (m_new, v_new, t)
 
+
+def _reordered_adam_step(params, grads, state, lr, beta1=0.9, beta2=0.999,
+                         epsilon=1e-8):
+    first, second, t = state
+    t += 1
+    c1 = 1.0 - beta1**t
+    root_c2 = math.sqrt(1.0 - beta2**t)
+    rate = lr * (1.0 - beta1) * root_c2 / c1
+    eps = epsilon * root_c2
+    new_params, m_new, v_new = {}, {}, {}
+    for key, p in params.items():
+        g = grads[key]
+        m = beta1 * first[key] + g
+        v = beta2 * second[key] + (1.0 - beta2) * g**2
+        m_new[key] = m
+        v_new[key] = v
+        new_params[key] = p - rate * (m / (np.sqrt(v) + eps))
+    return new_params, (m_new, v_new, t)

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -86,6 +87,17 @@ class TestPenaltySchedule:
             TrainConfig(rho_min=2.0, rho_max=1.0)
         with pytest.raises(ConfigurationError):
             TrainConfig(rho_max=np.inf)
+
+    @pytest.mark.parametrize("epoch", [True, False, 2.5, 3.0, np.float64(2.0),
+                                       "3", None])
+    def test_epoch_must_be_an_integer(self, epoch):
+        message = f"epoch must be an integer in [0, n_epochs]; got {epoch!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            rho_at(TrainConfig(n_epochs=10), epoch)
+
+    def test_numpy_integer_epoch_accepted(self):
+        train = TrainConfig(n_epochs=10)
+        assert rho_at(train, np.int64(4)) == rho_at(train, 4)
 
     @pytest.mark.parametrize("field, value", [
         ("lr_w", np.nan), ("lr_a", np.inf), ("lr_theta", np.nan),
@@ -558,27 +570,41 @@ class TestRunGml:
                             n_outer=n_outer)
         return sys_cfg, ch, train
 
-    # The first train seeds at which the two selection tests below have a
-    # choice to make (their preconditions). With the phase-rate decay most
-    # coupled runs' best post-projection state is itself locked.
-    SEED_BEST_UNLOCKED = 6
-    SEED_PICK_IN_FIRST_OUTER = 1
-
-    def spied_coupled_run(self, monkeypatch, **kwargs):
+    def spied_coupled_run(self, monkeypatch, script=None, **kwargs):
         """Coupled run with the loop's rates recorded. Returns the solution
         and, per refined state in loop order (every outer iteration of every
         epoch), (raw rate, raw residual, post-projection rate, the bytes of
         the hardened phases). The loop takes two rates per refined state:
         the raw one at the refined point, then the one of its hardened copy,
-        whose phases are the wrapped projection the loop computes."""
+        whose phases are the wrapped projection the loop computes.
+
+        script, when given, is one (raw rate, raw residual, post-projection
+        rate) per refined state. The true rates and residuals are checked
+        against the states as without it, but the spies hand the loop the
+        scripted values, so the selection rule runs on data whose shape the
+        test sets, whatever trajectory the networks take; the returned
+        rates and residuals are then the scripted ones. The residual of the
+        reported state, checked after the loop, stays the true one."""
         sys_cfg, ch, train = self.small_setup(mode="coupled", **kwargs)
+        n_states = train.n_epochs * train.n_outer
+        assert script is None or len(script) == n_states
         refined = record_refined_state(monkeypatch)
-        calls, projections = [], []
+        calls, projections, residuals = [], [], []
 
         def rate_spy(cfg, gammas):
             rate = wsr(cfg, gammas)
             calls.append((refined(), rate))
-            return rate
+            if script is None:
+                return rate
+            raw_rate, _, proj_rate = script[(len(calls) - 1) // 2]
+            return proj_rate if len(calls) % 2 == 0 else raw_rate
+
+        def residual_spy(theta_t, theta_r):
+            true = coupling_residual(theta_t, theta_r)
+            if script is None or len(residuals) == n_states:
+                return true  # unscripted, or the reported state's check
+            residuals.append(script[len(residuals)][1])
+            return np.full_like(true, residuals[-1])
 
         def projection_spy(theta_t, theta_r):
             aux = project_coupled_phases(theta_t, theta_r)
@@ -587,10 +613,11 @@ class TestRunGml:
             return aux
 
         monkeypatch.setattr(training, "wsr", rate_spy)
+        monkeypatch.setattr(training, "coupling_residual", residual_spy)
         monkeypatch.setattr(training, "project_coupled_phases", projection_spy)
         sol = run_gml(sys_cfg, ch, train)
-        assert len(calls) == 2 * train.n_epochs * train.n_outer
-        assert len(projections) == train.n_epochs * train.n_outer
+        assert len(calls) == 2 * n_states
+        assert len(projections) == n_states
         states = []
         for (raw, r_cur), (same, r_proj), theta_hard in zip(
                 calls[::2], calls[1::2], projections):
@@ -602,6 +629,9 @@ class TestRunGml:
             assert max_residual(hard) < 1e-9 <= max_residual(raw)
             states.append((r_cur, max_residual(raw), r_proj,
                            hard.theta.tobytes()))
+        if script is not None:
+            assert len(residuals) == n_states
+            states = [(*row, theta) for row, (_, _, _, theta) in zip(script, states)]
         return sol, states
 
     @staticmethod
@@ -627,12 +657,21 @@ class TestRunGml:
         assert trace[-1] == sol.wsr_opt
 
     def test_coupled_reports_best_locked_state(self, monkeypatch):
-        sol, states = self.spied_coupled_run(
-            monkeypatch, n_epochs=40, seed=self.SEED_BEST_UNLOCKED)
+        """Scripted (raw rate, residual, post-projection rate) per epoch:
+        the run locks at the third epoch, after which the reported rate
+        drops; the best post-projection state overall is unlocked, and two
+        locked states tie, the first winning."""
+        script = [(1.1, 0.30, 1.0), (1.6, 0.20, 1.5), (1.3, 0.04, 1.2),
+                  (2.1, 0.10, 2.0), (1.5, 0.03, 1.4), (1.7, 0.02, 1.4),
+                  (2.0, 0.08, 1.9), (1.2, 0.01, 1.1)]
+        sol, states = self.spied_coupled_run(monkeypatch, script, n_epochs=8)
         # precondition: the run locks, and its best post-projection state
         # overall does not, so the rule has a choice to make
         assert (sol.traces["residual_max"] < COUPLING_TOL).any()
         assert max(states, key=lambda s: s[2])[1] >= COUPLING_TOL
+        # and two locked states share the highest locked rate
+        assert states.index(self.expected_pick(states)) == 4
+        assert states[5][1] < COUPLING_TOL and states[5][2] == states[4][2]
         self.check_reported(sol, states)
         assert sol.residual_pre_projection < COUPLING_TOL
 
@@ -645,8 +684,13 @@ class TestRunGml:
         assert sol.residual_pre_projection >= COUPLING_TOL
 
     def test_coupled_selection_sees_every_outer_iteration(self, monkeypatch):
+        """Scripted over two outer iterations per epoch: the best locked
+        state is a first outer iteration's."""
+        script = [(1.1, 0.50, 1.0), (1.2, 0.40, 1.1), (1.9, 0.03, 1.8),
+                  (2.6, 0.20, 2.5), (1.4, 0.10, 1.3), (1.8, 0.04, 1.7),
+                  (1.7, 0.02, 1.6), (1.8, 0.01, 1.75)]
         sol, states = self.spied_coupled_run(
-            monkeypatch, n_epochs=40, n_outer=2, seed=self.SEED_PICK_IN_FIRST_OUTER)
+            monkeypatch, script, n_epochs=4, n_outer=2)
         # the residual trace is the last outer iteration's of each epoch
         assert np.array_equal(sol.traces["residual_max"],
                               [s[1] for s in states[1::2]])
@@ -655,6 +699,20 @@ class TestRunGml:
         assert states.index(self.expected_pick(states)) % 2 == 0
         self.check_reported(sol, states)
         assert sol.residual_pre_projection < COUPLING_TOL
+
+    @pytest.mark.parametrize("arg", ["enable_an", "enable_tn"])
+    @pytest.mark.parametrize("value", ["no", 0, 1, None, np.bool_(True)])
+    def test_enable_flags_must_be_bool(self, monkeypatch, arg, value):
+        """A flag that is not a bool is rejected, naming it, before any
+        network is built."""
+        sys_cfg, ch, train = self.small_setup(n_epochs=2)
+
+        def no_init(*args):
+            raise AssertionError("networks built")
+
+        monkeypatch.setattr(training, "init_networks", no_init)
+        with pytest.raises(ConfigurationError, match=arg):
+            run_meta_loop(sys_cfg, ch, train, **{arg: value})
 
     @pytest.mark.parametrize("mode", ["independent", "coupled"])
     def test_one_full_bundle_per_outer_iteration(self, monkeypatch, mode):
