@@ -228,12 +228,11 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState,
     if grads.dtype != dtype:
         raise ConfigurationError(
             f"gradient dtype {grads.dtype} does not match parameter dtype {dtype}")
-    # A finite g . g (one pass, no temporary) bounds every g**2, and NaN
-    # propagates into it; only when it is not finite (a bad entry, or many
-    # large ones, with numpy's overflow warning) do min and max decide.
+    # Two reductions, no temporary; NaN propagates into both and fails the
+    # comparisons, and the initial 0 lets an empty vector through.
     limit = math.sqrt(float(np.finfo(dtype).max))
-    if not math.isfinite(np.dot(grads, grads)) and not (
-            -limit <= float(grads.min()) and float(grads.max()) <= limit):
+    if not (-limit <= float(grads.min(initial=0.0))
+            and float(grads.max(initial=0.0)) <= limit):
         raise ValueError("non-finite gradient, or one whose square overflows "
                          f"{dtype}; update rejected")
     state.step_count += 1

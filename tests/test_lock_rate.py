@@ -14,7 +14,7 @@ _spec.loader.exec_module(tool)
 def test_desk_counts_are_those_of_the_runs(capsys):
     """Two short runs: the printed counts and worst residuals are those of
     the same solves made outside the tool, and the gate follows them."""
-    status = tool.main(["--seeds", "2", "--epochs", "6"])
+    status = tool.report_desk(2, 6)
     out = capsys.readouterr().out.splitlines()
     sys_cfg, ch_cfg = desk_scenario(K=2)
     final, best, rates = [], [], []
@@ -38,7 +38,7 @@ def test_desk_counts_are_those_of_the_runs(capsys):
 
 
 def test_paper_lists_both_modes_per_channel(capsys):
-    assert tool.main(["--paper", "--seeds", "1", "--epochs", "2"]) == 0
+    assert tool.report_paper(1, 2) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "paper scale, 2 epochs"
     assert [line.split(":")[0] for line in out[1:]] == [

@@ -275,7 +275,6 @@ class TestAdam:
             assert np.array_equal(self.state.first_moment, m)
             assert np.array_equal(self.state.second_moment, v)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered in dot:RuntimeWarning")
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_gradient_whose_square_overflows_rejected(self, dtype):
         """An entry above sqrt(finfo(dtype).max) would make the second
@@ -326,12 +325,12 @@ class TestAdam:
         with pytest.raises(ConfigurationError):
             adam_step(self.params, np.zeros(2), self.state, lr=0.1)
 
-    @pytest.mark.parametrize("size", [1, 32767, 32768, 32769, 65539])
+    @pytest.mark.parametrize("size", [0, 1, 32767, 32768, 32769, 65539])
     def test_blocks_match_reference_adam_bitwise(self, size):
-        """Block edges and a short last block, in the networks' float32:
-        params and both moments equal the reordered expression form bit for
-        bit, with gradients holding signed zeros and magnitudes from 1e-4
-        to 1e2."""
+        """An empty vector, block edges and a short last block, in the
+        networks' float32: params and both moments equal the reordered
+        expression form bit for bit, with gradients holding signed zeros
+        and magnitudes from 1e-4 to 1e2."""
         rng = np.random.default_rng(size)
         params = rng.standard_normal(size).astype(NET_DTYPE)
         ref = {"x": params.copy()}

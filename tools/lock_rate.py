@@ -16,9 +16,8 @@ at least 99% of the seeds lock at the final epoch:
 ``--paper`` prints instead, for paper-scale channels 100-102 and
 ``paper_train`` (500 epochs) in both modes, each run's ``wsr_opt`` and
 ``residual_pre_projection``, to weigh the lock against the paper-scale
-rate. ``--seeds`` and ``--epochs`` shorten either list. The script imports
-``starbeam`` from the ``src/`` next to it; the desk list takes about half
-a minute at one BLAS thread.
+rate. The script imports ``starbeam`` from the ``src/`` next to it; the
+desk list takes about half a minute at one BLAS thread.
 """
 from __future__ import annotations
 
@@ -100,23 +99,10 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--paper", action="store_true",
                         help="paper-scale rates and residuals instead")
-    parser.add_argument("--seeds", type=int,
-                        help=f"only the first this many seeds (desk, at most "
-                             f"{DESK_SEEDS}) or channels (paper, at most "
-                             f"{len(PAPER_CHANNELS)})")
-    parser.add_argument("--epochs", type=int,
-                        help=f"epochs per run (default {DESK_EPOCHS} desk, "
-                             f"{paper_train().n_epochs} paper)")
     args = parser.parse_args(argv)
-    limit = len(PAPER_CHANNELS) if args.paper else DESK_SEEDS
-    count = limit if args.seeds is None else args.seeds
-    if not 1 <= count <= limit:
-        parser.error(f"--seeds must lie in [1, {limit}]")
-    if args.epochs is not None and args.epochs < 1:
-        parser.error("--epochs must be >= 1")
     if args.paper:
-        return report_paper(count, args.epochs or paper_train().n_epochs)
-    return report_desk(count, args.epochs or DESK_EPOCHS)
+        return report_paper(len(PAPER_CHANNELS), paper_train().n_epochs)
+    return report_desk(DESK_SEEDS, DESK_EPOCHS)
 
 
 if __name__ == "__main__":
