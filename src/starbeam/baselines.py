@@ -75,8 +75,7 @@ def pga_oracle(
     require_int("steps", steps)
     require_int("seed", seed, 0)
     check_dimensions(sys_cfg, ch)
-    rng = np.random.default_rng(seed)
-    start = initial_state(sys_cfg, rng)
+    start = initial_state(sys_cfg, np.random.default_rng(seed))
     n = sys_cfg.N
 
     def evaluate(W, beta, theta):
@@ -92,7 +91,7 @@ def pga_oracle(
         bt, br = normalize_amplitudes(beta[:n], beta[n:])
         return evaluate(W, np.concatenate([bt, br]), wrap_phase(theta))
 
-    current, rate = evaluate(start.W, start.beta, start.theta)
+    current, rate = evaluate(*start)
     tiny = np.finfo(float).tiny
     trace = np.zeros(steps)
     shrink = 1.0

@@ -18,7 +18,7 @@ from .model import ChannelSet, SystemConfig
 
 
 def dbm_to_watts(dbm: float) -> float:
-    return 10.0 ** (dbm / 10.0) / 1000.0
+    return 10.0 ** (Kind.FINITE.check("dbm", dbm) / 10.0) / 1000.0
 
 
 @dataclass(frozen=True)
@@ -108,6 +108,8 @@ def generate_channels(
     Draw order is fixed (user positions, BS-surface link, then per-user
     links) so a given generator seed reproduces the set bit for bit.
     """
+    if not isinstance(rng, np.random.Generator):
+        raise ConfigurationError(f"rng must be a numpy Generator; got {rng!r}")
     n, m, k_users = sys_cfg.N, sys_cfg.M, sys_cfg.K
     positions = sample_user_positions(sys_cfg, cfg, rng)
 

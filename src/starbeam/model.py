@@ -189,6 +189,8 @@ def check_dimensions(
     cfg: SystemConfig, ch: ChannelSet, state: BeamformingState | None = None
 ) -> None:
     """Raise ConfigurationError when cfg / ch / state dimensions disagree."""
+    if not isinstance(ch, ChannelSet):
+        raise ConfigurationError(f"ch must be a ChannelSet; got {ch!r}")
     if (ch.N, ch.M, ch.K) != (cfg.N, cfg.M, cfg.K):
         raise ConfigurationError(
             f"channel dims (N={ch.N}, M={ch.M}, K={ch.K}) do not match "

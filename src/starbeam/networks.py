@@ -17,8 +17,8 @@ same code in float64.
 Parameter layout: each network keeps all of its parameters in one
 contiguous vector, ``Mlp.flat``, laid out w1 | b1 | w2 | b2 with
 row-major weights, and ``w1``, ``b1``, ``w2`` and ``b2`` are views into it.
-:func:`mlp_backward` writes or adds parameter gradients into one flat
-vector of the same layout.
+:func:`mlp_backward` forms the parameter gradient of one or more forward
+passes as one flat vector of the same layout.
 
 Adam: :func:`adam_step` updates a flat parameter vector and its moments in
 place, ADAM_BLOCK parameters at a time, one elementwise operation at a
@@ -53,9 +53,6 @@ ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
 ADAM_BLOCK = 32768  # parameters per Adam pass; see the module docstring
 NET_DTYPE = np.float32  # of every network built by init_mlp; see the docstring
-# Entries of the scratch that mlp_backward's add path forms a weight
-# gradient in, a block of rows at a time (float32: 32 KB).
-BACKWARD_CHUNK = 8192
 
 
 class Mlp:
@@ -86,15 +83,11 @@ class Mlp:
         c = b + o * h
         return vec[:a].reshape(h, i), vec[a:b], vec[b:c].reshape(o, h), vec[c:]
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """Forward pass; x is one input vector or a (batch, in) matrix."""
-        y, _ = self.forward_with_cache(x)
-        return y
-
     def forward_with_cache(self, x: np.ndarray) -> tuple[np.ndarray, tuple]:
         """Forward pass that also returns the intermediates needed by
-        :func:`mlp_backward`; x is cast to the network's dtype, and so is
-        the output."""
+        :func:`mlp_backward`, (input, pre-activation, hidden) as rows; x is
+        one input vector or a (batch, in) matrix, cast to the network's
+        dtype, and so is the output."""
         x = np.asarray(x, dtype=self.flat.dtype)
         if x.ndim not in (1, 2) or x.shape[-1] != self.input_dim:
             raise ConfigurationError(
@@ -106,7 +99,7 @@ class Mlp:
         pre = x2 @ self.w1.T + self.b1
         hidden = np.maximum(pre, 0.0)
         y = hidden @ self.w2.T + self.b2
-        return (y[0] if single else y), (x2, pre, hidden, single)
+        return (y[0] if single else y), (x2, pre, hidden)
 
 
 def init_mlp(input_dim: int, hidden_dim: int, output_dim: int,
@@ -125,43 +118,32 @@ def init_mlp(input_dim: int, hidden_dim: int, output_dim: int,
                w2.astype(NET_DTYPE), np.zeros(output_dim, NET_DTYPE))
 
 
-def mlp_backward(net: Mlp, cache: tuple, grad_out: np.ndarray,
-                 acc: np.ndarray | None = None) -> np.ndarray:
-    """Parameter gradient of a forward pass recorded by
-    ``forward_with_cache`` as a flat vector laid out like ``net.flat``:
-    added into acc, or written into a new vector when acc is None, which
-    saves zeroing it and a pass over it. Returns the vector; grad_out
-    matches the output shape and is cast to the network's dtype, as the
-    vector is in it. The add path forms each weight gradient in a scratch
-    of BACKWARD_CHUNK entries (or one row, if wider), a block of rows at a
-    time, not as a temporary of the weights' size."""
-    x2, pre, hidden, single = cache
-    g = np.asarray(grad_out, dtype=net.flat.dtype)
-    g2 = g[None, :] if single else g
+def mlp_backward(net: Mlp, passes) -> np.ndarray:
+    """Parameter gradient of forward passes recorded by
+    ``forward_with_cache``, summed over them, as a new flat vector laid out
+    like ``net.flat`` and in its dtype. passes is a sequence of (cache,
+    grad_out) pairs, each grad_out matching its pass's output shape; it is
+    cast to the network's dtype. The rows of all passes are stacked, so
+    each weight gradient is one product; a single row's is an outer
+    product, which einsum forms without numpy's buffered iterator (its
+    0 + a*b turns a -0.0 product into +0.0, the only difference from a
+    broadcast multiply)."""
+    rows = [(*cache, np.asarray(g, net.flat.dtype).reshape(-1, net.output_dim))
+            for cache, g in passes]
+    x2, pre, hidden, g2 = (rows[0] if len(rows) == 1
+                           else map(np.concatenate, zip(*rows)))
     grad_hidden = (g2 @ net.w2) * (pre > 0.0)
-    # For a single input the weight gradients are outer products, which
-    # broadcasting forms with the same rounding as matmul, in half the time.
-    outer = np.multiply if single else np.matmul
-    if acc is None:
-        acc = np.empty_like(net.flat)
-        g_w1, g_b1, g_w2, g_b2 = net.split(acc)
-        outer(grad_hidden.T, x2, out=g_w1)
-        grad_hidden.sum(axis=0, out=g_b1)
-        outer(g2.T, hidden, out=g_w2)
-        g2.sum(axis=0, out=g_b2)
-        return acc
-    g_w1, g_b1, g_w2, g_b2 = net.split(acc)
-    scratch = np.empty(max(BACKWARD_CHUNK, net.input_dim, net.hidden_dim), acc.dtype)
-    for g_w, left, right in ((g_w1, grad_hidden.T, x2), (g_w2, g2.T, hidden)):
-        rows = max(1, BACKWARD_CHUNK // g_w.shape[1])
-        for lo in range(0, g_w.shape[0], rows):
-            part = g_w[lo:lo + rows]
-            product = scratch[:part.size].reshape(part.shape)
-            outer(left[lo:lo + rows], right, out=product)
-            part += product
-    g_b1 += grad_hidden.sum(axis=0)
-    g_b2 += g2.sum(axis=0)
-    return acc
+    grad = np.empty_like(net.flat)
+    g_w1, g_b1, g_w2, g_b2 = net.split(grad)
+    if len(g2) == 1:
+        np.einsum("i,j->ij", grad_hidden[0], x2[0], out=g_w1)
+        np.einsum("i,j->ij", g2[0], hidden[0], out=g_w2)
+    else:
+        np.matmul(grad_hidden.T, x2, out=g_w1)
+        np.matmul(g2.T, hidden, out=g_w2)
+    grad_hidden.sum(axis=0, out=g_b1)
+    g2.sum(axis=0, out=g_b2)
+    return grad
 
 
 def pn_forward_with_cache(net: Mlp, grad_w: np.ndarray) -> tuple[np.ndarray, tuple]:

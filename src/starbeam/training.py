@@ -24,9 +24,12 @@ gradients only on epochs that update those networks, reusing the
 precoder's G @ W. Its rows are the next precoder block's, whose amplitudes
 and phases stay fixed. Only the hardened copy of a coupled-mode state, a
 different state, is evaluated separately, from its rows and SINRs.
-Backward passes add into one flat gradient vector per network, and each
-network steps right after its last backward pass, then drops its gradient;
-no backward pass reads another network's parameters, so the order is free.
+Each backward chain returns its network's passes, (forward cache, loss
+gradient on the output) pairs, and the loop keeps them over the epoch's
+outer iterations; after the last one, each network that updates forms its
+gradient from all its passes in one :func:`mlp_backward` call, steps on
+its mean and drops it. No network steps before every pass is recorded, and
+no chain reads a network's parameters, so the order is free.
 
 Precision: the networks, their parameter gradients and their Adam state
 are float32 (networks.NET_DTYPE); the states, the rates, the loss
@@ -83,7 +86,6 @@ from .errors import ConfigurationError, DegenerateInputError, Kind, check_fields
 from .gradients import precoder_pullback, received_field, surface_pullback
 from .model import (
     TWO_PI,
-    BeamformingState,
     ChannelSet,
     SystemConfig,
     check_dimensions,
@@ -202,11 +204,6 @@ def rho_at(train: TrainConfig, epoch: int) -> float:
     return float(train.rho_min * ratio ** (epoch / train.n_epochs))
 
 
-def _make_state(W: np.ndarray, beta: np.ndarray, theta: np.ndarray) -> BeamformingState:
-    n = beta.size // 2
-    return BeamformingState(W, beta[:n], beta[n:], theta[:n], theta[n:])
-
-
 # --- forward blocks (with tapes) and their backward passes ----------------
 
 
@@ -236,22 +233,22 @@ def _precoder_block(
     return W, tape
 
 
-def _precoder_block_backward(pn: Mlp, tape, grad_w_out: np.ndarray,
-                             acc: np.ndarray | None) -> np.ndarray:
+def _precoder_block_backward(tape, grad_w_out: np.ndarray) -> list:
     """Pull a conjugate-convention loss gradient on the final precoder back
-    through the normalize/add/network chain, adding the parameter gradient
-    into the flat vector acc (a new one when acc is None) and returning it;
-    network inputs are constants. The other block backward passes take and
-    return acc the same way."""
+    through the normalize/add/network chain; returns the network's passes,
+    (cache, loss gradient on its output) per inner step, for
+    :func:`mlp_backward`. Network inputs are constants. The other block
+    backward passes return their passes the same way."""
+    passes = []
     g = grad_w_out
     for cache, w_raw, scale, sq in reversed(tape):
         # d loss = 2 Re<g, dW_out>, W_out = scale(w_raw) * w_raw
         q = np.vdot(g, w_raw).real
         g_raw = scale * g - (scale * q / sq) * w_raw
-        grad_batch = np.concatenate([2.0 * g_raw.real.T, 2.0 * g_raw.imag.T])
-        acc = mlp_backward(pn, cache, grad_batch, acc)
+        passes.append((cache, np.concatenate([2.0 * g_raw.real.T,
+                                              2.0 * g_raw.imag.T])))
         g = g_raw
-    return acc
+    return passes
 
 
 def _amplitude_block(
@@ -289,14 +286,13 @@ def _amp_norm_backward(g_out: np.ndarray, raw: np.ndarray) -> np.ndarray:
     return np.concatenate([br * common, -bt * common])
 
 
-def _amplitude_block_backward(an: Mlp, tape, grad_beta_out: np.ndarray,
-                              acc: np.ndarray | None) -> np.ndarray:
+def _amplitude_block_backward(tape, grad_beta_out: np.ndarray) -> list:
+    passes = []
     g = grad_beta_out
     for cache, raw in reversed(tape):
-        g_raw = _amp_norm_backward(g, raw)
-        acc = mlp_backward(an, cache, g_raw, acc)
-        g = g_raw
-    return acc
+        g = _amp_norm_backward(g, raw)
+        passes.append((cache, g))
+    return passes
 
 
 def _phase_block(
@@ -325,21 +321,12 @@ def _phase_block(
     return theta, phasor, tape
 
 
-def _phase_block_backward(tn: Mlp, tape, grad_theta_out: np.ndarray,
-                          acc: np.ndarray | None) -> np.ndarray:
+def _phase_block_backward(tape, grad_theta_out: np.ndarray) -> list:
+    # wrap is an a.e. identity; d(gain * sigmoid)/d(raw) = gain*sig*(1-sig),
+    # and d(theta_next)/d(theta_prev) = 1, so g passes through unchanged
     g = grad_theta_out
-    for cache, sig in reversed(tape):
-        # wrap is an a.e. identity; d(gain * sigmoid)/d(raw) = gain*sig*(1-sig)
-        acc = mlp_backward(tn, cache, g * REGULATOR_GAIN * sig * (1.0 - sig), acc)
-        # d(theta_next)/d(theta_prev) = 1, so g passes through unchanged
-    return acc
-
-
-def _adam_update(net: Mlp, grad: np.ndarray, adam, lr: float, n_outer: int) -> None:
-    """Adam step on the mean of n_outer summed gradients, formed in grad."""
-    if n_outer > 1:  # x * 1.0 == x
-        grad *= 1.0 / n_outer
-    adam_step(net.flat, grad, adam, lr)
+    return [(cache, g * REGULATOR_GAIN * sig * (1.0 - sig))
+            for cache, sig in reversed(tape)]
 
 
 # --- the full run ----------------------------------------------------------
@@ -349,10 +336,11 @@ def initial_state(
     cfg: SystemConfig,
     rng: np.random.Generator,
     beta_init: np.ndarray | None = None,
-) -> BeamformingState:
-    """Feasible starting point: power-normalized complex-Gaussian precoder,
-    balanced amplitudes (or the given profile), uniform phases. The
-    generator is consumed identically whether or not beta_init is given."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Feasible starting point (W0, beta0, theta0): power-normalized
+    complex-Gaussian precoder, balanced amplitudes (or the given profile)
+    and uniform phases, each surface vector (t half, r half). The generator
+    is consumed identically whether or not beta_init is given."""
     W0 = (
         rng.standard_normal((cfg.M, cfg.K)) + 1j * rng.standard_normal((cfg.M, cfg.K))
     ) / np.sqrt(2.0)
@@ -365,7 +353,7 @@ def initial_state(
             raise ConfigurationError("beta_init must have length 2N")
     n = cfg.N
     bt, br = normalize_amplitudes(beta0[:n], beta0[n:])
-    return _make_state(W0, np.concatenate([bt, br]), wrap_phase(theta0))
+    return W0, np.concatenate([bt, br]), wrap_phase(theta0)
 
 
 def run_gml(sys_cfg: SystemConfig, ch: ChannelSet, train: TrainConfig) -> Solution:
@@ -395,8 +383,7 @@ def run_meta_loop(
     pn, an, tn = nets.pn, nets.an, nets.tn
     adams = (adam_init(pn.flat), adam_init(an.flat), adam_init(tn.flat))
 
-    start = initial_state(sys_cfg, rng, beta_init)
-    W0, beta0, theta0 = start.W, start.beta, start.theta
+    W0, beta0, theta0 = initial_state(sys_cfg, rng, beta_init)
     phasor0 = np.exp(1j * theta0)
 
     # Most recent refined values, carried across outer iterations/epochs,
@@ -432,9 +419,8 @@ def run_meta_loop(
                  if coupled else train.lr_theta)
         update_an = enable_an and epoch % train.n1 == 0
         update_tn = enable_tn and epoch % train.n2 == 0
-        # Per-network loss gradients summed over the outer iterations; None
-        # until the epoch's first backward pass of that network.
-        grad_pn = grad_an = grad_tn = None
+        # Each network's backward passes over the epoch's outer iterations.
+        passes_pn, passes_an, passes_tn = [], [], []
 
         for outer in range(1, train.n_outer + 1):
             try:
@@ -481,32 +467,22 @@ def run_meta_loop(
                 # Per-network losses all sit at the refined point; each
                 # parameter set sees only its own update chain. The loss
                 # gradients are the negated ascent directions.
-                last = outer == train.n_outer
-                grad_pn = _precoder_block_backward(
-                    pn, tape_w, -precoder_pullback(field), grad_pn
+                passes_pn += _precoder_block_backward(
+                    tape_w, -precoder_pullback(field)
                 )
-                if last:  # the gradient is final: step, and drop it
-                    _adam_update(pn, grad_pn, adams[0], train.lr_w, train.n_outer)
-                    grad_pn = None
                 if update_an or update_tn:
                     bracket = surface_pullback(
                         sys_cfg, ch, field, precoded, phasor_star
                     )
                 if update_an:
-                    grad_an = _amplitude_block_backward(
-                        an, tape_a, -2.0 * bracket.real, grad_an
+                    passes_an += _amplitude_block_backward(
+                        tape_a, -2.0 * bracket.real
                     )
-                    if last:
-                        _adam_update(an, grad_an, adams[1], train.lr_a, train.n_outer)
-                        grad_an = None
                 if update_tn:
                     g_t = 2.0 * beta_star * bracket.imag
                     if coupled:
                         g_t = g_t + 2.0 * rho * (theta_star - proj)
-                    grad_tn = _phase_block_backward(tn, tape_t, g_t, grad_tn)
-                    if last:
-                        _adam_update(tn, grad_tn, adams[2], lr_tn, train.n_outer)
-                        grad_tn = None
+                    passes_tn += _phase_block_backward(tape_t, g_t)
             except (DegenerateInputError, ConfigurationError) as err:
                 raise type(err)(
                     f"epoch {epoch}, outer iteration {outer}: {err}"
@@ -516,6 +492,18 @@ def run_meta_loop(
             rank = (coupled and residual < COUPLING_TOL, r_proj)
             if chosen is None or rank > chosen[0]:
                 chosen = (rank, r_cur, residual, W_star, beta_star, theta_hard)
+
+        # Each updating network steps on the mean of its outer iterations'
+        # gradients, formed in one backward call.
+        for net, adam, lr, passes in ((pn, adams[0], train.lr_w, passes_pn),
+                                      (an, adams[1], train.lr_a, passes_an),
+                                      (tn, adams[2], lr_tn, passes_tn)):
+            if passes:
+                grad = mlp_backward(net, passes)
+                if train.n_outer > 1:  # x * 1.0 == x
+                    grad *= 1.0 / train.n_outer
+                adam_step(net.flat, grad, adam, lr)
+                del grad  # one gradient alive at a time
 
         idx = epoch - 1
         traces["wsr_current"][idx] = r_cur

@@ -289,7 +289,10 @@ class TestBatchedDifferences:
     def test_initial_state(self, scenario):
         cfg, ch_cfg = scenario()
         ch = generate_channels(cfg, ch_cfg, np.random.default_rng(0))
-        self.check(cfg, ch, initial_state(cfg, np.random.default_rng(1)))
+        W, beta, theta = initial_state(cfg, np.random.default_rng(1))
+        n = cfg.N
+        self.check(cfg, ch, BeamformingState(W, beta[:n], beta[n:],
+                                             theta[:n], theta[n:]))
 
     @pytest.mark.parametrize("side", [TRANSMISSION, REFLECTION])
     def test_one_antenna_element_and_user(self, side):

@@ -15,7 +15,6 @@ from starbeam import (
 )
 from starbeam.networks import (
     ADAM_BLOCK,
-    BACKWARD_CHUNK,
     NET_DTYPE,
     mlp_backward,
     pn_forward_with_cache,
@@ -28,6 +27,26 @@ PARAM_NAMES = ("w1", "b1", "w2", "b2")  # the order of Mlp.split and Mlp.flat
 
 def pn_forward(net, grad_w):
     return pn_forward_with_cache(net, grad_w)[0]
+
+
+def forward(net, x):
+    return net.forward_with_cache(x)[0]
+
+
+def one_pass_reference(net, cache, grad_out):
+    """The gradient of one pass written term by term: a matmul over a
+    batch's rows, a broadcast multiply for a single row."""
+    x2, pre, hidden = cache
+    g2 = np.asarray(grad_out, net.flat.dtype).reshape(-1, net.output_dim)
+    grad_hidden = (g2 @ net.w2) * (pre > 0.0)
+    outer = np.multiply if len(g2) == 1 else np.matmul
+    grad = np.empty_like(net.flat)
+    g_w1, g_b1, g_w2, g_b2 = net.split(grad)
+    outer(grad_hidden.T, x2, out=g_w1)
+    grad_hidden.sum(axis=0, out=g_b1)
+    outer(g2.T, hidden, out=g_w2)
+    g2.sum(axis=0, out=g_b2)
+    return grad
 
 
 def zero_mlp(din, hidden, dout):
@@ -57,14 +76,14 @@ class TestMlp:
 
     def test_zero_network_is_zero(self):
         net = zero_mlp(4, 8, 4)
-        assert np.allclose(net.forward(np.ones(4)), 0.0)
+        assert np.allclose(forward(net, np.ones(4)), 0.0)
 
     def test_batch_and_single_agree(self):
         rng = np.random.default_rng(1)
         net = init_mlp(5, 7, 5, rng)
         x = rng.standard_normal((3, 5))
-        batch = net.forward(x)
-        assert np.allclose(batch[1], net.forward(x[1]))
+        batch = forward(net, x)
+        assert np.allclose(batch[1], forward(net, x[1]))
 
     def test_backward_matches_finite_differences(self):
         rng = np.random.default_rng(2)
@@ -72,7 +91,7 @@ class TestMlp:
         x = rng.standard_normal((2, 4))
         gy = rng.standard_normal((2, 3))
         y, cache = net.forward_with_cache(x)
-        grads = mlp_backward(net, cache, gy)
+        grads = mlp_backward(net, [(cache, gy)])
         eps = 1e-6
         # one random coordinate of each of w1, b1, w2, b2
         for block in net.split(np.arange(net.flat.size)):
@@ -81,53 +100,48 @@ class TestMlp:
             for sign in (1, -1):
                 pert = net.flat.copy()
                 pert[i] += sign * eps
-                vals.append(float((gy * Mlp(*net.split(pert)).forward(x)).sum()))
+                vals.append(float((gy * forward(Mlp(*net.split(pert)), x)).sum()))
             fd = (vals[0] - vals[1]) / (2 * eps)
             assert fd == pytest.approx(grads[i], rel=1e-5, abs=1e-9)
 
-    def test_backward_adds_into_accumulator(self):
-        rng = np.random.default_rng(8)
-        net = init_mlp(4, 6, 3, rng)
-        _, cache = net.forward_with_cache(rng.standard_normal(4))
-        gy = rng.standard_normal(3)
-        once = mlp_backward(net, cache, gy)
-        acc = once.copy()
-        assert mlp_backward(net, cache, gy, acc) is acc
-        assert np.array_equal(acc, once + once)
-
     @pytest.mark.parametrize("din, hidden, batch", [
-        (64, 200, None), (64, 200, 8), (BACKWARD_CHUNK + 3, 2, None)])
-    def test_backward_adds_by_blocks_of_rows(self, din, hidden, batch):
-        """Weights of more than BACKWARD_CHUNK entries (a paper-scale
-        precoder network) are added a block of rows at a time, with a
-        short last block, and rows wider than that one at a time; every
-        row gets its product once."""
+        (64, 200, 8),     # a paper-scale precoder network's batch
+        (200, 300, None),  # a paper-scale AN's single rows
+    ])
+    def test_backward_over_passes_sums_their_gradients(self, din, hidden, batch):
+        """The gradient of k passes, their rows stacked into one product,
+        is the sum of their one-pass gradients; one pass gives the
+        term-by-term gradient, bitwise for a batch and up to the sign of
+        zero for a single row (an outer product forms 0 + a*b)."""
         rng = np.random.default_rng(14)
         net = init_mlp(din, hidden, din, rng)
-        assert net.w1.size > BACKWARD_CHUNK and net.w2.size > BACKWARD_CHUNK
-        x = rng.standard_normal(din if batch is None else (batch, din))
-        _, cache = net.forward_with_cache(x)
-        gy = rng.standard_normal(x.shape)
-        once = mlp_backward(net, cache, gy)
-        acc = once.copy()
-        mlp_backward(net, cache, gy, acc)
-        np.testing.assert_allclose(acc, once + once, rtol=1e-6,
-                                   atol=1e-6 * np.abs(once).max())
+        shape = din if batch is None else (batch, din)
+        passes = [(net.forward_with_cache(rng.standard_normal(shape))[1],
+                   rng.standard_normal(shape)) for _ in range(3)]
+        singles = [mlp_backward(net, [p]) for p in passes]
+        for single, (cache, gy) in zip(singles, passes):
+            reference = one_pass_reference(net, cache, gy)
+            if batch is None:
+                single, reference = single + 0.0, reference + 0.0  # -0.0 -> 0.0
+            assert single.tobytes() == reference.tobytes()
+        for k in (2, 3):
+            total = np.sum(singles[:k], axis=0)
+            np.testing.assert_allclose(mlp_backward(net, passes[:k]), total,
+                                       rtol=1e-6, atol=1e-6 * np.abs(total).max())
 
-    def test_backward_add_path_forms_no_weight_sized_temporary(self):
+    def test_single_row_backward_allocates_only_its_gradient(self):
         rng = np.random.default_rng(15)
         net = init_mlp(200, 300, 200, rng)  # a paper-scale AN or TN
-        _, cache = net.forward_with_cache(rng.standard_normal(200))
-        gy = rng.standard_normal(200)
-        acc = mlp_backward(net, cache, gy)
-        mlp_backward(net, cache, gy, acc)  # warm-up
+        passes = [(net.forward_with_cache(rng.standard_normal(200))[1],
+                   rng.standard_normal(200))]
+        mlp_backward(net, passes)  # warm-up
         tracemalloc.start()
         try:
-            mlp_backward(net, cache, gy, acc)
+            grad = mlp_backward(net, passes)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < net.w1.nbytes / 2
+        assert peak - grad.nbytes < 8 * 1024
 
     def test_init_networks_are_float32_from_the_float64_stream(self):
         """init_mlp draws its weights in float64, as before, and rounds
@@ -158,7 +172,7 @@ class TestMlp:
         assert net.flat.dtype == dtype
         y, cache = net.forward_with_cache(rng.standard_normal(4))
         assert y.dtype == dtype and all(a.dtype == dtype for a in cache[:3])
-        assert mlp_backward(net, cache, rng.standard_normal(4)).dtype == dtype
+        assert mlp_backward(net, [(cache, rng.standard_normal(4))]).dtype == dtype
         g = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
         assert pn_forward(net, g).dtype == np.complex128
 
@@ -170,9 +184,9 @@ class TestMlp:
         assert not np.shares_memory(net.w1, w1)  # inputs are copied
         for key in PARAM_NAMES:
             assert np.shares_memory(getattr(net, key), net.flat)
-        before = net.forward(np.ones(4))
+        before = forward(net, np.ones(4))
         net.flat[-3:] += 1.0  # b2
-        assert np.allclose(net.forward(np.ones(4)), before + 1.0)
+        assert np.allclose(forward(net, np.ones(4)), before + 1.0)
 
 
 class TestPnForward:
@@ -186,7 +200,7 @@ class TestPnForward:
         net = init_mlp(5, 9, 5, rng)
         g = rng.standard_normal((5, 1)) + 1j * rng.standard_normal((5, 1))
         out = pn_forward(net, g)
-        expected = net.forward(g[:, 0].real) + 1j * net.forward(g[:, 0].imag)
+        expected = forward(net, g[:, 0].real) + 1j * forward(net, g[:, 0].imag)
         assert np.allclose(out[:, 0], expected)
 
     def test_column_permutation_equivariance(self):
@@ -217,13 +231,13 @@ class TestVectorForwards:
         w2 = np.arange(dim * hidden, dtype=float).reshape(dim, hidden)
         b2 = np.array([1.0, -2.0, 3.0, 4.0])
         net = Mlp(w1, b1, w2, b2)
-        out = net.forward(np.ones(dim))  # preactivations all -5
+        out = forward(net, np.ones(dim))  # preactivations all -5
         assert np.allclose(out, b2)
 
     def test_zero_input_gives_bias_only(self):
         rng = np.random.default_rng(5)
         net = init_mlp(6, 9, 6, rng)
-        assert np.allclose(net.forward(np.zeros(6)), net.b2)
+        assert np.allclose(forward(net, np.zeros(6)), net.b2)
 
     def test_length_mismatch(self):
         net = zero_mlp(8, 12, 8)
