@@ -104,6 +104,36 @@ class TestMlp:
             fd = (vals[0] - vals[1]) / (2 * eps)
             assert fd == pytest.approx(grads[i], rel=1e-5, abs=1e-9)
 
+    def test_backward_adds_into_accumulator(self):
+        """The passes an epoch accumulates are added: a pass listed twice
+        gives twice its gradient, exactly, as the doubling of a product is
+        exact whichever way it is rounded."""
+        rng = np.random.default_rng(8)
+        net = init_mlp(4, 6, 3, rng)
+        _, cache = net.forward_with_cache(rng.standard_normal(4))
+        one_pass = (cache, rng.standard_normal(3))
+        once = mlp_backward(net, [one_pass])
+        assert np.array_equal(mlp_backward(net, [one_pass, one_pass]), once + once)
+
+    @pytest.mark.parametrize("din, hidden, batch", [(64, 200, None), (64, 200, 3)])
+    def test_backward_adds_by_blocks_of_rows(self, din, hidden, batch):
+        """Three passes of one row, or of a batch, each a block of rows, give
+        the gradient of one pass over all their rows: every row gets its
+        product once."""
+        rng = np.random.default_rng(14)
+        net = init_mlp(din, hidden, din, rng)
+        rows = 1 if batch is None else batch
+        x = rng.standard_normal((3 * rows, din))
+        gy = rng.standard_normal((3 * rows, din))
+        passes = []
+        for xb, gb in zip(np.split(x, 3), np.split(gy, 3)):
+            if batch is None:
+                xb, gb = xb[0], gb[0]
+            passes.append((net.forward_with_cache(xb)[1], gb))
+        whole = mlp_backward(net, [(net.forward_with_cache(x)[1], gy)])
+        np.testing.assert_allclose(mlp_backward(net, passes), whole, rtol=1e-6,
+                                   atol=1e-6 * np.abs(whole).max())
+
     @pytest.mark.parametrize("din, hidden, batch", [
         (64, 200, 8),     # a paper-scale precoder network's batch
         (200, 300, None),  # a paper-scale AN's single rows
