@@ -5,12 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .constraints import (
-    coupling_residual,
-    normalize_amplitudes,
-    normalize_power,
-    wrap_phase,
-)
+from .constraints import normalize_amplitudes, normalize_power, wrap_phase
 from .errors import ConfigurationError, require_int
 from .gradients import precoder_pullback, received_field, surface_pullback
 from .model import ChannelSet, SystemConfig, check_dimensions, effective_rows, wsr
@@ -19,6 +14,7 @@ from .training import (
     Solution,
     TrainConfig,
     initial_state,
+    report_solution,
     run_meta_loop,
 )
 
@@ -97,10 +93,9 @@ def pga_oracle(
     shrink = 1.0
     for it in range(steps):
         W, beta, theta, phasor, field = current
-        bracket = surface_pullback(sys_cfg, ch, field, ch.G @ W, phasor)
+        grad_beta, grad_theta = surface_pullback(
+            sys_cfg, ch, field, ch.G @ W, beta, phasor)
         grad_w = precoder_pullback(field)
-        grad_beta = 2.0 * bracket.real
-        grad_theta = -2.0 * beta * bracket.imag
         if it == 0:  # the base steps, from the norms at the start
             s_w = float(np.sqrt(sys_cfg.p_max) / max(np.linalg.norm(grad_w), tiny))
             s_b = float(np.sqrt(n) / max(np.linalg.norm(grad_beta), tiny))
@@ -123,16 +118,6 @@ def pga_oracle(
             break
 
     W, beta, theta = current[:3]
-    residual = coupling_residual(theta[:n], theta[n:])
-    return Solution(
-        W_opt=W,
-        beta_opt=beta,
-        theta_opt=theta,
-        wsr_opt=rate,
-        wsr_pre_projection=rate,
-        residual_pre_projection=float(residual.max()),
-        feasible_coupled=bool(residual.max() < 1e-9),
-        mode=MODE_INDEPENDENT,
-        traces={"wsr_best": trace, "wsr_current": trace.copy(),
-                "penalty": np.zeros(steps), "rho": np.zeros(steps)},
-    )
+    return report_solution(W, beta, theta, rate, MODE_INDEPENDENT, {
+        "wsr_best": trace, "wsr_current": trace.copy(),
+        "penalty": np.zeros(steps), "rho": np.zeros(steps)})

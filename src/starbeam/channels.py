@@ -9,6 +9,7 @@ circularly-symmetric Gaussian scattering, weighted by the Rician factor.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +19,15 @@ from .model import ChannelSet, SystemConfig
 
 
 def dbm_to_watts(dbm: float) -> float:
-    return 10.0 ** (Kind.FINITE.check("dbm", dbm) / 10.0) / 1000.0
+    """Watts of a level in dBm whose power is finite and > 0 W."""
+    try:
+        watts = 10.0 ** (Kind.FINITE.check("dbm", dbm) / 10.0) / 1000.0
+    except OverflowError:
+        watts = math.inf
+    if not (0.0 < watts < math.inf):
+        raise ConfigurationError(
+            f"dbm must be a level whose power is finite and > 0 W; got {dbm!r}")
+    return watts
 
 
 @dataclass(frozen=True)

@@ -76,10 +76,13 @@ def project_coupled_phases(
     ((theta_t + theta_r + t) / 2, (theta_t + theta_r - t) / 2), so the four
     candidate offsets are scanned and the first minimum kept. Inputs are
     (N,) vectors of plain reals (no circular wrapping); deviation is
-    Euclidean.
+    Euclidean. A NaN or infinite phase is rejected, naming its side.
     """
     tt = np.asarray(theta_t, dtype=float)
     tr = np.asarray(theta_r, dtype=float)
+    for name, side in (("theta_t", tt), ("theta_r", tr)):
+        if not np.isfinite(side).all():
+            raise ConfigurationError(f"{name} must hold only finite phases")
     diff = tt - tr
     # Squared deviation of candidate t is (t - diff)^2 / 2; the common 1/2
     # does not affect the argmin.

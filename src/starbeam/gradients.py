@@ -5,9 +5,9 @@ The gradients come in three pieces. :func:`received_field` is the shared
 stage: from the effective rows of :func:`model.effective_rows` and the
 precoder it forms the received amplitudes U, the SINRs and the chain-rule
 coefficient matrix C. :func:`precoder_pullback` turns it into the precoder
-gradient, and :func:`surface_pullback` into the per-side bracket from
-which the amplitude and phase gradients follow. The weighted sum-rate at
-the state is :func:`model.wsr` of the field's SINRs, bitwise
+gradient, and :func:`surface_pullback` into the amplitude and phase
+gradients, the one place that forms them. The weighted sum-rate at the
+state is :func:`model.wsr` of the field's SINRs, bitwise
 :func:`model.evaluate_wsr` there.
 
 Callers take the pieces they need, each once per state:
@@ -15,7 +15,7 @@ Callers take the pieces they need, each once per state:
 - the meta-loop's precoder block: the field and the precoder pullback, at
   rows it is handed (the refined point's, as beta and theta are fixed);
 - its amplitude and phase blocks: rows, the field and the surface
-  pullback, for the one gradient each feeds its network;
+  pullback, of which each feeds its network one gradient;
 - its refined point: rows, the field, the precoder pullback and the rate,
   and the surface pullback on the epochs that update the amplitude or
   phase network; its rows serve the next precoder block;
@@ -123,16 +123,19 @@ def surface_pullback(
     ch: ChannelSet,
     field: ReceivedField,
     precoded: np.ndarray,
+    beta: np.ndarray,
     phasor: np.ndarray,
-) -> np.ndarray:
-    """The (2N,) complex per-side bracket b, from which the amplitude
-    gradient is 2 Re(b) and the phase gradient -2 beta Im(b). precoded is
-    G @ W, (N, K), and phasor exp(j * theta), at the field's state."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (2N,) amplitude and phase ascent directions (grad_beta,
+    grad_theta) at the field's state, whose amplitudes are beta and phasors
+    exp(j * theta); precoded is G @ W, (N, K)."""
     # per user k and element n: sum_j C[k,j] * conj(U[k,j]) * conj(h[k,n])
-    # * precoded[n,j]; the bracket sums it over the users of each side, into
-    # the t half or the r half, and applies the element's phase.
+    # * precoded[n,j]; the per-side bracket b sums it over the users of each
+    # side, into the t half or the r half, and applies the element's phase.
+    # d/dbeta of beta * exp(j * theta) is exp(j * theta), d/dtheta j times it.
     prod = ch.h_conj * ((field.C * np.conj(field.U)) @ precoded.T)  # (K, N)
-    return phasor * (cfg.side_mask * prod[:, None, :]).sum(axis=0).ravel()
+    bracket = phasor * (cfg.side_mask * prod[:, None, :]).sum(axis=0).ravel()
+    return 2.0 * bracket.real, -2.0 * beta * bracket.imag
 
 
 def wsr_gradients(
@@ -143,11 +146,9 @@ def wsr_gradients(
     beta = state.beta
     phasor = np.exp(1j * state.theta)
     field = received_field(cfg, effective_rows(cfg, ch, beta * phasor), state.W)
-    bracket = surface_pullback(cfg, ch, field, ch.G @ state.W, phasor)
     return GradientBundle(
         precoder_pullback(field),
-        2.0 * bracket.real,
-        -2.0 * beta * bracket.imag,
+        *surface_pullback(cfg, ch, field, ch.G @ state.W, beta, phasor),
         wsr(cfg, field.gammas),
     )
 

@@ -18,7 +18,8 @@ Parameter layout: each network keeps all of its parameters in one
 contiguous vector, ``Mlp.flat``, laid out w1 | b1 | w2 | b2 with
 row-major weights, and ``w1``, ``b1``, ``w2`` and ``b2`` are views into it.
 :func:`mlp_backward` forms the parameter gradient of one or more forward
-passes as one flat vector of the same layout.
+passes as one flat vector of the same layout, each weight gradient with one
+``np.dot`` into its view.
 
 Adam: :func:`adam_step` updates a flat parameter vector and its moments in
 place, ADAM_BLOCK parameters at a time, one elementwise operation at a
@@ -124,10 +125,10 @@ def mlp_backward(net: Mlp, passes) -> np.ndarray:
     like ``net.flat`` and in its dtype. passes is a sequence of (cache,
     grad_out) pairs, each grad_out matching its pass's output shape; it is
     cast to the network's dtype. The rows of all passes are stacked, so
-    each weight gradient is one product; a single row's is an outer
-    product, which einsum forms without numpy's buffered iterator (its
-    0 + a*b turns a -0.0 product into +0.0, the only difference from a
-    broadcast multiply)."""
+    each weight gradient is one np.dot into its view of the result, for
+    any row count; a single row's is an outer product, whose 0 + a*b turns
+    a -0.0 product into +0.0, the only difference from a broadcast
+    multiply."""
     rows = [(*cache, np.asarray(g, net.flat.dtype).reshape(-1, net.output_dim))
             for cache, g in passes]
     x2, pre, hidden, g2 = (rows[0] if len(rows) == 1
@@ -135,12 +136,8 @@ def mlp_backward(net: Mlp, passes) -> np.ndarray:
     grad_hidden = (g2 @ net.w2) * (pre > 0.0)
     grad = np.empty_like(net.flat)
     g_w1, g_b1, g_w2, g_b2 = net.split(grad)
-    if len(g2) == 1:
-        np.einsum("i,j->ij", grad_hidden[0], x2[0], out=g_w1)
-        np.einsum("i,j->ij", g2[0], hidden[0], out=g_w2)
-    else:
-        np.matmul(grad_hidden.T, x2, out=g_w1)
-        np.matmul(g2.T, hidden, out=g_w2)
+    np.dot(grad_hidden.T, x2, out=g_w1)
+    np.dot(g2.T, hidden, out=g_w2)
     grad_hidden.sum(axis=0, out=g_b1)
     g2.sum(axis=0, out=g_b2)
     return grad

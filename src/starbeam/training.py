@@ -9,27 +9,33 @@ precoder network every epoch, the amplitude and phase networks on their
 own intervals). What improves across epochs is the networks, not a
 persistent iterate.
 
-Gradients by need: each inner step feeds its network one gradient, so it
-calls :func:`received_field` and the one pullback it needs
-(:func:`precoder_pullback` in the precoder block, :func:`surface_pullback`
-in the amplitude and phase blocks) and computes no rate. Within an outer
-iteration the amplitude and phase blocks share G @ W of the refined
-precoder, and each phase profile's phasors exp(j * theta) are computed
-once: the start profile's once per run, each refined profile's once when
-the phase block produces it, for the next precoder and amplitude blocks.
-Each outer iteration evaluates the refined point once, from the pieces
-and not through :func:`wsr_gradients`: its effective rows, its field, the
-precoder loss gradient and the rate, and the amplitude and phase loss
-gradients only on epochs that update those networks, reusing the
-precoder's G @ W. Its rows are the next precoder block's, whose amplitudes
-and phases stay fixed. Only the hardened copy of a coupled-mode state, a
-different state, is evaluated separately, from its rows and SINRs.
-Each backward chain returns its network's passes, (forward cache, loss
-gradient on the output) pairs, and the loop keeps them over the epoch's
-outer iterations; after the last one, each network that updates forms its
-gradient from all its passes in one :func:`mlp_backward` call, steps on
-its mean and drops it. No network steps before every pass is recorded, and
-no chain reads a network's parameters, so the order is free.
+:func:`run_meta_loop` drives one function per phase. A point (W, beta,
+theta, phasor), with phasor = exp(j * theta), is one tuple: the start
+point every block restarts from, and the refined point, carried across
+outer iterations and epochs. Each outer iteration runs three phases:
+
+- :func:`_forward_blocks`, the inner blocks, each recording the tape of
+  its backward pass. Each inner step feeds its network one gradient, from
+  :func:`received_field` and the one pullback it needs, and computes no
+  rate. The amplitude and phase blocks share G @ W of the refined
+  precoder, and each phase profile's phasors are computed once.
+- :func:`_refined_point`, the refined point evaluated once from its rows,
+  which serve the next precoder block: its field, rate and coupling
+  residual, and in coupled mode the rate of its hardened copy, a
+  different state, from that state's rows and SINRs.
+- :func:`_backward_passes`, each updating network's passes, (forward
+  cache, loss gradient on the output) pairs, from the refined point's
+  field; the surface pullback runs only on epochs that update the
+  amplitude or phase network.
+
+The driver then ranks the refined state for selection. After the last
+outer iteration, :func:`_adam_steps` forms each updating network's
+gradient from all its passes in one :func:`mlp_backward` call and steps
+on its mean, and :func:`_record_traces` writes the epoch's traces. No
+network steps before every pass is recorded, and no chain reads a
+network's parameters, so the order is free. :func:`report_solution`
+builds the reported :class:`Solution`, for the loop and for
+:func:`baselines.pga_oracle`.
 
 Precision: the networks, their parameter gradients and their Adam state
 are float32 (networks.NET_DTYPE); the states, the rates, the loss
@@ -171,7 +177,8 @@ class Solution:
 
     W_opt, beta_opt, wsr_pre_projection and residual_pre_projection all
     describe that one state before hardening; theta_opt holds its phases
-    after hardening (unchanged in independent mode)."""
+    after hardening (unchanged in independent mode). Every solver builds
+    it through :func:`report_solution`, which holds the feasibility rule."""
 
     W_opt: np.ndarray
     beta_opt: np.ndarray        # (2N,) concatenated (beta_t, beta_r)
@@ -245,8 +252,7 @@ def _precoder_block_backward(tape, grad_w_out: np.ndarray) -> list:
         # d loss = 2 Re<g, dW_out>, W_out = scale(w_raw) * w_raw
         q = np.vdot(g, w_raw).real
         g_raw = scale * g - (scale * q / sq) * w_raw
-        passes.append((cache, np.concatenate([2.0 * g_raw.real.T,
-                                              2.0 * g_raw.imag.T])))
+        passes.append((cache, 2.0 * np.concatenate([g_raw.real.T, g_raw.imag.T])))
         g = g_raw
     return passes
 
@@ -267,7 +273,7 @@ def _amplitude_block(
     tape = []
     for _ in range(n_inner):
         field = received_field(cfg, effective_rows(cfg, ch, beta * phasor), W)
-        grad = 2.0 * surface_pullback(cfg, ch, field, precoded, phasor).real
+        grad, _ = surface_pullback(cfg, ch, field, precoded, beta, phasor)
         delta, cache = an.forward_with_cache(grad)
         raw = beta + delta  # float64, as beta is
         bt, br = normalize_amplitudes(raw[:n], raw[n:])
@@ -276,21 +282,16 @@ def _amplitude_block(
     return beta, tape
 
 
-def _amp_norm_backward(g_out: np.ndarray, raw: np.ndarray) -> np.ndarray:
-    """Transpose-Jacobian of the pairwise unit-circle normalization."""
-    n = raw.size // 2
-    bt, br = raw[:n], raw[n:]
-    g_bt, g_br = g_out[:n], g_out[n:]
-    sq = bt**2 + br**2
-    common = (br * g_bt - bt * g_br) / (sq * np.sqrt(sq))
-    return np.concatenate([br * common, -bt * common])
-
-
 def _amplitude_block_backward(tape, grad_beta_out: np.ndarray) -> list:
     passes = []
     g = grad_beta_out
     for cache, raw in reversed(tape):
-        g = _amp_norm_backward(g, raw)
+        # the transpose-Jacobian of the pairwise unit-circle normalization
+        n = raw.size // 2
+        bt, br = raw[:n], raw[n:]
+        sq = bt**2 + br**2
+        common = (br * g[:n] - bt * g[n:]) / (sq * np.sqrt(sq))
+        g = np.concatenate([br * common, -bt * common])
         passes.append((cache, g))
     return passes
 
@@ -312,8 +313,8 @@ def _phase_block(
     tape = []
     for _ in range(n_inner):
         field = received_field(cfg, effective_rows(cfg, ch, beta * phasor), W)
-        bracket = surface_pullback(cfg, ch, field, precoded, phasor)
-        raw, cache = tn.forward_with_cache(-2.0 * beta * bracket.imag)
+        _, grad = surface_pullback(cfg, ch, field, precoded, beta, phasor)
+        raw, cache = tn.forward_with_cache(grad)
         sig = sigmoid(raw.astype(np.float64))
         tape.append((cache, sig))
         theta = wrap_phase(theta + REGULATOR_GAIN * sig)
@@ -376,20 +377,17 @@ def run_meta_loop(
     Kind.FLAG.check("enable_tn", enable_tn)
     check_dimensions(sys_cfg, ch)
     coupled = train.mode == MODE_COUPLED
-    n = sys_cfg.N
 
     rng = np.random.default_rng(train.seed)
     nets = init_networks(sys_cfg, rng)
-    pn, an, tn = nets.pn, nets.an, nets.tn
-    adams = (adam_init(pn.flat), adam_init(an.flat), adam_init(tn.flat))
+    adams = (adam_init(nets.pn.flat), adam_init(nets.an.flat), adam_init(nets.tn.flat))
 
     W0, beta0, theta0 = initial_state(sys_cfg, rng, beta_init)
-    phasor0 = np.exp(1j * theta0)
-
-    # Most recent refined values, carried across outer iterations/epochs,
-    # and the effective rows of (beta_star, phasor_star).
-    W_star, beta_star, theta_star, phasor_star = W0, beta0, theta0, phasor0
-    rows = effective_rows(sys_cfg, ch, beta0 * phasor0)
+    start = (W0, beta0, theta0, np.exp(1j * theta0))
+    # The most recent refined point, carried across outer iterations and
+    # epochs, and its effective rows.
+    point = start
+    rows = effective_rows(sys_cfg, ch, beta0 * start[3])
 
     # The state to report so far, ((locked, r_proj), r_cur, residual, W,
     # beta, theta_hard), ranked on its first entry; in independent mode
@@ -399,141 +397,146 @@ def run_meta_loop(
     # the raw argmax, where phases are only half-locked.
     chosen: tuple | None = None
     wsr_best = -np.inf  # the highest raw rate so far, for its trace
+    traces = {name: np.zeros(train.n_epochs) for name in (
+        "wsr_current", "wsr_best", "wsr_best_post_projection", "penalty", "rho",
+        "power_rel_err", "amp_max_err", "residual_max")}
+    traces["phase_diff"] = np.zeros((train.n_epochs, sys_cfg.N))
 
-    n_epochs = train.n_epochs
-    traces = {
-        "wsr_current": np.zeros(n_epochs),
-        "wsr_best": np.zeros(n_epochs),
-        "wsr_best_post_projection": np.zeros(n_epochs),
-        "penalty": np.zeros(n_epochs),
-        "rho": np.zeros(n_epochs),
-        "power_rel_err": np.zeros(n_epochs),
-        "amp_max_err": np.zeros(n_epochs),
-        "residual_max": np.zeros(n_epochs),
-        "phase_diff": np.zeros((n_epochs, n)),
-    }
-
-    for epoch in range(1, n_epochs + 1):
+    for epoch in range(1, train.n_epochs + 1):
         rho = rho_at(train, epoch) if coupled else 0.0
-        lr_tn = (train.lr_theta * PHASE_RATE_FLOOR ** (epoch / n_epochs)
-                 if coupled else train.lr_theta)
-        update_an = enable_an and epoch % train.n1 == 0
-        update_tn = enable_tn and epoch % train.n2 == 0
-        # Each network's backward passes over the epoch's outer iterations.
-        passes_pn, passes_an, passes_tn = [], [], []
-
+        updates = (enable_an and epoch % train.n1 == 0,
+                   enable_tn and epoch % train.n2 == 0)
+        passes = ([], [], [])  # each network's, over the epoch's outer iterations
         for outer in range(1, train.n_outer + 1):
             try:
-                W_star, tape_w = _precoder_block(
-                    pn, W0, rows, sys_cfg, train.n_inner
-                )
-                if enable_an or enable_tn:
-                    precoded = ch.G @ W_star
-                    if enable_an:
-                        beta_star, tape_a = _amplitude_block(
-                            an, beta0, W_star, precoded, phasor_star, sys_cfg,
-                            ch, train.n_inner,
-                        )
-                    if enable_tn:
-                        theta_star, phasor_star, tape_t = _phase_block(
-                            tn, theta0, phasor0, W_star, precoded, beta_star,
-                            sys_cfg, ch, train.n_inner,
-                        )
-                    rows = effective_rows(sys_cfg, ch, beta_star * phasor_star)
-
-                # The refined point, evaluated once; its rows serve the next
-                # precoder block.
-                field = received_field(sys_cfg, rows, W_star)
-                r_cur = wsr(sys_cfg, field.gammas)
-                theta_t, theta_r = theta_star[:n], theta_star[n:]
-                residual = float(coupling_residual(theta_t, theta_r).max())
-
-                r_proj = r_cur
-                theta_hard = theta_star
-                dev_sq = 0.0
-                if coupled:
-                    aux = project_coupled_phases(theta_t, theta_r)
-                    proj = np.concatenate([aux.theta_t_aux, aux.theta_r_aux])
-                    dev = theta_star - proj
-                    dev_sq = float(dev @ dev)
-                    theta_hard = wrap_phase(proj)
-                    hard_rows = effective_rows(
-                        sys_cfg, ch, beta_star * np.exp(1j * theta_hard)
-                    )
-                    r_proj = wsr(
-                        sys_cfg, received_sinrs(sys_cfg, hard_rows @ W_star)[0]
-                    )
-
-                # Per-network losses all sit at the refined point; each
-                # parameter set sees only its own update chain. The loss
-                # gradients are the negated ascent directions.
-                passes_pn += _precoder_block_backward(
-                    tape_w, -precoder_pullback(field)
-                )
-                if update_an or update_tn:
-                    bracket = surface_pullback(
-                        sys_cfg, ch, field, precoded, phasor_star
-                    )
-                if update_an:
-                    passes_an += _amplitude_block_backward(
-                        tape_a, -2.0 * bracket.real
-                    )
-                if update_tn:
-                    g_t = 2.0 * beta_star * bracket.imag
-                    if coupled:
-                        g_t = g_t + 2.0 * rho * (theta_star - proj)
-                    passes_tn += _phase_block_backward(tape_t, g_t)
+                point, precoded, rows, tapes = _forward_blocks(
+                    nets, start, point, rows, sys_cfg, ch, train.n_inner,
+                    enable_an, enable_tn)
+                field, r_cur, residual, r_proj, theta_hard, dev = _refined_point(
+                    sys_cfg, ch, point, rows, coupled)
+                _backward_passes(sys_cfg, ch, point, field, precoded, tapes,
+                                 updates, rho, dev, passes)
             except (DegenerateInputError, ConfigurationError) as err:
                 raise type(err)(
                     f"epoch {epoch}, outer iteration {outer}: {err}"
                 ) from err
-
             wsr_best = max(wsr_best, r_cur)
             rank = (coupled and residual < COUPLING_TOL, r_proj)
             if chosen is None or rank > chosen[0]:
-                chosen = (rank, r_cur, residual, W_star, beta_star, theta_hard)
-
-        # Each updating network steps on the mean of its outer iterations'
-        # gradients, formed in one backward call.
-        for net, adam, lr, passes in ((pn, adams[0], train.lr_w, passes_pn),
-                                      (an, adams[1], train.lr_a, passes_an),
-                                      (tn, adams[2], lr_tn, passes_tn)):
-            if passes:
-                grad = mlp_backward(net, passes)
-                if train.n_outer > 1:  # x * 1.0 == x
-                    grad *= 1.0 / train.n_outer
-                adam_step(net.flat, grad, adam, lr)
-                del grad  # one gradient alive at a time
-
-        idx = epoch - 1
-        traces["wsr_current"][idx] = r_cur
-        traces["wsr_best"][idx] = wsr_best
-        # Post-projection rate of the state that would be reported if the
-        # run ended here; in coupled mode it may drop once a state locks.
-        traces["wsr_best_post_projection"][idx] = chosen[0][1]
-        traces["rho"][idx] = rho
-        traces["penalty"][idx] = rho * dev_sq
-        traces["power_rel_err"][idx] = (
-            abs(np.vdot(W_star, W_star).real - sys_cfg.p_max) / sys_cfg.p_max
-        )
-        traces["amp_max_err"][idx] = float(
-            np.abs(beta_star[:n]**2 + beta_star[n:]**2 - 1.0).max()
-        )
-        traces["residual_max"][idx] = residual
-        traces["phase_diff"][idx] = wrap_phase(theta_t - theta_r)
+                chosen = (rank, r_cur, residual, point[0], point[1], theta_hard)
+        _adam_steps(nets, adams, passes, train, epoch)
+        _record_traces(traces, epoch - 1, sys_cfg, point, dev, rho=rho,
+                       wsr_current=r_cur, wsr_best=wsr_best,
+                       wsr_best_post_projection=chosen[0][1], residual_max=residual)
 
     (_, wsr_opt), wsr_pre, residual_pre, W_best, beta_best, theta_opt = chosen
-    feasible = bool(
-        np.max(coupling_residual(theta_opt[:n], theta_opt[n:])) < 1e-9
-    )
-    return Solution(
-        W_opt=W_best,
-        beta_opt=beta_best,
-        theta_opt=theta_opt,
-        wsr_opt=wsr_opt,
-        wsr_pre_projection=wsr_pre,
-        residual_pre_projection=residual_pre,
-        feasible_coupled=feasible,
-        mode=train.mode,
-        traces=traces,
-    )
+    return report_solution(W_best, beta_best, theta_opt, wsr_opt, train.mode,
+                           traces, pre=(wsr_pre, residual_pre))
+
+
+# --- the phases of one outer iteration and of one epoch --------------------
+
+
+def _forward_blocks(nets, start, point, rows, cfg, ch, n_inner, enable_an,
+                    enable_tn):
+    """The refined point, G @ W (None when the surface is frozen), its
+    rows and the three tapes (None for a frozen group, which keeps its
+    value in point). Each block restarts from start, with the groups
+    before it refined and those after it at their values in point."""
+    W0, beta0, theta0, phasor0 = start
+    _, beta, theta, phasor = point
+    W, tape_w = _precoder_block(nets.pn, W0, rows, cfg, n_inner)
+    precoded = tape_a = tape_t = None
+    if enable_an or enable_tn:
+        precoded = ch.G @ W
+        if enable_an:
+            beta, tape_a = _amplitude_block(
+                nets.an, beta0, W, precoded, phasor, cfg, ch, n_inner)
+        if enable_tn:
+            theta, phasor, tape_t = _phase_block(
+                nets.tn, theta0, phasor0, W, precoded, beta, cfg, ch, n_inner)
+        rows = effective_rows(cfg, ch, beta * phasor)
+    return (W, beta, theta, phasor), precoded, rows, (tape_w, tape_a, tape_t)
+
+
+def _refined_point(cfg, ch, point, rows, coupled):
+    """(field, rate, residual, rate_hard, theta_hard, dev) of the refined
+    point and its hardened copy, with dev = theta - theta_proj. In
+    independent mode the copy is the point itself and dev is None."""
+    W, beta, theta, _ = point
+    n = cfg.N
+    field = received_field(cfg, rows, W)
+    rate = wsr(cfg, field.gammas)
+    residual = float(coupling_residual(theta[:n], theta[n:]).max())
+    if not coupled:
+        return field, rate, residual, rate, theta, None
+    aux = project_coupled_phases(theta[:n], theta[n:])
+    proj = np.concatenate([aux.theta_t_aux, aux.theta_r_aux])
+    theta_hard = wrap_phase(proj)
+    hard_rows = effective_rows(cfg, ch, beta * np.exp(1j * theta_hard))
+    rate_hard = wsr(cfg, received_sinrs(cfg, hard_rows @ W)[0])
+    return field, rate, residual, rate_hard, theta_hard, theta - proj
+
+
+def _backward_passes(cfg, ch, point, field, precoded, tapes, updates, rho,
+                     dev, passes):
+    """Append to passes, one list per network, the passes of the precoder
+    network and of the surface networks whose flag in updates is set. Each
+    loss gradient is the negated ascent direction at the refined point; in
+    coupled mode (dev not None) the phase network's adds 2 * rho * dev."""
+    _, beta, _, phasor = point
+    tape_w, tape_a, tape_t = tapes
+    update_an, update_tn = updates
+    passes[0].extend(_precoder_block_backward(tape_w, -precoder_pullback(field)))
+    if update_an or update_tn:
+        grad_beta, grad_theta = surface_pullback(
+            cfg, ch, field, precoded, beta, phasor)
+    if update_an:
+        passes[1].extend(_amplitude_block_backward(tape_a, -grad_beta))
+    if update_tn:
+        g_t = -grad_theta if dev is None else -grad_theta + 2.0 * rho * dev
+        passes[2].extend(_phase_block_backward(tape_t, g_t))
+
+
+def _adam_steps(nets, adams, passes, train, epoch):
+    """Step each network that has passes on the mean of its gradient over
+    the epoch's outer iterations, formed in one mlp_backward call. In
+    coupled mode the phase network's rate decays (see PHASE_RATE_FLOOR)."""
+    lr_tn = train.lr_theta
+    if train.mode == MODE_COUPLED:
+        lr_tn *= PHASE_RATE_FLOOR ** (epoch / train.n_epochs)
+    for net, adam, lr, net_passes in zip((nets.pn, nets.an, nets.tn), adams,
+                                         (train.lr_w, train.lr_a, lr_tn), passes):
+        if net_passes:
+            grad = mlp_backward(net, net_passes)
+            if train.n_outer > 1:  # x * 1.0 == x
+                grad *= 1.0 / train.n_outer
+            adam_step(net.flat, grad, adam, lr)
+            del grad  # one gradient alive at a time
+
+
+def _record_traces(traces, idx, cfg, point, dev, **scalars):
+    """Write row idx of the traces: the named scalars (the post-projection
+    rate is the state's the run would report if it ended here, and may drop
+    once a coupled state locks), the penalty rho * ||dev||^2 and the point's
+    power and amplitude errors and phase differences."""
+    W, beta, theta, _ = point
+    n = cfg.N
+    for name, value in scalars.items():
+        traces[name][idx] = value
+    traces["penalty"][idx] = 0.0 if dev is None else scalars["rho"] * float(dev @ dev)
+    traces["power_rel_err"][idx] = abs(np.vdot(W, W).real - cfg.p_max) / cfg.p_max
+    traces["amp_max_err"][idx] = float(np.abs(beta[:n]**2 + beta[n:]**2 - 1.0).max())
+    traces["phase_diff"][idx] = wrap_phase(theta[:n] - theta[n:])
+
+
+def report_solution(W, beta, theta, wsr_opt, mode, traces, pre=None) -> Solution:
+    """The Solution reporting the state (W, beta, theta) at rate wsr_opt.
+    pre is the (rate, coupling residual) of the state before hardening;
+    None for a state that was not hardened, whose own they are. The state
+    is coupled-feasible when max |cos(theta_t - theta_r)| < 1e-9."""
+    n = theta.size // 2
+    residual = float(coupling_residual(theta[:n], theta[n:]).max())
+    wsr_pre, residual_pre = (wsr_opt, residual) if pre is None else pre
+    return Solution(W, beta, theta, wsr_opt, wsr_pre, residual_pre,
+                    residual < 1e-9, mode, traces)

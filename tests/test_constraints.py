@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from starbeam import (
+    ConfigurationError,
     DegenerateInputError,
     coupling_residual,
     normalize_amplitudes,
@@ -199,6 +200,14 @@ class TestCoupledProjection:
         aux = project_coupled_phases(np.array([np.pi]), np.array([np.pi]))
         assert aux.theta_t_aux[0] == pytest.approx(5 * np.pi / 4)
         assert aux.theta_r_aux[0] == pytest.approx(3 * np.pi / 4)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("side", ["theta_t", "theta_r"])
+    def test_non_finite_phase_rejected_naming_its_side(self, side, bad):
+        phases = {"theta_t": np.array([0.5, 1.0]), "theta_r": np.array([0.0, 2.0])}
+        phases[side][1] = bad
+        with pytest.raises(ConfigurationError, match=f"^{side} must hold only finite"):
+            project_coupled_phases(**phases)
 
     def test_residual_and_brute_force_optimality(self):
         rng = np.random.default_rng(7)

@@ -200,12 +200,16 @@ class TestTimingExperiment:
 
 @pytest.mark.parametrize("call, name", [
     (lambda cfg, ch_cfg: channels.dbm_to_watts(float("nan")), "dbm"),
+    (lambda cfg, ch_cfg: channels.dbm_to_watts(4000.0), "dbm"),
+    (lambda cfg, ch_cfg: channels.dbm_to_watts(-4000.0), "dbm"),
     (lambda cfg, ch_cfg: channels.generate_channels(cfg, ch_cfg, rng=5), "rng"),
     (lambda cfg, ch_cfg: timing_probe(cfg, desk_train(n_epochs=5), ch="x"), "ch"),
-], ids=["dbm_to_watts", "generate_channels", "timing_probe"])
+], ids=["dbm_to_watts", "dbm_to_watts_overflow", "dbm_to_watts_zero",
+        "generate_channels", "timing_probe"])
 def test_bad_argument_rejected_naming_it(call, name):
-    """A NaN power, an integer for a generator and a string for a channel
-    set are rejected at the call, naming the argument."""
+    """A NaN power, one whose watts overflow or round to 0, an integer for
+    a generator and a string for a channel set are rejected at the call,
+    naming the argument."""
     sys_cfg, ch_cfg = desk_scenario()
     with pytest.raises(ConfigurationError, match=f"^{name} must be"):
         call(sys_cfg, ch_cfg)

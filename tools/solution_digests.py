@@ -181,6 +181,16 @@ def cases():
         for s in range(2):
             train = replace(desk_train(mode, s, 100), n_outer=2, n_inner=2)
             out.append((f"outer2_inner2/{mode}/s{s}", solve(run_gml, 1000 + s, train)))
+    # Frozen amplitudes, or frozen amplitudes and phases, over more than one
+    # pass of each running block.
+    for s in range(2):
+        train = replace(desk_train("independent", s, 100), n_outer=2, n_inner=2)
+        out += [
+            (f"outer2_inner2/random_phase_baseline/s{s}",
+             solve(random_phase_baseline, 1000 + s, train)),
+            (f"outer2_inner2/conventional_ris_baseline/s{s}",
+             solve(conventional_ris_baseline, 1000 + s, train)),
+        ]
 
     paper_cfg, paper_ch_cfg = default_scenario()
     paper_ch = generate_channels(paper_cfg, paper_ch_cfg, np.random.default_rng(100))
