@@ -78,8 +78,7 @@ def _distance(a, b) -> float:
 
 def path_loss_linear(d: float, cfg: ChannelConfig) -> float:
     """Amplitude-domain gain 10^(-PL_dB / 20) at distance d meters."""
-    if not d > 0:
-        raise ValueError("distance must be positive")
+    d = Kind.POSITIVE.check("d", d)
     pl_db = cfg.pathloss_a + cfg.pathloss_b * np.log10(d)
     return float(10.0 ** (-pl_db / 20.0))
 

@@ -45,8 +45,10 @@ def normalize_power(W: np.ndarray, p_max: float) -> np.ndarray:
         raise ConfigurationError("p_max must be positive")
     W = np.asarray(W, dtype=np.complex128)
     total = np.vdot(W, W).real
-    if not total > 0:
-        raise DegenerateInputError("cannot normalize an all-zero precoder")
+    if not 0 < total < np.inf:
+        raise DegenerateInputError(
+            "cannot normalize an all-zero precoder" if total == 0 else
+            "cannot normalize a non-finite precoder, or one whose power overflows")
     return np.sqrt(p_max / total) * W
 
 
@@ -58,8 +60,10 @@ def normalize_amplitudes(
     bt = np.asarray(beta_t_raw, dtype=float)
     br = np.asarray(beta_r_raw, dtype=float)
     sq = bt**2 + br**2
-    if not (sq > 0).all():
+    if not ((sq > 0) & (sq < np.inf)).all():  # also rejects NaN
         raise DegenerateInputError(
+            "non-finite amplitude pair, or one whose squared norm overflows"
+            if not np.isfinite(sq).all() else
             "zero amplitude pair; upstream initializer produced a dead element"
         )
     r = np.sqrt(sq)

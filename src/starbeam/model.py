@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, Kind, check_fields, require_int
+from .errors import (ConfigurationError, DegenerateInputError, Kind, check_fields,
+                     require_int)
 
 TRANSMISSION = "transmission"
 REFLECTION = "reflection"
@@ -289,7 +290,8 @@ def wsr(cfg: SystemConfig, gammas: np.ndarray) -> float | np.ndarray:
     if g.shape[-1:] != (cfg.K,):
         raise ConfigurationError(f"gammas must have shape (..., {cfg.K})")
     if not (g >= 0).all():  # also rejects NaN
-        raise ValueError("SINR values must be non-negative")
+        seen = "NaN" if np.isnan(g).any() else "a negative value"
+        raise DegenerateInputError(f"SINR values must be non-negative; saw {seen}")
     rates = (cfg.weight_array * np.log2(1.0 + g)).sum(axis=-1)
     return float(rates) if g.ndim == 1 else rates
 

@@ -1,13 +1,15 @@
 """The three gradient-fed sub-networks and a self-contained Adam optimizer.
 
-Each sub-network is a two-layer perceptron (affine, rectifier, affine).
-The precoder network consumes the complex (M, K) gradient as a batch of
-2K real M-vectors through shared weights; the amplitude and phase networks
-consume their 2N-dimensional gradient vectors directly.
+Each sub-network is a two-layer perceptron (affine, rectifier, affine)
+that takes a (rows, in) matrix of real rows and knows nothing of the
+variable group it serves: each block of the loop packs its own input and
+unpacks the output. The precoder block feeds the complex (M, K) gradient
+as 2K real rows of length M through shared weights; the amplitude and
+phase blocks feed their 2N-dimensional gradient as one row.
 
 Precision: the networks run in NET_DTYPE, float32. Their parameters,
 activations, parameter gradients and Adam moments and scratch are float32;
-every input a network is fed is cast to its dtype, and the callers take
+every input a network is fed is cast to its dtype, and the blocks take
 its outputs back to float64. The channels, the beamforming state, the rate
 gradients and the constraint checks stay float64: low precision in the
 networks, full precision in the physics. An :class:`Mlp` keeps the dtype
@@ -46,7 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, is_real, require_int
+from .errors import ConfigurationError, DegenerateInputError, is_real, require_int
 
 # Adam's moment decay rates and denominator floor, the textbook defaults.
 ADAM_BETA1 = 0.9
@@ -85,22 +87,19 @@ class Mlp:
         return vec[:a].reshape(h, i), vec[a:b], vec[b:c].reshape(o, h), vec[c:]
 
     def forward_with_cache(self, x: np.ndarray) -> tuple[np.ndarray, tuple]:
-        """Forward pass that also returns the intermediates needed by
-        :func:`mlp_backward`, (input, pre-activation, hidden) as rows; x is
-        one input vector or a (batch, in) matrix, cast to the network's
-        dtype, and so is the output."""
+        """Forward pass of a (rows, in) matrix, cast to the network's dtype,
+        to (rows, out) in that dtype; also returns the intermediates needed
+        by :func:`mlp_backward`, (input, pre-activation, hidden). The caller
+        packs its variable group into rows (see the module docstring)."""
         x = np.asarray(x, dtype=self.flat.dtype)
-        if x.ndim not in (1, 2) or x.shape[-1] != self.input_dim:
+        if x.ndim != 2 or x.shape[1] != self.input_dim:
             raise ConfigurationError(
-                f"input shape {x.shape} does not match network input "
-                f"dimension {self.input_dim}"
+                f"input shape {x.shape} does not match (rows, input "
+                f"dimension {self.input_dim})"
             )
-        single = x.ndim == 1
-        x2 = x[None, :] if single else x
-        pre = x2 @ self.w1.T + self.b1
+        pre = x @ self.w1.T + self.b1
         hidden = np.maximum(pre, 0.0)
-        y = hidden @ self.w2.T + self.b2
-        return (y[0] if single else y), (x2, pre, hidden)
+        return hidden @ self.w2.T + self.b2, (x, pre, hidden)
 
 
 def init_mlp(input_dim: int, hidden_dim: int, output_dim: int,
@@ -123,14 +122,13 @@ def mlp_backward(net: Mlp, passes) -> np.ndarray:
     """Parameter gradient of forward passes recorded by
     ``forward_with_cache``, summed over them, as a new flat vector laid out
     like ``net.flat`` and in its dtype. passes is a sequence of (cache,
-    grad_out) pairs, each grad_out matching its pass's output shape; it is
-    cast to the network's dtype. The rows of all passes are stacked, so
-    each weight gradient is one np.dot into its view of the result, for
-    any row count; a single row's is an outer product, whose 0 + a*b turns
-    a -0.0 product into +0.0, the only difference from a broadcast
-    multiply."""
-    rows = [(*cache, np.asarray(g, net.flat.dtype).reshape(-1, net.output_dim))
-            for cache, g in passes]
+    grad_out) pairs, each grad_out a (rows, out) matrix like its pass's
+    output; it is cast to the network's dtype. The rows of all passes are
+    stacked, so each weight gradient is one np.dot into its view of the
+    result, for any row count; a single row's is an outer product, whose
+    0 + a*b turns a -0.0 product into +0.0, the only difference from a
+    broadcast multiply."""
+    rows = [(*cache, np.asarray(g, net.flat.dtype)) for cache, g in passes]
     x2, pre, hidden, g2 = (rows[0] if len(rows) == 1
                            else map(np.concatenate, zip(*rows)))
     grad_hidden = (g2 @ net.w2) * (pre > 0.0)
@@ -141,29 +139,6 @@ def mlp_backward(net: Mlp, passes) -> np.ndarray:
     grad_hidden.sum(axis=0, out=g_b1)
     g2.sum(axis=0, out=g_b2)
     return grad
-
-
-def pn_forward_with_cache(net: Mlp, grad_w: np.ndarray) -> tuple[np.ndarray, tuple]:
-    """Precoder update from the complex (M, K) gradient, and the cache for
-    :func:`mlp_backward`.
-
-    The gradient is split into 2K real M-vectors (the K real parts, then
-    the K imaginary parts), pushed through the shared network, and the
-    outputs recombined column-wise into a complex128 (M, K) update.
-    """
-    grad_w = np.asarray(grad_w, dtype=np.complex128)
-    if grad_w.ndim != 2 or grad_w.shape[0] != net.input_dim:
-        raise ConfigurationError(
-            f"precoder gradient shape {grad_w.shape} does not match network "
-            f"input dimension {net.input_dim}"
-        )
-    if net.output_dim != net.input_dim:
-        raise ConfigurationError("precoder network must map M -> M")
-    k = grad_w.shape[1]
-    batch = np.concatenate([grad_w.real.T, grad_w.imag.T])  # (2K, M)
-    out, cache = net.forward_with_cache(batch)
-    out = out.astype(np.float64, copy=False)
-    return (out[:k] + 1j * out[k:]).T, cache
 
 
 @dataclass
@@ -212,8 +187,8 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState,
     limit = math.sqrt(float(np.finfo(dtype).max))
     if not (-limit <= float(grads.min(initial=0.0))
             and float(grads.max(initial=0.0)) <= limit):
-        raise ValueError("non-finite gradient, or one whose square overflows "
-                         f"{dtype}; update rejected")
+        raise DegenerateInputError("non-finite gradient, or one whose square "
+                                   f"overflows {dtype}; update rejected")
     state.step_count += 1
     t = state.step_count
     b1, b2 = ADAM_BETA1, ADAM_BETA2

@@ -40,11 +40,15 @@ builds the reported :class:`Solution`, for the loop and for
 Precision: the networks, their parameter gradients and their Adam state
 are float32 (networks.NET_DTYPE); the states, the rates, the loss
 gradients and the constraint checks stay float64. The boundary is the
-network call: a network casts the float64 gradient it is fed, and each
-block takes the output back to float64 before it touches the state (a
-complex128 precoder update, beta + delta, the phase network's raw output
-before the sigmoid); a backward pass casts its float64 loss gradient as it
-enters the network.
+network call, and every conversion across it sits in the block that owns
+the variable group. A network takes real rows and casts them to its
+dtype: the precoder block feeds the complex (M, K) gradient g as the 2K
+rows [g.real.T; g.imag.T], the amplitude and phase blocks their (2N,)
+gradient as one row. Each block takes the output back to float64 before
+it touches the state (a complex128 precoder update recombined column by
+column, beta + delta, the phase network's raw output before the sigmoid),
+and its backward pass returns the float64 loss gradient on the output in
+the same rows, which mlp_backward casts.
 
 Loss plumbing: each network's parameters receive the gradient of its own
 loss through its own update chain only; the other variable groups and the
@@ -105,7 +109,6 @@ from .networks import (
     adam_step,
     init_mlp,
     mlp_backward,
-    pn_forward_with_cache,
 )
 
 MODE_INDEPENDENT = "independent"
@@ -229,11 +232,17 @@ def _precoder_block(
     tape = []
     for _ in range(n_inner):
         grad = precoder_pullback(received_field(cfg, rows, W))
-        delta, cache = pn_forward_with_cache(pn, grad)
-        w_raw = W + delta
+        # 2K real rows, the K real parts then the K imaginary parts, as the
+        # backward packs the loss gradient
+        out, cache = pn.forward_with_cache(
+            np.concatenate([grad.real.T, grad.imag.T]))
+        out = out.astype(np.float64)
+        w_raw = W + (out[:cfg.K] + 1j * out[cfg.K:]).T
         sq = np.vdot(w_raw, w_raw).real
-        if not sq > 0:
-            raise DegenerateInputError("precoder collapsed to zero mid-update")
+        if not 0 < sq < np.inf:
+            raise DegenerateInputError(
+                "precoder collapsed to zero mid-update" if sq == 0 else
+                "non-finite precoder mid-update, or one whose power overflows")
         scale = np.sqrt(cfg.p_max / sq)
         tape.append((cache, w_raw, scale, sq))
         W = scale * w_raw
@@ -274,8 +283,8 @@ def _amplitude_block(
     for _ in range(n_inner):
         field = received_field(cfg, effective_rows(cfg, ch, beta * phasor), W)
         grad, _ = surface_pullback(cfg, ch, field, precoded, beta, phasor)
-        delta, cache = an.forward_with_cache(grad)
-        raw = beta + delta  # float64, as beta is
+        delta, cache = an.forward_with_cache(grad[None, :])  # one row
+        raw = beta + delta[0]  # float64, as beta is
         bt, br = normalize_amplitudes(raw[:n], raw[n:])
         tape.append((cache, raw))
         beta = np.concatenate([bt, br])
@@ -292,7 +301,7 @@ def _amplitude_block_backward(tape, grad_beta_out: np.ndarray) -> list:
         sq = bt**2 + br**2
         common = (br * g[:n] - bt * g[n:]) / (sq * np.sqrt(sq))
         g = np.concatenate([br * common, -bt * common])
-        passes.append((cache, g))
+        passes.append((cache, g[None, :]))
     return passes
 
 
@@ -314,8 +323,8 @@ def _phase_block(
     for _ in range(n_inner):
         field = received_field(cfg, effective_rows(cfg, ch, beta * phasor), W)
         _, grad = surface_pullback(cfg, ch, field, precoded, beta, phasor)
-        raw, cache = tn.forward_with_cache(grad)
-        sig = sigmoid(raw.astype(np.float64))
+        raw, cache = tn.forward_with_cache(grad[None, :])  # one row
+        sig = sigmoid(raw[0].astype(np.float64))
         tape.append((cache, sig))
         theta = wrap_phase(theta + REGULATOR_GAIN * sig)
         phasor = np.exp(1j * theta)
@@ -326,7 +335,7 @@ def _phase_block_backward(tape, grad_theta_out: np.ndarray) -> list:
     # wrap is an a.e. identity; d(gain * sigmoid)/d(raw) = gain*sig*(1-sig),
     # and d(theta_next)/d(theta_prev) = 1, so g passes through unchanged
     g = grad_theta_out
-    return [(cache, g * REGULATOR_GAIN * sig * (1.0 - sig))
+    return [(cache, (g * REGULATOR_GAIN * sig * (1.0 - sig))[None, :])
             for cache, sig in reversed(tape)]
 
 
@@ -350,8 +359,8 @@ def initial_state(
     beta0 = np.full(2 * cfg.N, 1.0 / np.sqrt(2.0))
     if beta_init is not None:
         beta0 = np.asarray(beta_init, dtype=float).copy()
-        if beta0.shape != (2 * cfg.N,):
-            raise ConfigurationError("beta_init must have length 2N")
+        if beta0.shape != (2 * cfg.N,) or not np.isfinite(beta0).all():
+            raise ConfigurationError("beta_init must be 2N finite values")
     n = cfg.N
     bt, br = normalize_amplitudes(beta0[:n], beta0[n:])
     return W0, np.concatenate([bt, br]), wrap_phase(theta0)
@@ -505,13 +514,18 @@ def _adam_steps(nets, adams, passes, train, epoch):
     lr_tn = train.lr_theta
     if train.mode == MODE_COUPLED:
         lr_tn *= PHASE_RATE_FLOOR ** (epoch / train.n_epochs)
-    for net, adam, lr, net_passes in zip((nets.pn, nets.an, nets.tn), adams,
-                                         (train.lr_w, train.lr_a, lr_tn), passes):
+    for name, adam, lr, net_passes in zip(("pn", "an", "tn"), adams,
+                                          (train.lr_w, train.lr_a, lr_tn), passes):
         if net_passes:
+            net = getattr(nets, name)
             grad = mlp_backward(net, net_passes)
             if train.n_outer > 1:  # x * 1.0 == x
                 grad *= 1.0 / train.n_outer
-            adam_step(net.flat, grad, adam, lr)
+            try:
+                adam_step(net.flat, grad, adam, lr)
+            except DegenerateInputError as err:
+                raise DegenerateInputError(
+                    f"epoch {epoch}, {name} network: {err}") from err
             del grad  # one gradient alive at a time
 
 

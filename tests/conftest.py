@@ -64,3 +64,15 @@ def float64_copy(net):
     checks of a float32 network's gradient run on it, where a step of 1e-6
     is far above the rounding of the parameters."""
     return Mlp(*net.split(net.flat.astype(np.float64)))
+
+
+class RecordingMlp(Mlp):
+    """A copy of a network that keeps every input it is fed."""
+
+    def __init__(self, net):
+        super().__init__(net.w1, net.b1, net.w2, net.b2)
+        self.inputs = []
+
+    def forward_with_cache(self, x):
+        self.inputs.append(np.array(x))
+        return super().forward_with_cache(x)

@@ -36,6 +36,11 @@ class TestPathLoss:
         with pytest.raises(ValueError):
             path_loss_linear(0.0, ChannelConfig())
 
+    @pytest.mark.parametrize("d", [np.inf, np.nan])
+    def test_non_finite_distance_named(self, d):
+        with pytest.raises(ConfigurationError, match="^d must be a finite real"):
+            path_loss_linear(d, ChannelConfig())
+
 
 class TestGeneration:
     def test_bitwise_reproducible(self):

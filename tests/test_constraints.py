@@ -65,6 +65,13 @@ class TestNormalizePower:
         with pytest.raises(DegenerateInputError):
             normalize_power(np.zeros((2, 2), complex), 1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+    def test_non_finite_rejected(self, bad):
+        W = np.ones((2, 2), complex)
+        W[1, 0] = bad
+        with pytest.raises(DegenerateInputError, match="non-finite"):
+            normalize_power(W, 1.0)
+
     def test_idempotent(self):
         rng = np.random.default_rng(2)
         W = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
@@ -106,6 +113,13 @@ class TestNormalizeAmplitudes:
     def test_zero_pair_rejected(self):
         with pytest.raises(DegenerateInputError):
             normalize_amplitudes(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
+
+    @pytest.mark.parametrize("bt, br", [
+        ([np.inf, 1.0], [1.0, 1.0]), ([1.0, 0.5], [1.0, -np.inf]),
+        ([1.0, np.nan], [1.0, np.nan]), ([np.nan, 1.0], [0.0, 1.0])])
+    def test_non_finite_pair_rejected(self, bt, br):
+        with pytest.raises(DegenerateInputError, match="non-finite"):
+            normalize_amplitudes(np.array(bt), np.array(br))
 
     def test_unit_circle_and_idempotence(self):
         rng = np.random.default_rng(5)

@@ -5,6 +5,7 @@ from starbeam import (
     BeamformingState,
     ChannelSet,
     ConfigurationError,
+    DegenerateInputError,
     SystemConfig,
     all_sinrs,
     evaluate_wsr,
@@ -159,6 +160,14 @@ class TestWsr:
     def test_nan_sinr_rejected(self, gammas):
         cfg = SystemConfig(M=1, N=1, K=2, p_max=1, noise_power=1)
         with pytest.raises(ValueError, match="non-negative"):
+            wsr(cfg, np.array(gammas))
+
+    @pytest.mark.parametrize("gammas, seen", [
+        ([1.0, -0.5], "a negative value"), ([np.nan, -0.5], "NaN"),
+        ([[1.0, 2.0], [np.nan, 1.0]], "NaN")])
+    def test_failure_is_degenerate_input_naming_what_it_saw(self, gammas, seen):
+        cfg = SystemConfig(M=1, N=1, K=2, p_max=1, noise_power=1)
+        with pytest.raises(DegenerateInputError, match=f"non-negative; saw {seen}$"):
             wsr(cfg, np.array(gammas))
 
     def test_length_mismatch(self):

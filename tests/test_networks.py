@@ -6,6 +6,7 @@ import pytest
 
 from starbeam import (
     ConfigurationError,
+    DegenerateInputError,
     Mlp,
     adam_init,
     adam_step,
@@ -13,24 +14,43 @@ from starbeam import (
     init_mlp,
     init_networks,
 )
+from starbeam.gradients import precoder_pullback, received_field
+from starbeam.model import effective_rows
 from starbeam.networks import (
     ADAM_BLOCK,
     NET_DTYPE,
     mlp_backward,
-    pn_forward_with_cache,
 )
+from starbeam.training import _precoder_block
 
-from conftest import float64_copy
+from conftest import RecordingMlp, float64_copy, make_instance
 
 PARAM_NAMES = ("w1", "b1", "w2", "b2")  # the order of Mlp.split and Mlp.flat
 
 
-def pn_forward(net, grad_w):
-    return pn_forward_with_cache(net, grad_w)[0]
-
-
 def forward(net, x):
     return net.forward_with_cache(x)[0]
+
+
+def precoder_step(net, seed, K, perm=None):
+    """One step of the precoder block on a unit-scale instance, its users
+    reordered by perm. Returns the rows fed to the network, the complex
+    gradient they pack, the start precoder, the config and the refined
+    precoder."""
+    cfg, ch, state = make_instance(seed, M=net.input_dim, K=K)
+    rows = effective_rows(cfg, ch, state.beta * np.exp(1j * state.theta))
+    W0 = state.W
+    if perm is not None:
+        rows, W0 = rows[perm], W0[:, perm]
+    pn = RecordingMlp(net)
+    W, _ = _precoder_block(pn, W0, rows, cfg, 1)
+    grad = precoder_pullback(received_field(cfg, rows, W0))
+    return pn.inputs[0], grad, W0, cfg, W
+
+
+def packed(g):
+    """The rows the precoder block feeds its network for the gradient g."""
+    return np.vstack([g.real.T, g.imag.T])
 
 
 def one_pass_reference(net, cache, grad_out):
@@ -76,14 +96,14 @@ class TestMlp:
 
     def test_zero_network_is_zero(self):
         net = zero_mlp(4, 8, 4)
-        assert np.allclose(forward(net, np.ones(4)), 0.0)
+        assert np.allclose(forward(net, np.ones((1, 4))), 0.0)
 
     def test_batch_and_single_agree(self):
         rng = np.random.default_rng(1)
         net = init_mlp(5, 7, 5, rng)
         x = rng.standard_normal((3, 5))
         batch = forward(net, x)
-        assert np.allclose(batch[1], forward(net, x[1]))
+        assert np.allclose(batch[1], forward(net, x[1:2])[0])
 
     def test_backward_matches_finite_differences(self):
         rng = np.random.default_rng(2)
@@ -110,8 +130,8 @@ class TestMlp:
         exact whichever way it is rounded."""
         rng = np.random.default_rng(8)
         net = init_mlp(4, 6, 3, rng)
-        _, cache = net.forward_with_cache(rng.standard_normal(4))
-        one_pass = (cache, rng.standard_normal(3))
+        _, cache = net.forward_with_cache(rng.standard_normal((1, 4)))
+        one_pass = (cache, rng.standard_normal((1, 3)))
         once = mlp_backward(net, [one_pass])
         assert np.array_equal(mlp_backward(net, [one_pass, one_pass]), once + once)
 
@@ -125,11 +145,8 @@ class TestMlp:
         rows = 1 if batch is None else batch
         x = rng.standard_normal((3 * rows, din))
         gy = rng.standard_normal((3 * rows, din))
-        passes = []
-        for xb, gb in zip(np.split(x, 3), np.split(gy, 3)):
-            if batch is None:
-                xb, gb = xb[0], gb[0]
-            passes.append((net.forward_with_cache(xb)[1], gb))
+        passes = [(net.forward_with_cache(xb)[1], gb)
+                  for xb, gb in zip(np.split(x, 3), np.split(gy, 3))]
         whole = mlp_backward(net, [(net.forward_with_cache(x)[1], gy)])
         np.testing.assert_allclose(mlp_backward(net, passes), whole, rtol=1e-6,
                                    atol=1e-6 * np.abs(whole).max())
@@ -145,7 +162,7 @@ class TestMlp:
         zero for a single row (an outer product forms 0 + a*b)."""
         rng = np.random.default_rng(14)
         net = init_mlp(din, hidden, din, rng)
-        shape = din if batch is None else (batch, din)
+        shape = (1 if batch is None else batch, din)
         passes = [(net.forward_with_cache(rng.standard_normal(shape))[1],
                    rng.standard_normal(shape)) for _ in range(3)]
         singles = [mlp_backward(net, [p]) for p in passes]
@@ -162,8 +179,8 @@ class TestMlp:
     def test_single_row_backward_allocates_only_its_gradient(self):
         rng = np.random.default_rng(15)
         net = init_mlp(200, 300, 200, rng)  # a paper-scale AN or TN
-        passes = [(net.forward_with_cache(rng.standard_normal(200))[1],
-                   rng.standard_normal(200))]
+        passes = [(net.forward_with_cache(rng.standard_normal((1, 200)))[1],
+                   rng.standard_normal((1, 200)))]
         mlp_backward(net, passes)  # warm-up
         tracemalloc.start()
         try:
@@ -200,11 +217,11 @@ class TestMlp:
                   for shape in ((6, 4), 6, (4, 6), 4)]
         net = Mlp(*arrays)
         assert net.flat.dtype == dtype
-        y, cache = net.forward_with_cache(rng.standard_normal(4))
+        y, cache = net.forward_with_cache(rng.standard_normal((1, 4)))
         assert y.dtype == dtype and all(a.dtype == dtype for a in cache[:3])
-        assert mlp_backward(net, [(cache, rng.standard_normal(4))]).dtype == dtype
-        g = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
-        assert pn_forward(net, g).dtype == np.complex128
+        grad = mlp_backward(net, [(cache, rng.standard_normal((1, 4)))])
+        assert grad.dtype == dtype
+        assert precoder_step(net, 17, K=2)[-1].dtype == np.complex128
 
     def test_parameters_are_views_of_flat(self):
         rng = np.random.default_rng(9)
@@ -214,45 +231,49 @@ class TestMlp:
         assert not np.shares_memory(net.w1, w1)  # inputs are copied
         for key in PARAM_NAMES:
             assert np.shares_memory(getattr(net, key), net.flat)
-        before = forward(net, np.ones(4))
+        before = forward(net, np.ones((1, 4)))
         net.flat[-3:] += 1.0  # b2
-        assert np.allclose(forward(net, np.ones(4)), before + 1.0)
+        assert np.allclose(forward(net, np.ones((1, 4))), before + 1.0)
 
 
 class TestPnForward:
+    """The precoder block feeds the complex (M, K) gradient g to the
+    network as the 2K real rows [g.real.T; g.imag.T] and recombines the
+    output column by column into a complex precoder update."""
+
     def test_zero_parameters(self):
-        net = zero_mlp(4, 10, 4)
-        g = np.ones((4, 3), complex)
-        assert np.allclose(pn_forward(net, g), 0.0)
+        x, g, W0, _, W = precoder_step(zero_mlp(4, 10, 4), 3, K=3)
+        assert x.tobytes() == packed(g).tobytes()
+        assert np.allclose(W, W0, rtol=1e-14)
 
     def test_recombination_single_user(self):
         rng = np.random.default_rng(3)
         net = init_mlp(5, 9, 5, rng)
-        g = rng.standard_normal((5, 1)) + 1j * rng.standard_normal((5, 1))
-        out = pn_forward(net, g)
-        expected = forward(net, g[:, 0].real) + 1j * forward(net, g[:, 0].imag)
-        assert np.allclose(out[:, 0], expected)
+        x, g, W0, cfg, W = precoder_step(net, 3, K=1)
+        assert x.shape == (2, 5)
+        assert x.tobytes() == packed(g).tobytes()
+        real, imag = forward(net, x).astype(np.float64)  # one row each
+        w_raw = W0[:, 0] + real + 1j * imag
+        expected = np.sqrt(cfg.p_max / np.vdot(w_raw, w_raw).real) * w_raw
+        assert np.allclose(W[:, 0], expected, rtol=1e-14)
 
     def test_column_permutation_equivariance(self):
         rng = np.random.default_rng(4)
         net = init_mlp(4, 11, 4, rng)
-        g = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
         perm = [2, 0, 1]
-        assert np.allclose(pn_forward(net, g[:, perm]),
-                           pn_forward(net, g)[:, perm])
-
-    def test_shape_mismatch(self):
-        net = zero_mlp(4, 10, 4)
-        with pytest.raises(ConfigurationError):
-            pn_forward(net, np.ones((5, 2), complex))
+        x, g, _, _, W = precoder_step(net, 4, K=3)
+        x_perm, g_perm, _, _, W_perm = precoder_step(net, 4, K=3, perm=perm)
+        assert x_perm.tobytes() == packed(g_perm).tobytes()
+        assert np.allclose(g_perm, g[:, perm], rtol=1e-12)
+        assert np.allclose(W_perm, W[:, perm], rtol=1e-12)
 
 
 class TestVectorForwards:
-    """The amplitude and phase networks take their 2N-vector directly."""
+    """The amplitude and phase networks take their 2N-vector as one row."""
 
     def test_zero_parameters(self):
         net = zero_mlp(8, 12, 8)
-        assert np.allclose(net.forward_with_cache(np.ones(8))[0], 0.0)
+        assert np.allclose(net.forward_with_cache(np.ones((1, 8)))[0], 0.0)
 
     def test_all_negative_preactivations_give_bias(self):
         hidden, dim = 6, 4
@@ -261,17 +282,19 @@ class TestVectorForwards:
         w2 = np.arange(dim * hidden, dtype=float).reshape(dim, hidden)
         b2 = np.array([1.0, -2.0, 3.0, 4.0])
         net = Mlp(w1, b1, w2, b2)
-        out = forward(net, np.ones(dim))  # preactivations all -5
+        out = forward(net, np.ones((1, dim)))  # preactivations all -5
         assert np.allclose(out, b2)
 
     def test_zero_input_gives_bias_only(self):
         rng = np.random.default_rng(5)
         net = init_mlp(6, 9, 6, rng)
-        assert np.allclose(forward(net, np.zeros(6)), net.b2)
+        assert np.allclose(forward(net, np.zeros((1, 6))), net.b2)
 
     def test_length_mismatch(self):
+        """A wrong width, or any input that is not a (rows, in) matrix, a
+        single vector of the right length included."""
         net = zero_mlp(8, 12, 8)
-        for bad in (np.ones(7), np.ones((3, 7)), np.ones((1, 2, 8))):
+        for bad in (np.ones(7), np.ones((3, 7)), np.ones((1, 2, 8)), np.ones(8)):
             with pytest.raises(ConfigurationError, match="input dimension 8"):
                 net.forward_with_cache(bad)
 
@@ -312,7 +335,7 @@ class TestAdam:
         m = self.state.first_moment.copy()
         v = self.state.second_moment.copy()
         for bad in (np.nan, np.inf, -np.inf):
-            with pytest.raises(ValueError):
+            with pytest.raises(DegenerateInputError, match="non-finite gradient"):
                 adam_step(self.params, np.array([0.0, bad, 1.0]), self.state, lr=0.1)
             assert self.state.step_count == 1
             assert np.array_equal(self.params, params)

@@ -8,6 +8,7 @@ import pytest
 from starbeam import (
     BeamformingState,
     ConfigurationError,
+    DegenerateInputError,
     SubNetworks,
     SystemConfig,
     TrainConfig,
@@ -47,7 +48,13 @@ from starbeam.training import (
 )
 from starbeam.networks import mlp_backward
 
-from conftest import edge_cases, float64_copy, make_edge_instance, make_instance
+from conftest import (
+    RecordingMlp,
+    edge_cases,
+    float64_copy,
+    make_edge_instance,
+    make_instance,
+)
 
 
 def make_state(W, beta, theta):
@@ -296,6 +303,13 @@ class TestInnerUpdates:
         expected = np.mod(state.theta + np.pi, 2 * np.pi)
         assert np.allclose(theta, expected, atol=1e-12)
 
+    def test_non_finite_precoder_update_rejected(self, instance):
+        cfg, ch, state = instance
+        pn = zero_nets(cfg).pn
+        pn.b2[0] = np.nan
+        with pytest.raises(DegenerateInputError, match="non-finite precoder"):
+            _precoder_block(pn, state.W, state_rows(cfg, ch, state), cfg, 1)
+
     def test_phases_stay_wrapped(self, instance):
         cfg, ch, state = instance
         nets = init_networks(cfg, np.random.default_rng(2))
@@ -303,18 +317,6 @@ class TestInnerUpdates:
         theta, _, _ = _phase_block(nets.tn, state.theta, phasor, state.W,
                                    precoded, state.beta, cfg, ch, 4)
         assert (theta >= 0).all() and (theta < 2 * np.pi).all()
-
-
-class RecordingMlp(Mlp):
-    """A copy of a network that keeps every input it is fed."""
-
-    def __init__(self, net):
-        super().__init__(net.w1, net.b1, net.w2, net.b2)
-        self.inputs = []
-
-    def forward_with_cache(self, x):
-        self.inputs.append(np.array(x))
-        return super().forward_with_cache(x)
 
 
 def assert_bitwise(a, b):
@@ -349,14 +351,14 @@ class TestLeanBlocks:
         beta1, _ = _amplitude_block(an, beta0, W0, precoded, phasor, cfg, ch, 1)
         _amplitude_block(an, beta0, W0, precoded, phasor, cfg, ch, 2)
         for x, beta in zip(an.inputs[1:], (beta0, beta1)):
-            assert_bitwise(x, bundle(W0, beta, theta0).grad_beta)
+            assert_bitwise(x, bundle(W0, beta, theta0).grad_beta[None, :])
 
         theta1, phasor1, _ = _phase_block(tn, theta0, phasor, W0, precoded,
                                           beta0, cfg, ch, 1)
         assert_bitwise(phasor1, np.exp(1j * theta1))
         _phase_block(tn, theta0, phasor, W0, precoded, beta0, cfg, ch, 2)
         for x, theta in zip(tn.inputs[1:], (theta0, theta1)):
-            assert_bitwise(x, bundle(W0, beta0, theta).grad_theta)
+            assert_bitwise(x, bundle(W0, beta0, theta).grad_theta[None, :])
 
 
 class TestRefinedPoint:
@@ -717,6 +719,40 @@ class TestRunGml:
         monkeypatch.setattr(training, "init_networks", no_init)
         with pytest.raises(ConfigurationError, match=arg):
             run_meta_loop(sys_cfg, ch, train, **{arg: value})
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_beta_init_rejected(self, bad):
+        """A non-finite amplitude profile is rejected, naming beta_init; a
+        negative one is accepted (the signs are the reported state's)."""
+        sys_cfg, ch, train = self.small_setup(n_epochs=2)
+        beta_init = np.full(2 * sys_cfg.N, 0.5)
+        beta_init[3] = bad
+        with pytest.raises(ConfigurationError, match="beta_init"):
+            run_meta_loop(sys_cfg, ch, train, beta_init=beta_init)
+        run_meta_loop(sys_cfg, ch, train, beta_init=-np.ones(2 * sys_cfg.N))
+
+    def test_nan_phase_names_its_epoch(self, monkeypatch):
+        """A NaN from the phase network's sigmoid reaches the rate first:
+        the loop reports it with its epoch and outer iteration, and the
+        rate says it saw a NaN."""
+        sys_cfg, ch, train = self.small_setup("coupled", n_epochs=5)
+        monkeypatch.setattr(training, "sigmoid", lambda x: np.full_like(x, np.nan))
+        with pytest.raises(DegenerateInputError, match=re.escape(
+                "epoch 1, outer iteration 1: SINR values must be "
+                "non-negative; saw NaN")):
+            run_meta_loop(sys_cfg, ch, train)
+
+    def test_nan_parameter_gradient_names_its_epoch_and_network(
+            self, monkeypatch):
+        """A NaN parameter gradient is rejected by the Adam step of the
+        first network to step, with the epoch and the network's name."""
+        sys_cfg, ch, train = self.small_setup(n_epochs=5)
+        backward = training.mlp_backward
+        monkeypatch.setattr(training, "mlp_backward",
+                            lambda net, passes: backward(net, passes) * np.nan)
+        with pytest.raises(DegenerateInputError, match=re.escape(
+                "epoch 1, pn network: non-finite gradient")):
+            run_meta_loop(sys_cfg, ch, train)
 
     @pytest.mark.parametrize("mode", ["independent", "coupled"])
     def test_one_full_bundle_per_outer_iteration(self, monkeypatch, mode):

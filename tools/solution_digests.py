@@ -6,11 +6,9 @@ and bytes, numbers by their float64 bytes) and every trace. The experiment
 cases hash the CSV files that ``run_experiment`` writes, without their
 ``seconds`` column, the wall clock. The grad-check cases hash, for each of
 the instances ``starbeam grad-check`` checks by default, the
-central-difference bundle and the command's one-instance report. The
-bundle is ``wsr_finite_diff``'s, or in a tree without it the per-state
-oracle's, so listing such a tree with this copy of the tool compares the
-batched differences against the oracle. The cli_config cases solve from
-a config file read through ``cli._build_configs``.
+central-difference bundle, ``wsr_finite_diff``'s, and the command's
+one-instance report. The cli_config cases solve from a config file read
+through ``cli._build_configs``.
 
 Digests depend on the BLAS build and the CPU, so they are compared only
 between two runs on one machine, never against stored values. Each tree
@@ -50,16 +48,14 @@ from starbeam import (  # noqa: E402
     default_scenario,
     desk_scenario,
     desk_train,
-    evaluate_wsr,
     experiments,
-    finite_diff_gradient,
     generate_channels,
-    gradients,
     paper_train,
     pga_oracle,
     random_phase_baseline,
     run_experiment,
     run_gml,
+    wsr_finite_diff,
 )
 
 BATTERY_SEEDS = 20   # the acceptance battery: channel 1000 + s, train seed s
@@ -143,12 +139,7 @@ def _cli_config(mode: str) -> str:
 def _difference_bundle(seed: int):
     """The grad-check's central-difference bundle on instance seed."""
     cfg, ch, state = experiments.random_gradient_instance(seed)
-    step = experiments.GRAD_CHECK_STEP
-    batched = getattr(gradients, "wsr_finite_diff", None)
-    if batched is None:
-        return finite_diff_gradient(lambda st: evaluate_wsr(cfg, ch, st), state,
-                                    step=step)
-    return batched(cfg, ch, state, step)
+    return wsr_finite_diff(cfg, ch, state, experiments.GRAD_CHECK_STEP)
 
 
 def cases():
