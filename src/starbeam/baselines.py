@@ -7,7 +7,8 @@ import numpy as np
 
 from .constraints import normalize_amplitudes, normalize_power, wrap_phase
 from .errors import ConfigurationError, require_int
-from .gradients import precoder_pullback, received_field, surface_pullback
+from .gradients import (amplitude_ascent, phase_ascent, precoder_pullback,
+                        received_field, surface_bracket)
 from .model import ChannelSet, SystemConfig, check_dimensions, effective_rows, wsr
 from .training import (
     MODE_INDEPENDENT,
@@ -93,8 +94,8 @@ def pga_oracle(
     shrink = 1.0
     for it in range(steps):
         W, beta, theta, phasor, field = current
-        grad_beta, grad_theta = surface_pullback(
-            sys_cfg, ch, field, ch.G @ W, beta, phasor)
+        bracket = surface_bracket(sys_cfg, ch, field, ch.G @ W, phasor)
+        grad_beta, grad_theta = amplitude_ascent(bracket), phase_ascent(bracket, beta)
         grad_w = precoder_pullback(field)
         if it == 0:  # the base steps, from the norms at the start
             s_w = float(np.sqrt(sys_cfg.p_max) / max(np.linalg.norm(grad_w), tiny))

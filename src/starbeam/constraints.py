@@ -41,8 +41,8 @@ def wrap_phase(theta: np.ndarray) -> np.ndarray:
 
 def normalize_power(W: np.ndarray, p_max: float) -> np.ndarray:
     """Scale the precoder so its squared Frobenius norm equals p_max."""
-    if not p_max > 0:
-        raise ConfigurationError("p_max must be positive")
+    if not 0 < p_max < np.inf:  # also rejects NaN
+        raise ConfigurationError(f"p_max must be positive and finite; got {p_max!r}")
     W = np.asarray(W, dtype=np.complex128)
     total = np.vdot(W, W).real
     if not 0 < total < np.inf:

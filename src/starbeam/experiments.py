@@ -493,5 +493,8 @@ def grad_check_command(
 
 def sign_test_p_value(wins: int, n: int) -> float:
     """One-sided sign test: probability of >= wins successes out of n
-    fair coin flips."""
+    fair coin flips, for integers 0 <= wins <= n."""
+    require_int("n", n, least=0)
+    if not (is_int(wins, 0) and wins <= n):
+        raise ConfigurationError(f"wins must be an integer in [0, n]; got {wins!r}")
     return sum(math.comb(n, i) for i in range(wins, n + 1)) / 2.0**n

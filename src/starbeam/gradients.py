@@ -5,9 +5,10 @@ The gradients come in three pieces. :func:`received_field` is the shared
 stage: from the effective rows of :func:`model.effective_rows` and the
 precoder it forms the received amplitudes U, the SINRs and the chain-rule
 coefficient matrix C. :func:`precoder_pullback` turns it into the precoder
-gradient, and :func:`surface_pullback` into the amplitude and phase
-gradients, the one place that forms them. The weighted sum-rate at the
-state is :func:`model.wsr` of the field's SINRs, bitwise
+gradient, and :func:`surface_bracket` into the bracket from which
+:func:`amplitude_ascent` and :func:`phase_ascent` form the amplitude and
+phase gradients, the one place that forms each. The weighted sum-rate at
+the state is :func:`model.wsr` of the field's SINRs, bitwise
 :func:`model.evaluate_wsr` there.
 
 Callers take the pieces they need, each once per state:
@@ -15,12 +16,12 @@ Callers take the pieces they need, each once per state:
 - the meta-loop's precoder block: the field and the precoder pullback, at
   rows it is handed (the refined point's, as beta and theta are fixed);
 - its amplitude and phase blocks: rows, the field and the surface
-  pullback, of which each feeds its network one gradient;
+  bracket, from which each forms only the gradient it feeds its network;
 - its refined point: rows, the field, the precoder pullback and the rate,
-  and the surface pullback on the epochs that update the amplitude or
-  phase network; its rows serve the next precoder block;
+  and the bracket and both surface gradients on the epochs that update the
+  amplitude or phase network; its rows serve the next precoder block;
 - :func:`baselines.pga_oracle`: rows, the field and the rate of every
-  candidate, and both pullbacks of each accepted one.
+  candidate, and all three gradients of each accepted one.
 
 :func:`wsr_gradients` composes all of them into a :class:`GradientBundle`
 at a :class:`model.BeamformingState`, for the finite-difference
@@ -118,24 +119,25 @@ def precoder_pullback(field: ReceivedField) -> np.ndarray:
     return field.rows.conj().T @ (field.C * field.U)
 
 
-def surface_pullback(
-    cfg: SystemConfig,
-    ch: ChannelSet,
-    field: ReceivedField,
-    precoded: np.ndarray,
-    beta: np.ndarray,
-    phasor: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The (2N,) amplitude and phase ascent directions (grad_beta,
-    grad_theta) at the field's state, whose amplitudes are beta and phasors
-    exp(j * theta); precoded is G @ W, (N, K)."""
+def surface_bracket(cfg: SystemConfig, ch: ChannelSet, field: ReceivedField,
+                    precoded: np.ndarray, phasor: np.ndarray) -> np.ndarray:
+    """The (2N,) complex bracket b of both surface ascent directions at the
+    field's state, whose phasors are exp(j * theta); precoded is G @ W."""
     # per user k and element n: sum_j C[k,j] * conj(U[k,j]) * conj(h[k,n])
     # * precoded[n,j]; the per-side bracket b sums it over the users of each
     # side, into the t half or the r half, and applies the element's phase.
-    # d/dbeta of beta * exp(j * theta) is exp(j * theta), d/dtheta j times it.
     prod = ch.h_conj * ((field.C * np.conj(field.U)) @ precoded.T)  # (K, N)
-    bracket = phasor * (cfg.side_mask * prod[:, None, :]).sum(axis=0).ravel()
-    return 2.0 * bracket.real, -2.0 * beta * bracket.imag
+    return phasor * (cfg.side_mask * prod[:, None, :]).sum(axis=0).ravel()
+
+
+def amplitude_ascent(bracket: np.ndarray) -> np.ndarray:
+    """grad_beta: d/dbeta of beta * exp(j * theta) is exp(j * theta)."""
+    return 2.0 * bracket.real
+
+
+def phase_ascent(bracket: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """grad_theta: d/dtheta of beta * exp(j * theta) is j times it."""
+    return -2.0 * beta * bracket.imag
 
 
 def wsr_gradients(
@@ -146,11 +148,9 @@ def wsr_gradients(
     beta = state.beta
     phasor = np.exp(1j * state.theta)
     field = received_field(cfg, effective_rows(cfg, ch, beta * phasor), state.W)
-    return GradientBundle(
-        precoder_pullback(field),
-        *surface_pullback(cfg, ch, field, ch.G @ state.W, beta, phasor),
-        wsr(cfg, field.gammas),
-    )
+    bracket = surface_bracket(cfg, ch, field, ch.G @ state.W, phasor)
+    return GradientBundle(precoder_pullback(field), amplitude_ascent(bracket),
+                          phase_ascent(bracket, beta), wsr(cfg, field.gammas))
 
 
 def state_to_vector(state: BeamformingState) -> np.ndarray:

@@ -293,6 +293,9 @@ def wsr(cfg: SystemConfig, gammas: np.ndarray) -> float | np.ndarray:
         seen = "NaN" if np.isnan(g).any() else "a negative value"
         raise DegenerateInputError(f"SINR values must be non-negative; saw {seen}")
     rates = (cfg.weight_array * np.log2(1.0 + g)).sum(axis=-1)
+    # an inf SINR makes its rate inf, or NaN under a zero weight
+    if not (rates < np.inf if g.ndim == 1 else np.isfinite(rates).all()):
+        raise DegenerateInputError("SINR values must be finite; saw inf")
     return float(rates) if g.ndim == 1 else rates
 
 

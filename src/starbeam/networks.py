@@ -8,9 +8,9 @@ as 2K real rows of length M through shared weights; the amplitude and
 phase blocks feed their 2N-dimensional gradient as one row.
 
 Precision: the networks run in NET_DTYPE, float32. Their parameters,
-activations, parameter gradients and Adam moments and scratch are float32;
-every input a network is fed is cast to its dtype, and the blocks take
-its outputs back to float64. The channels, the beamforming state, the rate
+activations, parameter gradients and Adam moments are float32; every input
+a network is fed is cast to its dtype, and the blocks take its outputs
+back to float64. The channels, the beamforming state, the rate
 gradients and the constraint checks stay float64: low precision in the
 networks, full precision in the physics. An :class:`Mlp` keeps the dtype
 of the arrays it is built from, so a float64 copy of a network runs the
@@ -24,27 +24,22 @@ passes as one flat vector of the same layout, each weight gradient with one
 ``np.dot`` into its view.
 
 Adam: :func:`adam_step` updates a flat parameter vector and its moments in
-place, ADAM_BLOCK parameters at a time, one elementwise operation at a
-time into a block scratch in :class:`AdamState`. It takes the reordered
-form of Kingma & Ba (arXiv 1412.6980, section 2), which equals the
-textbook update in exact arithmetic but not bit for bit. ``first_moment``
-stores m' = m / (1 - beta1), so that its update, m' = beta1 * m' + g,
-needs no scaling of g; ``second_moment`` stores the textbook v. The step
-is p -= rate * m' / (sqrt(v) + eps'), where rate = lr * (1 - beta1) *
-sqrt(c2) / c1 and eps' = eps * sqrt(c2) fold (1 - beta1) and both bias
-corrections into two scalars. A block then takes 11 passes with one
+place, one elementwise operation at a time over four operands: the params,
+the two moments and the gradient, which it overwrites as its only scratch.
+It takes the reordered form of Kingma & Ba (arXiv 1412.6980, section 2),
+which equals the textbook update in exact arithmetic but not bit for bit.
+``first_moment`` stores m' = m / (1 - beta1), so that its update, m' =
+beta1 * m' + g, needs no scaling of g; ``second_moment`` stores the
+textbook v. The step is p -= rate * m' / (sqrt(v) + eps'), where rate =
+lr * (1 - beta1) * sqrt(c2) / c1 and eps' = eps * sqrt(c2) fold (1 -
+beta1) and both bias corrections into two scalars: 11 passes with one
 square root and one division, where the textbook order takes 14 with
-three divisions; the results differ from the textbook form's by a few
-float32 ULPs. Before any block changes, a check that allocates nothing
-rejects NaN, inf and any entry whose square would overflow the dtype (an
-inf v would freeze its parameter). In float32 the six operands of a
-block of 32768 take about 0.75 MB, well inside a 2 MB L2 cache, and every
-desk network is one block.
+three divisions, and results a few float32 ULPs from the textbook form's.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,7 +49,6 @@ from .errors import ConfigurationError, DegenerateInputError, is_real, require_i
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
-ADAM_BLOCK = 32768  # parameters per Adam pass; see the module docstring
 NET_DTYPE = np.float32  # of every network built by init_mlp; see the docstring
 
 
@@ -143,30 +137,27 @@ def mlp_backward(net: Mlp, passes) -> np.ndarray:
 
 @dataclass
 class AdamState:
-    """Moment estimates, step count and the block scratch of
-    :func:`adam_step` for one flat parameter vector of P entries, all in
-    its dtype; the step updates all of it in place."""
+    """Moment estimates, in its dtype, and step count of :func:`adam_step`
+    for one flat parameter vector; the step updates them in place."""
 
     first_moment: np.ndarray    # m / (1 - ADAM_BETA1); see the module docstring
     second_moment: np.ndarray
-    buffers: np.ndarray = field(repr=False)  # (2, min(P, ADAM_BLOCK))
     step_count: int = 0
 
 
 def adam_init(params: np.ndarray) -> AdamState:
-    """Zero-initialized moments matching the flat parameter vector, and a
-    block scratch in its dtype."""
-    return AdamState(np.zeros_like(params), np.zeros_like(params),
-                     np.empty((2, min(params.size, ADAM_BLOCK)), params.dtype))
+    """Zero-initialized moments matching the flat parameter vector."""
+    return AdamState(np.zeros_like(params), np.zeros_like(params))
 
 
 def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState,
               lr: float) -> None:
     """One bias-corrected Adam update moving the flat params against the
-    loss gradient, in place on params and state; grads is only read. The
-    arithmetic is in the params' dtype, which grads and the state must
-    share. A bad lr and a gradient holding NaN, inf or an entry whose
-    square overflows the dtype are rejected before anything changes."""
+    loss gradient, in place on params and state; grads is overwritten, as
+    the step's scratch. The arithmetic is in the params' dtype, which grads
+    and the state must share. A bad lr and a gradient that is read-only,
+    shares memory with params or a moment, or holds NaN, inf or an entry
+    whose square overflows the dtype are rejected before anything changes."""
     if not (is_real(lr) and lr > 0):
         raise ValueError(f"lr must be a finite real > 0; got {lr!r}")
     dtype = state.first_moment.dtype
@@ -182,6 +173,10 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState,
     if grads.dtype != dtype:
         raise ConfigurationError(
             f"gradient dtype {grads.dtype} does not match parameter dtype {dtype}")
+    m, v, g = state.first_moment, state.second_moment, grads
+    if not g.flags.writeable or any(np.may_share_memory(g, a) for a in (params, m, v)):
+        raise ConfigurationError(
+            "grads must be writeable and share no memory with params or the moments")
     # Two reductions, no temporary; NaN propagates into both and fails the
     # comparisons, and the initial 0 lets an empty vector through.
     limit = math.sqrt(float(np.finfo(dtype).max))
@@ -198,22 +193,17 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState,
     # operations down a slower casting path.
     rate = float(lr) * (1.0 - b1) * root_c2 / c1
     eps = ADAM_EPSILON * root_c2
-    for lo in range(0, params.size, ADAM_BLOCK):
-        block = slice(lo, lo + ADAM_BLOCK)
-        p, g = params[block], grads[block]
-        m, v = state.first_moment[block], state.second_moment[block]
-        s, u = state.buffers[0, :p.size], state.buffers[1, :p.size]
-        # m = b1*m + g;  v = b2*v + (1-b2)*g**2;
-        # p -= rate * (m / (sqrt(v) + eps)), one operation at a time in
-        # this order: 11 passes, one square root and one division.
-        m *= b1
-        m += g
-        v *= b2
-        np.square(g, out=s)
-        s *= 1.0 - b2
-        v += s
-        np.sqrt(v, out=u)
-        u += eps
-        np.divide(m, u, out=s)
-        s *= rate
-        p -= s
+    # m = b1*m + g;  v = b2*v + (1-b2)*g**2;  p -= rate * (m / (sqrt(v) +
+    # eps)), one operation at a time in this order, g the scratch once m
+    # has read it: 11 passes, one square root and one division.
+    m *= b1
+    m += g
+    v *= b2
+    np.square(g, out=g)
+    g *= 1.0 - b2
+    v += g
+    np.sqrt(v, out=g)
+    g += eps
+    np.divide(m, g, out=g)
+    g *= rate
+    params -= g

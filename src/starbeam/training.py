@@ -93,7 +93,8 @@ from .constraints import (
     wrap_phase,
 )
 from .errors import ConfigurationError, DegenerateInputError, Kind, check_fields, is_int
-from .gradients import precoder_pullback, received_field, surface_pullback
+from .gradients import (amplitude_ascent, phase_ascent, precoder_pullback,
+                        received_field, surface_bracket)
 from .model import (
     TWO_PI,
     ChannelSet,
@@ -282,7 +283,7 @@ def _amplitude_block(
     tape = []
     for _ in range(n_inner):
         field = received_field(cfg, effective_rows(cfg, ch, beta * phasor), W)
-        grad, _ = surface_pullback(cfg, ch, field, precoded, beta, phasor)
+        grad = amplitude_ascent(surface_bracket(cfg, ch, field, precoded, phasor))
         delta, cache = an.forward_with_cache(grad[None, :])  # one row
         raw = beta + delta[0]  # float64, as beta is
         bt, br = normalize_amplitudes(raw[:n], raw[n:])
@@ -322,7 +323,7 @@ def _phase_block(
     tape = []
     for _ in range(n_inner):
         field = received_field(cfg, effective_rows(cfg, ch, beta * phasor), W)
-        _, grad = surface_pullback(cfg, ch, field, precoded, beta, phasor)
+        grad = phase_ascent(surface_bracket(cfg, ch, field, precoded, phasor), beta)
         raw, cache = tn.forward_with_cache(grad[None, :])  # one row
         sig = sigmoid(raw[0].astype(np.float64))
         tape.append((cache, sig))
@@ -498,8 +499,8 @@ def _backward_passes(cfg, ch, point, field, precoded, tapes, updates, rho,
     update_an, update_tn = updates
     passes[0].extend(_precoder_block_backward(tape_w, -precoder_pullback(field)))
     if update_an or update_tn:
-        grad_beta, grad_theta = surface_pullback(
-            cfg, ch, field, precoded, beta, phasor)
+        bracket = surface_bracket(cfg, ch, field, precoded, phasor)
+        grad_beta, grad_theta = amplitude_ascent(bracket), phase_ascent(bracket, beta)
     if update_an:
         passes[1].extend(_amplitude_block_backward(tape_a, -grad_beta))
     if update_tn:
@@ -526,7 +527,7 @@ def _adam_steps(nets, adams, passes, train, epoch):
             except DegenerateInputError as err:
                 raise DegenerateInputError(
                     f"epoch {epoch}, {name} network: {err}") from err
-            del grad  # one gradient alive at a time
+            del grad  # consumed by adam_step; one gradient alive at a time
 
 
 def _record_traces(traces, idx, cfg, point, dev, **scalars):

@@ -72,6 +72,11 @@ class TestNormalizePower:
         with pytest.raises(DegenerateInputError, match="non-finite"):
             normalize_power(W, 1.0)
 
+    @pytest.mark.parametrize("p_max", [np.inf, np.nan])
+    def test_non_finite_power_budget_named(self, p_max):
+        with pytest.raises(ConfigurationError, match="p_max must be .* finite"):
+            normalize_power(np.ones((2, 1), complex), p_max)
+
     def test_idempotent(self):
         rng = np.random.default_rng(2)
         W = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))

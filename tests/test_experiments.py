@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 
 import numpy as np
@@ -256,6 +257,19 @@ class TestSignTest:
         assert sign_test_p_value(15, 20) == pytest.approx(0.02069473, rel=1e-5)
         assert sign_test_p_value(14, 20) == pytest.approx(0.05765915, rel=1e-5)
         assert sign_test_p_value(0, 20) == 1.0
+
+    def test_every_count_of_twenty_and_the_empty_test(self):
+        for wins in range(21):
+            expected = sum(math.comb(20, i) for i in range(wins, 21)) / 2.0**20
+            assert sign_test_p_value(wins, 20) == expected
+        assert sign_test_p_value(0, 0) == 1.0
+
+    @pytest.mark.parametrize("wins, n, name", [
+        (3, 2, "wins"), (2, -1, "n"), (True, 3, "wins"), (-1, 3, "wins"),
+        (1.0, 3, "wins"), (1, 3.0, "n")])
+    def test_counts_outside_the_test_named(self, wins, n, name):
+        with pytest.raises(ConfigurationError, match=f"^{name} must"):
+            sign_test_p_value(wins, n)
 
 
 class TestPgaConvergence:

@@ -170,6 +170,17 @@ class TestWsr:
         with pytest.raises(DegenerateInputError, match=f"non-negative; saw {seen}$"):
             wsr(cfg, np.array(gammas))
 
+    @pytest.mark.parametrize("weights, gammas", [
+        (None, [np.inf, 1.0]), ([1.0, 0.0], [1.0, np.inf]),
+        (None, [[1.0, 2.0], [np.inf, 1.0]]), ([0.0, 1.0], [[np.inf, 1.0]])])
+    def test_infinite_sinr_rejected(self, weights, gammas):
+        """An inf SINR gives an inf rate, or NaN under a zero weight; both
+        are rejected, for one vector and for a batch."""
+        cfg = SystemConfig(M=1, N=1, K=2, p_max=1, noise_power=1, weights=weights)
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(DegenerateInputError, match="must be finite; saw inf$"):
+                wsr(cfg, np.array(gammas))
+
     def test_length_mismatch(self):
         cfg = SystemConfig(M=1, N=1, K=2, p_max=1, noise_power=1)
         with pytest.raises(ConfigurationError):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -17,8 +18,8 @@ from starbeam import (
 from starbeam.gradients import precoder_pullback, received_field
 from starbeam.model import effective_rows
 from starbeam.networks import (
-    ADAM_BLOCK,
     NET_DTYPE,
+    AdamState,
     mlp_backward,
 )
 from starbeam.training import _precoder_block
@@ -206,7 +207,7 @@ class TestMlp:
             assert np.array_equal(net.w2, w2.astype(np.float32))
             assert not net.b1.any() and not net.b2.any()
             state = adam_init(net.flat)
-            for arr in (state.first_moment, state.second_moment, state.buffers):
+            for arr in (state.first_moment, state.second_moment):
                 assert arr.dtype == np.float32
         assert rng.bit_generator.state == ref.bit_generator.state
 
@@ -312,7 +313,7 @@ class TestAdam:
 
     def test_first_step_magnitude_is_lr(self):
         grads = np.array([0.37, -12.0, 1e-3])
-        adam_step(self.params, grads, self.state, lr=0.05)
+        adam_step(self.params, grads.copy(), self.state, lr=0.05)
         step = np.abs(self.params - self.start)
         assert np.allclose(step, 0.05, rtol=1e-4)
         assert (np.sign(self.start - self.params) == np.sign(grads)).all()
@@ -324,7 +325,7 @@ class TestAdam:
             params = self.start.copy()
             state = adam_init(params)
             for _ in range(3):
-                adam_step(params, grads, state, lr=0.01)
+                adam_step(params, grads.copy(), state, lr=0.01)
             runs.append((params, state))
         assert np.array_equal(runs[0][0], runs[1][0])
         assert np.array_equal(runs[0][1].second_moment, runs[1][1].second_moment)
@@ -346,10 +347,10 @@ class TestAdam:
     def test_gradient_whose_square_overflows_rejected(self, dtype):
         """An entry above sqrt(finfo(dtype).max) would make the second
         moment inf and freeze its parameter; it is rejected, in either
-        sign and in any block, before anything changes. Two entries of the
+        sign and at any index, before anything changes. Two entries of the
         largest magnitude not above that bound are accepted, though the
         sum of their squares overflows, and leave the moments finite."""
-        size = ADAM_BLOCK + 5
+        size = 32768 + 5
         limit = np.sqrt(np.finfo(dtype).max, dtype=np.float64)
         top = dtype(limit)
         if top > limit:
@@ -361,7 +362,7 @@ class TestAdam:
         kept = (params.copy(), state.first_moment.copy(),
                 state.second_moment.copy())
         huge = dtype(2e19 if dtype == np.float32 else 1e155)
-        for index, bad in ((3, above), (size - 2, -above), (ADAM_BLOCK, huge)):
+        for index, bad in ((3, above), (size - 2, -above), (32768, huge)):
             grads = np.full(size, 0.25, dtype)
             grads[index] = bad
             with pytest.raises(ValueError, match="overflows"):
@@ -394,8 +395,8 @@ class TestAdam:
 
     @pytest.mark.parametrize("size", [0, 1, 32767, 32768, 32769, 65539])
     def test_blocks_match_reference_adam_bitwise(self, size):
-        """An empty vector, block edges and a short last block, in the
-        networks' float32: params and both moments equal the reordered
+        """An empty vector, one entry and sizes around powers of two, in
+        the networks' float32: params and both moments equal the reordered
         expression form bit for bit, with gradients holding signed zeros
         and magnitudes from 1e-4 to 1e2."""
         rng = np.random.default_rng(size)
@@ -403,8 +404,6 @@ class TestAdam:
         ref = {"x": params.copy()}
         ref_state = _reference_adam_init(ref)
         state = adam_init(params)
-        assert state.buffers.shape == (2, min(size, ADAM_BLOCK))
-        assert state.buffers.dtype == NET_DTYPE
         for grads in _block_test_gradients(rng, size):
             ref, ref_state = _reordered_adam_step(ref, {"x": grads}, ref_state, 5e-3)
             adam_step(params, grads, state, 5e-3)
@@ -414,15 +413,32 @@ class TestAdam:
         assert state.second_moment.tobytes() == ref_state[1]["x"].tobytes()
         assert state.step_count == ref_state[2] == 5
 
-    def test_gradient_is_only_read(self):
+    def test_gradient_is_consumed_so_it_must_be_its_own_writeable_array(self):
+        """AdamState holds only the two moments and the step count: the
+        step overwrites the gradient as its scratch. So a read-only
+        gradient, and one that shares memory with params or a moment, are
+        rejected naming grads, and params and state stay bitwise as they
+        were."""
+        assert [f.name for f in dataclasses.fields(AdamState)] == [
+            "first_moment", "second_moment", "step_count"]
         rng = np.random.default_rng(12)
-        params = rng.standard_normal(ADAM_BLOCK + 5)
-        grads = rng.standard_normal(params.size)
-        kept = grads.copy()
+        params = rng.standard_normal(40).astype(NET_DTYPE)
         state = adam_init(params)
-        for _ in range(2):
-            adam_step(params, grads, state, 1e-3)
-        assert grads.tobytes() == kept.tobytes()
+        grads = rng.standard_normal(40).astype(NET_DTYPE)
+        kept_grads = grads.copy()
+        adam_step(params, grads, state, 1e-3)
+        assert grads.tobytes() != kept_grads.tobytes()
+        read_only = rng.standard_normal(40).astype(NET_DTYPE)
+        read_only.flags.writeable = False
+        kept = [a.tobytes() for a in (params, state.first_moment,
+                                      state.second_moment, read_only)]
+        for bad in (read_only, params, state.first_moment[::-1],
+                    state.second_moment):
+            with pytest.raises(ConfigurationError, match="grads"):
+                adam_step(params, bad, state, 1e-3)
+            assert state.step_count == 1
+            assert [a.tobytes() for a in (params, state.first_moment,
+                                          state.second_moment, read_only)] == kept
 
     def test_step_allocates_no_full_size_scratch(self):
         """The step, its checks included, allocates nothing that grows with
@@ -516,7 +532,7 @@ class TestAdam:
         m_scale = np.zeros(size, NET_DTYPE)
         for grads in _block_test_gradients(rng, size):
             ref, ref_state = _reference_adam_step(ref, {"x": grads}, ref_state, 5e-3)
-            adam_step(params, grads, state, 5e-3)
+            adam_step(params, grads.copy(), state, 5e-3)
             p_scale = np.maximum(p_scale, np.abs(ref["x"]))
             m_scale = 0.9 * m_scale + 0.1 * np.abs(grads)
             m = state.first_moment * (1.0 - 0.9)
