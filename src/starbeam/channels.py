@@ -194,30 +194,39 @@ def channels_to_text(ch: ChannelSet) -> str:
 
 def channels_from_text(text: str) -> ChannelSet:
     """Inverse of :func:`channels_to_text`; a malformed text raises
-    ValueError naming what is wrong."""
+    ConfigurationError naming what is wrong and, for a channel row, its
+    block (G or h) and row."""
     fh = io.StringIO(text)
     header = fh.readline().strip()
     if header != _CHANNEL_HEADER:
-        raise ValueError(f"unrecognized channel file header: {header!r}")
+        raise ConfigurationError(f"unrecognized channel file header: {header!r}")
     dims = fh.readline()
     try:
         n, m, k = (int(tok) for tok in dims.split())
         if min(n, m, k) < 1:
             raise ValueError
     except ValueError:
-        raise ValueError(f"malformed dimension line {dims.strip()!r}; "
-                         "expected three positive integers 'N M K'") from None
+        raise ConfigurationError(f"malformed dimension line {dims.strip()!r}; "
+                                 "expected three positive integers 'N M K'") from None
 
-    def read_rows(count: int, width: int) -> np.ndarray:
+    def read_rows(name: str, count: int, width: int) -> np.ndarray:
         rows = np.empty((count, width), dtype=np.complex128)
         for i in range(count):
-            vals = np.array(fh.readline().split(), dtype=float)
+            line = fh.readline()
+            where = f"channel {name} row {i}"
+            if not line:
+                raise ConfigurationError(f"{where}: the file ends before it")
+            try:
+                vals = np.array(line.split(), dtype=float)
+            except ValueError as err:
+                raise ConfigurationError(f"{where}: {err}") from None
             if vals.size != 2 * width:
-                raise ValueError(f"expected {2 * width} values on row {i}")
+                raise ConfigurationError(
+                    f"{where}: expected {2 * width} values, saw {vals.size}")
             rows[i] = vals[0::2] + 1j * vals[1::2]
         return rows
 
-    ch = ChannelSet(read_rows(n, m), read_rows(k, n))
+    ch = ChannelSet(read_rows("G", n, m), read_rows("h", k, n))
     if fh.read().strip():
-        raise ValueError("unexpected data after the last channel row")
+        raise ConfigurationError("unexpected data after the last channel row")
     return ch

@@ -14,6 +14,7 @@ vector forms.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -289,13 +290,19 @@ def wsr(cfg: SystemConfig, gammas: np.ndarray) -> float | np.ndarray:
     g = np.asarray(gammas, dtype=float)
     if g.shape[-1:] != (cfg.K,):
         raise ConfigurationError(f"gammas must have shape (..., {cfg.K})")
-    if not (g >= 0).all():  # also rejects NaN
-        seen = "NaN" if np.isnan(g).any() else "a negative value"
+    # Two reductions, no temporary: the minimum catches a negative value or
+    # NaN, the maximum an inf before a zero weight multiplies its log to NaN.
+    lo = g.min(initial=0.0)
+    if not lo >= 0:
+        seen = "NaN" if math.isnan(lo) else "a negative value"
         raise DegenerateInputError(f"SINR values must be non-negative; saw {seen}")
-    rates = (cfg.weight_array * np.log2(1.0 + g)).sum(axis=-1)
-    # an inf SINR makes its rate inf, or NaN under a zero weight
-    if not (rates < np.inf if g.ndim == 1 else np.isfinite(rates).all()):
+    if not g.max(initial=0.0) < math.inf:
         raise DegenerateInputError("SINR values must be finite; saw inf")
+    rates = (cfg.weight_array * np.log2(1.0 + g)).sum(axis=-1)
+    # finite logs under finite weights can still overflow the weighted sum
+    if not (rates < math.inf if g.ndim == 1
+            else rates.max(initial=0.0) < math.inf):
+        raise DegenerateInputError("weighted sum-rate overflows float64")
     return float(rates) if g.ndim == 1 else rates
 
 

@@ -19,9 +19,11 @@ same code in float64.
 Parameter layout: each network keeps all of its parameters in one
 contiguous vector, ``Mlp.flat``, laid out w1 | b1 | w2 | b2 with
 row-major weights, and ``w1``, ``b1``, ``w2`` and ``b2`` are views into it.
-:func:`mlp_backward` forms the parameter gradient of one or more forward
-passes as one flat vector of the same layout, each weight gradient with one
-``np.dot`` into its view.
+:func:`init_mlp` draws the weights in float64 row-major blocks straight into
+``flat``, so no weight-sized temporary is made, consuming the generator as
+a float64 network would. :func:`mlp_backward` forms the parameter gradient
+of one or more forward passes as one flat vector of the same layout, each
+weight gradient with one ``np.dot`` into its view.
 
 Adam: :func:`adam_step` updates a flat parameter vector and its moments in
 place, one elementwise operation at a time over four operands: the params,
@@ -99,17 +101,21 @@ class Mlp:
 def init_mlp(input_dim: int, hidden_dim: int, output_dim: int,
              rng: np.random.Generator) -> Mlp:
     """Uniform +-1/sqrt(fan_in) weights, zero biases, in NET_DTYPE. The
-    weights are drawn in float64 and then rounded, so the generator is
-    consumed as a float64 network would consume it."""
+    weights are drawn in float64 blocks, row-major, all of w1 then all of
+    w2, each rounded by its assignment straight into ``flat``: no
+    weight-sized temporary is made, and the generator is consumed as a
+    float64 network would consume it."""
     for name, value in (("input_dim", input_dim), ("hidden_dim", hidden_dim),
                         ("output_dim", output_dim)):
         require_int(name, value)
-    s1 = 1.0 / np.sqrt(input_dim)
-    s2 = 1.0 / np.sqrt(hidden_dim)
-    w1 = rng.uniform(-s1, s1, size=(hidden_dim, input_dim))
-    w2 = rng.uniform(-s2, s2, size=(output_dim, hidden_dim))
-    return Mlp(w1.astype(NET_DTYPE), np.zeros(hidden_dim, NET_DTYPE),
-               w2.astype(NET_DTYPE), np.zeros(output_dim, NET_DTYPE))
+    shapes = (hidden_dim, input_dim), hidden_dim, (output_dim, hidden_dim), output_dim
+    net = Mlp(*(np.broadcast_to(NET_DTYPE(0), shape) for shape in shapes))
+    for w, fan_in in ((net.w1, input_dim), (net.w2, hidden_dim)):
+        s, w = 1.0 / np.sqrt(fan_in), w.reshape(-1)
+        # 64 KiB blocks, below glibc's 128 KiB mmap threshold: none maps pages
+        for i in range(0, w.size, 8192):
+            w[i:i + 8192] = rng.uniform(-s, s, size=min(8192, w.size - i))
+    return net
 
 
 def mlp_backward(net: Mlp, passes) -> np.ndarray:

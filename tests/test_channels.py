@@ -199,11 +199,30 @@ class TestChannelIO:
                                       "2 x 1", ""])
     def test_malformed_dimension_line_rejected(self, dims):
         text = f"starbeam-channels v1\n{dims}\n0 0 0 0\n0 0 0 0\n0 0 0 0\n"
-        with pytest.raises(ValueError, match=f"dimension line '{dims}'"):
+        with pytest.raises(ConfigurationError, match=f"dimension line '{dims}'"):
             channels_from_text(text)
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("not a channel file\n1 1 1\n0 0\n0 0\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError, match="header: 'not a channel file'$"):
             load_channels(str(path))
+
+    # Files of N=2, M=1, K=1: the rows of G are lines 3 and 4, that of h line 5.
+    @pytest.mark.parametrize("rows, message", [
+        (["0 x", "0 0", "0 0 0 0"],
+         "channel G row 0: could not convert string to float: 'x'"),
+        (["0 0", "1e5 0.5 2", "0 0 0 0"], "channel G row 1: expected 2 values, saw 3"),
+        (["0 0", "", "0 0 0 0"], "channel G row 1: expected 2 values, saw 0"),
+        (["0 0"], "channel G row 1: the file ends before it"),
+        (["0 0", "0 0"], "channel h row 0: the file ends before it"),
+        (["0 0", "0 0", "0 0 0"], "channel h row 0: expected 4 values, saw 3"),
+        (["0 0", "0 0", "0 0 0 inf?"],
+         "channel h row 0: could not convert string to float: 'inf[?]'"),
+        (["0 0", "0 0", "0 0 0 0", "0"], "unexpected data after the last channel row"),
+    ], ids=["G_not_a_number", "G_long_row", "G_empty_row", "G_short_file",
+            "h_short_file", "h_short_row", "h_not_a_number", "trailing_row"])
+    def test_malformed_row_named(self, rows, message):
+        text = "\n".join(["starbeam-channels v1", "2 1 1", *rows]) + "\n"
+        with pytest.raises(ConfigurationError, match=f"^{message}$"):
+            channels_from_text(text)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -174,11 +176,23 @@ class TestWsr:
         (None, [np.inf, 1.0]), ([1.0, 0.0], [1.0, np.inf]),
         (None, [[1.0, 2.0], [np.inf, 1.0]]), ([0.0, 1.0], [[np.inf, 1.0]])])
     def test_infinite_sinr_rejected(self, weights, gammas):
-        """An inf SINR gives an inf rate, or NaN under a zero weight; both
-        are rejected, for one vector and for a batch."""
+        """An inf SINR is rejected, for one vector and for a batch, before
+        its inf log meets a zero weight: no warning comes ahead of the
+        error."""
         cfg = SystemConfig(M=1, N=1, K=2, p_max=1, noise_power=1, weights=weights)
-        with np.errstate(invalid="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             with pytest.raises(DegenerateInputError, match="must be finite; saw inf$"):
+                wsr(cfg, np.array(gammas))
+
+    @pytest.mark.parametrize("gammas", [[3.0, 1.0], [[1.0, 1.0], [3.0, 1.0]]])
+    def test_overflowing_weighted_sum_rejected(self, gammas):
+        """Finite SINRs under a finite weight near the float64 maximum give a
+        weighted sum that overflows; it is rejected."""
+        cfg = SystemConfig(M=1, N=1, K=2, p_max=1, noise_power=1,
+                           weights=[1e308, 1.0])
+        with np.errstate(over="ignore"):
+            with pytest.raises(DegenerateInputError, match="sum-rate overflows"):
                 wsr(cfg, np.array(gammas))
 
     def test_length_mismatch(self):

@@ -191,6 +191,24 @@ class TestMlp:
             tracemalloc.stop()
         assert peak - grad.nbytes < 8 * 1024
 
+    @pytest.mark.parametrize("build", ["init_mlp", "init_networks"])
+    def test_init_allocates_at_most_one_draw_block(self, build):
+        """The weights are drawn in float64 blocks of at most 8192 values
+        straight into flat, so building a paper-scale AN or TN, or all three
+        paper-scale networks, peaks at the parameters plus one block."""
+        rng, cfg = np.random.default_rng(15), default_scenario()[0]
+        tracemalloc.start()
+        try:
+            if build == "init_mlp":
+                nets = [init_mlp(200, 300, 200, rng)]
+            else:
+                subnets = init_networks(cfg, rng)
+                nets = [subnets.pn, subnets.an, subnets.tn]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - sum(net.flat.nbytes for net in nets) < 64 * 1024 + 8 * 1024
+
     def test_init_networks_are_float32_from_the_float64_stream(self):
         """init_mlp draws its weights in float64, as before, and rounds
         them, so the generator is left where a float64 network leaves it
@@ -209,6 +227,26 @@ class TestMlp:
             state = adam_init(net.flat)
             for arr in (state.first_moment, state.second_moment):
                 assert arr.dtype == np.float32
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("dims", [
+        (200, 300, 200),  # w1 and w2 split into blocks unevenly
+        (9000, 3, 2),     # a row of w1 wider than a block
+        (1, 1, 1),
+    ])
+    def test_init_mlp_blocks_draw_the_whole_matrix_stream(self, dims):
+        """Drawing by blocks gives, bit for bit, the weights and the
+        generator state of whole-matrix float64 draws rounded to float32."""
+        rng, ref = np.random.default_rng(18), np.random.default_rng(18)
+        net = init_mlp(*dims, rng)
+        din, hidden, dout = dims
+        for weights, shape, fan_in in ((net.w1, (hidden, din), din),
+                                       (net.w2, (dout, hidden), hidden)):
+            s = 1 / np.sqrt(fan_in)
+            expected = ref.uniform(-s, s, size=shape).astype(np.float32)
+            assert weights.dtype == np.float32
+            assert weights.tobytes() == expected.tobytes()
+        assert not net.b1.any() and not net.b2.any()
         assert rng.bit_generator.state == ref.bit_generator.state
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
