@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from .constraints import normalize_amplitudes, normalize_power, wrap_phase
-from .errors import ConfigurationError, require_int
+from .errors import ConfigurationError, Kind
 from .gradients import (amplitude_ascent, phase_ascent, precoder_pullback,
                         received_field, surface_bracket)
 from .model import ChannelSet, SystemConfig, check_dimensions, effective_rows, wsr
@@ -69,8 +69,8 @@ def pga_oracle(
     accepted candidate's field and phasors give the next step's gradients
     without re-evaluating it.
     """
-    require_int("steps", steps)
-    require_int("seed", seed, 0)
+    Kind.COUNT.check("steps", steps)
+    Kind.SEED.check("seed", seed)
     check_dimensions(sys_cfg, ch)
     start = initial_state(sys_cfg, np.random.default_rng(seed))
     n = sys_cfg.N

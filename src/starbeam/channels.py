@@ -138,7 +138,14 @@ def generate_channels(
 
 def default_scenario() -> tuple[SystemConfig, ChannelConfig]:
     """Full-scale reference deployment: 64-antenna BS, 100-element surface,
-    4 users, 10 dBm budget, -80 dBm noise."""
+    4 users, 10 dBm budget, -80 dBm noise.
+
+    At this budget a solution serves one user (a user is served when its
+    rate exceeds 1e-3 of the best user's). On the channels of generator
+    seeds 100-105, all 24 GML independent and pga_oracle solutions at 10
+    and 30 dBm served one user, and 10 of 12 at 40 dBm; at 50 dBm GML
+    served all four users on 4 of the 6 channels, pga_oracle one or two.
+    """
     sys_cfg = SystemConfig(
         M=64,
         N=100,
@@ -157,6 +164,10 @@ def desk_scenario(K: int = 2) -> tuple[SystemConfig, ChannelConfig]:
     the same receive-SINR regime as the full-scale scenario; with the
     full-scale -80 dBm floor this geometry sits ~25 dB lower and every
     rate is pinned to the linear low-SNR regime.
+
+    At the 10 dBm budget a solution serves one user, as at full scale: on
+    the channels of generator seeds 1000-1003, all 8 GML solutions (both
+    modes) served one user; at 30 dBm, 6 of 8 served both.
     """
     sys_cfg = SystemConfig(
         M=8,

@@ -6,8 +6,6 @@ Subcommands, each taking only the flags listed (any other is an error):
                 --scheme (default: the GML scheme of the mode)
     experiment  spec-file driven batch: SPEC --seed --out --paper-scale
     grad-check  analytic-vs-finite-difference suite: --seed --instances
-    time        per-epoch timing: --config --seed --mode --paper-scale
-                --repetitions --epochs
 
 Settings resolve in one order, each step overriding the last: the scale
 profile (desk, or the published scale under --paper-scale), the config
@@ -19,8 +17,8 @@ For experiment, the spec (ExperimentSpec fields as JSON keys) replaces
 profile and file, and --out, --seed and --paper-scale override its
 out_dir, master_seed and desk_scale.
 
-The optional JSON config file of run and time has three sections whose
-keys mirror the config dataclasses; units are watts, meters, and radians:
+The optional JSON config file of run has three sections whose keys mirror
+the config dataclasses; units are watts, meters, and radians:
 
     {
       "system":  {"M": 8, "N": 16, "K": 2, "p_max_w": 0.01,
@@ -37,12 +35,12 @@ keys mirror the config dataclasses; units are watts, meters, and radians:
                   "pathloss_b_db_per_decade": 22.0, "seed": 0}
     }
 
-Missing sections/keys keep the scale profile's values (time's profile runs
-TIMING_EPOCHS epochs); an unknown section or key is an error. The values a
-key takes come from its config class: each class declares the kind of
-each field in one table, FIELD_KINDS (the kinds are in errors.py), and a
-value of another kind, such as a bool, a string or 16.7 for N, is an error
-that names the key and the field ("system.N: N must be ...").
+Missing sections/keys keep the scale profile's values; an unknown section
+or key is an error. The values a key takes come from its config class:
+each class declares the kind of each field in one table, FIELD_KINDS (the
+kinds are in errors.py), and a value of another kind, such as a bool, a
+string or 16.7 for N, is an error that names the key and the field
+("system.N: N must be ...").
 """
 from __future__ import annotations
 
@@ -57,7 +55,7 @@ import numpy as np
 
 from .channels import ChannelConfig, generate_channels, save_channels
 from .constraints import COUPLING_TOL
-from .errors import ConfigurationError, require_int
+from .errors import ConfigurationError, Kind
 from .experiments import (
     GRAD_CHECK_INSTANCES,
     GRAD_CHECK_SEED_BASE,
@@ -65,13 +63,11 @@ from .experiments import (
     SCHEME_GML_INDEPENDENT,
     SCHEME_MODE,
     SCHEMES,
-    TIMING_EPOCHS,
     ExperimentSpec,
     grad_check_command,
     run_experiment,
     run_scheme,
     scale_configs,
-    timing_probe,
     write_convergence_csv,
 )
 from .model import SystemConfig
@@ -117,12 +113,9 @@ def _fields(section: str, d: dict, keys: dict, cls) -> dict:
             for k, v in d.items()}
 
 
-def _build_configs(
-    args, n_epochs: int | None = None
-) -> tuple[SystemConfig, ChannelConfig, TrainConfig]:
-    """The scale profile (with n_epochs epochs when given), then the config
-    file, then the flags given."""
-    sys_cfg, ch_cfg, train = scale_configs(args.paper_scale, n_epochs=n_epochs)
+def _build_configs(args) -> tuple[SystemConfig, ChannelConfig, TrainConfig]:
+    """The scale profile, then the config file, then the flags given."""
+    sys_cfg, ch_cfg, train = scale_configs(args.paper_scale)
     if args.config:
         raw = _load_json(args.config)
         _check_keys("the config file", raw, ("system", "train", "channel"))
@@ -169,7 +162,8 @@ def _cmd_run(args) -> int:
         print(f"residual (pre-proj): {sol.residual_pre_projection:.4f} "
               f"({locked}, tolerance {COUPLING_TOL})")
         print(f"coupled feasible:    {sol.feasible_coupled}")
-    print(f"wall clock:          {seconds:.2f} s")
+    print(f"wall clock:          {seconds:.2f} s "
+          f"({seconds / train.n_epochs * 1e3:.3f} ms/epoch)")
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         np.savez(
@@ -214,22 +208,10 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_grad_check(args) -> int:
     seed = 0 if args.seed is None else args.seed
-    require_int("seed", seed, 0)
+    Kind.SEED.check("seed", seed)
     report = grad_check_command(
         n_instances=args.instances, seed_base=GRAD_CHECK_SEED_BASE + seed)
     return 0 if report.passed else 1
-
-
-def _cmd_time(args) -> int:
-    sys_cfg, ch_cfg, train = _build_configs(args, n_epochs=TIMING_EPOCHS)
-    if args.epochs is not None:
-        train = dataclasses.replace(train, n_epochs=args.epochs)
-    ch = generate_channels(sys_cfg, ch_cfg, np.random.default_rng(ch_cfg.seed))
-    result = timing_probe(sys_cfg, train, repetitions=args.repetitions, ch=ch)
-    print(f"M={sys_cfg.M} N={sys_cfg.N} K={sys_cfg.K}")
-    print(f"median: {result.median_s_per_epoch * 1e3:.3f} ms/epoch")
-    print(f"min:    {result.min_s_per_epoch * 1e3:.3f} ms/epoch")
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -242,32 +224,24 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp = sub.add_parser("experiment", help="run a spec-file experiment")
     p_gc = sub.add_parser("grad-check",
                           help="analytic vs finite-difference gradient suite")
-    p_time = sub.add_parser("time", help="per-epoch wall-clock probe")
 
     # each subcommand declares only the shared flags it reads
-    for p in (p_run, p_time):
-        p.add_argument("--config", help="JSON config file (see module docs)")
-        p.add_argument("--mode", choices=[MODE_INDEPENDENT, MODE_COUPLED])
-    for p in (p_run, p_exp, p_gc, p_time):
+    for p in (p_run, p_exp, p_gc):
         p.add_argument("--seed", type=int)
     for p in (p_run, p_exp):
         p.add_argument("--out", help="output directory")
-    for p in (p_run, p_exp, p_time):
         p.add_argument("--paper-scale", action="store_true",
                        help="full-scale configuration (64 antennas, 100 "
                             "elements); the desk scale otherwise")
 
+    p_run.add_argument("--config", help="JSON config file (see module docs)")
+    p_run.add_argument("--mode", choices=[MODE_INDEPENDENT, MODE_COUPLED])
     p_run.add_argument("--scheme", choices=list(SCHEMES))
     p_run.set_defaults(func=_cmd_run)
     p_exp.add_argument("spec", help="JSON experiment spec file")
     p_exp.set_defaults(func=_cmd_experiment)
     p_gc.add_argument("--instances", type=int, default=GRAD_CHECK_INSTANCES)
     p_gc.set_defaults(func=_cmd_grad_check)
-    p_time.add_argument("--repetitions", type=int, default=5)
-    p_time.add_argument("--epochs", type=int,
-                        help=f"epochs per timed run (default {TIMING_EPOCHS}, "
-                             "or the config file's train.n_epochs)")
-    p_time.set_defaults(func=_cmd_time)
     return parser
 
 

@@ -30,13 +30,6 @@ def is_real(value) -> bool:
             and math.isfinite(value))
 
 
-def require_int(name: str, value, least: int = 1) -> None:
-    """Raise ConfigurationError naming the field unless is_int(value, least)."""
-    if not is_int(value, least):
-        raise ConfigurationError(
-            f"{name} must be >= {least} and an integer; got {value!r}")
-
-
 class Kind(NamedTuple):
     """The values one config field takes: what they are, in the words of
     the error message; the test a value must pass; and the form in which

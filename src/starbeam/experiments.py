@@ -1,6 +1,6 @@
 """Experiment driver: convergence traces, parameter sweeps and
 phase-difference trajectories, all emitted as CSV files with fixed headers;
-the per-epoch timing probe behind ``starbeam time``; and the gradient
+the per-epoch timing probe of acceptance criterion 10; and the gradient
 cross-check behind ``starbeam grad-check``.
 
 Every experiment kind solves each (scheme, grid point, channel sample) cell
@@ -25,7 +25,7 @@ import numpy as np
 from .baselines import conventional_ris_baseline, pga_oracle, random_phase_baseline
 from .channels import ChannelConfig, desk_scenario, default_scenario, generate_channels
 from .constraints import normalize_amplitudes, normalize_power
-from .errors import ConfigurationError, Kind, check_fields, is_int, is_real, require_int
+from .errors import ConfigurationError, Kind, check_fields, is_int, is_real
 from .gradients import GradientBundle, wsr_finite_diff, wsr_gradients
 from .model import BeamformingState, ChannelSet, SystemConfig
 from .training import (
@@ -68,11 +68,6 @@ _ONE_POINT_KINDS = (KIND_CONVERGENCE, KIND_PHASE_TRACE)
 
 CONVERGENCE_HEADER = ["epoch", "wsr_best", "wsr_current", "penalty", "rho"]
 SWEEP_HEADER = ["scheme", "grid_value", "sample", "wsr_final", "seconds"]
-
-# Epochs per timed run when none is given: enough for a steady per-epoch
-# time, few enough to repeat at paper scale.
-TIMING_EPOCHS = 60
-
 
 def desk_train(mode: str = MODE_INDEPENDENT, seed: int = 0,
                n_epochs: int = 300) -> TrainConfig:
@@ -202,7 +197,6 @@ class ExperimentReport:
 @dataclass
 class TimingResult:
     median_s_per_epoch: float
-    min_s_per_epoch: float
 
 
 @dataclass
@@ -373,21 +367,21 @@ def _write_aggregate_csv(report: ExperimentReport, spec: ExperimentSpec) -> None
 
 
 def timing_probe(sys_cfg: SystemConfig, train: TrainConfig,
-                 repetitions: int = 5, ch: ChannelSet | None = None) -> TimingResult:
-    """Median / min wall-clock seconds per epoch over timed repetitions,
-    after one discarded warm-up run."""
-    require_int("repetitions", repetitions, 3)
-    if ch is None:
-        ch = generate_channels(
-            sys_cfg, ChannelConfig(), np.random.default_rng(train.seed)
-        )
+                 repetitions: int = 5) -> TimingResult:
+    """Median wall-clock seconds per epoch of run_gml over timed
+    repetitions, after one discarded warm-up run, on ChannelConfig()
+    channels drawn from train.seed."""
+    if not is_int(repetitions, 3):
+        raise ConfigurationError(
+            f"repetitions must be >= 3 and an integer; got {repetitions!r}")
+    ch = generate_channels(sys_cfg, ChannelConfig(), np.random.default_rng(train.seed))
     run_gml(sys_cfg, ch, train)  # warm-up, excluded
     per_epoch = []
     for _ in range(repetitions):
         started = time.perf_counter()
         run_gml(sys_cfg, ch, train)
         per_epoch.append((time.perf_counter() - started) / train.n_epochs)
-    return TimingResult(float(np.median(per_epoch)), float(np.min(per_epoch)))
+    return TimingResult(float(np.median(per_epoch)))
 
 
 # --- gradient cross-check ---------------------------------------------------
@@ -403,7 +397,7 @@ def random_gradient_instance(
     gives the real and imaginary parts of G, h and W, one uniform draw the
     amplitudes and one the phases, (t half, r half) each: the stream of
     drawing each block alone, in that order."""
-    require_int("seed", seed, 0)
+    Kind.SEED.check("seed", seed)
     r = np.random.default_rng(seed)
     m = int(r.integers(2, 9))
     n = int(r.integers(2, 17))
@@ -464,8 +458,8 @@ def grad_check_command(
     GRAD_CHECK_ABS_TOL on the small coordinates). A check over no instance
     would pass without checking anything, so n_instances must be >= 1;
     instance i draws from seed seed_base + i, so seed_base must be >= 0."""
-    require_int("n_instances", n_instances)
-    require_int("seed_base", seed_base, 0)
+    Kind.COUNT.check("n_instances", n_instances)
+    Kind.SEED.check("seed_base", seed_base)
     worst_rel = 0.0
     worst_abs = 0.0
     for i in range(n_instances):
@@ -494,7 +488,7 @@ def grad_check_command(
 def sign_test_p_value(wins: int, n: int) -> float:
     """One-sided sign test: probability of >= wins successes out of n
     fair coin flips, for integers 0 <= wins <= n."""
-    require_int("n", n, least=0)
+    Kind.SEED.check("n", n)
     if not (is_int(wins, 0) and wins <= n):
         raise ConfigurationError(f"wins must be an integer in [0, n]; got {wins!r}")
     return sum(math.comb(n, i) for i in range(wins, n + 1)) / 2.0**n

@@ -19,13 +19,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (ConfigurationError, DegenerateInputError, Kind, check_fields,
-                     require_int)
+from .errors import ConfigurationError, DegenerateInputError, Kind, check_fields
 
 TRANSMISSION = "transmission"
 REFLECTION = "reflection"
 
 TWO_PI = 2.0 * np.pi
+
+# log2(1 + gamma) <= 1024 for every finite SINR gamma, so weights summing
+# to at most this keep every weighted sum-rate within half the float64 maximum.
+WEIGHT_SUM_MAX = np.finfo(float).max / 2048
 
 
 def default_user_sides(n_users: int) -> tuple[str, ...]:
@@ -45,10 +48,11 @@ class SystemConfig:
 
     M: BS antennas, N: surface elements, K: single-antenna users.
     p_max and noise_power are linear watts. weights are the per-user rate
-    weights (finite, non-negative, at least one positive; all ones when not
-    given), stored as a tuple of floats, so that configs compare and hash;
-    weight_array, derived from it and not settable, is the same values as
-    a read-only (K,) array, which the rate and its gradients read.
+    weights (finite, non-negative, at least one positive, summing to at
+    most WEIGHT_SUM_MAX; all ones when not given), stored as a tuple of
+    floats, so that configs compare and hash; weight_array, derived from it
+    and not settable, is the same values as a read-only (K,) array, which
+    the rate and its gradients read.
     user_sides labels each user "transmission" or "reflection" and
     partitions the user set; side_index, derived from it and not settable,
     is 0 for each transmission user and 1 for each reflection user, and
@@ -89,6 +93,10 @@ class SystemConfig:
             raise ConfigurationError("weights must have shape (K,)")
         if (w < 0).any() or not (w > 0).any():
             raise ConfigurationError("weights must be >= 0 with at least one > 0")
+        # a Python sum: an overflow to inf raises no numpy warning
+        if sum(w.tolist()) > WEIGHT_SUM_MAX:
+            raise ConfigurationError(
+                f"weights must sum to at most {WEIGHT_SUM_MAX:.6g}; got {self.weights!r}")
         object.__setattr__(self, "weights", tuple(w.tolist()))
         object.__setattr__(self, "weight_array", _locked(w))
 
@@ -240,7 +248,7 @@ def received_sinrs(cfg: SystemConfig, U: np.ndarray) -> tuple[np.ndarray, np.nda
 def sinr(cfg: SystemConfig, ch: ChannelSet, state: BeamformingState, k: int) -> float:
     """SINR of user k from the direct per-side expression."""
     check_dimensions(cfg, ch, state)
-    require_int("k", k, 0)
+    Kind.SEED.check("k", k)
     if k >= cfg.K:
         raise IndexError(f"user index {k} out of range for K={cfg.K}")
     c_t, c_r = star_coefficient_vectors(state)
@@ -258,7 +266,7 @@ def sinr_augmented(
     """SINR of user k from the stacked 2N-dimensional form; agrees with
     :func:`sinr` to floating-point accuracy."""
     check_dimensions(cfg, ch, state)
-    require_int("k", k, 0)
+    Kind.SEED.check("k", k)
     if k >= cfg.K:
         raise IndexError(f"user index {k} out of range for K={cfg.K}")
     # The stacked form, built here only: both coefficient halves in one 2N
@@ -286,7 +294,8 @@ def all_sinrs(cfg: SystemConfig, ch: ChannelSet, state: BeamformingState) -> np.
 
 def wsr(cfg: SystemConfig, gammas: np.ndarray) -> float | np.ndarray:
     """Weighted sum-rate sum_k weights[k] * log2(1 + gammas[..., k]): a
-    float for one (K,) vector, a (...,) array for a batch of them."""
+    float for one (K,) vector, a (...,) array for a batch of them. It is
+    finite for finite SINRs, as SystemConfig bounds the weights' sum."""
     g = np.asarray(gammas, dtype=float)
     if g.shape[-1:] != (cfg.K,):
         raise ConfigurationError(f"gammas must have shape (..., {cfg.K})")
@@ -299,10 +308,6 @@ def wsr(cfg: SystemConfig, gammas: np.ndarray) -> float | np.ndarray:
     if not g.max(initial=0.0) < math.inf:
         raise DegenerateInputError("SINR values must be finite; saw inf")
     rates = (cfg.weight_array * np.log2(1.0 + g)).sum(axis=-1)
-    # finite logs under finite weights can still overflow the weighted sum
-    if not (rates < math.inf if g.ndim == 1
-            else rates.max(initial=0.0) < math.inf):
-        raise DegenerateInputError("weighted sum-rate overflows float64")
     return float(rates) if g.ndim == 1 else rates
 
 

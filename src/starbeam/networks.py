@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DegenerateInputError, is_real, require_int
+from .errors import ConfigurationError, DegenerateInputError, Kind, is_real
 
 # Adam's moment decay rates and denominator floor, the textbook defaults.
 ADAM_BETA1 = 0.9
@@ -107,7 +107,7 @@ def init_mlp(input_dim: int, hidden_dim: int, output_dim: int,
     float64 network would consume it."""
     for name, value in (("input_dim", input_dim), ("hidden_dim", hidden_dim),
                         ("output_dim", output_dim)):
-        require_int(name, value)
+        Kind.COUNT.check(name, value)
     shapes = (hidden_dim, input_dim), hidden_dim, (output_dim, hidden_dim), output_dim
     net = Mlp(*(np.broadcast_to(NET_DTYPE(0), shape) for shape in shapes))
     for w, fan_in in ((net.w1, input_dim), (net.w2, hidden_dim)):

@@ -17,7 +17,7 @@ from starbeam import (
     sign_test_p_value,
     timing_probe,
 )
-from starbeam import channels, cli, experiments
+from starbeam import channels, cli
 from starbeam.cli import (
     CHANNEL_KEYS,
     SYSTEM_KEYS,
@@ -32,9 +32,7 @@ from starbeam.experiments import (
     CONVERGENCE_HEADER,
     GRAD_CHECK_SEED_BASE,
     SWEEP_HEADER,
-    TIMING_EPOCHS,
     ExperimentReport,
-    TimingResult,
     desk_train,
     random_gradient_instance,
 )
@@ -204,13 +202,11 @@ class TestTimingExperiment:
     (lambda cfg, ch_cfg: channels.dbm_to_watts(4000.0), "dbm"),
     (lambda cfg, ch_cfg: channels.dbm_to_watts(-4000.0), "dbm"),
     (lambda cfg, ch_cfg: channels.generate_channels(cfg, ch_cfg, rng=5), "rng"),
-    (lambda cfg, ch_cfg: timing_probe(cfg, desk_train(n_epochs=5), ch="x"), "ch"),
 ], ids=["dbm_to_watts", "dbm_to_watts_overflow", "dbm_to_watts_zero",
-        "generate_channels", "timing_probe"])
+        "generate_channels"])
 def test_bad_argument_rejected_naming_it(call, name):
-    """A NaN power, one whose watts overflow or round to 0, an integer for
-    a generator and a string for a channel set are rejected at the call,
-    naming the argument."""
+    """A NaN power, one whose watts overflow or round to 0, and an integer
+    for a generator are rejected at the call, naming the argument."""
     sys_cfg, ch_cfg = desk_scenario()
     with pytest.raises(ConfigurationError, match=f"^{name} must be"):
         call(sys_cfg, ch_cfg)
@@ -436,45 +432,6 @@ class TestCli:
             summary = json.load(fh)
         assert (summary["scheme"], summary["mode"]) == ("gml_coupled", "coupled")
 
-    def test_time_draws_channels_from_config(self, tmp_path, monkeypatch):
-        draws = []
-
-        def spy(sys_cfg, ch_cfg, rng):
-            draws.append((ch_cfg, rng.bit_generator.state))
-            return generate(sys_cfg, ch_cfg, rng)
-
-        generate = channels.generate_channels
-        monkeypatch.setattr(cli, "generate_channels", spy)
-        monkeypatch.setattr(experiments, "generate_channels", spy)
-        path = self._write_config(tmp_path, {
-            "train": {"seed": 3},
-            "channel": {"rician_k_g": 0.0, "seed": 42},
-        })
-        assert cli_main(["time", "--config", path, "--repetitions", "3",
-                         "--epochs", "2"]) == 0
-        [(ch_cfg, state)] = draws
-        assert (ch_cfg.rician_k_g, ch_cfg.seed) == (0.0, 42)
-        assert state == np.random.default_rng(42).bit_generator.state
-
-    @pytest.mark.parametrize("file_epochs, flag, expected", [
-        (None, [], TIMING_EPOCHS),
-        (7, [], 7),
-        (7, ["--epochs", "4"], 4),
-    ])
-    def test_time_epochs_precedence(self, tmp_path, monkeypatch,
-                                    file_epochs, flag, expected):
-        seen = []
-
-        def probe(sys_cfg, train, repetitions, ch):
-            seen.append(train.n_epochs)
-            return TimingResult(1.0, 1.0)
-
-        monkeypatch.setattr(cli, "timing_probe", probe)
-        train = {} if file_epochs is None else {"n_epochs": file_epochs}
-        path = self._write_config(tmp_path, {"train": train})
-        assert cli_main(["time", "--config", path] + flag) == 0
-        assert seen == [expected]
-
     @pytest.mark.parametrize("command, flag", [
         ("run", "--desk-scale"),
         ("experiment", "--config"),
@@ -485,8 +442,6 @@ class TestCli:
         ("grad-check", "--out"),
         ("grad-check", "--paper-scale"),
         ("grad-check", "--desk-scale"),
-        ("time", "--out"),
-        ("time", "--desk-scale"),
     ])
     def test_flag_the_subcommand_does_not_read_rejected(self, command, flag):
         argv = [command, "spec.json"] if command == "experiment" else [command]
@@ -576,7 +531,8 @@ class TestCli:
         monkeypatch.setattr(cli, "perf_counter", lambda: next(clock))
         path = self._write_config(tmp_path, {"train": {"n_epochs": 3}})
         assert cli_main(["run", "--scheme", "pga_oracle", "--config", path]) == 0
-        assert "wall clock:          2.50 s" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "wall clock:          2.50 s (833.333 ms/epoch)" in out
 
     def test_experiment_spec_setting_users_rejected(self, tmp_path):
         spec_path = str(tmp_path / "spec.json")
@@ -589,7 +545,7 @@ class TestCli:
     def test_grad_check_subcommand(self):
         assert cli_main(["grad-check", "--instances", "3"]) == 0
 
-    def test_time_subcommand(self, capsys):
-        code = cli_main(["time", "--repetitions", "3", "--epochs", "4"])
-        assert code == 0
-        assert "ms/epoch" in capsys.readouterr().out
+    def test_no_time_subcommand(self):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["time"])
+        assert exc.value.code == 2

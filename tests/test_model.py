@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import numpy as np
@@ -16,15 +17,19 @@ from starbeam import (
     star_coefficient_vectors,
     wsr,
 )
+from starbeam.cli import _build_configs, build_parser
 from starbeam.model import (
     REFLECTION,
     TRANSMISSION,
+    WEIGHT_SUM_MAX,
     default_user_sides,
     effective_rows,
     received_sinrs,
 )
 
 from conftest import make_instance
+
+_MAX = np.finfo(float).max
 
 
 def scalar_setup(p=4.0, noise=0.5):
@@ -185,15 +190,25 @@ class TestWsr:
             with pytest.raises(DegenerateInputError, match="must be finite; saw inf$"):
                 wsr(cfg, np.array(gammas))
 
-    @pytest.mark.parametrize("gammas", [[3.0, 1.0], [[1.0, 1.0], [3.0, 1.0]]])
-    def test_overflowing_weighted_sum_rejected(self, gammas):
-        """Finite SINRs under a finite weight near the float64 maximum give a
-        weighted sum that overflows; it is rejected."""
+    @pytest.mark.parametrize("gammas", [[_MAX, _MAX], [[1.0, 1.0], [_MAX, _MAX]]])
+    def test_overflowing_weighted_sum_rejected(self, tmp_path, gammas):
+        """Weights under which a finite SINR could overflow the weighted sum
+        are rejected when the config is built, from the constructor and from
+        a config file. At weights summing to the bound, the largest finite
+        SINRs give half the float64 maximum without a warning, for one
+        vector and for a batch."""
+        with pytest.raises(ConfigurationError, match="^weights must sum"):
+            SystemConfig(M=1, N=1, K=2, p_max=1, noise_power=1, weights=[1e308, 1.0])
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"system": {"K": 2, "weights": [1e308, 1.0]}}))
+        with pytest.raises(ConfigurationError, match="^weights must sum"):
+            _build_configs(build_parser().parse_args(["run", "--config", str(path)]))
         cfg = SystemConfig(M=1, N=1, K=2, p_max=1, noise_power=1,
-                           weights=[1e308, 1.0])
-        with np.errstate(over="ignore"):
-            with pytest.raises(DegenerateInputError, match="sum-rate overflows"):
-                wsr(cfg, np.array(gammas))
+                           weights=[WEIGHT_SUM_MAX / 2, WEIGHT_SUM_MAX / 2])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rates = wsr(cfg, np.array(gammas))
+        assert np.ravel(rates)[-1] == _MAX / 2
 
     def test_length_mismatch(self):
         cfg = SystemConfig(M=1, N=1, K=2, p_max=1, noise_power=1)
