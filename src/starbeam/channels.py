@@ -189,9 +189,15 @@ def save_channels(path: str, ch: ChannelSet) -> None:
 
 
 def load_channels(path: str) -> ChannelSet:
-    """Inverse of :func:`save_channels`."""
+    """Inverse of :func:`save_channels`; a file that is not ASCII text
+    raises ConfigurationError naming it."""
     with open(path, "r", encoding="ascii") as fh:
-        return channels_from_text(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as err:
+            raise ConfigurationError(f"channel file {path!r} is not ASCII text: "
+                                     f"{err}") from None
+    return channels_from_text(text)
 
 
 def channels_to_text(ch: ChannelSet) -> str:
@@ -206,7 +212,8 @@ def channels_to_text(ch: ChannelSet) -> str:
 def channels_from_text(text: str) -> ChannelSet:
     """Inverse of :func:`channels_to_text`; a malformed text raises
     ConfigurationError naming what is wrong and, for a channel row, its
-    block (G or h) and row."""
+    block (G or h) and row. The arrays grow with the rows read, so a
+    dimension line larger than the text reserves nothing."""
     fh = io.StringIO(text)
     header = fh.readline().strip()
     if header != _CHANNEL_HEADER:
@@ -221,7 +228,7 @@ def channels_from_text(text: str) -> ChannelSet:
                                  "expected three positive integers 'N M K'") from None
 
     def read_rows(name: str, count: int, width: int) -> np.ndarray:
-        rows = np.empty((count, width), dtype=np.complex128)
+        rows = []
         for i in range(count):
             line = fh.readline()
             where = f"channel {name} row {i}"
@@ -234,8 +241,8 @@ def channels_from_text(text: str) -> ChannelSet:
             if vals.size != 2 * width:
                 raise ConfigurationError(
                     f"{where}: expected {2 * width} values, saw {vals.size}")
-            rows[i] = vals[0::2] + 1j * vals[1::2]
-        return rows
+            rows.append(vals[0::2] + 1j * vals[1::2])
+        return np.array(rows)
 
     ch = ChannelSet(read_rows("G", n, m), read_rows("h", k, n))
     if fh.read().strip():

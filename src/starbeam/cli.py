@@ -24,9 +24,8 @@ the config dataclasses; units are watts, meters, and radians:
       "system":  {"M": 8, "N": 16, "K": 2, "p_max_w": 0.01,
                   "noise_power_w": 1e-14, "weights": [1.0, 1.0],
                   "user_sides": ["transmission", "reflection"]},
-      "train":   {"n_epochs": 300, "n_outer": 1, "n_inner": 1,
-                  "lr_w": 1e-3, "lr_a": 5e-3, "lr_theta": 5e-3,
-                  "n1": 5, "n2": 1, "mode": "independent",
+      "train":   {"n_epochs": 300, "lr_w": 1e-3, "lr_a": 5e-3,
+                  "lr_theta": 5e-3, "n1": 5, "n2": 1, "mode": "independent",
                   "rho_min": 0.3, "rho_max": 3000.0, "seed": 0},
       "channel": {"rician_k_g": 10.0, "rician_k_h": 10.0,
                   "bs_pos_m": [0.0, 0.0], "ris_pos_m": [100.0, 0.0],
@@ -97,6 +96,8 @@ def _load_json(path: str) -> dict:
 
 
 def _check_keys(where: str, d: dict, known) -> None:
+    if not isinstance(d, dict):
+        raise ConfigurationError(f"{where} must be a JSON object; got {d!r}")
     unknown = sorted(set(d) - set(known))
     if unknown:
         raise ConfigurationError(

@@ -22,8 +22,8 @@ row-major weights, and ``w1``, ``b1``, ``w2`` and ``b2`` are views into it.
 :func:`init_mlp` draws the weights in float64 row-major blocks straight into
 ``flat``, so no weight-sized temporary is made, consuming the generator as
 a float64 network would. :func:`mlp_backward` forms the parameter gradient
-of one or more forward passes as one flat vector of the same layout, each
-weight gradient with one ``np.dot`` into its view.
+of one forward pass, of any number of rows, as one flat vector of the same
+layout, each weight gradient with one ``np.dot`` into its view.
 
 Adam: :func:`adam_step` updates a flat parameter vector and its moments in
 place, one elementwise operation at a time over four operands: the params,
@@ -118,19 +118,16 @@ def init_mlp(input_dim: int, hidden_dim: int, output_dim: int,
     return net
 
 
-def mlp_backward(net: Mlp, passes) -> np.ndarray:
-    """Parameter gradient of forward passes recorded by
-    ``forward_with_cache``, summed over them, as a new flat vector laid out
-    like ``net.flat`` and in its dtype. passes is a sequence of (cache,
-    grad_out) pairs, each grad_out a (rows, out) matrix like its pass's
-    output; it is cast to the network's dtype. The rows of all passes are
-    stacked, so each weight gradient is one np.dot into its view of the
-    result, for any row count; a single row's is an outer product, whose
-    0 + a*b turns a -0.0 product into +0.0, the only difference from a
-    broadcast multiply."""
-    rows = [(*cache, np.asarray(g, net.flat.dtype)) for cache, g in passes]
-    x2, pre, hidden, g2 = (rows[0] if len(rows) == 1
-                           else map(np.concatenate, zip(*rows)))
+def mlp_backward(net: Mlp, cache: tuple, grad_out: np.ndarray) -> np.ndarray:
+    """Parameter gradient of a forward pass recorded by
+    ``forward_with_cache``, summed over its rows, as a new flat vector laid
+    out like ``net.flat`` and in its dtype. grad_out is the (rows, out) loss
+    gradient on the pass's output; it is cast to the network's dtype. Each
+    weight gradient is one np.dot into its view of the result, for any row
+    count; a single row's is an outer product, whose 0 + a*b turns a -0.0
+    product into +0.0, the only difference from a broadcast multiply."""
+    x2, pre, hidden = cache
+    g2 = np.asarray(grad_out, net.flat.dtype)
     grad_hidden = (g2 @ net.w2) * (pre > 0.0)
     grad = np.empty_like(net.flat)
     g_w1, g_b1, g_w2, g_b2 = net.split(grad)

@@ -1,21 +1,23 @@
-"""The nested meta-optimization loop.
+"""The meta-optimization loop.
 
-Three levels: inner iterations refine one variable group at a time
-(precoder, then amplitudes, then phases) through its sub-network; outer
-iterations restart every variable group from the run's initial matrices
-and accumulate per-network losses at the refined point; epoch iterations
-average those losses and apply Adam to the network parameters (the
-precoder network every epoch, the amplitude and phase networks on their
-own intervals). What improves across epochs is the networks, not a
-persistent iterate.
+Each epoch runs one refine pass: the precoder, then the amplitudes, then
+the phases, each refined from the run's initial matrices by one step of its
+sub-network; then each network's loss at the refined point is pulled back
+to its parameters, and Adam steps them (the precoder network every epoch,
+the amplitude and phase networks on their own intervals). What improves
+across epochs is the networks, not a persistent iterate. The paper's outer
+and inner loop counts run at their published value of 1; re-adding either
+count means re-adding a tape list per block, walked in reverse by its
+backward pass, and a pass list per network, stacked into one backward call
+and averaged over the outer iterations.
 
 :func:`run_meta_loop` drives one function per phase. A point (W, beta,
 theta, phasor), with phasor = exp(j * theta), is one tuple: the start
 point every block restarts from, and the refined point, carried across
-outer iterations and epochs. Each outer iteration runs three phases:
+epochs. Each epoch runs three phases:
 
-- :func:`_forward_blocks`, the inner blocks, each recording the tape of
-  its backward pass. Each inner step feeds its network one gradient, from
+- :func:`_forward_blocks`, the blocks, each recording the tape of its
+  backward pass. Each step feeds its network one gradient, from
   :func:`received_field` and the one pullback it needs, and computes no
   rate. The amplitude and phase blocks share G @ W of the refined
   precoder, and each phase profile's phasors are computed once.
@@ -23,19 +25,18 @@ outer iterations and epochs. Each outer iteration runs three phases:
   which serve the next precoder block: its field, rate and coupling
   residual, and in coupled mode the rate of its hardened copy, a
   different state, from that state's rows and SINRs.
-- :func:`_backward_passes`, each updating network's passes, (forward
-  cache, loss gradient on the output) pairs, from the refined point's
+- :func:`_backward_passes`, each updating network's pass, a (forward
+  cache, loss gradient on the output) pair, from the refined point's
   field; the surface pullback runs only on epochs that update the
   amplitude or phase network.
 
-The driver then ranks the refined state for selection. After the last
-outer iteration, :func:`_adam_steps` forms each updating network's
-gradient from all its passes in one :func:`mlp_backward` call and steps
-on its mean, and :func:`_record_traces` writes the epoch's traces. No
-network steps before every pass is recorded, and no chain reads a
-network's parameters, so the order is free. :func:`report_solution`
-builds the reported :class:`Solution`, for the loop and for
-:func:`baselines.pga_oracle`.
+The driver then ranks the refined state for selection, :func:`_adam_steps`
+forms each updating network's gradient from its pass with
+:func:`mlp_backward` and steps on it, and :func:`_record_traces` writes
+the epoch's traces. No network steps before every pass is recorded, and no
+chain reads a network's parameters, so the order is free.
+:func:`report_solution` builds the reported :class:`Solution`, for the
+loop and for :func:`baselines.pga_oracle`.
 
 Precision: the networks, their parameter gradients and their Adam state
 are float32 (networks.NET_DTYPE); the states, the rates, the loss
@@ -70,12 +71,12 @@ jittering around 0.02-0.05 through the second half of a run; the decay
 makes the lock hold to the last epoch. Independent mode and the other two
 networks keep constant rates.
 
-Selection of the reported state: the refined state, over all outer
-iterations, that ranks highest on (phase-locked, post-projection rate),
-the first of equals winning. Only coupled mode locks, when max
-|cos(theta_t - theta_r)| is below COUPLING_TOL, so independent mode
-reports the highest raw rate. A coupled run that never locked reports its
-highest post-projection rate, and residual_pre_projection shows the miss.
+Selection of the reported state: the refined state, over all epochs, that
+ranks highest on (phase-locked, post-projection rate), the first of equals
+winning. Only coupled mode locks, when max |cos(theta_t - theta_r)| is
+below COUPLING_TOL, so independent mode reports the highest raw rate. A
+coupled run that never locked reports its highest post-projection rate,
+and residual_pre_projection shows the miss.
 """
 from __future__ import annotations
 
@@ -136,8 +137,6 @@ class TrainConfig:
     from rho_min at epoch 0 to rho_max at the final epoch (see rho_at)."""
 
     n_epochs: int = 500
-    n_outer: int = 1
-    n_inner: int = 1
     lr_w: float = 1e-3        # precoder-network Adam rate
     lr_a: float = 5e-3        # amplitude-network Adam rate
     lr_theta: float = 5e-3    # phase-network Adam rate
@@ -149,9 +148,8 @@ class TrainConfig:
     seed: int = 0
 
     FIELD_KINDS = {
-        "n_epochs": Kind.COUNT, "n_outer": Kind.COUNT, "n_inner": Kind.COUNT,
+        "n_epochs": Kind.COUNT, "n1": Kind.COUNT, "n2": Kind.COUNT,
         "lr_w": Kind.POSITIVE, "lr_a": Kind.POSITIVE, "lr_theta": Kind.POSITIVE,
-        "n1": Kind.COUNT, "n2": Kind.COUNT,
         "mode": Kind.choice(MODE_INDEPENDENT, MODE_COUPLED),
         "rho_min": Kind.POSITIVE, "rho_max": Kind.POSITIVE, "seed": Kind.SEED,
     }
@@ -218,126 +216,78 @@ def rho_at(train: TrainConfig, epoch: int) -> float:
 # --- forward blocks (with tapes) and their backward passes ----------------
 
 
-def _precoder_block(
-    pn: Mlp,
-    W0: np.ndarray,
-    rows: np.ndarray,
-    cfg: SystemConfig,
-    n_inner: int,
-):
-    """Refine the precoder from W0 at fixed surface coefficients, given by
-    their effective rows; returns it and the tape of its backward pass.
-    The other blocks take the shared G @ W and phasors exp(j * theta) and
-    return the same way."""
-    W = W0
-    tape = []
-    for _ in range(n_inner):
-        grad = precoder_pullback(received_field(cfg, rows, W))
-        # 2K real rows, the K real parts then the K imaginary parts, as the
-        # backward packs the loss gradient
-        out, cache = pn.forward_with_cache(
-            np.concatenate([grad.real.T, grad.imag.T]))
-        out = out.astype(np.float64)
-        w_raw = W + (out[:cfg.K] + 1j * out[cfg.K:]).T
-        sq = np.vdot(w_raw, w_raw).real
-        if not 0 < sq < np.inf:
-            raise DegenerateInputError(
-                "precoder collapsed to zero mid-update" if sq == 0 else
-                "non-finite precoder mid-update, or one whose power overflows")
-        scale = np.sqrt(cfg.p_max / sq)
-        tape.append((cache, w_raw, scale, sq))
-        W = scale * w_raw
-    return W, tape
+def _precoder_block(pn: Mlp, W0: np.ndarray, rows: np.ndarray, cfg: SystemConfig):
+    """Refine the precoder from W0 by one network step at fixed surface
+    coefficients, given by their effective rows; returns it and the tape of
+    its backward pass. The other blocks take the shared G @ W and phasors
+    exp(j * theta) and return the same way."""
+    grad = precoder_pullback(received_field(cfg, rows, W0))
+    # 2K real rows, the K real parts then the K imaginary parts, as the
+    # backward packs the loss gradient
+    out, cache = pn.forward_with_cache(np.concatenate([grad.real.T, grad.imag.T]))
+    out = out.astype(np.float64)
+    w_raw = W0 + (out[:cfg.K] + 1j * out[cfg.K:]).T
+    sq = np.vdot(w_raw, w_raw).real
+    if not 0 < sq < np.inf:
+        raise DegenerateInputError(
+            "precoder collapsed to zero mid-update" if sq == 0 else
+            "non-finite precoder mid-update, or one whose power overflows")
+    scale = np.sqrt(cfg.p_max / sq)
+    return scale * w_raw, (cache, w_raw, scale, sq)
 
 
-def _precoder_block_backward(tape, grad_w_out: np.ndarray) -> list:
-    """Pull a conjugate-convention loss gradient on the final precoder back
-    through the normalize/add/network chain; returns the network's passes,
-    (cache, loss gradient on its output) per inner step, for
-    :func:`mlp_backward`. Network inputs are constants. The other block
-    backward passes return their passes the same way."""
-    passes = []
-    g = grad_w_out
-    for cache, w_raw, scale, sq in reversed(tape):
-        # d loss = 2 Re<g, dW_out>, W_out = scale(w_raw) * w_raw
-        q = np.vdot(g, w_raw).real
-        g_raw = scale * g - (scale * q / sq) * w_raw
-        passes.append((cache, 2.0 * np.concatenate([g_raw.real.T, g_raw.imag.T])))
-        g = g_raw
-    return passes
+def _precoder_block_backward(tape, g: np.ndarray):
+    """Pull a conjugate-convention loss gradient g on the refined precoder
+    back through the normalize/add/network chain; returns the network's
+    pass, (cache, loss gradient on its output), for :func:`mlp_backward`.
+    Network inputs are constants. The other block backward passes return
+    their pass the same way."""
+    cache, w_raw, scale, sq = tape
+    # d loss = 2 Re<g, dW_out>, W_out = scale(w_raw) * w_raw
+    q = np.vdot(g, w_raw).real
+    g_raw = scale * g - (scale * q / sq) * w_raw
+    return cache, 2.0 * np.concatenate([g_raw.real.T, g_raw.imag.T])
 
 
-def _amplitude_block(
-    an: Mlp,
-    beta0: np.ndarray,
-    W: np.ndarray,
-    precoded: np.ndarray,
-    phasor: np.ndarray,
-    cfg: SystemConfig,
-    ch: ChannelSet,
-    n_inner: int,
-):
+def _amplitude_block(an: Mlp, beta0: np.ndarray, W: np.ndarray, precoded: np.ndarray,
+                     phasor: np.ndarray, cfg: SystemConfig, ch: ChannelSet):
     """precoded is G @ W."""
-    beta = beta0
     n = beta0.size // 2
-    tape = []
-    for _ in range(n_inner):
-        field = received_field(cfg, effective_rows(cfg, ch, beta * phasor), W)
-        grad = amplitude_ascent(surface_bracket(cfg, ch, field, precoded, phasor))
-        delta, cache = an.forward_with_cache(grad[None, :])  # one row
-        raw = beta + delta[0]  # float64, as beta is
-        bt, br = normalize_amplitudes(raw[:n], raw[n:])
-        tape.append((cache, raw))
-        beta = np.concatenate([bt, br])
-    return beta, tape
+    field = received_field(cfg, effective_rows(cfg, ch, beta0 * phasor), W)
+    grad = amplitude_ascent(surface_bracket(cfg, ch, field, precoded, phasor))
+    delta, cache = an.forward_with_cache(grad[None, :])  # one row
+    raw = beta0 + delta[0]  # float64, as beta0 is
+    bt, br = normalize_amplitudes(raw[:n], raw[n:])
+    return np.concatenate([bt, br]), (cache, raw)
 
 
-def _amplitude_block_backward(tape, grad_beta_out: np.ndarray) -> list:
-    passes = []
-    g = grad_beta_out
-    for cache, raw in reversed(tape):
-        # the transpose-Jacobian of the pairwise unit-circle normalization
-        n = raw.size // 2
-        bt, br = raw[:n], raw[n:]
-        sq = bt**2 + br**2
-        common = (br * g[:n] - bt * g[n:]) / (sq * np.sqrt(sq))
-        g = np.concatenate([br * common, -bt * common])
-        passes.append((cache, g[None, :]))
-    return passes
+def _amplitude_block_backward(tape, g: np.ndarray):
+    # the transpose-Jacobian of the pairwise unit-circle normalization
+    cache, raw = tape
+    n = raw.size // 2
+    bt, br = raw[:n], raw[n:]
+    sq = bt**2 + br**2
+    common = (br * g[:n] - bt * g[n:]) / (sq * np.sqrt(sq))
+    return cache, np.concatenate([br * common, -bt * common])[None, :]
 
 
-def _phase_block(
-    tn: Mlp,
-    theta0: np.ndarray,
-    phasor0: np.ndarray,
-    W: np.ndarray,
-    precoded: np.ndarray,
-    beta: np.ndarray,
-    cfg: SystemConfig,
-    ch: ChannelSet,
-    n_inner: int,
-):
+def _phase_block(tn: Mlp, theta0: np.ndarray, phasor0: np.ndarray, W: np.ndarray,
+                 precoded: np.ndarray, beta: np.ndarray, cfg: SystemConfig,
+                 ch: ChannelSet):
     """phasor0 is exp(j * theta0). Returns the refined phases, their
     phasors and the tape."""
-    theta, phasor = theta0, phasor0
-    tape = []
-    for _ in range(n_inner):
-        field = received_field(cfg, effective_rows(cfg, ch, beta * phasor), W)
-        grad = phase_ascent(surface_bracket(cfg, ch, field, precoded, phasor), beta)
-        raw, cache = tn.forward_with_cache(grad[None, :])  # one row
-        sig = sigmoid(raw[0].astype(np.float64))
-        tape.append((cache, sig))
-        theta = wrap_phase(theta + REGULATOR_GAIN * sig)
-        phasor = np.exp(1j * theta)
-    return theta, phasor, tape
+    field = received_field(cfg, effective_rows(cfg, ch, beta * phasor0), W)
+    grad = phase_ascent(surface_bracket(cfg, ch, field, precoded, phasor0), beta)
+    raw, cache = tn.forward_with_cache(grad[None, :])  # one row
+    sig = sigmoid(raw[0].astype(np.float64))
+    theta = wrap_phase(theta0 + REGULATOR_GAIN * sig)
+    return theta, np.exp(1j * theta), (cache, sig)
 
 
-def _phase_block_backward(tape, grad_theta_out: np.ndarray) -> list:
-    # wrap is an a.e. identity; d(gain * sigmoid)/d(raw) = gain*sig*(1-sig),
-    # and d(theta_next)/d(theta_prev) = 1, so g passes through unchanged
-    g = grad_theta_out
-    return [(cache, (g * REGULATOR_GAIN * sig * (1.0 - sig))[None, :])
-            for cache, sig in reversed(tape)]
+def _phase_block_backward(tape, g: np.ndarray):
+    # wrap is an a.e. identity; d(gain * sigmoid)/d(raw) = gain*sig*(1-sig)
+    cache, sig = tape
+    return cache, (g * REGULATOR_GAIN * sig * (1.0 - sig))[None, :]
 
 
 # --- the full run ----------------------------------------------------------
@@ -394,8 +344,8 @@ def run_meta_loop(
 
     W0, beta0, theta0 = initial_state(sys_cfg, rng, beta_init)
     start = (W0, beta0, theta0, np.exp(1j * theta0))
-    # The most recent refined point, carried across outer iterations and
-    # epochs, and its effective rows.
+    # The most recent refined point, carried across epochs, and its
+    # effective rows.
     point = start
     rows = effective_rows(sys_cfg, ch, beta0 * start[3])
 
@@ -416,24 +366,19 @@ def run_meta_loop(
         rho = rho_at(train, epoch) if coupled else 0.0
         updates = (enable_an and epoch % train.n1 == 0,
                    enable_tn and epoch % train.n2 == 0)
-        passes = ([], [], [])  # each network's, over the epoch's outer iterations
-        for outer in range(1, train.n_outer + 1):
-            try:
-                point, precoded, rows, tapes = _forward_blocks(
-                    nets, start, point, rows, sys_cfg, ch, train.n_inner,
-                    enable_an, enable_tn)
-                field, r_cur, residual, r_proj, theta_hard, dev = _refined_point(
-                    sys_cfg, ch, point, rows, coupled)
-                _backward_passes(sys_cfg, ch, point, field, precoded, tapes,
-                                 updates, rho, dev, passes)
-            except (DegenerateInputError, ConfigurationError) as err:
-                raise type(err)(
-                    f"epoch {epoch}, outer iteration {outer}: {err}"
-                ) from err
-            wsr_best = max(wsr_best, r_cur)
-            rank = (coupled and residual < COUPLING_TOL, r_proj)
-            if chosen is None or rank > chosen[0]:
-                chosen = (rank, r_cur, residual, point[0], point[1], theta_hard)
+        try:
+            point, precoded, rows, tapes = _forward_blocks(
+                nets, start, point, rows, sys_cfg, ch, enable_an, enable_tn)
+            field, r_cur, residual, r_proj, theta_hard, dev = _refined_point(
+                sys_cfg, ch, point, rows, coupled)
+            passes = _backward_passes(sys_cfg, ch, point, field, precoded,
+                                      tapes, updates, rho, dev)
+        except (DegenerateInputError, ConfigurationError) as err:
+            raise type(err)(f"epoch {epoch}: {err}") from err
+        wsr_best = max(wsr_best, r_cur)
+        rank = (coupled and residual < COUPLING_TOL, r_proj)
+        if chosen is None or rank > chosen[0]:
+            chosen = (rank, r_cur, residual, point[0], point[1], theta_hard)
         _adam_steps(nets, adams, passes, train, epoch)
         _record_traces(traces, epoch - 1, sys_cfg, point, dev, rho=rho,
                        wsr_current=r_cur, wsr_best=wsr_best,
@@ -444,27 +389,26 @@ def run_meta_loop(
                            traces, pre=(wsr_pre, residual_pre))
 
 
-# --- the phases of one outer iteration and of one epoch --------------------
+# --- the phases of one epoch -----------------------------------------------
 
 
-def _forward_blocks(nets, start, point, rows, cfg, ch, n_inner, enable_an,
-                    enable_tn):
+def _forward_blocks(nets, start, point, rows, cfg, ch, enable_an, enable_tn):
     """The refined point, G @ W (None when the surface is frozen), its
     rows and the three tapes (None for a frozen group, which keeps its
     value in point). Each block restarts from start, with the groups
     before it refined and those after it at their values in point."""
     W0, beta0, theta0, phasor0 = start
     _, beta, theta, phasor = point
-    W, tape_w = _precoder_block(nets.pn, W0, rows, cfg, n_inner)
+    W, tape_w = _precoder_block(nets.pn, W0, rows, cfg)
     precoded = tape_a = tape_t = None
     if enable_an or enable_tn:
         precoded = ch.G @ W
         if enable_an:
             beta, tape_a = _amplitude_block(
-                nets.an, beta0, W, precoded, phasor, cfg, ch, n_inner)
+                nets.an, beta0, W, precoded, phasor, cfg, ch)
         if enable_tn:
             theta, phasor, tape_t = _phase_block(
-                nets.tn, theta0, phasor0, W, precoded, beta, cfg, ch, n_inner)
+                nets.tn, theta0, phasor0, W, precoded, beta, cfg, ch)
         rows = effective_rows(cfg, ch, beta * phasor)
     return (W, beta, theta, phasor), precoded, rows, (tape_w, tape_a, tape_t)
 
@@ -488,40 +432,39 @@ def _refined_point(cfg, ch, point, rows, coupled):
     return field, rate, residual, rate_hard, theta_hard, theta - proj
 
 
-def _backward_passes(cfg, ch, point, field, precoded, tapes, updates, rho,
-                     dev, passes):
-    """Append to passes, one list per network, the passes of the precoder
-    network and of the surface networks whose flag in updates is set. Each
-    loss gradient is the negated ascent direction at the refined point; in
-    coupled mode (dev not None) the phase network's adds 2 * rho * dev."""
+def _backward_passes(cfg, ch, point, field, precoded, tapes, updates, rho, dev):
+    """The passes of the three networks: the precoder network's, and each
+    surface network's whose flag in updates is set, None for the others.
+    Each loss gradient is the negated ascent direction at the refined
+    point; in coupled mode (dev not None) the phase network's adds 2 * rho
+    * dev."""
     _, beta, _, phasor = point
     tape_w, tape_a, tape_t = tapes
     update_an, update_tn = updates
-    passes[0].extend(_precoder_block_backward(tape_w, -precoder_pullback(field)))
+    passes = [_precoder_block_backward(tape_w, -precoder_pullback(field)), None, None]
     if update_an or update_tn:
         bracket = surface_bracket(cfg, ch, field, precoded, phasor)
         grad_beta, grad_theta = amplitude_ascent(bracket), phase_ascent(bracket, beta)
     if update_an:
-        passes[1].extend(_amplitude_block_backward(tape_a, -grad_beta))
+        passes[1] = _amplitude_block_backward(tape_a, -grad_beta)
     if update_tn:
         g_t = -grad_theta if dev is None else -grad_theta + 2.0 * rho * dev
-        passes[2].extend(_phase_block_backward(tape_t, g_t))
+        passes[2] = _phase_block_backward(tape_t, g_t)
+    return passes
 
 
 def _adam_steps(nets, adams, passes, train, epoch):
-    """Step each network that has passes on the mean of its gradient over
-    the epoch's outer iterations, formed in one mlp_backward call. In
-    coupled mode the phase network's rate decays (see PHASE_RATE_FLOOR)."""
+    """Step each network that has a pass on the gradient mlp_backward forms
+    from it. In coupled mode the phase network's rate decays (see
+    PHASE_RATE_FLOOR)."""
     lr_tn = train.lr_theta
     if train.mode == MODE_COUPLED:
         lr_tn *= PHASE_RATE_FLOOR ** (epoch / train.n_epochs)
-    for name, adam, lr, net_passes in zip(("pn", "an", "tn"), adams,
-                                          (train.lr_w, train.lr_a, lr_tn), passes):
-        if net_passes:
+    for name, adam, lr, net_pass in zip(("pn", "an", "tn"), adams,
+                                        (train.lr_w, train.lr_a, lr_tn), passes):
+        if net_pass is not None:
             net = getattr(nets, name)
-            grad = mlp_backward(net, net_passes)
-            if train.n_outer > 1:  # x * 1.0 == x
-                grad *= 1.0 / train.n_outer
+            grad = mlp_backward(net, *net_pass)
             try:
                 adam_step(net.flat, grad, adam, lr)
             except DegenerateInputError as err:

@@ -1,3 +1,6 @@
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -226,3 +229,25 @@ class TestChannelIO:
         text = "\n".join(["starbeam-channels v1", "2 1 1", *rows]) + "\n"
         with pytest.raises(ConfigurationError, match=f"^{message}$"):
             channels_from_text(text)
+
+    @pytest.mark.parametrize("n", [20000, 10000000000])
+    def test_dimension_line_reserves_nothing(self, n):
+        """A dimension line far larger than the text is refused at the first
+        short row, before any array of its size is made."""
+        text = f"starbeam-channels v1\n{n} {n} 1\n0 0 0 0\n"
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigurationError, match=re.escape(
+                    f"channel G row 0: expected {2 * n} values, saw 4")):
+                channels_from_text(text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_non_ascii_file_named(self, tmp_path):
+        path = tmp_path / "accent.txt"
+        path.write_bytes(b"starbeam-channels v1\n1 1 1\n0 0\n0 \xc3 0\n")
+        with pytest.raises(ConfigurationError,
+                           match=f"^channel file {re.escape(repr(str(path)))} is not ASCII"):
+            load_channels(str(path))

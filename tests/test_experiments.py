@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -325,6 +326,20 @@ class TestCli:
         path = self._write_config(tmp_path, raw)
         with pytest.raises(ConfigurationError, match=where):
             cli_main(["run", "--config", path])
+
+    @pytest.mark.parametrize("command, raw, where", [
+        ("run", {"train": 5}, "'train' must be a JSON object; got 5"),
+        ("run", {"system": None}, "'system' must be a JSON object; got None"),
+        ("run", {"train": "n_epochs"},
+         "'train' must be a JSON object; got 'n_epochs'"),
+        ("experiment", 5, "the experiment spec must be a JSON object; got 5"),
+    ], ids=["section_number", "section_null", "section_string", "spec_number"])
+    def test_non_object_config_rejected(self, tmp_path, command, raw, where):
+        path = self._write_config(tmp_path, raw)
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(where)}$"):
+            cli_main([command, path, "--out", str(tmp_path / "out")]
+                     if command == "experiment" else [command, "--config", path])
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("section, key, field", [
         ("system", "p_max_w", "p_max"),

@@ -50,8 +50,7 @@ CASES = [
     (SystemConfig, "weights", Kind.FINITE.listed().or_none(),
      [[], [NAN, 1.0], [INF, 1.0], [-INF, 1.0], [True, True], ["1", "2"],
       [[1.0], [2.0]], 1.0, "12", -1]),
-    *[(TrainConfig, f, Kind.COUNT, COUNT)
-      for f in ("n_epochs", "n_outer", "n_inner", "n1", "n2")],
+    *[(TrainConfig, f, Kind.COUNT, COUNT) for f in ("n_epochs", "n1", "n2")],
     *[(TrainConfig, f, Kind.POSITIVE, POSITIVE)
       for f in ("lr_w", "lr_a", "lr_theta", "rho_min", "rho_max")],
     (TrainConfig, "mode", Kind.choice(MODE_INDEPENDENT, MODE_COUPLED), CHOICE),

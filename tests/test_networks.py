@@ -44,7 +44,7 @@ def precoder_step(net, seed, K, perm=None):
     if perm is not None:
         rows, W0 = rows[perm], W0[:, perm]
     pn = RecordingMlp(net)
-    W, _ = _precoder_block(pn, W0, rows, cfg, 1)
+    W, _ = _precoder_block(pn, W0, rows, cfg)
     grad = precoder_pullback(received_field(cfg, rows, W0))
     return pn.inputs[0], grad, W0, cfg, W
 
@@ -52,6 +52,13 @@ def precoder_step(net, seed, K, perm=None):
 def packed(g):
     """The rows the precoder block feeds its network for the gradient g."""
     return np.vstack([g.real.T, g.imag.T])
+
+
+def stacked_pass(passes):
+    """One pass of the rows of the given (cache, grad_out) passes, stacked
+    in order."""
+    *cache, grad_out = (np.concatenate(a) for a in zip(*((*c, g) for c, g in passes)))
+    return tuple(cache), grad_out
 
 
 def one_pass_reference(net, cache, grad_out):
@@ -112,7 +119,7 @@ class TestMlp:
         x = rng.standard_normal((2, 4))
         gy = rng.standard_normal((2, 3))
         y, cache = net.forward_with_cache(x)
-        grads = mlp_backward(net, [(cache, gy)])
+        grads = mlp_backward(net, cache, gy)
         eps = 1e-6
         # one random coordinate of each of w1, b1, w2, b2
         for block in net.split(np.arange(net.flat.size)):
@@ -126,21 +133,22 @@ class TestMlp:
             assert fd == pytest.approx(grads[i], rel=1e-5, abs=1e-9)
 
     def test_backward_adds_into_accumulator(self):
-        """The passes an epoch accumulates are added: a pass listed twice
-        gives twice its gradient, exactly, as the doubling of a product is
-        exact whichever way it is rounded."""
+        """The rows of a pass are added: a pass of one row stacked twice
+        gives twice that row's gradient, exactly, as the doubling of a
+        product is exact whichever way it is rounded."""
         rng = np.random.default_rng(8)
         net = init_mlp(4, 6, 3, rng)
         _, cache = net.forward_with_cache(rng.standard_normal((1, 4)))
-        one_pass = (cache, rng.standard_normal((1, 3)))
-        once = mlp_backward(net, [one_pass])
-        assert np.array_equal(mlp_backward(net, [one_pass, one_pass]), once + once)
+        gy = rng.standard_normal((1, 3))
+        once = mlp_backward(net, cache, gy)
+        twice = mlp_backward(net, *stacked_pass([(cache, gy)] * 2))
+        assert np.array_equal(twice, once + once)
 
     @pytest.mark.parametrize("din, hidden, batch", [(64, 200, None), (64, 200, 3)])
     def test_backward_adds_by_blocks_of_rows(self, din, hidden, batch):
-        """Three passes of one row, or of a batch, each a block of rows, give
-        the gradient of one pass over all their rows: every row gets its
-        product once."""
+        """One pass over all rows gives the sum of the gradients of three
+        passes of one row, or of a batch, each a block of those rows: every
+        row gets its product once."""
         rng = np.random.default_rng(14)
         net = init_mlp(din, hidden, din, rng)
         rows = 1 if batch is None else batch
@@ -148,8 +156,9 @@ class TestMlp:
         gy = rng.standard_normal((3 * rows, din))
         passes = [(net.forward_with_cache(xb)[1], gb)
                   for xb, gb in zip(np.split(x, 3), np.split(gy, 3))]
-        whole = mlp_backward(net, [(net.forward_with_cache(x)[1], gy)])
-        np.testing.assert_allclose(mlp_backward(net, passes), whole, rtol=1e-6,
+        whole = mlp_backward(net, net.forward_with_cache(x)[1], gy)
+        blocks = np.sum([mlp_backward(net, *p) for p in passes], axis=0)
+        np.testing.assert_allclose(blocks, whole, rtol=1e-6,
                                    atol=1e-6 * np.abs(whole).max())
 
     @pytest.mark.parametrize("din, hidden, batch", [
@@ -157,16 +166,16 @@ class TestMlp:
         (200, 300, None),  # a paper-scale AN's single rows
     ])
     def test_backward_over_passes_sums_their_gradients(self, din, hidden, batch):
-        """The gradient of k passes, their rows stacked into one product,
-        is the sum of their one-pass gradients; one pass gives the
-        term-by-term gradient, bitwise for a batch and up to the sign of
-        zero for a single row (an outer product forms 0 + a*b)."""
+        """One pass of the stacked rows of k passes gives the sum of their
+        one-pass gradients; one pass gives the term-by-term gradient,
+        bitwise for a batch and up to the sign of zero for a single row (an
+        outer product forms 0 + a*b)."""
         rng = np.random.default_rng(14)
         net = init_mlp(din, hidden, din, rng)
         shape = (1 if batch is None else batch, din)
         passes = [(net.forward_with_cache(rng.standard_normal(shape))[1],
                    rng.standard_normal(shape)) for _ in range(3)]
-        singles = [mlp_backward(net, [p]) for p in passes]
+        singles = [mlp_backward(net, *p) for p in passes]
         for single, (cache, gy) in zip(singles, passes):
             reference = one_pass_reference(net, cache, gy)
             if batch is None:
@@ -174,18 +183,19 @@ class TestMlp:
             assert single.tobytes() == reference.tobytes()
         for k in (2, 3):
             total = np.sum(singles[:k], axis=0)
-            np.testing.assert_allclose(mlp_backward(net, passes[:k]), total,
-                                       rtol=1e-6, atol=1e-6 * np.abs(total).max())
+            np.testing.assert_allclose(mlp_backward(net, *stacked_pass(passes[:k])),
+                                       total, rtol=1e-6,
+                                       atol=1e-6 * np.abs(total).max())
 
     def test_single_row_backward_allocates_only_its_gradient(self):
         rng = np.random.default_rng(15)
         net = init_mlp(200, 300, 200, rng)  # a paper-scale AN or TN
-        passes = [(net.forward_with_cache(rng.standard_normal((1, 200)))[1],
-                   rng.standard_normal((1, 200)))]
-        mlp_backward(net, passes)  # warm-up
+        one_pass = (net.forward_with_cache(rng.standard_normal((1, 200)))[1],
+                    rng.standard_normal((1, 200)))
+        mlp_backward(net, *one_pass)  # warm-up
         tracemalloc.start()
         try:
-            grad = mlp_backward(net, passes)
+            grad = mlp_backward(net, *one_pass)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -258,7 +268,7 @@ class TestMlp:
         assert net.flat.dtype == dtype
         y, cache = net.forward_with_cache(rng.standard_normal((1, 4)))
         assert y.dtype == dtype and all(a.dtype == dtype for a in cache[:3])
-        grad = mlp_backward(net, [(cache, rng.standard_normal((1, 4)))])
+        grad = mlp_backward(net, cache, rng.standard_normal((1, 4)))
         assert grad.dtype == dtype
         assert precoder_step(net, 17, K=2)[-1].dtype == np.complex128
 

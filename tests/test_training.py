@@ -158,7 +158,7 @@ def assert_close(analytic, reference):
 def record_refined_state(monkeypatch):
     """Patch the loop's three forward blocks to record their outputs.
     Returns a function giving the state they last refined, the refined
-    point of the current outer iteration when every block runs."""
+    point of the current epoch when every block runs."""
     out = {}
 
     def spy(name, block):
@@ -175,8 +175,8 @@ def record_refined_state(monkeypatch):
 
 
 def record_fed_gradients(monkeypatch, cfg, ch, train):
-    """Run the loop with every network updated every epoch and one outer
-    iteration. Returns, per epoch, the refined state, rho, the loss
+    """Run the loop with every network updated every epoch. Returns, per
+    epoch, the refined state, rho, the loss
     gradient the loop passed to each network's backward pass, and the
     rates the loop took (the raw rate, then in coupled mode the hardened
     copy's)."""
@@ -266,32 +266,31 @@ def state_rows(cfg, ch, state):
 
 
 class TestInnerUpdates:
-    """The inner blocks of the loop, one refinement of one group each."""
+    """The blocks of the loop, one refinement of one group each."""
 
     def test_zero_pn_leaves_state(self, instance):
         cfg, ch, state = instance
         W, _ = _precoder_block(zero_nets(cfg).pn, state.W,
-                               state_rows(cfg, ch, state), cfg, 1)
+                               state_rows(cfg, ch, state), cfg)
         assert np.allclose(W, state.W, rtol=1e-14)
 
     def test_precoder_power_restored(self, instance):
         cfg, ch, state = instance
         nets = init_networks(cfg, np.random.default_rng(0))
-        W, _ = _precoder_block(nets.pn, state.W, state_rows(cfg, ch, state),
-                               cfg, 3)
+        W, _ = _precoder_block(nets.pn, state.W, state_rows(cfg, ch, state), cfg)
         assert np.vdot(W, W).real == pytest.approx(cfg.p_max, rel=1e-9)
 
     def test_zero_an_leaves_amplitudes(self, instance):
         cfg, ch, state = instance
         beta, _ = _amplitude_block(zero_nets(cfg).an, state.beta, state.W,
-                                   *shared_terms(ch, state), cfg, ch, 1)
+                                   *shared_terms(ch, state), cfg, ch)
         assert np.allclose(beta, state.beta, atol=1e-14)
 
     def test_amplitude_energy_conservation(self, instance):
         cfg, ch, state = instance
         nets = init_networks(cfg, np.random.default_rng(1))
         beta, _ = _amplitude_block(nets.an, state.beta, state.W,
-                                   *shared_terms(ch, state), cfg, ch, 2)
+                                   *shared_terms(ch, state), cfg, ch)
         n = cfg.N
         assert np.max(np.abs(beta[:n]**2 + beta[n:]**2 - 1)) < 1e-12
 
@@ -299,7 +298,7 @@ class TestInnerUpdates:
         cfg, ch, state = instance
         precoded, phasor = shared_terms(ch, state)
         theta, _, _ = _phase_block(zero_nets(cfg).tn, state.theta, phasor,
-                                   state.W, precoded, state.beta, cfg, ch, 1)
+                                   state.W, precoded, state.beta, cfg, ch)
         expected = np.mod(state.theta + np.pi, 2 * np.pi)
         assert np.allclose(theta, expected, atol=1e-12)
 
@@ -308,14 +307,14 @@ class TestInnerUpdates:
         pn = zero_nets(cfg).pn
         pn.b2[0] = np.nan
         with pytest.raises(DegenerateInputError, match="non-finite precoder"):
-            _precoder_block(pn, state.W, state_rows(cfg, ch, state), cfg, 1)
+            _precoder_block(pn, state.W, state_rows(cfg, ch, state), cfg)
 
     def test_phases_stay_wrapped(self, instance):
         cfg, ch, state = instance
         nets = init_networks(cfg, np.random.default_rng(2))
         precoded, phasor = shared_terms(ch, state)
         theta, _, _ = _phase_block(nets.tn, state.theta, phasor, state.W,
-                                   precoded, state.beta, cfg, ch, 4)
+                                   precoded, state.beta, cfg, ch)
         assert (theta >= 0).all() and (theta < 2 * np.pi).all()
 
 
@@ -325,10 +324,10 @@ def assert_bitwise(a, b):
 
 
 class TestLeanBlocks:
-    """Each inner block computes only the gradient it feeds its network,
-    from the shared G @ W and phasors; that gradient is bitwise the one of
-    the full bundle at the same state, at the block's first step and at the
-    second, the state the first step produced."""
+    """Each block computes only the gradient it feeds its network, from the
+    shared G @ W and phasors; that gradient is bitwise the one of the full
+    bundle at the same state, for a step from the start and for a step from
+    the state that first step produced."""
 
     @edge_cases
     def test_block_inputs_equal_full_bundle(self, seed, dims, sides, weights):
@@ -342,22 +341,22 @@ class TestLeanBlocks:
             return wsr_gradients(cfg, ch, make_state(W, beta, theta))
 
         rows = state_rows(cfg, ch, state)
-        W1, _ = _precoder_block(pn, W0, rows, cfg, 1)
-        _precoder_block(pn, W0, rows, cfg, 2)
-        for x, W in zip(pn.inputs[1:], (W0, W1)):
+        W1, _ = _precoder_block(pn, W0, rows, cfg)
+        _precoder_block(pn, W1, rows, cfg)
+        for x, W in zip(pn.inputs, (W0, W1)):
             g = bundle(W, beta0, theta0).grad_w
             assert_bitwise(x, np.vstack([g.real.T, g.imag.T]))
 
-        beta1, _ = _amplitude_block(an, beta0, W0, precoded, phasor, cfg, ch, 1)
-        _amplitude_block(an, beta0, W0, precoded, phasor, cfg, ch, 2)
-        for x, beta in zip(an.inputs[1:], (beta0, beta1)):
+        beta1, _ = _amplitude_block(an, beta0, W0, precoded, phasor, cfg, ch)
+        _amplitude_block(an, beta1, W0, precoded, phasor, cfg, ch)
+        for x, beta in zip(an.inputs, (beta0, beta1)):
             assert_bitwise(x, bundle(W0, beta, theta0).grad_beta[None, :])
 
         theta1, phasor1, _ = _phase_block(tn, theta0, phasor, W0, precoded,
-                                          beta0, cfg, ch, 1)
+                                          beta0, cfg, ch)
         assert_bitwise(phasor1, np.exp(1j * theta1))
-        _phase_block(tn, theta0, phasor, W0, precoded, beta0, cfg, ch, 2)
-        for x, theta in zip(tn.inputs[1:], (theta0, theta1)):
+        _phase_block(tn, theta1, phasor1, W0, precoded, beta0, cfg, ch)
+        for x, theta in zip(tn.inputs, (theta0, theta1)):
             assert_bitwise(x, bundle(W0, beta0, theta).grad_theta[None, :])
 
 
@@ -392,16 +391,16 @@ class TestRefinedPoint:
         (True, True), (False, True), (True, False), (False, False)])
     def test_surface_bracket_only_on_update_epochs(
             self, monkeypatch, enable_an, enable_tn):
-        """Besides the n_inner brackets of each running surface block, an
-        epoch forms one at the refined point exactly when it updates the
-        amplitude or phase network."""
+        """Besides the bracket of each running surface block, an epoch forms
+        one at the refined point exactly when it updates the amplitude or
+        phase network."""
         cfg, ch, _ = make_instance(3, M=4, N=6, K=2)
-        train = TrainConfig(n_epochs=7, n_inner=2, n1=2, n2=3, seed=1)
+        train = TrainConfig(n_epochs=7, n1=2, n2=3, seed=1)
         per_epoch = []
         precoder = training._precoder_block
 
         def precoder_spy(*args):
-            per_epoch.append(0)  # n_outer is 1: one precoder block per epoch
+            per_epoch.append(0)  # one precoder block per epoch
             return precoder(*args)
 
         def bracket_spy(*args):
@@ -412,7 +411,7 @@ class TestRefinedPoint:
         monkeypatch.setattr(training, "surface_bracket", bracket_spy)
         run_meta_loop(cfg, ch, train, enable_an=enable_an, enable_tn=enable_tn)
         assert len(per_epoch) == train.n_epochs
-        blocks = train.n_inner * (enable_an + enable_tn)
+        blocks = enable_an + enable_tn
         for epoch, count in enumerate(per_epoch, 1):
             update = ((enable_an and epoch % train.n1 == 0)
                       or (enable_tn and epoch % train.n2 == 0))
@@ -422,12 +421,10 @@ class TestRefinedPoint:
         (True, True), (False, True), (False, False)])
     def test_precoder_block_reuses_refined_rows(
             self, monkeypatch, enable_an, enable_tn):
-        """With n_inner = 3 and two outer iterations, each precoder block
-        gives what it gives at rows recomputed from the amplitudes and
-        phasors it runs at."""
+        """Each precoder block gives what it gives at rows recomputed from
+        the amplitudes and phasors it runs at."""
         cfg, ch, _ = make_instance(7, M=4, N=6, K=2)
-        train = TrainConfig(n_epochs=3, n_outer=2, n_inner=3, n1=1, n2=1,
-                            seed=1)
+        train = TrainConfig(n_epochs=3, n1=1, n2=1, seed=1)
         rng = np.random.default_rng(train.seed)
         init_networks(cfg, rng)  # consumed as the loop consumes it
         _, beta0, theta0 = initial_state(cfg, rng)
@@ -436,11 +433,10 @@ class TestRefinedPoint:
                   for name in ("precoder", "amplitude", "phase")}
         outputs = []
 
-        def precoder_spy(pn, W0, rows, cfg_, n_inner):
-            result = blocks["precoder"](pn, W0, rows, cfg_, n_inner)
+        def precoder_spy(pn, W0, rows, cfg_):
+            result = blocks["precoder"](pn, W0, rows, cfg_)
             fresh = effective_rows(cfg, ch, surface["beta"] * surface["phasor"])
-            W_fresh, _ = blocks["precoder"](pn, W0, fresh, cfg_, n_inner)
-            assert n_inner == 3
+            W_fresh, _ = blocks["precoder"](pn, W0, fresh, cfg_)
             assert_bitwise(rows, fresh)
             assert_bitwise(result[0], W_fresh)
             outputs.append(result[0])
@@ -460,7 +456,7 @@ class TestRefinedPoint:
         monkeypatch.setattr(training, "_amplitude_block", amplitude_spy)
         monkeypatch.setattr(training, "_phase_block", phase_spy)
         run_meta_loop(cfg, ch, train, enable_an=enable_an, enable_tn=enable_tn)
-        assert len(outputs) == train.n_epochs * train.n_outer
+        assert len(outputs) == train.n_epochs
 
 
 class TestMetaGradients:
@@ -479,12 +475,12 @@ class TestMetaGradients:
 
     def _forward(self):
         s, phasor0 = self.start, self.phasor0
-        W, tw = _precoder_block(self.nets.pn, s.W, self.rows0, self.cfg, 1)
+        W, tw = _precoder_block(self.nets.pn, s.W, self.rows0, self.cfg)
         precoded = self.ch.G @ W
         beta, ta = _amplitude_block(self.nets.an, s.beta, W, precoded, phasor0,
-                                    self.cfg, self.ch, 1)
+                                    self.cfg, self.ch)
         theta, _, tt = _phase_block(self.nets.tn, s.theta, phasor0, W, precoded,
-                                    beta, self.cfg, self.ch, 1)
+                                    beta, self.cfg, self.ch)
         return W, beta, theta, tw, ta, tt
 
     def _check(self, grads, net_attr, loss_fn, rng):
@@ -506,22 +502,22 @@ class TestMetaGradients:
         W, beta, theta, tw, ta, tt = self._forward()
         final = make_state(W, beta, theta)
         bundle = wsr_gradients(cfg, ch, final)
-        g_pn = mlp_backward(self.nets.pn, _precoder_block_backward(tw, -bundle.grad_w))
-        g_an = mlp_backward(self.nets.an, _amplitude_block_backward(ta, -bundle.grad_beta))
-        g_tn = mlp_backward(self.nets.tn, _phase_block_backward(tt, -bundle.grad_theta))
+        g_pn = mlp_backward(self.nets.pn, *_precoder_block_backward(tw, -bundle.grad_w))
+        g_an = mlp_backward(self.nets.an, *_amplitude_block_backward(ta, -bundle.grad_beta))
+        g_tn = mlp_backward(self.nets.tn, *_phase_block_backward(tt, -bundle.grad_theta))
         s, phasor0, precoded = self.start, self.phasor0, ch.G @ W
 
         def loss_pn(pn):
-            w2, _ = _precoder_block(pn, s.W, self.rows0, cfg, 1)
+            w2, _ = _precoder_block(pn, s.W, self.rows0, cfg)
             return -evaluate_wsr(cfg, ch, make_state(w2, beta, theta))
 
         def loss_an(an):
-            b2, _ = _amplitude_block(an, s.beta, W, precoded, phasor0, cfg, ch, 1)
+            b2, _ = _amplitude_block(an, s.beta, W, precoded, phasor0, cfg, ch)
             return -evaluate_wsr(cfg, ch, make_state(W, b2, theta))
 
         def loss_tn(tn):
             t2, _, _ = _phase_block(tn, s.theta, phasor0, W, precoded, beta,
-                                    cfg, ch, 1)
+                                    cfg, ch)
             return -evaluate_wsr(cfg, ch, make_state(W, beta, t2))
 
         rng = np.random.default_rng(5)
@@ -538,12 +534,12 @@ class TestMetaGradients:
         proj = np.concatenate([aux.theta_t_aux, aux.theta_r_aux])
         # the phase-network loss gradient as run_meta_loop forms it
         g_t = -wsr_gradients(cfg, ch, final).grad_theta + 2.0 * rho * (theta - proj)
-        g_tn = mlp_backward(self.nets.tn, _phase_block_backward(tt, g_t))
+        g_tn = mlp_backward(self.nets.tn, *_phase_block_backward(tt, g_t))
         s, precoded = self.start, ch.G @ W
 
         def loss_tn(tn):
             t2, _, _ = _phase_block(tn, s.theta, self.phasor0, W, precoded, beta,
-                                    cfg, ch, 1)
+                                    cfg, ch)
             return coupled_tn_objective(cfg, ch, make_state(W, beta, t2), rho)
 
         self._check(g_tn, "tn", loss_tn, np.random.default_rng(6))
@@ -568,18 +564,16 @@ def max_residual(state):
 
 
 class TestRunGml:
-    def small_setup(self, mode="independent", seed=0, n_epochs=20, n_outer=1):
+    def small_setup(self, mode="independent", seed=0, n_epochs=20):
         sys_cfg, ch_cfg = desk_scenario(K=2)
         ch = generate_channels(sys_cfg, ch_cfg, np.random.default_rng(123))
         train = TrainConfig(n_epochs=n_epochs, mode=mode, seed=seed,
-                            rho_min=0.3, rho_max=3000.0, n2=1,
-                            n_outer=n_outer)
+                            rho_min=0.3, rho_max=3000.0, n2=1)
         return sys_cfg, ch, train
 
     def spied_coupled_run(self, monkeypatch, script=None, **kwargs):
         """Coupled run with the loop's rates recorded. Returns the solution
-        and, per refined state in loop order (every outer iteration of every
-        epoch), (raw rate, raw residual, post-projection rate, the bytes of
+        and, per refined state in loop order (one per epoch), (raw rate, raw residual, post-projection rate, the bytes of
         the hardened phases). The loop takes two rates per refined state:
         the raw one at the refined point, then the one of its hardened copy,
         whose phases are the wrapped projection the loop computes.
@@ -592,7 +586,7 @@ class TestRunGml:
         rates and residuals are then the scripted ones. The residual of the
         reported state, checked after the loop, stays the true one."""
         sys_cfg, ch, train = self.small_setup(mode="coupled", **kwargs)
-        n_states = train.n_epochs * train.n_outer
+        n_states = train.n_epochs
         assert script is None or len(script) == n_states
         refined = record_refined_state(monkeypatch)
         calls, projections, residuals = [], [], []
@@ -657,9 +651,9 @@ class TestRunGml:
         assert sol.residual_pre_projection == residual
         assert sol.feasible_coupled
         trace = sol.traces["wsr_best_post_projection"]
-        per_epoch = len(states) // len(trace)
+        assert len(trace) == len(states)
         for idx, rate in enumerate(trace):
-            assert rate == self.expected_pick(states[:(idx + 1) * per_epoch])[2]
+            assert rate == self.expected_pick(states[:idx + 1])[2]
         assert trace[-1] == sol.wsr_opt
 
     def test_coupled_reports_best_locked_state(self, monkeypatch):
@@ -689,23 +683,6 @@ class TestRunGml:
         assert sol.wsr_opt == max(s[2] for s in states)
         assert sol.residual_pre_projection >= COUPLING_TOL
 
-    def test_coupled_selection_sees_every_outer_iteration(self, monkeypatch):
-        """Scripted over two outer iterations per epoch: the best locked
-        state is a first outer iteration's."""
-        script = [(1.1, 0.50, 1.0), (1.2, 0.40, 1.1), (1.9, 0.03, 1.8),
-                  (2.6, 0.20, 2.5), (1.4, 0.10, 1.3), (1.8, 0.04, 1.7),
-                  (1.7, 0.02, 1.6), (1.8, 0.01, 1.75)]
-        sol, states = self.spied_coupled_run(
-            monkeypatch, script, n_epochs=4, n_outer=2)
-        # the residual trace is the last outer iteration's of each epoch
-        assert np.array_equal(sol.traces["residual_max"],
-                              [s[1] for s in states[1::2]])
-        # precondition: the pick is a first outer iteration, which no
-        # per-epoch trace records
-        assert states.index(self.expected_pick(states)) % 2 == 0
-        self.check_reported(sol, states)
-        assert sol.residual_pre_projection < COUPLING_TOL
-
     @pytest.mark.parametrize("arg", ["enable_an", "enable_tn"])
     @pytest.mark.parametrize("value", ["no", 0, 1, None, np.bool_(True)])
     def test_enable_flags_must_be_bool(self, monkeypatch, arg, value):
@@ -733,13 +710,12 @@ class TestRunGml:
 
     def test_nan_phase_names_its_epoch(self, monkeypatch):
         """A NaN from the phase network's sigmoid reaches the rate first:
-        the loop reports it with its epoch and outer iteration, and the
-        rate says it saw a NaN."""
+        the loop reports it with its epoch, and the rate says it saw a
+        NaN."""
         sys_cfg, ch, train = self.small_setup("coupled", n_epochs=5)
         monkeypatch.setattr(training, "sigmoid", lambda x: np.full_like(x, np.nan))
         with pytest.raises(DegenerateInputError, match=re.escape(
-                "epoch 1, outer iteration 1: SINR values must be "
-                "non-negative; saw NaN")):
+                "epoch 1: SINR values must be non-negative; saw NaN")):
             run_meta_loop(sys_cfg, ch, train)
 
     def test_nan_parameter_gradient_names_its_epoch_and_network(
@@ -749,25 +725,24 @@ class TestRunGml:
         sys_cfg, ch, train = self.small_setup(n_epochs=5)
         backward = training.mlp_backward
         monkeypatch.setattr(training, "mlp_backward",
-                            lambda net, passes: backward(net, passes) * np.nan)
+                            lambda *args: backward(*args) * np.nan)
         with pytest.raises(DegenerateInputError, match=re.escape(
                 "epoch 1, pn network: non-finite gradient")):
             run_meta_loop(sys_cfg, ch, train)
 
     @pytest.mark.parametrize("mode", ["independent", "coupled"])
     def test_one_full_bundle_per_outer_iteration(self, monkeypatch, mode):
-        """The inner blocks compute only the gradients they feed their
-        networks; the refined point of each outer iteration takes one
-        received field, after the n_inner fields of each block, at the
-        refined state."""
-        sys_cfg, ch, train = self.small_setup(mode=mode, n_epochs=6, n_outer=2)
+        """The blocks compute only the gradients they feed their networks;
+        the refined point of each epoch takes one received field, after the
+        one field of each block, at the refined state."""
+        sys_cfg, ch, train = self.small_setup(mode=mode, n_epochs=6)
         refined = record_refined_state(monkeypatch)
-        per_outer = 3 * train.n_inner + 1
+        per_epoch = 4
         calls, states = [], []
 
         def field_spy(cfg, rows, W):
             calls.append(None)
-            if len(calls) % per_outer == 0:  # the refined point's field
+            if len(calls) % per_epoch == 0:  # the refined point's field
                 state = refined()
                 assert_bitwise(rows, state_rows(cfg, ch, state))
                 assert_bitwise(W, state.W)
@@ -776,8 +751,8 @@ class TestRunGml:
 
         monkeypatch.setattr(training, "received_field", field_spy)
         sol = run_gml(sys_cfg, ch, train)
-        assert len(calls) == train.n_epochs * train.n_outer * per_outer
-        assert len(states) == train.n_epochs * train.n_outer
+        assert len(calls) == train.n_epochs * per_epoch
+        assert len(states) == train.n_epochs
         # the last field is at the last refined state, which the trace shows
         last = states[-1]
         assert np.array_equal(sol.traces["phase_diff"][-1],
@@ -786,11 +761,10 @@ class TestRunGml:
     def test_each_network_steps_once_right_after_its_last_backward(
             self, monkeypatch):
         """Each network takes one Adam step per epoch, after every backward
-        chain of the epoch, on the mean of the gradient that one
-        mlp_backward call forms from all the passes its chains returned:
-        with n_outer = n_inner = 2, four passes over two outer iterations."""
+        chain of the epoch, on the very array that its mlp_backward call
+        forms from the pass its chain returned."""
         sys_cfg, ch, _ = self.small_setup()
-        train = TrainConfig(n_epochs=3, n_outer=2, n_inner=2, n1=1, n2=1)
+        train = TrainConfig(n_epochs=3, n1=1, n2=1)
         names = ("pn", "an", "tn")
         nets, events = [], []
         init, backward = training.init_networks, training.mlp_backward
@@ -805,15 +779,15 @@ class TestRunGml:
 
         def chain_spy(name, chain):
             def wrapped(*args):
-                passes = chain(*args)
-                events.append(("chain", name, passes))
-                return passes
+                net_pass = chain(*args)
+                events.append(("chain", name, net_pass))
+                return net_pass
             return wrapped
 
-        def backward_spy(net, passes):
-            grad = backward(net, passes)
-            events.append(("backward", name_of(net.flat), (list(passes), grad,
-                                                           grad.copy())))
+        def backward_spy(net, cache, grad_out):
+            grad = backward(net, cache, grad_out)
+            events.append(("backward", name_of(net.flat),
+                           ((cache, grad_out), grad, grad.copy())))
             return grad
 
         def adam_spy(params, grads, state, lr):  # the step overwrites grads
@@ -828,21 +802,20 @@ class TestRunGml:
         monkeypatch.setattr(training, "mlp_backward", backward_spy)
         monkeypatch.setattr(training, "adam_step", adam_spy)
         run_gml(sys_cfg, ch, train)
-        per_epoch = 3 * (train.n_outer + 2)
+        per_epoch = 9
         assert len(events) == train.n_epochs * per_epoch
         for start in range(0, len(events), per_epoch):
             epoch = events[start:start + per_epoch]
             kinds = [event[0] for event in epoch]
-            assert kinds == ["chain"] * 3 * train.n_outer + ["backward", "step"] * 3
+            assert kinds == ["chain"] * 3 + ["backward", "step"] * 3
             for name in names:
-                *chains, formed, (step, stepped) = [
+                chained, formed, (step, stepped) = [
                     e[2] for e in epoch if e[1] == name]
-                passes, grad, sum_grad = formed
-                expected = [p for chain in chains for p in chain]
-                assert len(passes) == train.n_outer * train.n_inner == len(expected)
-                assert all(a is b for a, b in zip(passes, expected))
+                net_pass, grad, formed_grad = formed
+                assert len(chained) == 2
+                assert all(a is b for a, b in zip(net_pass, chained))
                 assert step is grad
-                assert_bitwise(stepped, sum_grad * (1.0 / train.n_outer))
+                assert_bitwise(stepped, formed_grad)
 
     @pytest.mark.parametrize("mode", ["independent", "coupled"])
     def test_phase_rate_decays_in_coupled_mode_only(self, monkeypatch, mode):
@@ -876,14 +849,14 @@ class TestRunGml:
         assert rates["tn"] == [train.lr_theta * floor ** (e / n) for e in tn_epochs]
 
     @staticmethod
-    def paper_peak_words(mode, n_outer):
+    def paper_peak_words(mode):
         """Traced peak of a 5-epoch paper-scale solve, in words of the
         networks' dtype per network parameter."""
         cfg, ch_cfg = default_scenario()
         ch = generate_channels(cfg, ch_cfg, np.random.default_rng(100))
         nets = init_networks(cfg, np.random.default_rng(0))
         n_params = nets.pn.flat.size + nets.an.flat.size + nets.tn.flat.size
-        train = replace(paper_train(mode), n_epochs=5, n_outer=n_outer)
+        train = replace(paper_train(mode), n_epochs=5)
         tracemalloc.start()
         try:
             run_gml(cfg, ch, train)
@@ -899,17 +872,7 @@ class TestRunGml:
         scratch: its traced peak stays under 3.75 words of the networks'
         dtype per network parameter (about 3.54 measured; a separate block
         scratch per network took it to about 4.23)."""
-        assert self.paper_peak_words(mode, n_outer=1) <= 3.75
-
-    @pytest.mark.parametrize("mode", ["independent", "coupled"])
-    def test_paper_solve_array_memory_two_outer_iterations(self, mode):
-        """With two outer iterations the epoch keeps both iterations'
-        activations, not a gradient, until its one backward call per
-        network, so the peak stays under the one-iteration bound of 3.75
-        words (about 3.58 measured, and 4.27 with a block scratch per
-        network; a gradient alive across the outer iterations took it to
-        about 4.85)."""
-        assert self.paper_peak_words(mode, n_outer=2) <= 3.75
+        assert self.paper_peak_words(mode) <= 3.75
 
     def test_deterministic_bitwise(self):
         sys_cfg, ch, train = self.small_setup()

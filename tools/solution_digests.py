@@ -68,9 +68,9 @@ BATTERY_EPOCHS = 300
 CLI_CONFIG = {
     "system": {"M": 8, "N": 16, "K": 2, "p_max_w": 0.01, "noise_power_w": 1e-14,
                "weights": [1, 2], "user_sides": ["reflection", "transmission"]},
-    "train": {"n_epochs": 100, "n_outer": 1, "n_inner": 1, "lr_w": 0.001,
-              "lr_a": 0.005, "lr_theta": 0.005, "n1": 5, "n2": 1,
-              "mode": "independent", "rho_min": 0.3, "rho_max": 3000, "seed": 4},
+    "train": {"n_epochs": 100, "lr_w": 0.001, "lr_a": 0.005, "lr_theta": 0.005,
+              "n1": 5, "n2": 1, "mode": "independent", "rho_min": 0.3,
+              "rho_max": 3000, "seed": 4},
     "channel": {"rician_k_g": 10, "rician_k_h": 8, "bs_pos_m": [0, 0],
                 "ris_pos_m": [100, 0], "center_t_m": [100, -15],
                 "center_r_m": [100, 15], "user_area_radius_m": 5,
@@ -168,31 +168,12 @@ def cases():
     for s in range(3):
         out.append((f"conventional_ris/s{s}", solve(
             conventional_ris_baseline, 1000 + s, desk_train("independent", s))))
-    for mode in ("independent", "coupled"):
-        for s in range(2):
-            train = replace(desk_train(mode, s, 100), n_outer=2, n_inner=2)
-            out.append((f"outer2_inner2/{mode}/s{s}", solve(run_gml, 1000 + s, train)))
-    # Frozen amplitudes, or frozen amplitudes and phases, over more than one
-    # pass of each running block.
-    for s in range(2):
-        train = replace(desk_train("independent", s, 100), n_outer=2, n_inner=2)
-        out += [
-            (f"outer2_inner2/random_phase_baseline/s{s}",
-             solve(random_phase_baseline, 1000 + s, train)),
-            (f"outer2_inner2/conventional_ris_baseline/s{s}",
-             solve(conventional_ris_baseline, 1000 + s, train)),
-        ]
 
     paper_cfg, paper_ch_cfg = default_scenario()
     paper_ch = generate_channels(paper_cfg, paper_ch_cfg, np.random.default_rng(100))
     for mode in ("independent", "coupled"):
         train = replace(paper_train(mode), n_epochs=50)
         out.append((f"paper_50_epochs/{mode}", lambda train=train: solution_digest(
-            run_gml(paper_cfg, paper_ch, train))))
-    # Multi-block Adam steps on gradients summed over two outer iterations.
-    for mode in ("independent", "coupled"):
-        train = replace(paper_train(mode), n_epochs=10, n_outer=2)
-        out.append((f"paper_outer2/{mode}", lambda train=train: solution_digest(
             run_gml(paper_cfg, paper_ch, train))))
 
     for mode in ("independent", "coupled"):
