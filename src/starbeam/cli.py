@@ -34,6 +34,8 @@ the config dataclasses; units are watts, meters, and radians:
                   "pathloss_b_db_per_decade": 22.0, "seed": 0}
     }
 
+A malformed config or spec file (not UTF-8, not JSON, or a key repeated
+within one object) is an error naming the file, and a JSON error's line.
 Missing sections/keys keep the scale profile's values; an unknown section
 or key is an error. The values a key takes come from its config class:
 each class declares the kind of each field in one table, FIELD_KINDS (the
@@ -90,9 +92,26 @@ CHANNEL_KEYS = {
 }
 
 
-def _load_json(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+def _load_json(path: str):
+    """The JSON value of the file at path; a file that is not UTF-8 text,
+    is not JSON or repeats a key within one object is an error naming it."""
+    def unique_keys(pairs):
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ConfigurationError(
+                    f"{path}: key {key!r} repeated within one JSON object")
+            obj[key] = value
+        return obj
+
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh, object_pairs_hook=unique_keys)
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"{path}: not UTF-8 text, {exc.reason}") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigurationError(f"{path}: not valid JSON, {exc.msg} at line "
+                                 f"{exc.lineno} column {exc.colno}") from None
 
 
 def _check_keys(where: str, d: dict, known) -> None:

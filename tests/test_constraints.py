@@ -10,7 +10,7 @@ from starbeam import (
     project_coupled_phases,
     wrap_phase,
 )
-from starbeam.constraints import PHASE_DIFF_CANDIDATES, sigmoid
+from starbeam.constraints import sigmoid
 from starbeam.training import REGULATOR_GAIN
 
 TWO_PI = 2 * np.pi
@@ -227,20 +227,6 @@ class TestCoupledProjection:
         phases[side][1] = bad
         with pytest.raises(ConfigurationError, match=f"^{side} must hold only finite"):
             project_coupled_phases(**phases)
-
-    def test_residual_and_brute_force_optimality(self):
-        rng = np.random.default_rng(7)
-        tt = rng.uniform(0, TWO_PI, 2000)
-        tr = rng.uniform(0, TWO_PI, 2000)
-        aux = project_coupled_phases(tt, tr)
-        assert np.max(coupling_residual(aux.theta_t_aux, aux.theta_r_aux)) < 1e-12
-        produced = (aux.theta_t_aux - tt) ** 2 + (aux.theta_r_aux - tr) ** 2
-        for t in PHASE_DIFF_CANDIDATES:
-            cand_t = (tt + tr + t) / 2
-            cand_r = (tt + tr - t) / 2
-            dev = (cand_t - tt) ** 2 + (cand_r - tr) ** 2
-            assert (produced <= dev + 1e-12).all()
-
 
 class TestCouplingResidual:
     def test_quarter_turn_difference(self):

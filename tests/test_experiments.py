@@ -12,7 +12,6 @@ from starbeam import (
     ChannelSet,
     ExperimentSpec,
     SystemConfig,
-    TrainConfig,
     desk_scenario,
     run_experiment,
     sign_test_p_value,
@@ -125,14 +124,6 @@ class TestSweepExperiment:
 
 
 class TestExperimentSpec:
-    @pytest.mark.parametrize("field, value", [
-        ("n_epochs", 0), ("n_epochs", True),
-        ("sample_count", 2.0), ("desk_scale", "false"),
-    ])
-    def test_bad_value_rejected(self, field, value):
-        with pytest.raises(ConfigurationError, match=field):
-            ExperimentSpec(kind="convergence", **{field: value})
-
     @pytest.mark.parametrize("kind", ["convergence", "phase_trace"])
     def test_grid_rejected_on_one_point_kinds(self, kind):
         with pytest.raises(ConfigurationError, match="grid"):
@@ -341,40 +332,24 @@ class TestCli:
                      if command == "experiment" else [command, "--config", path])
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("section, key, field", [
-        ("system", "p_max_w", "p_max"),
-        ("system", "noise_power_w", "noise_power"),
-        ("system", "weights", "weights"),
-        ("train", "rho_max", "rho_max"),
-        ("train", "lr_w", "lr_w"),
-        ("channel", "pathloss_b_db_per_decade", "pathloss_b"),
-        ("channel", "ris_pos_m", "ris_pos"),
-    ])
-    def test_non_finite_config_value_rejected(self, tmp_path, section, key, field):
-        # json.load accepts the NaN literal, so the config classes must
-        # reject it themselves
-        value = float("nan")
-        if key in ("weights", "ris_pos_m"):
-            value = [1.0, value]
-        path = self._write_config(tmp_path, {section: {key: value}})
-        with open(path) as fh:
-            assert "NaN" in fh.read()
-        with pytest.raises(ConfigurationError, match=field):
-            cli_main(["run", "--config", path])
+    @pytest.mark.parametrize("command", ["run", "experiment"])
+    @pytest.mark.parametrize("text, error", [
+        (b'{"train": {"n_epochs": 2,}}', "not valid JSON, .* at line 1 column 26$"),
+        (b'{"train": {"mode": "\xc3"}}', "not UTF-8 text, "),
+        (b'{"train": {"n_epochs": 2, "n_epochs": 3}}',
+         "key 'n_epochs' repeated within one JSON object$"),
+    ], ids=["trailing_comma", "byte_0xc3", "repeated_key"])
+    def test_malformed_file_rejected_naming_it(self, tmp_path, command, text, error):
+        path = str(tmp_path / "cfg.json")
+        (tmp_path / "cfg.json").write_bytes(text)
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(path)}: {error}"):
+            cli_main([command, path, "--out", str(tmp_path / "out")]
+                     if command == "experiment" else [command, "--config", path])
+        assert not (tmp_path / "out").exists()
 
+    # geometry that no field's kind expresses: the base station on the
+    # surface, and a user disc that contains the surface
     @pytest.mark.parametrize("raw, named", [
-        ({"system": {"N": 16.7}}, "system.N"),
-        ({"train": {"n_epochs": 3.9}}, "train.n_epochs"),
-        ({"system": {"K": True}}, "system.K"),
-        ({"system": {"M": "8"}}, "system.M"),
-        ({"train": {"lr_w": True}}, "train.lr_w"),
-        ({"system": {"weights": [1.0, "2"]}}, "system.weights"),
-        ({"channel": {"bs_pos_m": 0.0}}, "channel.bs_pos_m"),
-        ({"train": {"mode": 1}}, "train.mode"),
-        ({"train": {"n1": 0}}, "n1 must be >= 1"),
-        ({"system": {"K": 0}}, "K must be >= 1"),
-        ({"train": {"seed": -1}}, "seed"),
-        ({"channel": {"seed": -3}}, "seed"),
         ({"channel": {"bs_pos_m": [100.0, 0.0]}}, "bs_pos"),
         ({"channel": {"center_t_m": [100.0, 0.0], "user_area_radius_m": 0.0}},
          "center_t"),
@@ -383,19 +358,6 @@ class TestCli:
         path = self._write_config(tmp_path, raw)
         args = build_parser().parse_args(["run", "--config", path])
         with pytest.raises(ConfigurationError, match=named):
-            _build_configs(args)
-
-    @pytest.mark.parametrize("key, value, field", [
-        ("bs_pos_m", [0.0, 0.0, 0.0], "bs_pos"),
-        ("ris_pos_m", [100.0], "ris_pos"),
-        ("center_t_m", [1.0], "center_t"),
-        ("center_r_m", [], "center_r"),
-    ])
-    def test_malformed_position_in_config_rejected(self, tmp_path, key, value,
-                                                   field):
-        path = self._write_config(tmp_path, {"channel": {key: value}})
-        args = build_parser().parse_args(["run", "--config", path])
-        with pytest.raises(ConfigurationError, match=f"{field} must be two"):
             _build_configs(args)
 
     @pytest.mark.parametrize("argv, named", [

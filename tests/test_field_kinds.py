@@ -1,7 +1,9 @@
 """One boundary test generated from a table of every settable config field:
 each invalid value of the field's kind must raise a ConfigurationError
 naming the field, through the constructor and through the config file
-(the run config's key, or the experiment spec's)."""
+(the run config's key, or the experiment spec's). This is the one place
+that tests the kinds of config fields: a new invalid value goes into the
+lists below, not into a test of its own."""
 import dataclasses
 import json
 import re
@@ -28,12 +30,14 @@ NAN, INF = float("nan"), float("inf")
 # Invalid values by kind, written out here rather than read from the
 # kinds; all of them JSON values, so each also goes through a file.
 NUMBER = [NAN, INF, -INF, True, "1", [1.0, 2.0, 3.0], None]
-COUNT = NUMBER + [2.5, -1, 0]
-SEED = NUMBER + [2.5, -1]
+INTEGRAL_FLOATS = [1.0, 16.0, np.float64(2.0)]  # a float is no integer
+COUNT = NUMBER + INTEGRAL_FLOATS + [2.5, -1, 0]
+SEED = NUMBER + INTEGRAL_FLOATS + [2.5, -1]
 POSITIVE = NUMBER + [-1, 0]
 NON_NEGATIVE = NUMBER + [-1, -0.5]
 POSITION = [[NAN, 0.0], [0.0, INF], [-INF, 0.0], [True, 0.0], ["1", 0.0],
-            [1.0, 2.0, 3.0], [1.0], [], [[1.0], [2.0]], -1, 2.5, "xy", None]
+            [1.0, 2.0, 3.0], [1.0], [], [[1.0], [2.0]], [[1.0, 2.0]], -1, 2.5, "xy",
+            None]
 CHOICE = ["bogus", "", 1, -1, 2.5, True, NAN, ["independent"], None]
 FLAG = ["false", 1, 0, -1, 2.5, NAN, [True], None]
 TEXT = [5, -1, 2.5, NAN, True, ["results"], None]

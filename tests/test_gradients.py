@@ -229,19 +229,6 @@ class TestBundleRate:
 
 
 class TestOracleSuite:
-    def test_ten_instances_full_bundle(self):
-        # Shortened version of the 50-instance acceptance battery.
-        for i in range(10):
-            cfg, ch, state = random_gradient_instance(1000 + i)
-            analytic = wsr_gradients(cfg, ch, state)
-            fd = finite_diff_gradient(
-                lambda st: evaluate_wsr(cfg, ch, st), state,
-                step=GRAD_CHECK_STEP,
-            )
-            rel, ab = gradient_errors(analytic, fd)
-            assert rel < 1e-6, f"instance {i}: rel {rel:.2e}"
-            assert ab < 1e-9, f"instance {i}: abs {ab:.2e}"
-
     def test_sign_flip_is_caught(self):
         # Mutation check: a corrupted analytic gradient must fail the
         # comparison that the genuine one passes.

@@ -122,18 +122,6 @@ class TestSinr:
 
 
 class TestFormulationEquivalence:
-    def test_hundred_random_instances(self):
-        for s in range(100):
-            r = np.random.default_rng(s)
-            cfg, ch, state = make_instance(
-                s, M=int(r.integers(1, 9)), N=int(r.integers(1, 17)),
-                K=int(r.integers(1, 5)),
-            )
-            for k in range(cfg.K):
-                direct = sinr(cfg, ch, state, k)
-                stacked = sinr_augmented(cfg, ch, state, k)
-                assert stacked == pytest.approx(direct, rel=1e-12)
-
     def test_all_sinrs_matches_per_user(self):
         cfg, ch, state = make_instance(11, K=4)
         gammas = all_sinrs(cfg, ch, state)
@@ -300,28 +288,6 @@ class TestTypes:
         with pytest.raises(ConfigurationError):
             SystemConfig(M=1, N=1, K=2, p_max=1, noise_power=1,
                          user_sides=("transmission", "sideways"))
-
-    @pytest.mark.parametrize("field, kwargs", [
-        ("weights", {"weights": [np.nan, 1.0]}),
-        ("weights", {"weights": [np.inf, 1.0]}),
-        ("p_max", {"p_max": np.inf}),
-        ("p_max", {"p_max": np.nan}),
-        ("noise_power", {"noise_power": np.inf}),
-        ("noise_power", {"noise_power": np.nan}),
-    ])
-    def test_config_rejects_non_finite(self, field, kwargs):
-        args = {"M": 1, "N": 1, "K": 2, "p_max": 1.0, "noise_power": 1.0, **kwargs}
-        with pytest.raises(ConfigurationError, match=field):
-            SystemConfig(**args)
-
-    @pytest.mark.parametrize("field, value", [
-        ("M", 8.5), ("M", True), ("N", 16.0), ("K", np.float64(2.0)),
-    ])
-    def test_config_rejects_non_integer_dimension(self, field, value):
-        args = {"M": 1, "N": 1, "K": 2, "p_max": 1.0, "noise_power": 1.0,
-                field: value}
-        with pytest.raises(ConfigurationError, match=field):
-            SystemConfig(**args)
 
     def test_configs_with_several_users_compare_and_hash(self):
         args = {"M": 2, "N": 4, "K": 2, "p_max": 1.0, "noise_power": 1.0}

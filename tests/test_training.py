@@ -10,7 +10,6 @@ from starbeam import (
     ConfigurationError,
     DegenerateInputError,
     SubNetworks,
-    SystemConfig,
     TrainConfig,
     default_scenario,
     evaluate_wsr,
@@ -111,32 +110,6 @@ class TestPenaltySchedule:
     def test_numpy_integer_epoch_accepted(self):
         train = TrainConfig(n_epochs=10)
         assert rho_at(train, np.int64(4)) == rho_at(train, 4)
-
-    @pytest.mark.parametrize("field, value", [
-        ("lr_w", np.nan), ("lr_a", np.inf), ("lr_theta", np.nan),
-        ("rho_max", np.nan),
-    ])
-    def test_non_finite_value_rejected(self, field, value):
-        with pytest.raises(ConfigurationError, match=field):
-            TrainConfig(**{field: value})
-
-    @pytest.mark.parametrize("field, value", [
-        ("n_epochs", 2.5), ("n1", True), ("seed", -1), ("seed", 1.0),
-    ])
-    def test_non_integer_count_or_negative_seed_rejected(self, field, value):
-        with pytest.raises(ConfigurationError, match=field):
-            TrainConfig(**{field: value})
-
-    @pytest.mark.parametrize("cls, field", [
-        (SystemConfig, "p_max"), (SystemConfig, "noise_power"),
-        (TrainConfig, "lr_w"), (TrainConfig, "lr_a"), (TrainConfig, "lr_theta"),
-        (TrainConfig, "rho_min"), (TrainConfig, "rho_max"),
-    ])
-    def test_bool_real_field_rejected(self, cls, field):
-        args = ({"M": 1, "N": 1, "K": 1, "p_max": 1.0, "noise_power": 1.0}
-                if cls is SystemConfig else {})
-        with pytest.raises(ConfigurationError, match=field):
-            cls(**{**args, field: True})
 
 
 def coupled_tn_objective(cfg, ch, state, rho):
@@ -265,8 +238,9 @@ def state_rows(cfg, ch, state):
     return effective_rows(cfg, ch, state.beta * np.exp(1j * state.theta))
 
 
-class TestInnerUpdates:
-    """The blocks of the loop, one refinement of one group each."""
+class TestBlockRefinesOneGroup:
+    """Each block of the loop refines its one group and hands it back on
+    its constraint set."""
 
     def test_zero_pn_leaves_state(self, instance):
         cfg, ch, state = instance
@@ -731,7 +705,7 @@ class TestRunGml:
             run_meta_loop(sys_cfg, ch, train)
 
     @pytest.mark.parametrize("mode", ["independent", "coupled"])
-    def test_one_full_bundle_per_outer_iteration(self, monkeypatch, mode):
+    def test_one_field_per_block_and_one_at_the_refined_state(self, monkeypatch, mode):
         """The blocks compute only the gradients they feed their networks;
         the refined point of each epoch takes one received field, after the
         one field of each block, at the refined state."""
@@ -883,17 +857,6 @@ class TestRunGml:
         assert a.wsr_opt == b.wsr_opt
         for key in a.traces:
             assert np.array_equal(a.traces[key], b.traces[key])
-
-    def test_best_trace_monotone(self):
-        sys_cfg, ch, train = self.small_setup(n_epochs=40)
-        sol = run_gml(sys_cfg, ch, train)
-        assert (np.diff(sol.traces["wsr_best"]) >= 0).all()
-
-    def test_constraints_every_epoch(self):
-        sys_cfg, ch, train = self.small_setup(n_epochs=30)
-        sol = run_gml(sys_cfg, ch, train)
-        assert sol.traces["power_rel_err"].max() < 1e-9
-        assert sol.traces["amp_max_err"].max() < 1e-12
 
     def test_solution_invariants(self):
         sys_cfg, ch, train = self.small_setup(n_epochs=25)
