@@ -99,6 +99,24 @@ class TestGeneration:
                 center = ch_cfg.center_t if side == "transmission" else ch_cfg.center_r
                 assert np.linalg.norm(pos[k] - center) <= ch_cfg.user_area_radius
 
+    @pytest.mark.parametrize("field, value", [
+        ("rician_k_g", np.nan), ("rician_k_h", np.inf),
+        ("user_area_radius", np.inf), ("pathloss_a", np.inf),
+        ("pathloss_b", np.nan), ("bs_pos", (np.nan, 0.0)),
+        ("ris_pos", (100.0, np.inf)), ("center_t", (100.0, np.nan)),
+        ("center_r", (-np.inf, 15.0)),
+    ])
+    def test_non_finite_value_rejected(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            ChannelConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", [
+        "rician_k_g", "rician_k_h", "user_area_radius", "pathloss_a", "pathloss_b",
+    ])
+    def test_bool_number_rejected(self, field):
+        with pytest.raises(ConfigurationError, match=f"^{field} must be a finite real"):
+            ChannelConfig(**{field: True})
+
     @pytest.mark.parametrize("fields, named", [
         ({"seed": -3}, "seed"),
         ({"seed": 1.5}, "seed"),
@@ -110,6 +128,16 @@ class TestGeneration:
     def test_seed_or_geometry_rejected(self, fields, named):
         with pytest.raises(ConfigurationError, match=named):
             ChannelConfig(**fields)
+
+    @pytest.mark.parametrize("field, value", [
+        ("ris_pos", (100.0,)), ("center_t", (1.0,)),
+        ("bs_pos", (0.0, 0.0, 0.0)), ("center_r", ()),
+        ("bs_pos", 0.0), ("ris_pos", "xy"), ("center_t", (100.0, "15")),
+        ("center_r", (True, 15.0)), ("ris_pos", ((100.0, 0.0),)),
+    ])
+    def test_malformed_position_rejected(self, field, value):
+        with pytest.raises(ConfigurationError, match=f"{field} must be two"):
+            ChannelConfig(**{field: value})
 
     def test_position_of_two_reals_accepted(self):
         cfg = ChannelConfig(bs_pos=[0, 1], ris_pos=np.array([100.0, 0.0]),

@@ -124,6 +124,14 @@ class TestSweepExperiment:
 
 
 class TestExperimentSpec:
+    @pytest.mark.parametrize("field, value", [
+        ("n_epochs", 0), ("n_epochs", True),
+        ("sample_count", 2.0), ("desk_scale", "false"),
+    ])
+    def test_bad_value_rejected(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            ExperimentSpec(kind="convergence", **{field: value})
+
     @pytest.mark.parametrize("kind", ["convergence", "phase_trace"])
     def test_grid_rejected_on_one_point_kinds(self, kind):
         with pytest.raises(ConfigurationError, match="grid"):
@@ -347,9 +355,19 @@ class TestCli:
                      if command == "experiment" else [command, "--config", path])
         assert not (tmp_path / "out").exists()
 
-    # geometry that no field's kind expresses: the base station on the
-    # surface, and a user disc that contains the surface
     @pytest.mark.parametrize("raw, named", [
+        ({"system": {"N": 16.7}}, "system.N"),
+        ({"train": {"n_epochs": 3.9}}, "train.n_epochs"),
+        ({"system": {"K": True}}, "system.K"),
+        ({"system": {"M": "8"}}, "system.M"),
+        ({"train": {"lr_w": True}}, "train.lr_w"),
+        ({"system": {"weights": [1.0, "2"]}}, "system.weights"),
+        ({"channel": {"bs_pos_m": 0.0}}, "channel.bs_pos_m"),
+        ({"train": {"mode": 1}}, "train.mode"),
+        ({"train": {"n1": 0}}, "n1 must be >= 1"),
+        ({"system": {"K": 0}}, "K must be >= 1"),
+        ({"train": {"seed": -1}}, "seed"),
+        ({"channel": {"seed": -3}}, "seed"),
         ({"channel": {"bs_pos_m": [100.0, 0.0]}}, "bs_pos"),
         ({"channel": {"center_t_m": [100.0, 0.0], "user_area_radius_m": 0.0}},
          "center_t"),

@@ -1,9 +1,9 @@
 """One boundary test generated from a table of every settable config field:
 each invalid value of the field's kind must raise a ConfigurationError
 naming the field, through the constructor and through the config file
-(the run config's key, or the experiment spec's). This is the one place
-that tests the kinds of config fields: a new invalid value goes into the
-lists below, not into a test of its own."""
+(the run config's key, or the experiment spec's). This is where the kinds
+of config fields are tested: a new invalid value goes into the lists
+below, not into a test of its own."""
 import dataclasses
 import json
 import re

@@ -111,6 +111,21 @@ class TestPenaltySchedule:
         train = TrainConfig(n_epochs=10)
         assert rho_at(train, np.int64(4)) == rho_at(train, 4)
 
+    @pytest.mark.parametrize("field, value", [
+        ("lr_w", np.nan), ("lr_a", np.inf), ("lr_theta", np.nan),
+        ("rho_max", np.nan),
+    ])
+    def test_non_finite_value_rejected(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("n_epochs", 2.5), ("n1", True), ("seed", -1), ("seed", 1.0),
+    ])
+    def test_non_integer_count_or_negative_seed_rejected(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            TrainConfig(**{field: value})
+
 
 def coupled_tn_objective(cfg, ch, state, rho):
     """Reference phase-network loss of coupled mode: the negative rate plus
