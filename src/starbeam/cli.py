@@ -2,20 +2,20 @@
 
 Subcommands, each taking only the flags listed (any other is an error):
 
-    run         single solve: --config --seed --mode --out --paper-scale
-                --scheme (default: the GML scheme of the mode)
+    run         single solve: --config --seed --out --paper-scale --scheme
+                (default: the GML scheme of the config's train.mode)
     experiment  spec-file driven batch: SPEC --seed --out --paper-scale
     grad-check  analytic-vs-finite-difference suite: --seed --instances
 
 Settings resolve in one order, each step overriding the last: the scale
 profile (desk, or the published scale under --paper-scale), the config
 file, then the flags given; --seed sets the training and channel seeds.
---scheme sets the training mode to the scheme's (experiments.SCHEME_MODE,
-as run_experiment does): the config file's train.mode yields to it, and a
---mode that contradicts it is an error.
-For experiment, the spec (ExperimentSpec fields as JSON keys) replaces
-profile and file, and --out, --seed and --paper-scale override its
-out_dir, master_seed and desk_scale.
+Every scheme runs in its own training mode (experiments.SCHEME_MODE), so
+the config file's train.mode only picks the GML scheme that run solves
+when --scheme is not given.
+An empty --out is the working directory. For experiment, the spec
+(ExperimentSpec fields as JSON keys) replaces profile and file, and --out,
+--seed and --paper-scale override its out_dir, master_seed and desk_scale.
 
 The optional JSON config file of run has three sections whose keys mirror
 the config dataclasses; units are watts, meters, and radians:
@@ -24,8 +24,7 @@ the config dataclasses; units are watts, meters, and radians:
       "system":  {"M": 8, "N": 16, "K": 2, "p_max_w": 0.01,
                   "noise_power_w": 1e-14, "weights": [1.0, 1.0],
                   "user_sides": ["transmission", "reflection"]},
-      "train":   {"n_epochs": 300, "lr_w": 1e-3, "lr_a": 5e-3,
-                  "lr_theta": 5e-3, "n1": 5, "n2": 1, "mode": "independent",
+      "train":   {"n_epochs": 300, "n2": 1, "mode": "independent",
                   "rho_min": 0.3, "rho_max": 3000.0, "seed": 0},
       "channel": {"rician_k_g": 10.0, "rician_k_h": 10.0,
                   "bs_pos_m": [0.0, 0.0], "ris_pos_m": [100.0, 0.0],
@@ -62,7 +61,6 @@ from .experiments import (
     GRAD_CHECK_SEED_BASE,
     SCHEME_GML_COUPLED,
     SCHEME_GML_INDEPENDENT,
-    SCHEME_MODE,
     SCHEMES,
     ExperimentSpec,
     grad_check_command,
@@ -72,7 +70,7 @@ from .experiments import (
     write_convergence_csv,
 )
 from .model import SystemConfig
-from .training import MODE_COUPLED, MODE_INDEPENDENT, TrainConfig
+from .training import MODE_COUPLED, TrainConfig
 
 
 # Config-file key -> config field, one table per section. Each value is
@@ -148,8 +146,6 @@ def _build_configs(args) -> tuple[SystemConfig, ChannelConfig, TrainConfig]:
             "train", raw.get("train", {}), TRAIN_KEYS, TrainConfig))
         ch_cfg = dataclasses.replace(ch_cfg, **_fields(
             "channel", raw.get("channel", {}), CHANNEL_KEYS, ChannelConfig))
-    if args.mode:
-        train = dataclasses.replace(train, mode=args.mode)
     if args.seed is not None:
         train = dataclasses.replace(train, seed=args.seed)
         ch_cfg = dataclasses.replace(ch_cfg, seed=args.seed)
@@ -157,18 +153,9 @@ def _build_configs(args) -> tuple[SystemConfig, ChannelConfig, TrainConfig]:
 
 
 def _cmd_run(args) -> int:
-    scheme = args.scheme
-    if scheme is not None and args.mode not in (None, SCHEME_MODE[scheme]):
-        raise ConfigurationError(
-            f"--mode {args.mode} contradicts --scheme {scheme}, which runs "
-            f"in {SCHEME_MODE[scheme]} mode")
     sys_cfg, ch_cfg, train = _build_configs(args)
-    if scheme is None:
-        scheme = (
-            SCHEME_GML_COUPLED if train.mode == MODE_COUPLED
-            else SCHEME_GML_INDEPENDENT
-        )
-    train = dataclasses.replace(train, mode=SCHEME_MODE[scheme])
+    scheme = args.scheme or (
+        SCHEME_GML_COUPLED if train.mode == MODE_COUPLED else SCHEME_GML_INDEPENDENT)
     ch = generate_channels(sys_cfg, ch_cfg, np.random.default_rng(ch_cfg.seed))
     started = perf_counter()
     sol = run_scheme(scheme, sys_cfg, ch, train)
@@ -184,10 +171,11 @@ def _cmd_run(args) -> int:
         print(f"coupled feasible:    {sol.feasible_coupled}")
     print(f"wall clock:          {seconds:.2f} s "
           f"({seconds / train.n_epochs * 1e3:.3f} ms/epoch)")
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
+    if args.out is not None:
+        out = args.out or os.curdir
+        os.makedirs(out, exist_ok=True)
         np.savez(
-            os.path.join(args.out, "solution.npz"),
+            os.path.join(out, "solution.npz"),
             W_re=sol.W_opt.real, W_im=sol.W_opt.imag,
             beta=sol.beta_opt, theta=sol.theta_opt,
         )
@@ -200,11 +188,11 @@ def _cmd_run(args) -> int:
             "feasible_coupled": sol.feasible_coupled,
             "seed": train.seed,
         }
-        with open(os.path.join(args.out, "solution.json"), "w") as fh:
+        with open(os.path.join(out, "solution.json"), "w") as fh:
             json.dump(summary, fh, indent=2)
-        write_convergence_csv(os.path.join(args.out, "convergence.csv"), sol.traces)
-        save_channels(os.path.join(args.out, "channels.txt"), ch)
-        print(f"artifacts written to {args.out}/")
+        write_convergence_csv(os.path.join(out, "convergence.csv"), sol.traces)
+        save_channels(os.path.join(out, "channels.txt"), ch)
+        print(f"artifacts written to {out}/")
     return 0
 
 
@@ -255,7 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "elements); the desk scale otherwise")
 
     p_run.add_argument("--config", help="JSON config file (see module docs)")
-    p_run.add_argument("--mode", choices=[MODE_INDEPENDENT, MODE_COUPLED])
     p_run.add_argument("--scheme", choices=list(SCHEMES))
     p_run.set_defaults(func=_cmd_run)
     p_exp.add_argument("spec", help="JSON experiment spec file")

@@ -41,8 +41,8 @@ SCHEME_GML_COUPLED = "gml_coupled"
 SCHEME_RANDOM_PHASE = "random_phase"
 SCHEME_CONVENTIONAL_RIS = "conventional_ris"
 SCHEME_PGA_ORACLE = "pga_oracle"
-# The training mode each scheme runs in, for run_experiment and for
-# `starbeam run --scheme` alike.
+# The training mode each scheme runs in: run_scheme sets it on the
+# TrainConfig it is handed, whatever that config's mode.
 SCHEME_MODE = {
     SCHEME_GML_INDEPENDENT: MODE_INDEPENDENT,
     SCHEME_GML_COUPLED: MODE_COUPLED,
@@ -121,8 +121,9 @@ def _grid_point(kind: str, value) -> tuple[dict, object]:
 @dataclass(frozen=True)
 class ExperimentSpec:
     """One experiment: which schemes, over which grid, how many channel
-    samples per grid point, where to write CSVs. Every field is checked
-    when the spec is built; an invalid one raises ConfigurationError naming it.
+    samples per grid point, where to write CSVs (out_dir "" is the working
+    directory). Every field is checked when the spec is built; an invalid
+    one raises ConfigurationError naming it.
 
     Every kind reads every field but grid: sweep_n takes element counts N,
     sweep_pmax transmit powers in watts, sweep_mn (M, N) pairs; convergence
@@ -233,29 +234,25 @@ def scale_configs(
     return sys_cfg, ch_cfg, train
 
 
-def _cell_train(base: TrainConfig, spec: ExperimentSpec, scheme: str,
-                gi: int, sample: int) -> TrainConfig:
-    """The scheme's mode and the cell's derived seed on the spec's profile."""
-    seed = _derive_seed(spec.master_seed, _SCHEME_TAG[scheme], gi, sample)
-    return replace(base, mode=SCHEME_MODE[scheme], seed=seed)
-
-
 def run_scheme(
     scheme: str,
     sys_cfg: SystemConfig,
     ch: ChannelSet,
     train: TrainConfig,
 ) -> Solution:
-    """Dispatch one scheme on one prepared instance."""
-    if scheme in (SCHEME_GML_INDEPENDENT, SCHEME_GML_COUPLED):
-        return run_gml(sys_cfg, ch, train)
+    """Dispatch one scheme on one prepared instance, in the scheme's own
+    training mode (SCHEME_MODE), which replaces train.mode; the other
+    fields of train apply as given."""
+    if scheme not in SCHEMES:
+        raise ConfigurationError(f"unknown scheme '{scheme}'")
+    train = replace(train, mode=SCHEME_MODE[scheme])
     if scheme == SCHEME_RANDOM_PHASE:
         return random_phase_baseline(sys_cfg, ch, train)
     if scheme == SCHEME_CONVENTIONAL_RIS:
         return conventional_ris_baseline(sys_cfg, ch, train)
     if scheme == SCHEME_PGA_ORACLE:
         return pga_oracle(sys_cfg, ch, steps=train.n_epochs, seed=train.seed)
-    raise ConfigurationError(f"unknown scheme '{scheme}'")
+    return run_gml(sys_cfg, ch, train)
 
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
@@ -264,7 +261,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     Per-cell failures are recorded, not fatal; callers should treat a
     non-empty failure list as a nonzero-exit condition.
     """
-    os.makedirs(spec.out_dir, exist_ok=True)
+    os.makedirs(spec.out_dir or os.curdir, exist_ok=True)
     report = ExperimentReport(spec)
     base_sys, ch_cfg, base_train = scale_configs(
         not spec.desk_scale, spec.n_epochs
@@ -279,7 +276,8 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
             )
             ch = generate_channels(sys_cfg, ch_cfg, ch_rng)
             for scheme in spec.schemes:
-                train = _cell_train(base_train, spec, scheme, gi, sample)
+                train = replace(base_train, seed=_derive_seed(
+                    spec.master_seed, _SCHEME_TAG[scheme], gi, sample))
                 started = time.perf_counter()
                 try:
                     sol = run_scheme(scheme, sys_cfg, ch, train)

@@ -63,8 +63,12 @@ coupled point its own derivative drops out). The reported solution
 hardens the best state by projecting its phases and re-evaluating the
 rate there.
 
+Rates and cadence: the three Adam rates and the amplitude network's
+update interval N1 are constants, because one value of each serves both
+the desk and the published profile; TrainConfig holds what profiles vary.
+
 Phase-rate decay: in coupled mode the phase network's Adam rate falls
-geometrically over the run, lr_theta * PHASE_RATE_FLOOR ** (epoch /
+geometrically over the run, LR_THETA * PHASE_RATE_FLOOR ** (epoch /
 n_epochs). Each epoch the phase network remakes the whole phase profile
 from theta0, and at a constant rate its steps keep the coupling residual
 jittering around 0.02-0.05 through the second half of a run; the decay
@@ -124,23 +128,24 @@ TN_HIDDEN = 300
 # an increment in (0, 2*pi), so one step can reach any phase.
 REGULATOR_GAIN = TWO_PI
 
+LR_W = 1e-3       # precoder-network Adam rate
+LR_A = 5e-3       # amplitude-network Adam rate
+LR_THETA = 5e-3   # phase-network Adam rate
+N1 = 5            # amplitude network updates every N1 epochs
+
 # In coupled mode the phase network's Adam rate decays geometrically, from
-# lr_theta at epoch 0 to PHASE_RATE_FLOOR * lr_theta at the final epoch.
+# LR_THETA at epoch 0 to PHASE_RATE_FLOOR * LR_THETA at the final epoch.
 PHASE_RATE_FLOOR = 0.1
 
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Iteration counts, learning rates, and schedule of one run.
+    """Epoch count, phase cadence, mode, penalty schedule and seed of a run.
 
     In coupled mode the penalty weight rho follows a geometric curriculum
     from rho_min at epoch 0 to rho_max at the final epoch (see rho_at)."""
 
     n_epochs: int = 500
-    lr_w: float = 1e-3        # precoder-network Adam rate
-    lr_a: float = 5e-3        # amplitude-network Adam rate
-    lr_theta: float = 5e-3    # phase-network Adam rate
-    n1: int = 5               # amplitude network updates every n1 epochs
     n2: int = 5               # phase network updates every n2 epochs
     mode: str = MODE_INDEPENDENT
     rho_min: float = 1e-2     # coupled-mode penalty weight at epoch 0
@@ -148,8 +153,7 @@ class TrainConfig:
     seed: int = 0
 
     FIELD_KINDS = {
-        "n_epochs": Kind.COUNT, "n1": Kind.COUNT, "n2": Kind.COUNT,
-        "lr_w": Kind.POSITIVE, "lr_a": Kind.POSITIVE, "lr_theta": Kind.POSITIVE,
+        "n_epochs": Kind.COUNT, "n2": Kind.COUNT,
         "mode": Kind.choice(MODE_INDEPENDENT, MODE_COUPLED),
         "rho_min": Kind.POSITIVE, "rho_max": Kind.POSITIVE, "seed": Kind.SEED,
     }
@@ -308,11 +312,13 @@ def initial_state(
     W0 = normalize_power(W0, cfg.p_max)
     theta0 = rng.uniform(0.0, TWO_PI, size=2 * cfg.N)
     beta0 = np.full(2 * cfg.N, 1.0 / np.sqrt(2.0))
-    if beta_init is not None:
-        beta0 = np.asarray(beta_init, dtype=float).copy()
-        if beta0.shape != (2 * cfg.N,) or not np.isfinite(beta0).all():
-            raise ConfigurationError("beta_init must be 2N finite values")
     n = cfg.N
+    if beta_init is not None:
+        beta0 = np.asarray(beta_init, dtype=float)
+        if (beta0.shape != (2 * n,) or not np.isfinite(beta0).all()
+                or (beta0 < 0).any() or not (beta0[:n] + beta0[n:] > 0).all()):
+            raise ConfigurationError(
+                "beta_init must be 2N finite values >= 0, no (t, r) pair both zero")
     bt, br = normalize_amplitudes(beta0[:n], beta0[n:])
     return W0, np.concatenate([bt, br]), wrap_phase(theta0)
 
@@ -364,7 +370,7 @@ def run_meta_loop(
 
     for epoch in range(1, train.n_epochs + 1):
         rho = rho_at(train, epoch) if coupled else 0.0
-        updates = (enable_an and epoch % train.n1 == 0,
+        updates = (enable_an and epoch % N1 == 0,
                    enable_tn and epoch % train.n2 == 0)
         try:
             point, precoded, rows, tapes = _forward_blocks(
@@ -457,11 +463,11 @@ def _adam_steps(nets, adams, passes, train, epoch):
     """Step each network that has a pass on the gradient mlp_backward forms
     from it. In coupled mode the phase network's rate decays (see
     PHASE_RATE_FLOOR)."""
-    lr_tn = train.lr_theta
+    lr_tn = LR_THETA
     if train.mode == MODE_COUPLED:
         lr_tn *= PHASE_RATE_FLOOR ** (epoch / train.n_epochs)
     for name, adam, lr, net_pass in zip(("pn", "an", "tn"), adams,
-                                        (train.lr_w, train.lr_a, lr_tn), passes):
+                                        (LR_W, LR_A, lr_tn), passes):
         if net_pass is not None:
             net = getattr(nets, name)
             grad = mlp_backward(net, *net_pass)

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -13,7 +14,9 @@ from starbeam import (
     ExperimentSpec,
     SystemConfig,
     desk_scenario,
+    generate_channels,
     run_experiment,
+    run_scheme,
     sign_test_p_value,
     timing_probe,
 )
@@ -31,6 +34,8 @@ from starbeam.errors import ConfigurationError
 from starbeam.experiments import (
     CONVERGENCE_HEADER,
     GRAD_CHECK_SEED_BASE,
+    SCHEME_MODE,
+    SCHEMES,
     SWEEP_HEADER,
     ExperimentReport,
     desk_train,
@@ -80,6 +85,35 @@ class TestConvergenceExperiment:
         v1 = [rec.wsr_final for rec in r1.records]
         v2 = [rec.wsr_final for rec in r2.records]
         assert v1 == v2
+
+    def test_empty_out_dir_is_the_working_directory(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        report = run_experiment(ExperimentSpec(
+            kind="convergence", sample_count=1, out_dir="", n_epochs=3))
+        assert not report.failures
+        assert report.csv_paths == ["convergence_gml_independent_s0.csv", "summary.csv"]
+        assert sorted(os.listdir(tmp_path)) == sorted(report.csv_paths)
+
+
+class TestRunScheme:
+    @pytest.mark.parametrize("train_mode", ["independent", "coupled"])
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_scheme_runs_in_its_own_mode(self, scheme, train_mode):
+        """Whatever the mode of the config it is handed, run_scheme solves
+        in the scheme's mode: bitwise the solve of a config in that mode."""
+        sys_cfg, ch_cfg = desk_scenario(K=2)
+        ch = generate_channels(sys_cfg, ch_cfg, np.random.default_rng(1000))
+        sol = run_scheme(scheme, sys_cfg, ch, desk_train(train_mode, 0, 20))
+        ref = run_scheme(scheme, sys_cfg, ch, desk_train(SCHEME_MODE[scheme], 0, 20))
+        assert sol.mode == SCHEME_MODE[scheme]
+        for f in dataclasses.fields(ref):
+            a, b = getattr(sol, f.name), getattr(ref, f.name)
+            if f.name == "traces":
+                assert a.keys() == b.keys()
+                for key in a:
+                    assert a[key].tobytes() == b[key].tobytes(), key
+            else:
+                assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), f.name
 
 
 class TestSweepExperiment:
@@ -301,7 +335,7 @@ class TestCli:
     def test_coupled_run_reports_residual(self, tmp_path, capsys):
         out = str(tmp_path / "run_out")
         code = cli_main([
-            "run", "--mode", "coupled", "--seed", "5", "--out", out,
+            "run", "--scheme", "gml_coupled", "--seed", "5", "--out", out,
             "--config", self._write_config(tmp_path),
         ])
         assert code == 0
@@ -320,6 +354,11 @@ class TestCli:
         ({"trian": {"n_epochs": 3}}, "the config file"),
         ({"train": {"regulator_gain_rad": 6.0}}, "regulator_gain_rad"),
         ({"channel": {"los_mode": "ula"}}, "los_mode"),
+        # the Adam rates and the amplitude cadence are training constants
+        ({"train": {"lr_w": 1e-3}}, "lr_w"),
+        ({"train": {"lr_a": 5e-3}}, "lr_a"),
+        ({"train": {"lr_theta": 5e-3}}, "lr_theta"),
+        ({"train": {"n1": 5}}, "n1"),
     ])
     def test_unknown_config_key_rejected(self, tmp_path, raw, where):
         path = self._write_config(tmp_path, raw)
@@ -360,11 +399,9 @@ class TestCli:
         ({"train": {"n_epochs": 3.9}}, "train.n_epochs"),
         ({"system": {"K": True}}, "system.K"),
         ({"system": {"M": "8"}}, "system.M"),
-        ({"train": {"lr_w": True}}, "train.lr_w"),
         ({"system": {"weights": [1.0, "2"]}}, "system.weights"),
         ({"channel": {"bs_pos_m": 0.0}}, "channel.bs_pos_m"),
         ({"train": {"mode": 1}}, "train.mode"),
-        ({"train": {"n1": 0}}, "n1 must be >= 1"),
         ({"system": {"K": 0}}, "K must be >= 1"),
         ({"train": {"seed": -1}}, "seed"),
         ({"channel": {"seed": -3}}, "seed"),
@@ -379,14 +416,6 @@ class TestCli:
             _build_configs(args)
 
     @pytest.mark.parametrize("argv, named", [
-        (["run", "--scheme", "gml_independent", "--mode", "coupled"],
-         "--mode coupled contradicts --scheme gml_independent"),
-        (["run", "--scheme", "random_phase", "--mode", "coupled"],
-         "--mode coupled contradicts --scheme random_phase"),
-        (["run", "--scheme", "pga_oracle", "--mode", "coupled"],
-         "--mode coupled contradicts --scheme pga_oracle"),
-        (["run", "--scheme", "gml_coupled", "--mode", "independent"],
-         "--mode independent contradicts --scheme gml_coupled"),
         (["grad-check", "--instances", "0"], "n_instances"),
         (["grad-check", "--instances", "-3"], "n_instances"),
         (["run", "--seed", "-1"], "seed"),
@@ -400,16 +429,16 @@ class TestCli:
     @pytest.mark.parametrize("file_mode, flags, expected", [
         ("coupled", ["--scheme", "random_phase"], ("random_phase", "independent")),
         ("independent", ["--scheme", "gml_coupled"], ("gml_coupled", "coupled")),
-        ("independent", ["--scheme", "gml_coupled", "--mode", "coupled"],
-         ("gml_coupled", "coupled")),
+        ("independent", [], ("gml_independent", "independent")),
     ])
     def test_scheme_sets_the_mode(self, tmp_path, monkeypatch, file_mode,
                                   flags, expected):
         seen = []
 
         def run(scheme, sys_cfg, ch, train):
-            seen.append((scheme, train.mode))
-            return run_scheme(scheme, sys_cfg, ch, train)
+            sol = run_scheme(scheme, sys_cfg, ch, train)
+            seen.append((scheme, sol.mode))
+            return sol
 
         run_scheme = cli.run_scheme
         monkeypatch.setattr(cli, "run_scheme", run)
@@ -417,6 +446,14 @@ class TestCli:
             tmp_path, {"train": {"n_epochs": 3, "mode": file_mode}})
         assert cli_main(["run", "--config", path] + flags) == 0
         assert seen == [expected]
+
+    def test_empty_out_is_the_working_directory(self, tmp_path, monkeypatch):
+        path = self._write_config(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        assert cli_main(["run", "--config", path, "--out", ""]) == 0
+        assert sorted(os.listdir(tmp_path)) == [
+            "cfg.json", "channels.txt", "convergence.csv", "solution.json",
+            "solution.npz"]
 
     def test_config_file_mode_reaches_run(self, tmp_path):
         out = str(tmp_path / "run_out")
@@ -429,6 +466,7 @@ class TestCli:
 
     @pytest.mark.parametrize("command, flag", [
         ("run", "--desk-scale"),
+        ("run", "--mode"),
         ("experiment", "--config"),
         ("experiment", "--mode"),
         ("experiment", "--desk-scale"),
@@ -465,8 +503,7 @@ class TestCli:
                        "user_sides": ["reflection", "transmission", "reflection"]},
             "train": {"rho_min": 0.5, "rho_max": 50.0},
         })
-        args = build_parser().parse_args(["run", "--config", path,
-                                          "--mode", "coupled"])
+        args = build_parser().parse_args(["run", "--config", path])
         sys_cfg, _, train = _build_configs(args)
         assert sys_cfg.weights == (1.0, 0.0, 2.0)
         assert sys_cfg.side_index.tolist() == [1, 0, 1]

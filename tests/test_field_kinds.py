@@ -54,9 +54,8 @@ CASES = [
     (SystemConfig, "weights", Kind.FINITE.listed().or_none(),
      [[], [NAN, 1.0], [INF, 1.0], [-INF, 1.0], [True, True], ["1", "2"],
       [[1.0], [2.0]], 1.0, "12", -1]),
-    *[(TrainConfig, f, Kind.COUNT, COUNT) for f in ("n_epochs", "n1", "n2")],
-    *[(TrainConfig, f, Kind.POSITIVE, POSITIVE)
-      for f in ("lr_w", "lr_a", "lr_theta", "rho_min", "rho_max")],
+    *[(TrainConfig, f, Kind.COUNT, COUNT) for f in ("n_epochs", "n2")],
+    *[(TrainConfig, f, Kind.POSITIVE, POSITIVE) for f in ("rho_min", "rho_max")],
     (TrainConfig, "mode", Kind.choice(MODE_INDEPENDENT, MODE_COUPLED), CHOICE),
     (TrainConfig, "seed", Kind.SEED, SEED),
     *[(ChannelConfig, f, Kind.NON_NEGATIVE, NON_NEGATIVE)
@@ -137,7 +136,7 @@ def test_empty_out_dir_accepted():
 def test_file_and_constructor_build_equal_configs(tmp_path):
     # integers for real-valued keys, lists for positions
     raw = {
-        "train": {"rho_min": 1, "rho_max": 3000, "lr_w": 1, "n_epochs": 7},
+        "train": {"rho_min": 1, "rho_max": 3000, "n_epochs": 7},
         "channel": {"rician_k_g": 10, "bs_pos_m": [0, 0], "ris_pos_m": [100, 0],
                     "center_t_m": [100, -15], "pathloss_b_db_per_decade": 22},
     }

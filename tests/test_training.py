@@ -112,7 +112,6 @@ class TestPenaltySchedule:
         assert rho_at(train, np.int64(4)) == rho_at(train, 4)
 
     @pytest.mark.parametrize("field, value", [
-        ("lr_w", np.nan), ("lr_a", np.inf), ("lr_theta", np.nan),
         ("rho_max", np.nan),
     ])
     def test_non_finite_value_rejected(self, field, value):
@@ -120,7 +119,7 @@ class TestPenaltySchedule:
             TrainConfig(**{field: value})
 
     @pytest.mark.parametrize("field, value", [
-        ("n_epochs", 2.5), ("n1", True), ("seed", -1), ("seed", 1.0),
+        ("n_epochs", 2.5), ("seed", -1), ("seed", 1.0),
     ])
     def test_non_integer_count_or_negative_seed_rejected(self, field, value):
         with pytest.raises(ConfigurationError, match=field):
@@ -201,7 +200,8 @@ def fed_loss_gradients(monkeypatch, mode, n_epochs=3):
     refined state, rho, and the loss gradient the loop passed to each
     network's backward pass."""
     cfg, ch, _ = make_instance(3, M=4, N=6, K=2)
-    train = TrainConfig(n_epochs=n_epochs, mode=mode, n1=1, n2=1, seed=2)
+    monkeypatch.setattr(training, "N1", 1)
+    train = TrainConfig(n_epochs=n_epochs, mode=mode, n2=1, seed=2)
     fed = record_fed_gradients(monkeypatch, cfg, ch, train)
     return cfg, ch, [(state, rho, grads) for state, rho, grads, _ in fed]
 
@@ -359,7 +359,8 @@ class TestRefinedPoint:
     def test_loss_gradients_and_rate_equal_full_bundle(
             self, monkeypatch, mode, seed, dims, sides, weights):
         cfg, ch, _ = make_edge_instance(seed, dims, sides, weights)
-        train = TrainConfig(n_epochs=3, mode=mode, n1=1, n2=1, seed=seed)
+        monkeypatch.setattr(training, "N1", 1)
+        train = TrainConfig(n_epochs=3, mode=mode, n2=1, seed=seed)
         for state, rho, grads, rates in record_fed_gradients(
                 monkeypatch, cfg, ch, train):
             bundle = wsr_gradients(cfg, ch, state)
@@ -384,7 +385,8 @@ class TestRefinedPoint:
         one at the refined point exactly when it updates the amplitude or
         phase network."""
         cfg, ch, _ = make_instance(3, M=4, N=6, K=2)
-        train = TrainConfig(n_epochs=7, n1=2, n2=3, seed=1)
+        monkeypatch.setattr(training, "N1", 2)
+        train = TrainConfig(n_epochs=7, n2=3, seed=1)
         per_epoch = []
         precoder = training._precoder_block
 
@@ -402,7 +404,7 @@ class TestRefinedPoint:
         assert len(per_epoch) == train.n_epochs
         blocks = enable_an + enable_tn
         for epoch, count in enumerate(per_epoch, 1):
-            update = ((enable_an and epoch % train.n1 == 0)
+            update = ((enable_an and epoch % training.N1 == 0)
                       or (enable_tn and epoch % train.n2 == 0))
             assert count == blocks + update
 
@@ -413,7 +415,8 @@ class TestRefinedPoint:
         """Each precoder block gives what it gives at rows recomputed from
         the amplitudes and phasors it runs at."""
         cfg, ch, _ = make_instance(7, M=4, N=6, K=2)
-        train = TrainConfig(n_epochs=3, n1=1, n2=1, seed=1)
+        monkeypatch.setattr(training, "N1", 1)
+        train = TrainConfig(n_epochs=3, n2=1, seed=1)
         rng = np.random.default_rng(train.seed)
         init_networks(cfg, rng)  # consumed as the loop consumes it
         _, beta0, theta0 = initial_state(cfg, rng)
@@ -688,14 +691,33 @@ class TestRunGml:
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_non_finite_beta_init_rejected(self, bad):
-        """A non-finite amplitude profile is rejected, naming beta_init; a
-        negative one is accepted (the signs are the reported state's)."""
+        """A non-finite amplitude profile is rejected, naming beta_init."""
         sys_cfg, ch, train = self.small_setup(n_epochs=2)
         beta_init = np.full(2 * sys_cfg.N, 0.5)
         beta_init[3] = bad
         with pytest.raises(ConfigurationError, match="beta_init"):
             run_meta_loop(sys_cfg, ch, train, beta_init=beta_init)
-        run_meta_loop(sys_cfg, ch, train, beta_init=-np.ones(2 * sys_cfg.N))
+
+    @pytest.mark.parametrize("profile", ["negative", "zero_pair"])
+    def test_negative_or_dead_beta_init_rejected(self, profile):
+        """A negative amplitude, or a (t, r) pair of zeros, is rejected
+        naming beta_init. The 0/1 profile of the conventional surface,
+        whose pairs are (1, 0) and (0, 1), is accepted and takes the draws
+        that a start without a profile takes."""
+        sys_cfg, ch, train = self.small_setup(n_epochs=2)
+        n = sys_cfg.N
+        conventional = np.concatenate([np.zeros(n // 2), np.ones(n), np.zeros(n // 2)])
+        beta_init = -np.ones(2 * n) if profile == "negative" else conventional.copy()
+        if profile == "zero_pair":
+            beta_init[n - 1] = 0.0  # the pair (t, r) = (1, 0) becomes (0, 0)
+        with pytest.raises(ConfigurationError, match="^beta_init must be"):
+            run_meta_loop(sys_cfg, ch, train, beta_init=beta_init)
+        rng, rng_ref = np.random.default_rng(0), np.random.default_rng(0)
+        W0, beta0, theta0 = initial_state(sys_cfg, rng, conventional)
+        W_ref, _, theta_ref = initial_state(sys_cfg, rng_ref)
+        assert_bitwise(W0, W_ref)
+        assert_bitwise(theta0, theta_ref)
+        assert beta0.tolist() == conventional.tolist()
 
     def test_nan_phase_names_its_epoch(self, monkeypatch):
         """A NaN from the phase network's sigmoid reaches the rate first:
@@ -753,7 +775,8 @@ class TestRunGml:
         chain of the epoch, on the very array that its mlp_backward call
         forms from the pass its chain returned."""
         sys_cfg, ch, _ = self.small_setup()
-        train = TrainConfig(n_epochs=3, n1=1, n2=1)
+        monkeypatch.setattr(training, "N1", 1)
+        train = TrainConfig(n_epochs=3, n2=1)
         names = ("pn", "an", "tn")
         nets, events = [], []
         init, backward = training.init_networks, training.mlp_backward
@@ -808,12 +831,14 @@ class TestRunGml:
 
     @pytest.mark.parametrize("mode", ["independent", "coupled"])
     def test_phase_rate_decays_in_coupled_mode_only(self, monkeypatch, mode):
-        """Coupled mode steps the phase network at lr_theta *
+        """Coupled mode steps the phase network at LR_THETA *
         PHASE_RATE_FLOOR ** (epoch / n_epochs); independent mode at
-        lr_theta. The other two networks keep their rates in both modes."""
+        LR_THETA. The other two networks keep their rates in both modes."""
         sys_cfg, ch, _ = self.small_setup()
-        train = TrainConfig(n_epochs=6, mode=mode, n1=1, n2=2, lr_w=1e-3,
-                            lr_a=2e-3, lr_theta=3e-3)
+        for name, value in (("N1", 1), ("LR_W", 1e-3), ("LR_A", 2e-3),
+                            ("LR_THETA", 3e-3)):
+            monkeypatch.setattr(training, name, value)
+        train = TrainConfig(n_epochs=6, mode=mode, n2=2)
         nets, rates = [], {"pn": [], "an": [], "tn": []}
         init, adam_step = training.init_networks, training.adam_step
 
@@ -833,9 +858,9 @@ class TestRunGml:
         tn_epochs = range(train.n2, n + 1, train.n2)
         floor = training.PHASE_RATE_FLOOR if mode == "coupled" else 1.0
         assert 0 < training.PHASE_RATE_FLOOR < 1
-        assert rates["pn"] == [train.lr_w] * n
-        assert rates["an"] == [train.lr_a] * n
-        assert rates["tn"] == [train.lr_theta * floor ** (e / n) for e in tn_epochs]
+        assert rates["pn"] == [1e-3] * n
+        assert rates["an"] == [2e-3] * n
+        assert rates["tn"] == [3e-3 * floor ** (e / n) for e in tn_epochs]
 
     @staticmethod
     def paper_peak_words(mode):

@@ -7,8 +7,8 @@ cases hash the CSV files that ``run_experiment`` writes, without their
 ``seconds`` column, the wall clock. The grad-check cases hash, for each of
 the instances ``starbeam grad-check`` checks by default, the
 central-difference bundle, ``wsr_finite_diff``'s, and the command's
-one-instance report. The cli_config cases solve from a config file read
-through ``cli._build_configs``.
+one-instance report. The cli_config cases solve from a config file, in
+each training mode, read through ``cli._build_configs``.
 
 Digests depend on the BLAS build and the CPU, so they are compared only
 between two runs on one machine, never against stored values. Each tree
@@ -68,8 +68,7 @@ BATTERY_EPOCHS = 300
 CLI_CONFIG = {
     "system": {"M": 8, "N": 16, "K": 2, "p_max_w": 0.01, "noise_power_w": 1e-14,
                "weights": [1, 2], "user_sides": ["reflection", "transmission"]},
-    "train": {"n_epochs": 100, "lr_w": 0.001, "lr_a": 0.005, "lr_theta": 0.005,
-              "n1": 5, "n2": 1, "mode": "independent", "rho_min": 0.3,
+    "train": {"n_epochs": 100, "n2": 1, "mode": "independent", "rho_min": 0.3,
               "rho_max": 3000, "seed": 4},
     "channel": {"rician_k_g": 10, "rician_k_h": 8, "bs_pos_m": [0, 0],
                 "ris_pos_m": [100, 0], "center_t_m": [100, -15],
@@ -125,12 +124,14 @@ def _experiment(**fields) -> str:
 
 
 def _cli_config(mode: str) -> str:
-    """The solve of `starbeam run --config CLI_CONFIG --mode mode`."""
+    """The solve of `starbeam run --config` on CLI_CONFIG with its
+    train.mode set to mode."""
+    config = {**CLI_CONFIG, "train": {**CLI_CONFIG["train"], "mode": mode}}
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "config.json")
         with open(path, "w", encoding="ascii") as fh:
-            json.dump(CLI_CONFIG, fh)
-        args = cli.build_parser().parse_args(["run", "--config", path, "--mode", mode])
+            json.dump(config, fh)
+        args = cli.build_parser().parse_args(["run", "--config", path])
         sys_cfg, ch_cfg, train = cli._build_configs(args)
     ch = generate_channels(sys_cfg, ch_cfg, np.random.default_rng(ch_cfg.seed))
     return solution_digest(run_gml(sys_cfg, ch, train))
