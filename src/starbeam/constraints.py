@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigurationError, DegenerateInputError
+from .errors import ConfigurationError, DegenerateInputError, Kind
 from .model import TWO_PI, CoupledAuxiliary
 
 # Feasible per-element phase differences, in the canonical tie-break order:
@@ -41,8 +41,7 @@ def wrap_phase(theta: np.ndarray) -> np.ndarray:
 
 def normalize_power(W: np.ndarray, p_max: float) -> np.ndarray:
     """Scale the precoder so its squared Frobenius norm equals p_max."""
-    if not 0 < p_max < np.inf:  # also rejects NaN
-        raise ConfigurationError(f"p_max must be positive and finite; got {p_max!r}")
+    Kind.POSITIVE.check("p_max", p_max)
     W = np.asarray(W, dtype=np.complex128)
     total = np.vdot(W, W).real
     if not 0 < total < np.inf:

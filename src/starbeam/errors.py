@@ -1,7 +1,9 @@
 """Exception types shared across the package, the integer and real checks,
 and the field kinds. Each config class declares the kind of each field in
 one table, FIELD_KINDS, which check_fields runs when the class is built
-and the CLI runs on each config-file value."""
+and the CLI runs on each config-file value; an exported function checks
+each scalar argument with one Kind check. tests/test_field_kinds.py tests
+fields and arguments alike, from one table of cases."""
 import math
 import numbers
 from typing import Callable, NamedTuple
@@ -10,7 +12,7 @@ import numpy as np
 
 
 class ConfigurationError(ValueError):
-    """Inconsistent dimensions or invalid configuration values."""
+    """Inconsistent dimensions, or an invalid config value or argument."""
 
 
 class DegenerateInputError(ValueError):
@@ -31,9 +33,9 @@ def is_real(value) -> bool:
 
 
 class Kind(NamedTuple):
-    """The values one config field takes: what they are, in the words of
-    the error message; the test a value must pass; and the form in which
-    a value that passes is stored. The kinds are class attributes (LIST,
+    """The values one config field or argument takes: what they are, in the
+    words of the error message; the test a value must pass; and the form in
+    which a value that passes is stored. The kinds are class attributes (LIST,
     COUNT, SEED, POSITIVE, NON_NEGATIVE, FINITE, POSITION, FLAG, TEXT) or
     built by choice, listed and or_none."""
 

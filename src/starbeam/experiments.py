@@ -243,8 +243,7 @@ def run_scheme(
     """Dispatch one scheme on one prepared instance, in the scheme's own
     training mode (SCHEME_MODE), which replaces train.mode; the other
     fields of train apply as given."""
-    if scheme not in SCHEMES:
-        raise ConfigurationError(f"unknown scheme '{scheme}'")
+    Kind.choice(*SCHEMES).check("scheme", scheme)
     train = replace(train, mode=SCHEME_MODE[scheme])
     if scheme == SCHEME_RANDOM_PHASE:
         return random_phase_baseline(sys_cfg, ch, train)
@@ -458,6 +457,7 @@ def grad_check_command(
     instance i draws from seed seed_base + i, so seed_base must be >= 0."""
     Kind.COUNT.check("n_instances", n_instances)
     Kind.SEED.check("seed_base", seed_base)
+    Kind.FLAG.check("verbose", verbose)
     worst_rel = 0.0
     worst_abs = 0.0
     for i in range(n_instances):

@@ -58,7 +58,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import is_real
+from .errors import Kind
 from .model import (
     BeamformingState,
     ChannelSet,
@@ -186,9 +186,7 @@ def _probes(x0: np.ndarray, step: float) -> np.ndarray:
     """The (2p+1, p) probes of p real coordinates x0: row i is x0 + step *
     e_i, row p + i is x0 - step * e_i and the last row x0. Only the
     perturbed entries are written, so a -0.0 elsewhere keeps its sign."""
-    if not (is_real(step) and step > 0):
-        raise ValueError(
-            f"step must be positive and finite (a real, not a bool); got {step!r}")
+    Kind.POSITIVE.check("step", step)
     p = x0.size
     X = np.repeat(x0[None], 2 * p + 1, axis=0)
     X[:p].reshape(-1)[:: p + 1] += step  # a block's diagonal, as X is contiguous

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DegenerateInputError, Kind, is_real
+from .errors import ConfigurationError, DegenerateInputError, Kind
 
 # Adam's moment decay rates and denominator floor, the textbook defaults.
 ADAM_BETA1 = 0.9
@@ -161,8 +161,7 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState,
     and the state must share. A bad lr and a gradient that is read-only,
     shares memory with params or a moment, or holds NaN, inf or an entry
     whose square overflows the dtype are rejected before anything changes."""
-    if not (is_real(lr) and lr > 0):
-        raise ValueError(f"lr must be a finite real > 0; got {lr!r}")
+    Kind.POSITIVE.check("lr", lr)
     dtype = state.first_moment.dtype
     if not (isinstance(params, np.ndarray) and params.ndim == 1
             and params.dtype == dtype and np.issubdtype(dtype, np.floating)):

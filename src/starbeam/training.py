@@ -211,7 +211,7 @@ def rho_at(train: TrainConfig, epoch: int) -> float:
     """Penalty weight at an epoch: rho_min * (rho_max/rho_min)^(epoch/n)
     with n = train.n_epochs."""
     if not (is_int(epoch, 0) and epoch <= train.n_epochs):
-        raise ValueError(
+        raise ConfigurationError(
             f"epoch must be an integer in [0, n_epochs]; got {epoch!r}")
     ratio = train.rho_max / train.rho_min
     return float(train.rho_min * ratio ** (epoch / train.n_epochs))
@@ -315,10 +315,12 @@ def initial_state(
     n = cfg.N
     if beta_init is not None:
         beta0 = np.asarray(beta_init, dtype=float)
-        if (beta0.shape != (2 * n,) or not np.isfinite(beta0).all()
-                or (beta0 < 0).any() or not (beta0[:n] + beta0[n:] > 0).all()):
-            raise ConfigurationError(
-                "beta_init must be 2N finite values >= 0, no (t, r) pair both zero")
+        # the squares normalize_amplitudes takes; one that overflows is rejected
+        with np.errstate(over="ignore"):
+            sq = beta0[:n] ** 2 + beta0[n:] ** 2 if beta0.shape == (2 * n,) else None
+        if sq is None or (beta0 < 0).any() or not ((sq > 0) & (sq < np.inf)).all():
+            raise ConfigurationError("beta_init must be 2N values >= 0, each (t, r) "
+                                     "pair's squared norm finite and > 0")
     bt, br = normalize_amplitudes(beta0[:n], beta0[n:])
     return W0, np.concatenate([bt, br]), wrap_phase(theta0)
 

@@ -95,21 +95,6 @@ class TestPgaOracle:
         assert a.wsr_opt == b.wsr_opt
         assert np.array_equal(a.theta_opt, b.theta_opt)
 
-    def test_step_size_validation(self):
-        sys_cfg, ch, _ = setup_instance(seed=8)
-        with pytest.raises(ConfigurationError):
-            pga_oracle(sys_cfg, ch, steps=0)
-
-    @pytest.mark.parametrize("kwargs, named", [
-        ({"steps": 2.5}, "steps"),
-        ({"steps": True}, "steps"),
-        ({"seed": -1}, "seed"),
-    ])
-    def test_bad_argument_named(self, kwargs, named):
-        sys_cfg, ch, _ = setup_instance(seed=8)
-        with pytest.raises(ConfigurationError, match=f"^{named} must be"):
-            pga_oracle(sys_cfg, ch, **kwargs)
-
     @staticmethod
     def check_accepted_rates(sys_cfg, ch, steps, seed):
         """A run cut after s steps is the first s steps of a longer one, so

@@ -35,15 +35,6 @@ class TestPathLoss:
     def test_ten_meters(self):
         assert pl_db(10.0, ChannelConfig()) == pytest.approx(57.6)
 
-    def test_nonpositive_distance(self):
-        with pytest.raises(ValueError):
-            path_loss_linear(0.0, ChannelConfig())
-
-    @pytest.mark.parametrize("d", [np.inf, np.nan])
-    def test_non_finite_distance_named(self, d):
-        with pytest.raises(ConfigurationError, match="^d must be a finite real"):
-            path_loss_linear(d, ChannelConfig())
-
 
 class TestGeneration:
     def test_bitwise_reproducible(self):
@@ -109,13 +100,6 @@ class TestGeneration:
     def test_non_finite_value_rejected(self, field, value):
         with pytest.raises(ConfigurationError, match=field):
             ChannelConfig(**{field: value})
-
-    @pytest.mark.parametrize("field", [
-        "rician_k_g", "rician_k_h", "user_area_radius", "pathloss_a", "pathloss_b",
-    ])
-    def test_bool_number_rejected(self, field):
-        with pytest.raises(ConfigurationError, match=f"^{field} must be a finite real"):
-            ChannelConfig(**{field: True})
 
     @pytest.mark.parametrize("fields, named", [
         ({"seed": -3}, "seed"),

@@ -152,20 +152,8 @@ class TestSweepExperiment:
         with pytest.raises(ConfigurationError):
             ExperimentSpec(kind="sweep_n", grid=())
 
-    def test_unknown_scheme_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ExperimentSpec(kind="sweep_n", schemes=("magic",))
-
 
 class TestExperimentSpec:
-    @pytest.mark.parametrize("field, value", [
-        ("n_epochs", 0), ("n_epochs", True),
-        ("sample_count", 2.0), ("desk_scale", "false"),
-    ])
-    def test_bad_value_rejected(self, field, value):
-        with pytest.raises(ConfigurationError, match=field):
-            ExperimentSpec(kind="convergence", **{field: value})
-
     @pytest.mark.parametrize("kind", ["convergence", "phase_trace"])
     def test_grid_rejected_on_one_point_kinds(self, kind):
         with pytest.raises(ConfigurationError, match="grid"):
@@ -232,15 +220,13 @@ class TestTimingExperiment:
 
 
 @pytest.mark.parametrize("call, name", [
-    (lambda cfg, ch_cfg: channels.dbm_to_watts(float("nan")), "dbm"),
     (lambda cfg, ch_cfg: channels.dbm_to_watts(4000.0), "dbm"),
     (lambda cfg, ch_cfg: channels.dbm_to_watts(-4000.0), "dbm"),
     (lambda cfg, ch_cfg: channels.generate_channels(cfg, ch_cfg, rng=5), "rng"),
-], ids=["dbm_to_watts", "dbm_to_watts_overflow", "dbm_to_watts_zero",
-        "generate_channels"])
+], ids=["dbm_to_watts_overflow", "dbm_to_watts_zero", "generate_channels"])
 def test_bad_argument_rejected_naming_it(call, name):
-    """A NaN power, one whose watts overflow or round to 0, and an integer
-    for a generator are rejected at the call, naming the argument."""
+    """A power whose watts overflow or round to 0, and an integer for a
+    generator, are rejected at the call, naming the argument."""
     sys_cfg, ch_cfg = desk_scenario()
     with pytest.raises(ConfigurationError, match=f"^{name} must be"):
         call(sys_cfg, ch_cfg)
@@ -295,8 +281,7 @@ class TestSignTest:
         assert sign_test_p_value(0, 0) == 1.0
 
     @pytest.mark.parametrize("wins, n, name", [
-        (3, 2, "wins"), (2, -1, "n"), (True, 3, "wins"), (-1, 3, "wins"),
-        (1.0, 3, "wins"), (1, 3.0, "n")])
+        (3, 2, "wins"), (True, 3, "wins"), (-1, 3, "wins"), (1.0, 3, "wins")])
     def test_counts_outside_the_test_named(self, wins, n, name):
         with pytest.raises(ConfigurationError, match=f"^{name} must"):
             sign_test_p_value(wins, n)
@@ -395,20 +380,10 @@ class TestCli:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("raw, named", [
-        ({"system": {"N": 16.7}}, "system.N"),
-        ({"train": {"n_epochs": 3.9}}, "train.n_epochs"),
-        ({"system": {"K": True}}, "system.K"),
-        ({"system": {"M": "8"}}, "system.M"),
-        ({"system": {"weights": [1.0, "2"]}}, "system.weights"),
-        ({"channel": {"bs_pos_m": 0.0}}, "channel.bs_pos_m"),
-        ({"train": {"mode": 1}}, "train.mode"),
-        ({"system": {"K": 0}}, "K must be >= 1"),
-        ({"train": {"seed": -1}}, "seed"),
-        ({"channel": {"seed": -3}}, "seed"),
         ({"channel": {"bs_pos_m": [100.0, 0.0]}}, "bs_pos"),
         ({"channel": {"center_t_m": [100.0, 0.0], "user_area_radius_m": 0.0}},
          "center_t"),
-    ])
+    ], ids=["bs_pos_at_ris_pos", "user_disc_contains_ris_pos"])
     def test_config_value_rejected(self, tmp_path, raw, named):
         path = self._write_config(tmp_path, raw)
         args = build_parser().parse_args(["run", "--config", path])
@@ -421,7 +396,8 @@ class TestCli:
         (["run", "--seed", "-1"], "seed"),
         (["grad-check", "--seed", "-5000"], "seed must be >= 0"),
         (["grad-check", "--seed", "-5"], "seed must be >= 0"),
-    ])
+    ], ids=["grad_check_instances_0", "grad_check_instances_-3", "run_seed_-1",
+            "grad_check_seed_-5000", "grad_check_seed_-5"])
     def test_flag_value_rejected(self, argv, named):
         with pytest.raises(ConfigurationError, match=named):
             cli_main(argv)

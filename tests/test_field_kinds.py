@@ -1,17 +1,25 @@
-"""One boundary test generated from a table of every settable config field:
-each invalid value of the field's kind must raise a ConfigurationError
-naming the field, through the constructor and through the config file
+"""One boundary test generated from a table of every public input: each
+settable config field and each scalar argument of an exported function.
+Each invalid value of the input's kind must raise a ConfigurationError
+naming it, from the call, and a config field's also from the config file
 (the run config's key, or the experiment spec's). This is where the kinds
-of config fields are tested: a new invalid value goes into the lists
+of public inputs are tested: a new invalid value goes into the lists
 below, not into a test of its own."""
 import dataclasses
+import inspect
 import json
 import re
+import typing
 
 import numpy as np
 import pytest
 
-from starbeam import ChannelConfig, ExperimentSpec, SystemConfig, TrainConfig
+import starbeam
+from starbeam import (ChannelConfig, ExperimentSpec, SystemConfig, TrainConfig,
+                      adam_init, adam_step, dbm_to_watts, finite_diff_gradient,
+                      grad_check_command, init_mlp, normalize_power, path_loss_linear,
+                      pga_oracle, run_meta_loop, run_scheme, sign_test_p_value, sinr,
+                      sinr_augmented, wsr_finite_diff)
 from starbeam.cli import (
     CHANNEL_KEYS,
     SYSTEM_KEYS,
@@ -24,6 +32,8 @@ from starbeam.errors import ConfigurationError, Kind
 from starbeam.experiments import KINDS, SCHEMES, desk_train
 from starbeam.model import REFLECTION, TRANSMISSION
 from starbeam.training import MODE_COUPLED, MODE_INDEPENDENT
+
+from conftest import make_instance
 
 NAN, INF = float("nan"), float("inf")
 
@@ -42,8 +52,8 @@ CHOICE = ["bogus", "", 1, -1, 2.5, True, NAN, ["independent"], None]
 FLAG = ["false", 1, 0, -1, 2.5, NAN, [True], None]
 TEXT = [5, -1, 2.5, NAN, True, ["results"], None]
 
-# (class, field, the kind it must have, its invalid values); the
-# constructor's other arguments are in BASE.
+# (class or function, field or argument, the kind it must have, its
+# invalid values); the call's other arguments are built by BASE.
 CASES = [
     *[(SystemConfig, f, Kind.COUNT, COUNT) for f in ("M", "N", "K")],
     *[(SystemConfig, f, Kind.POSITIVE, POSITIVE) for f in ("p_max", "noise_power")],
@@ -74,21 +84,90 @@ CASES = [
     (ExperimentSpec, "desk_scale", Kind.FLAG, FLAG),
     (ExperimentSpec, "n_epochs", Kind.COUNT.or_none(),
      [v for v in COUNT if v is not None]),
+    (pga_oracle, "steps", Kind.COUNT, COUNT),
+    (pga_oracle, "seed", Kind.SEED, SEED),
+    *[(run_meta_loop, a, Kind.FLAG, FLAG + [np.True_])
+      for a in ("enable_an", "enable_tn")],
+    (grad_check_command, "n_instances", Kind.COUNT, COUNT),
+    (grad_check_command, "seed_base", Kind.SEED, SEED),
+    (grad_check_command, "verbose", Kind.FLAG, FLAG + [np.True_]),
+    # the lower bound only: the upper, K - 1, depends on cfg
+    *[(fn, "k", Kind.SEED, SEED) for fn in (sinr, sinr_augmented)],
+    *[(init_mlp, a, Kind.COUNT, COUNT)
+      for a in ("input_dim", "hidden_dim", "output_dim")],
+    (adam_step, "lr", Kind.POSITIVE, POSITIVE),
+    *[(fn, "step", Kind.POSITIVE, POSITIVE + [np.True_, 1e-4j])
+      for fn in (wsr_finite_diff, finite_diff_gradient)],
+    (normalize_power, "p_max", Kind.POSITIVE, POSITIVE),
+    (dbm_to_watts, "dbm", Kind.FINITE, NUMBER),
+    (path_loss_linear, "d", Kind.POSITIVE, POSITIVE),
+    (run_scheme, "scheme", Kind.choice(*SCHEMES), CHOICE),
+    (sign_test_p_value, "n", Kind.SEED, SEED),
 ]
+CLASSES = (SystemConfig, TrainConfig, ChannelConfig, ExperimentSpec)
+CONFIG_CASES = [case for case in CASES if case[0] in CLASSES]
+ARGUMENT_CASES = [case for case in CASES if case[0] not in CLASSES]
+
+
+def solve_args():
+    cfg, ch, _ = make_instance(0)
+    return {"sys_cfg": cfg, "ch": ch}
+
+
+def train_args():
+    return {**solve_args(), "train": desk_train(n_epochs=1)}
+
+
+def state_args():
+    cfg, ch, state = make_instance(0)
+    return {"cfg": cfg, "ch": ch, "state": state}
+
+
 BASE = {
-    SystemConfig: {"M": 2, "N": 4, "K": 2, "p_max": 1.0, "noise_power": 1.0},
-    TrainConfig: {}, ChannelConfig: {}, ExperimentSpec: {"kind": "convergence"},
+    SystemConfig: lambda: {"M": 2, "N": 4, "K": 2, "p_max": 1.0, "noise_power": 1.0},
+    TrainConfig: dict, ChannelConfig: dict,
+    ExperimentSpec: lambda: {"kind": "convergence"},
+    pga_oracle: solve_args, run_meta_loop: train_args, run_scheme: train_args,
+    grad_check_command: lambda: {"n_instances": 1, "verbose": False},
+    sinr: state_args, sinr_augmented: state_args, wsr_finite_diff: state_args,
+    finite_diff_gradient: lambda: {"objective": lambda st: 0.0,
+                                   "state": make_instance(0)[2]},
+    init_mlp: lambda: {"input_dim": 2, "hidden_dim": 3, "output_dim": 2,
+                       "rng": np.random.default_rng(0)},
+    adam_step: lambda: {"params": np.zeros(2), "grads": np.zeros(2),
+                        "state": adam_init(np.zeros(2))},
+    normalize_power: lambda: {"W": np.ones((2, 1), complex)},
+    dbm_to_watts: dict,
+    path_loss_linear: lambda: {"cfg": ChannelConfig()},
+    sign_test_p_value: lambda: {"wins": 0},
 }
 SECTIONS = {SystemConfig: ("system", SYSTEM_KEYS), TrainConfig: ("train", TRAIN_KEYS),
             ChannelConfig: ("channel", CHANNEL_KEYS)}
-IDS = [f"{cls.__name__}.{field}" for cls, field, _, _ in CASES]
+
+
+def ids(cases):
+    return [f"{fn.__name__}.{name}" for fn, name, _, _ in cases]
+
+
+# The scalar arguments of exported functions that have no case, and why.
+UNCASED = {
+    "rho_at.epoch": "its valid set, [0, n_epochs], depends on train",
+    "sign_test_p_value.wins": "its valid set, [0, n], depends on n",
+    "timing_probe.repetitions": "its bound, >= 3, is not a kind",
+    **{f"{fn}.{arg}": "it goes straight into a config class, whose field has a case"
+       for fn, args in (("desk_train", ("mode", "seed", "n_epochs")),
+                        ("paper_train", ("mode", "seed")), ("desk_scenario", ("K",)))
+       for arg in args},
+    "save_channels.path": "a path", "load_channels.path": "a path",
+    "channels_from_text.text": "a text",
+}
 
 
 def expected(prefix: str, field: str, kind: Kind) -> str:
     return f"^{re.escape(f'{prefix}{field} must be {kind.what}; got ')}"
 
 
-@pytest.mark.parametrize("cls", list(BASE), ids=lambda cls: cls.__name__)
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__name__)
 def test_every_settable_field_has_a_case_and_a_kind(cls):
     settable = {f.name for f in dataclasses.fields(cls) if f.init}
     assert {field for c, field, _, _ in CASES if c is cls} == settable
@@ -97,19 +176,31 @@ def test_every_settable_field_has_a_case_and_a_kind(cls):
         assert set(SECTIONS[cls][1].values()) == settable
 
 
-@pytest.mark.parametrize("cls, field, kind, invalid", CASES, ids=IDS)
+def test_every_exported_scalar_argument_has_a_case_or_a_reason():
+    scalar = {f"{fn.__name__}.{arg}"
+              for fn in vars(starbeam).values() if inspect.isfunction(fn)
+              for arg, hint in typing.get_type_hints(fn).items()
+              if arg != "return" and hint in (int, float, bool, str)}
+    cased = set(ids(ARGUMENT_CASES))
+    assert not cased & set(UNCASED)
+    assert scalar == cased | set(UNCASED)
+
+
+# a function's row is checked through a call, as a class's through its constructor
+@pytest.mark.parametrize("cls, field, kind, invalid", CASES, ids=ids(CASES))
 def test_invalid_value_named_by_constructor(cls, field, kind, invalid):
     for value in invalid:
         with pytest.raises(ConfigurationError, match=expected("", field, kind)):
-            cls(**{**BASE[cls], field: value})
+            cls(**{**BASE[cls](), field: value})
 
 
-@pytest.mark.parametrize("cls, field, kind, invalid", CASES, ids=IDS)
+@pytest.mark.parametrize("cls, field, kind, invalid", CONFIG_CASES,
+                         ids=ids(CONFIG_CASES))
 def test_invalid_value_named_from_file(tmp_path, cls, field, kind, invalid):
     path = tmp_path / "config.json"
     for value in invalid:
         if cls is ExperimentSpec:
-            path.write_text(json.dumps({**BASE[cls], field: value}))
+            path.write_text(json.dumps({**BASE[cls](), field: value}))
             with pytest.raises(ConfigurationError, match=expected("", field, kind)):
                 cli_main(["experiment", str(path), "--out", str(tmp_path / "out")])
             continue
@@ -126,7 +217,7 @@ def test_invalid_value_named_from_file(tmp_path, cls, field, kind, invalid):
 def test_weights_must_be_real():
     for weights in ([1 + 0j, 1.0], [True, True], ["1", "2"], np.array([1.0, np.nan])):
         with pytest.raises(ConfigurationError, match="^weights must be"):
-            SystemConfig(**BASE[SystemConfig], weights=weights)
+            SystemConfig(**BASE[SystemConfig](), weights=weights)
 
 
 def test_empty_out_dir_accepted():

@@ -468,7 +468,8 @@ class TestAdam:
         adam_step(self.params, np.array([0.1, -0.2, 0.3]), self.state, lr=0.1)
         params = self.params.copy()
         m = self.state.first_moment.copy()
-        with pytest.raises(ValueError, match="lr must"):
+        with pytest.raises(ConfigurationError,
+                           match="^lr must be a finite real > 0; got "):
             adam_step(self.params, np.array([0.1, 0.2, 0.3]), self.state, lr=lr)
         assert self.state.step_count == 1
         assert np.array_equal(self.params, params)
