@@ -181,10 +181,6 @@ class BeamformingState:
         """Concatenated (theta_t, theta_r), length 2N."""
         return np.concatenate([self.theta_t, self.theta_r])
 
-    @property
-    def transmit_power(self) -> float:
-        return float(np.vdot(self.W, self.W).real)
-
 
 @dataclass(frozen=True)
 class CoupledAuxiliary:

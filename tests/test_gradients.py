@@ -280,18 +280,6 @@ class TestBatchedDifferences:
         for seed in range(60, 70):
             self.check(*make_instance(seed, M=1, N=1, K=1, user_sides=(side,)))
 
-    @pytest.mark.parametrize(
-        "step", [np.inf, -np.inf, np.nan, -1e-4, True, np.True_, "1e-4", None, 1e-4j],
-        ids=["inf", "-inf", "nan", "negative", "bool", "numpy_bool", "str", "None",
-             "complex"])
-    def test_step_must_be_a_finite_positive_real(self, step):
-        cfg, ch, state = make_instance(21)
-        message = "^step must be a finite real > 0; got "
-        with pytest.raises(ConfigurationError, match=message):
-            wsr_finite_diff(cfg, ch, state, step)
-        with pytest.raises(ConfigurationError, match=message):
-            finite_diff_gradient(lambda st: evaluate_wsr(cfg, ch, st), state, step)
-
     def test_rejects_mismatched_dimensions(self):
         cfg, ch, state = make_instance(20)
         other, _, _ = make_instance(20, M=5)

@@ -298,9 +298,6 @@ class TestTypes:
         n = state.beta_t.size
         assert np.array_equal(state.beta[:n], state.beta_t)
         assert np.array_equal(state.theta[n:], state.theta_r)
-        assert state.transmit_power == pytest.approx(
-            np.linalg.norm(state.W, "fro") ** 2
-        )
 
 
 def _bits(a):

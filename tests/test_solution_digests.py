@@ -46,3 +46,9 @@ def test_compare_counts_equal_cases(tmp_path, capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "digests equal on 2 of 2 cases"
     assert out[-1] == "digests equal on 1 of 2 cases"
+    # a case missing from one listing differs; it is not skipped
+    lacking = tmp_path / "lacking.txt"
+    lacking.write_text("aa  one\n")
+    assert tool.main(["--compare", str(base), str(lacking)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "DIFFERS two: bb != None", "digests equal on 1 of 2 cases"]
