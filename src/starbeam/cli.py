@@ -57,17 +57,19 @@ from .channels import ChannelConfig, generate_channels, save_channels
 from .constraints import COUPLING_TOL
 from .errors import ConfigurationError, Kind
 from .experiments import (
+    CONVERGENCE_HEADER,
     GRAD_CHECK_INSTANCES,
     GRAD_CHECK_SEED_BASE,
     SCHEME_GML_COUPLED,
     SCHEME_GML_INDEPENDENT,
     SCHEMES,
     ExperimentSpec,
+    convergence_rows,
     grad_check_command,
     run_experiment,
     run_scheme,
     scale_configs,
-    write_convergence_csv,
+    write_csv,
 )
 from .model import SystemConfig
 from .training import MODE_COUPLED, TrainConfig
@@ -190,7 +192,8 @@ def _cmd_run(args) -> int:
         }
         with open(os.path.join(out, "solution.json"), "w") as fh:
             json.dump(summary, fh, indent=2)
-        write_convergence_csv(os.path.join(out, "convergence.csv"), sol.traces)
+        write_csv(os.path.join(out, "convergence.csv"), CONVERGENCE_HEADER,
+                  convergence_rows(sol.traces))
         save_channels(os.path.join(out, "channels.txt"), ch)
         print(f"artifacts written to {out}/")
     return 0

@@ -51,13 +51,22 @@ def normalize_power(W: np.ndarray, p_max: float) -> np.ndarray:
     return np.sqrt(p_max / total) * W
 
 
+def _halves(t_name: str, t, r_name: str, r) -> tuple[np.ndarray, np.ndarray]:
+    """The t and r halves of per-element pairs as float arrays; halves of
+    different shapes are rejected before any arithmetic, naming both."""
+    t, r = np.asarray(t, dtype=float), np.asarray(r, dtype=float)
+    if t.shape != r.shape:
+        raise ConfigurationError(
+            f"{t_name} and {r_name} must have one shape; got {t.shape} and {r.shape}")
+    return t, r
+
+
 def normalize_amplitudes(
     beta_t_raw: np.ndarray, beta_r_raw: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Rescale each (beta_t, beta_r) pair onto the unit circle
     beta_t^2 + beta_r^2 = 1."""
-    bt = np.asarray(beta_t_raw, dtype=float)
-    br = np.asarray(beta_r_raw, dtype=float)
+    bt, br = _halves("beta_t_raw", beta_t_raw, "beta_r_raw", beta_r_raw)
     sq = bt**2 + br**2
     if not ((sq > 0) & (sq < np.inf)).all():  # also rejects NaN
         raise DegenerateInputError(
@@ -81,8 +90,7 @@ def project_coupled_phases(
     (N,) vectors of plain reals (no circular wrapping); deviation is
     Euclidean. A NaN or infinite phase is rejected, naming its side.
     """
-    tt = np.asarray(theta_t, dtype=float)
-    tr = np.asarray(theta_r, dtype=float)
+    tt, tr = _halves("theta_t", theta_t, "theta_r", theta_r)
     for name, side in (("theta_t", tt), ("theta_r", tr)):
         if not np.isfinite(side).all():
             raise ConfigurationError(f"{name} must hold only finite phases")
@@ -104,4 +112,5 @@ COUPLING_TOL = 0.05
 
 def coupling_residual(theta_t: np.ndarray, theta_r: np.ndarray) -> np.ndarray:
     """|cos(theta_t - theta_r)| per element; zero iff the pair is coupled."""
-    return np.abs(np.cos(np.asarray(theta_t, float) - np.asarray(theta_r, float)))
+    tt, tr = _halves("theta_t", theta_t, "theta_r", theta_r)
+    return np.abs(np.cos(tt - tr))

@@ -151,6 +151,9 @@ class ExperimentSpec:
 
     def __post_init__(self) -> None:
         check_fields(self, self.FIELD_KINDS)
+        if len(set(self.schemes)) < len(self.schemes):
+            raise ConfigurationError(
+                f"schemes must list each scheme once; got {self.schemes!r}")
         # lists (as read from JSON) become tuples, (M, N) grid pairs included
         if self.kind == KIND_SWEEP_MN:
             object.__setattr__(self, "grid", tuple(
@@ -266,98 +269,74 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
         not spec.desk_scale, spec.n_epochs
     )
 
+    def write(name: str, header: list[str], rows) -> None:
+        path = os.path.join(spec.out_dir, name)
+        write_csv(path, header, rows)
+        report.csv_paths.append(path)
+
     for gi, gval in enumerate(spec.grid):
         fields, label = _grid_point(spec.kind, gval)
         sys_cfg = replace(base_sys, **fields)
         for sample in range(spec.sample_count):
-            ch_rng = np.random.default_rng(
-                _derive_seed(spec.master_seed, _CHANNEL_TAG, gi, sample)
-            )
-            ch = generate_channels(sys_cfg, ch_cfg, ch_rng)
+            ch = generate_channels(sys_cfg, ch_cfg, np.random.default_rng(
+                _derive_seed(spec.master_seed, _CHANNEL_TAG, gi, sample)))
             for scheme in spec.schemes:
                 train = replace(base_train, seed=_derive_seed(
                     spec.master_seed, _SCHEME_TAG[scheme], gi, sample))
+                sol = error = None
                 started = time.perf_counter()
                 try:
                     sol = run_scheme(scheme, sys_cfg, ch, train)
                 except Exception as err:  # recorded, not fatal
-                    report.records.append(CellRecord(
-                        scheme, label, sample, float("nan"),
-                        time.perf_counter() - started,
-                        error=f"{scheme}/grid={label}/sample={sample}: {err}",
-                    ))
-                    continue
+                    error = f"{scheme}/grid={label}/sample={sample}: {err}"
                 report.records.append(CellRecord(
-                    scheme=scheme,
-                    grid_value=label,
-                    sample=sample,
-                    wsr_final=sol.wsr_opt,
-                    seconds=time.perf_counter() - started,
-                ))
+                    scheme, label, sample,
+                    float("nan") if sol is None else sol.wsr_opt,
+                    time.perf_counter() - started, error))
+                if sol is None or spec.kind not in _ONE_POINT_KINDS:
+                    continue
                 if spec.kind == KIND_CONVERGENCE:
-                    path = os.path.join(spec.out_dir,
-                                        f"convergence_{scheme}_s{sample}.csv")
-                    write_convergence_csv(path, sol.traces)
-                    report.csv_paths.append(path)
-                if spec.kind == KIND_PHASE_TRACE:
-                    _write_phase_trace_csv(report, spec, scheme, sample,
-                                           sol.traces["phase_diff"])
+                    header, rows = CONVERGENCE_HEADER, convergence_rows(sol.traces)
+                else:
+                    trace = sol.traces["phase_diff"]
+                    header = ["epoch"] + [f"elem_{i}" for i in range(trace.shape[1])]
+                    rows = _epoch_rows(trace)
+                write(f"{spec.kind}_{scheme}_s{sample}.csv", header, rows)
 
-    _write_sweep_csv(report, spec)
-    if spec.kind in (KIND_SWEEP_N, KIND_SWEEP_PMAX, KIND_SWEEP_MN):
-        _write_aggregate_csv(report, spec)
+    write("summary.csv" if spec.kind == KIND_CONVERGENCE else f"{spec.kind}.csv",
+          SWEEP_HEADER,
+          [[r.scheme, r.grid_value, r.sample, repr(float(r.wsr_final)),
+            repr(float(r.seconds))] for r in report.records])
+    if spec.kind not in _ONE_POINT_KINDS:
+        groups: dict[tuple, list[float]] = {}
+        for r in report.records:
+            if r.error is None:
+                groups.setdefault((r.scheme, r.grid_value), []).append(r.wsr_final)
+        write(f"{spec.kind}_aggregate.csv",
+              ["scheme", "grid_value", "n", "wsr_mean", "wsr_std"],
+              [[scheme, gval, len(vals), repr(float(np.mean(vals))),
+                repr(float(np.std(vals)))] for (scheme, gval), vals in groups.items()])
     return report
 
 
-def _write_csv(path: str, header: list[str], rows) -> None:
+def write_csv(path: str, header: list[str], rows) -> None:
+    """Write one ASCII CSV file: the header, then the rows."""
     with open(path, "w", newline="", encoding="ascii") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
 
 
-def write_convergence_csv(path: str, traces: dict[str, np.ndarray]) -> None:
-    """One row per epoch: the epoch index and the traces named in
-    CONVERGENCE_HEADER, printed with repr (lossless)."""
-    rows = [[e] + [repr(float(traces[key][e])) for key in CONVERGENCE_HEADER[1:]]
-            for e in range(len(traces["wsr_best"]))]
-    _write_csv(path, CONVERGENCE_HEADER, rows)
+def _epoch_rows(table) -> list:
+    """One row per epoch: its index, then the values, printed with repr
+    (lossless)."""
+    return [[e] + [repr(float(v)) for v in row] for e, row in enumerate(table)]
 
 
-def _write_phase_trace_csv(report, spec, scheme, sample, trace: np.ndarray) -> None:
-    n = trace.shape[1]
-    header = ["epoch"] + [f"elem_{i}" for i in range(n)]
-    rows = [[e] + [repr(float(v)) for v in trace[e]] for e in range(trace.shape[0])]
-    path = os.path.join(spec.out_dir, f"phase_trace_{scheme}_s{sample}.csv")
-    _write_csv(path, header, rows)
-    report.csv_paths.append(path)
-
-
-def _write_sweep_csv(report: ExperimentReport, spec: ExperimentSpec) -> None:
-    name = "summary.csv" if spec.kind == KIND_CONVERGENCE else f"{spec.kind}.csv"
-    rows = [
-        [r.scheme, r.grid_value, r.sample, repr(float(r.wsr_final)),
-         repr(float(r.seconds))]
-        for r in report.records
-    ]
-    path = os.path.join(spec.out_dir, name)
-    _write_csv(path, SWEEP_HEADER, rows)
-    report.csv_paths.append(path)
-
-
-def _write_aggregate_csv(report: ExperimentReport, spec: ExperimentSpec) -> None:
-    groups: dict[tuple, list[float]] = {}
-    for r in report.records:
-        if r.error is None:
-            groups.setdefault((r.scheme, r.grid_value), []).append(r.wsr_final)
-    rows = []
-    for (scheme, gval), vals in groups.items():
-        arr = np.asarray(vals)
-        rows.append([scheme, gval, len(arr), repr(float(arr.mean())),
-                     repr(float(arr.std(ddof=0)))])
-    path = os.path.join(spec.out_dir, f"{spec.kind}_aggregate.csv")
-    _write_csv(path, ["scheme", "grid_value", "n", "wsr_mean", "wsr_std"], rows)
-    report.csv_paths.append(path)
+def convergence_rows(traces: dict[str, np.ndarray]) -> list:
+    """The rows of one convergence CSV (CONVERGENCE_HEADER): the epoch
+    index and the traces it names."""
+    return _epoch_rows(zip(*(traces[key] for key in CONVERGENCE_HEADER[1:])))
 
 
 # --- timing ----------------------------------------------------------------

@@ -234,3 +234,18 @@ class TestCouplingResidual:
     def test_sixty_degrees(self):
         assert coupling_residual(np.array([np.pi / 3]), np.array([0.0]))[0] \
             == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("lengths", [(3, 4), (1, 4)], ids=["3_against_4", "1_against_4"])
+@pytest.mark.parametrize("fn, names", [
+    (normalize_amplitudes, "beta_t_raw and beta_r_raw"),
+    (project_coupled_phases, "theta_t and theta_r"),
+    (coupling_residual, "theta_t and theta_r"),
+], ids=["normalize_amplitudes", "project_coupled_phases", "coupling_residual"])
+def test_halves_of_different_shapes_rejected_naming_both(fn, names, lengths):
+    """A pair's halves are not broadcast against each other: (1,) against
+    (4,) would otherwise give two length-4 halves."""
+    t, r = (np.ones(n) for n in lengths)
+    with pytest.raises(ConfigurationError, match=f"^{names} must have one shape; "
+                       rf"got \({lengths[0]},\) and \({lengths[1]},\)$"):
+        fn(t, r)

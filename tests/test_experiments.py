@@ -174,7 +174,13 @@ class TestExperimentSpec:
          "schemes"),
         ({"kind": "convergence", "master_seed": -1}, "master_seed"),
         ({"kind": "timing"}, "kind"),
-    ])
+        ({"kind": "convergence", "schemes": ("random_phase", "random_phase")},
+         "schemes"),
+    ], ids=["kind_grad_check", "sweep_n_no_grid", "sweep_n_fractional_n",
+            "sweep_n_zero_n", "sweep_n_bool_n", "sweep_n_bare_grid",
+            "sweep_pmax_nan", "sweep_mn_triple", "sweep_mn_flat_grid",
+            "sweep_mn_none_point", "phase_trace_pga_oracle",
+            "negative_master_seed", "kind_timing", "scheme_listed_twice"])
     def test_spec_rejected_when_built(self, tmp_path, fields, named):
         out = tmp_path / "out"
         with pytest.raises(ConfigurationError, match=named):
@@ -344,7 +350,9 @@ class TestCli:
         ({"train": {"lr_a": 5e-3}}, "lr_a"),
         ({"train": {"lr_theta": 5e-3}}, "lr_theta"),
         ({"train": {"n1": 5}}, "n1"),
-    ])
+    ], ids=["train.n_epoch", "system.p_max", "channel.rician_k", "section_trian",
+            "train.regulator_gain_rad", "channel.los_mode", "train.lr_w",
+            "train.lr_a", "train.lr_theta", "train.n1"])
     def test_unknown_config_key_rejected(self, tmp_path, raw, where):
         path = self._write_config(tmp_path, raw)
         with pytest.raises(ConfigurationError, match=where):
@@ -406,7 +414,8 @@ class TestCli:
         ("coupled", ["--scheme", "random_phase"], ("random_phase", "independent")),
         ("independent", ["--scheme", "gml_coupled"], ("gml_coupled", "coupled")),
         ("independent", [], ("gml_independent", "independent")),
-    ])
+    ], ids=["coupled_file_random_phase", "independent_file_gml_coupled",
+            "independent_file_no_scheme"])
     def test_scheme_sets_the_mode(self, tmp_path, monkeypatch, file_mode,
                                   flags, expected):
         seen = []

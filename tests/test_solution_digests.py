@@ -2,6 +2,7 @@ import importlib.util
 import os
 
 import numpy as np
+import pytest
 
 from starbeam import (
     conventional_ris_baseline,
@@ -52,3 +53,26 @@ def test_compare_counts_equal_cases(tmp_path, capsys):
     assert tool.main(["--compare", str(base), str(lacking)]) == 1
     assert capsys.readouterr().out.splitlines() == [
         "DIFFERS two: bb != None", "digests equal on 1 of 2 cases"]
+    # a listing of no case fails, named, even against another such listing
+    empty = tmp_path / "empty.txt"
+    empty.write_text("")
+    assert tool.main(["--compare", str(empty), str(empty)]) == 1
+    assert tool.main(["--compare", str(base), str(empty)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"EMPTY {empty}: no case listed"] * 3
+
+
+def test_pinned_digests_are_unchanged():
+    """Each pinned case lists the digest committed in the pinned file.
+    Digests depend on the BLAS build and the CPU, so in an environment
+    other than the file's header names, the test skips, naming the fields
+    that differ."""
+    header, committed = tool.read_listing(tool.PINNED_PATH)
+    other = [f"{key}: {header.get(key)!r} pinned, {value!r} here"
+             for key, value in tool.environment().items() if header.get(key) != value]
+    if other:
+        pytest.skip("digests pinned in another environment; " + "; ".join(other))
+    listed = {name: thunk() for name, thunk in tool.cases() if tool.pinned(name)}
+    assert sorted(listed) == sorted(committed)
+    differ = [name for name in listed if listed[name] != committed[name]]
+    assert not differ, f"{len(differ)} of {len(listed)} pinned digests differ: {differ}"

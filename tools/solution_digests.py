@@ -11,10 +11,9 @@ one-instance report. The cli_config cases solve from a config file, in
 each training mode, read through ``cli._build_configs``.
 
 Digests depend on the BLAS build and the CPU, so they are compared only
-between two runs on one machine, never against stored values. Each tree
-is listed by its own copy of the tool, which matches the fields of that
-tree's ``Solution`` (a field that a change removes is no longer there to
-skip or to hash):
+between runs in one environment. Each tree is listed by its own copy of
+the tool, which matches the fields of that tree's ``Solution`` (a field
+that a change removes is no longer there to skip or to hash):
 
     python tools/solution_digests.py > head.txt
     (in a checkout of the other tree) python tools/solution_digests.py > base.txt
@@ -24,6 +23,14 @@ skip or to hash):
 imports ``starbeam`` from the ``src/`` next to it; the full list takes
 about 7-9 s at one BLAS thread (``OPENBLAS_NUM_THREADS=1``) on a 2-vCPU
 Xeon.
+
+``tests/data/solution_digests.txt`` pins the cases that ``pinned`` names,
+every case but the acceptance battery's seeds beyond s00: 115 cases that
+list in about 1.5 s. Its header names the environment it was listed in
+(numpy's version, numpy's BLAS and the CPU model), and
+``tests/test_solution_digests.py`` compares it with a fresh listing when
+the running environment is the same. A change that moves bits by design
+rewrites it with ``--write``.
 """
 from __future__ import annotations
 
@@ -39,8 +46,9 @@ from dataclasses import replace
 
 import numpy as np
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                                os.pardir, "src"))
+HERE = os.path.dirname(os.path.abspath(__file__))
+sys.path.insert(0, os.path.join(HERE, os.pardir, "src"))
+PINNED_PATH = os.path.join(HERE, os.pardir, "tests", "data", "solution_digests.txt")
 
 from starbeam import (  # noqa: E402
     ExperimentSpec,
@@ -207,15 +215,61 @@ def cases():
     return out
 
 
+def pinned(name: str) -> bool:
+    """Whether the committed listing holds the case: all but the battery
+    seeds beyond s00."""
+    return not name.startswith("battery/") or name.endswith("/s00")
+
+
+def environment() -> dict[str, str]:
+    """What the digests depend on beyond the source: numpy's version, the
+    name and version of numpy's BLAS, and the CPU model."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    cpu = "unknown"
+    if os.path.exists("/proc/cpuinfo"):
+        with open("/proc/cpuinfo", encoding="utf-8", errors="replace") as fh:
+            cpu = next((line.split(":", 1)[1].strip() for line in fh
+                        if line.startswith("model name")), cpu)
+    return {"numpy": np.__version__,
+            "blas": f"{blas.get('name')} {blas.get('version')}", "cpu": cpu}
+
+
+def read_listing(path: str) -> tuple[dict[str, str], dict[str, str]]:
+    """The header fields (``# key: value`` lines) and the digest of each
+    case name of a listing."""
+    header, digests = {}, {}
+    with open(path, encoding="ascii") as fh:
+        for line in fh:
+            if line.startswith("#"):
+                key, _, value = line[1:].partition(":")
+                header[key.strip()] = value.strip()
+            elif line.strip():
+                digest, name = line.split()
+                digests[name] = digest
+    return header, digests
+
+
+def write_pinned(path: str = PINNED_PATH) -> None:
+    """List the pinned cases into path, under a header naming the
+    environment."""
+    lines = [f"# {key}: {value}\n" for key, value in environment().items()]
+    lines += [f"{thunk()}  {name}\n" for name, thunk in cases() if pinned(name)]
+    with open(path, "w", encoding="ascii") as fh:
+        fh.writelines(lines)
+
+
 def compare(base_path: str, head_path: str) -> int:
     """Print the cases whose digests differ and a summary line; 0 when all
-    cases of both files are present and equal."""
-    def read(path):
-        with open(path, encoding="ascii") as fh:
-            return {name: digest for digest, name in
-                    (line.split() for line in fh if line.strip())}
-
-    base, head = read(base_path), read(head_path)
+    cases of both files are present and equal, and there is at least one.
+    A listing with no case (a run that died before it printed) fails,
+    named."""
+    base, head = read_listing(base_path)[1], read_listing(head_path)[1]
+    empty = [path for path, listing in ((base_path, base), (head_path, head))
+             if not listing]
+    for path in empty:
+        print(f"EMPTY {path}: no case listed")
+    if empty:
+        return 1
     names = sorted(base.keys() | head.keys())
     equal = [n for n in names if n in base and base[n] == head.get(n)]
     for n in names:
@@ -227,13 +281,20 @@ def compare(base_path: str, head_path: str) -> int:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--match", default="",
-                        help="run only the cases whose name contains this")
-    parser.add_argument("--compare", nargs=2, metavar=("BASE", "HEAD"),
-                        help="compare two digest listings instead of running")
+    group = parser.add_mutually_exclusive_group()
+    group.add_argument("--match", default="",
+                       help="run only the cases whose name contains this")
+    group.add_argument("--compare", nargs=2, metavar=("BASE", "HEAD"),
+                       help="compare two digest listings instead of running")
+    group.add_argument("--write", action="store_true",
+                       help="rewrite tests/data/solution_digests.txt, the "
+                            "pinned cases listed in this environment")
     args = parser.parse_args(argv)
     if args.compare:
         return compare(*args.compare)
+    if args.write:
+        write_pinned()
+        return 0
     selected = [(name, thunk) for name, thunk in cases() if args.match in name]
     if not selected:
         parser.error(f"no case name contains {args.match!r}")
