@@ -17,8 +17,6 @@ Typical use::
 from .baselines import conventional_ris_baseline, pga_oracle, random_phase_baseline
 from .channels import (
     ChannelConfig,
-    channels_from_text,
-    channels_to_text,
     dbm_to_watts,
     default_scenario,
     desk_scenario,
@@ -63,7 +61,6 @@ from .model import (
     evaluate_wsr,
     sinr,
     sinr_augmented,
-    star_coefficient_vectors,
     wsr,
 )
 from .networks import (

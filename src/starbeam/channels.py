@@ -183,38 +183,27 @@ _CHANNEL_HEADER = "starbeam-channels v1"
 
 
 def save_channels(path: str, ch: ChannelSet) -> None:
-    """Write :func:`channels_to_text` of a channel set to a file."""
+    """Write a channel set to a file as portable text: a version line, a
+    dimension line "N M K", then one line per G row and one per user
+    vector, each a sequence of "re im" pairs printed with %.17g (lossless
+    for float64)."""
+    rows = [" ".join(f"{z.real:.17g} {z.imag:.17g}" for z in row)
+            for row in (*ch.G, *ch.h)]
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(channels_to_text(ch))
+        fh.write("\n".join([_CHANNEL_HEADER, f"{ch.N} {ch.M} {ch.K}", *rows]) + "\n")
 
 
 def load_channels(path: str) -> ChannelSet:
-    """Inverse of :func:`save_channels`; a file that is not ASCII text
-    raises ConfigurationError naming it."""
-    with open(path, "r", encoding="ascii") as fh:
+    """Inverse of :func:`save_channels`; a file that is not ASCII text or
+    is malformed raises ConfigurationError naming what is wrong and, for a
+    channel row, its block (G or h) and row. The arrays grow with the rows
+    read, so a dimension line larger than the file reserves nothing."""
+    with open(path, "r", encoding="ascii") as raw:
         try:
-            text = fh.read()
+            fh = io.StringIO(raw.read())
         except UnicodeDecodeError as err:
             raise ConfigurationError(f"channel file {path!r} is not ASCII text: "
                                      f"{err}") from None
-    return channels_from_text(text)
-
-
-def channels_to_text(ch: ChannelSet) -> str:
-    """A channel set as portable text: a version line, a dimension line
-    "N M K", then one line per G row and one per user vector, each a
-    sequence of "re im" pairs printed with %.17g (lossless for float64)."""
-    rows = [" ".join(f"{z.real:.17g} {z.imag:.17g}" for z in row)
-            for row in (*ch.G, *ch.h)]
-    return "\n".join([_CHANNEL_HEADER, f"{ch.N} {ch.M} {ch.K}", *rows]) + "\n"
-
-
-def channels_from_text(text: str) -> ChannelSet:
-    """Inverse of :func:`channels_to_text`; a malformed text raises
-    ConfigurationError naming what is wrong and, for a channel row, its
-    block (G or h) and row. The arrays grow with the rows read, so a
-    dimension line larger than the text reserves nothing."""
-    fh = io.StringIO(text)
     header = fh.readline().strip()
     if header != _CHANNEL_HEADER:
         raise ConfigurationError(f"unrecognized channel file header: {header!r}")
@@ -241,6 +230,8 @@ def channels_from_text(text: str) -> ChannelSet:
             if vals.size != 2 * width:
                 raise ConfigurationError(
                     f"{where}: expected {2 * width} values, saw {vals.size}")
+            if not np.isfinite(vals).all():
+                raise ConfigurationError(f"{where}: non-finite value")
             rows.append(vals[0::2] + 1j * vals[1::2])
         return np.array(rows)
 

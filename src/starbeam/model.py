@@ -214,14 +214,6 @@ def check_dimensions(
             )
 
 
-def star_coefficient_vectors(state: BeamformingState) -> tuple[np.ndarray, np.ndarray]:
-    """Per-element complex surface coefficients (c_t, c_r), each length N,
-    with |c| = beta and arg(c) = theta."""
-    c_t = state.beta_t * np.exp(1j * state.theta_t)
-    c_r = state.beta_r * np.exp(1j * state.theta_r)
-    return c_t, c_r
-
-
 def effective_rows(cfg: SystemConfig, ch: ChannelSet, coef: np.ndarray) -> np.ndarray:
     """(..., K, M) effective downlink rows from the per-side form: row k is
     (conj(h_k) * c) @ G, where c is the row of user k's side picked from
@@ -247,8 +239,8 @@ def sinr(cfg: SystemConfig, ch: ChannelSet, state: BeamformingState, k: int) -> 
     Kind.SEED.check("k", k)
     if k >= cfg.K:
         raise IndexError(f"user index {k} out of range for K={cfg.K}")
-    c_t, c_r = star_coefficient_vectors(state)
-    c = c_t if cfg.user_sides[k] == TRANSMISSION else c_r
+    # user k's side of the (c_t, c_r) halves
+    c = (state.beta * np.exp(1j * state.theta)).reshape(2, -1)[cfg.side_index[k]]
     row = (np.conj(ch.h[k]) * c) @ ch.G
     received = np.abs(row @ state.W) ** 2
     signal = received[k]

@@ -25,16 +25,15 @@ epochs. Each epoch runs three phases:
   which serve the next precoder block: its field, rate and coupling
   residual, and in coupled mode the rate of its hardened copy, a
   different state, from that state's rows and SINRs.
-- :func:`_backward_passes`, each updating network's pass, a (forward
-  cache, loss gradient on the output) pair, from the refined point's
-  field; the surface pullback runs only on epochs that update the
-  amplitude or phase network.
+- :func:`_update_networks`, each updating network's chain, from the
+  refined point's field to a (forward cache, loss gradient on the output)
+  pass, then, network by network, its gradient from :func:`mlp_backward`
+  and its Adam step; the surface pullback runs only on epochs that update
+  the amplitude or phase network. No network steps before every chain has
+  run, but no chain reads a network's parameters, so the order is free.
 
-The driver then ranks the refined state for selection, :func:`_adam_steps`
-forms each updating network's gradient from its pass with
-:func:`mlp_backward` and steps on it, and :func:`_record_traces` writes
-the epoch's traces. No network steps before every pass is recorded, and no
-chain reads a network's parameters, so the order is free.
+The driver ranks the refined state for selection between the second and
+third phases, and :func:`_record_traces` writes the epoch's traces.
 :func:`report_solution` builds the reported :class:`Solution`, for the
 loop and for :func:`baselines.pga_oracle`.
 
@@ -348,7 +347,7 @@ def run_meta_loop(
 
     rng = np.random.default_rng(train.seed)
     nets = init_networks(sys_cfg, rng)
-    adams = (adam_init(nets.pn.flat), adam_init(nets.an.flat), adam_init(nets.tn.flat))
+    adams = {name: adam_init(getattr(nets, name).flat) for name in ("pn", "an", "tn")}
 
     W0, beta0, theta0 = initial_state(sys_cfg, rng, beta_init)
     start = (W0, beta0, theta0, np.exp(1j * theta0))
@@ -372,6 +371,8 @@ def run_meta_loop(
 
     for epoch in range(1, train.n_epochs + 1):
         rho = rho_at(train, epoch) if coupled else 0.0
+        lr_tn = (LR_THETA * PHASE_RATE_FLOOR ** (epoch / train.n_epochs) if coupled
+                 else LR_THETA)
         updates = (enable_an and epoch % N1 == 0,
                    enable_tn and epoch % train.n2 == 0)
         try:
@@ -379,15 +380,14 @@ def run_meta_loop(
                 nets, start, point, rows, sys_cfg, ch, enable_an, enable_tn)
             field, r_cur, residual, r_proj, theta_hard, dev = _refined_point(
                 sys_cfg, ch, point, rows, coupled)
-            passes = _backward_passes(sys_cfg, ch, point, field, precoded,
-                                      tapes, updates, rho, dev)
         except (DegenerateInputError, ConfigurationError) as err:
             raise type(err)(f"epoch {epoch}: {err}") from err
         wsr_best = max(wsr_best, r_cur)
         rank = (coupled and residual < COUPLING_TOL, r_proj)
         if chosen is None or rank > chosen[0]:
             chosen = (rank, r_cur, residual, point[0], point[1], theta_hard)
-        _adam_steps(nets, adams, passes, train, epoch)
+        _update_networks(nets, adams, lr_tn, epoch, sys_cfg, ch, point, field,
+                         precoded, tapes, updates, rho, dev)
         _record_traces(traces, epoch - 1, sys_cfg, point, dev, rho=rho,
                        wsr_current=r_cur, wsr_best=wsr_best,
                        wsr_best_post_projection=chosen[0][1], residual_max=residual)
@@ -440,45 +440,35 @@ def _refined_point(cfg, ch, point, rows, coupled):
     return field, rate, residual, rate_hard, theta_hard, theta - proj
 
 
-def _backward_passes(cfg, ch, point, field, precoded, tapes, updates, rho, dev):
-    """The passes of the three networks: the precoder network's, and each
-    surface network's whose flag in updates is set, None for the others.
-    Each loss gradient is the negated ascent direction at the refined
-    point; in coupled mode (dev not None) the phase network's adds 2 * rho
-    * dev."""
+def _update_networks(nets, adams, lr_tn, epoch, cfg, ch, point, field, precoded,
+                     tapes, updates, rho, dev):
+    """Pull the loss of the precoder network, and of each surface network
+    whose flag in updates is set, back to that network's output; then, in
+    pn/an/tn order, form each one's gradient with mlp_backward and Adam
+    step it, the phase network at rate lr_tn. Each loss gradient is the
+    negated ascent direction at the refined point; in coupled mode (dev
+    not None) the phase network's adds 2 * rho * dev."""
     _, beta, _, phasor = point
     tape_w, tape_a, tape_t = tapes
     update_an, update_tn = updates
-    passes = [_precoder_block_backward(tape_w, -precoder_pullback(field)), None, None]
+    steps = [("pn", LR_W, _precoder_block_backward(tape_w, -precoder_pullback(field)))]
     if update_an or update_tn:
         bracket = surface_bracket(cfg, ch, field, precoded, phasor)
-        grad_beta, grad_theta = amplitude_ascent(bracket), phase_ascent(bracket, beta)
     if update_an:
-        passes[1] = _amplitude_block_backward(tape_a, -grad_beta)
+        steps.append(("an", LR_A, _amplitude_block_backward(
+            tape_a, -amplitude_ascent(bracket))))
     if update_tn:
-        g_t = -grad_theta if dev is None else -grad_theta + 2.0 * rho * dev
-        passes[2] = _phase_block_backward(tape_t, g_t)
-    return passes
-
-
-def _adam_steps(nets, adams, passes, train, epoch):
-    """Step each network that has a pass on the gradient mlp_backward forms
-    from it. In coupled mode the phase network's rate decays (see
-    PHASE_RATE_FLOOR)."""
-    lr_tn = LR_THETA
-    if train.mode == MODE_COUPLED:
-        lr_tn *= PHASE_RATE_FLOOR ** (epoch / train.n_epochs)
-    for name, adam, lr, net_pass in zip(("pn", "an", "tn"), adams,
-                                        (LR_W, LR_A, lr_tn), passes):
-        if net_pass is not None:
-            net = getattr(nets, name)
-            grad = mlp_backward(net, *net_pass)
-            try:
-                adam_step(net.flat, grad, adam, lr)
-            except DegenerateInputError as err:
-                raise DegenerateInputError(
-                    f"epoch {epoch}, {name} network: {err}") from err
-            del grad  # consumed by adam_step; one gradient alive at a time
+        g_t = -phase_ascent(bracket, beta)
+        steps.append(("tn", lr_tn, _phase_block_backward(
+            tape_t, g_t if dev is None else g_t + 2.0 * rho * dev)))
+    for name, lr, net_pass in steps:
+        net = getattr(nets, name)
+        grad = mlp_backward(net, *net_pass)
+        try:
+            adam_step(net.flat, grad, adams[name], lr)
+        except DegenerateInputError as err:
+            raise DegenerateInputError(f"epoch {epoch}, {name} network: {err}") from err
+        del grad  # consumed by adam_step; one gradient alive at a time
 
 
 def _record_traces(traces, idx, cfg, point, dev, **scalars):

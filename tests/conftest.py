@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,25 @@ def make_instance(seed, M=4, N=8, K=2, noise=None, weights=None, user_sides=None
         W, bt, br, r.uniform(0, 2 * np.pi, N), r.uniform(0, 2 * np.pi, N)
     )
     return cfg, ch, state
+
+
+def assert_bitwise(a, b, name=None):
+    """Two arrays agree in dtype, shape and bytes, so -0.0 differs from 0.0."""
+    assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+    assert a.tobytes() == b.tobytes(), name
+
+
+def assert_same_solution(a, b):
+    """Two Solutions agree bitwise in every field and every trace; a number,
+    flag or string compares as the array numpy makes of it."""
+    for f in dataclasses.fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if f.name == "traces":
+            assert x.keys() == y.keys()
+            for key in x:
+                assert_bitwise(x[key], y[key], f"traces[{key!r}]")
+        else:
+            assert_bitwise(np.asarray(x), np.asarray(y), f.name)
 
 
 @pytest.fixture

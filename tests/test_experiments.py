@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import json
 import math
 import os
@@ -41,6 +40,8 @@ from starbeam.experiments import (
     desk_train,
     random_gradient_instance,
 )
+
+from conftest import assert_same_solution
 
 
 def read_csv(path):
@@ -106,14 +107,7 @@ class TestRunScheme:
         sol = run_scheme(scheme, sys_cfg, ch, desk_train(train_mode, 0, 20))
         ref = run_scheme(scheme, sys_cfg, ch, desk_train(SCHEME_MODE[scheme], 0, 20))
         assert sol.mode == SCHEME_MODE[scheme]
-        for f in dataclasses.fields(ref):
-            a, b = getattr(sol, f.name), getattr(ref, f.name)
-            if f.name == "traces":
-                assert a.keys() == b.keys()
-                for key in a:
-                    assert a[key].tobytes() == b[key].tobytes(), key
-            else:
-                assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), f.name
+        assert_same_solution(sol, ref)
 
 
 class TestSweepExperiment:

@@ -159,7 +159,6 @@ UNCASED = {
                         ("paper_train", ("mode", "seed")), ("desk_scenario", ("K",)))
        for arg in args},
     "save_channels.path": "a path", "load_channels.path": "a path",
-    "channels_from_text.text": "a text",
 }
 
 

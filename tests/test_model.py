@@ -13,7 +13,6 @@ from starbeam import (
     evaluate_wsr,
     sinr,
     sinr_augmented,
-    star_coefficient_vectors,
     wsr,
 )
 from starbeam.cli import _build_configs, build_parser
@@ -38,31 +37,6 @@ def scalar_setup(p=4.0, noise=0.5):
         np.full((1, 1), np.sqrt(p), complex), [1.0], [1.0], [0.0], [0.0]
     )
     return cfg, ch, state
-
-
-class TestStarCoefficients:
-    def test_identity_case(self):
-        state = BeamformingState(np.zeros((1, 1)), [1.0], [1.0], [0.0], [0.0])
-        c_t, c_r = star_coefficient_vectors(state)
-        assert c_t[0] == pytest.approx(1 + 0j)
-
-    def test_quarter_turn(self):
-        state = BeamformingState(
-            np.zeros((1, 1)), [1.0], [1.0], [np.pi / 2], [0.0]
-        )
-        c_t, _ = star_coefficient_vectors(state)
-        assert c_t[0] == pytest.approx(1j, abs=1e-15)
-
-    def test_polar_to_cartesian(self):
-        state = BeamformingState(np.zeros((1, 1)), [0.6], [0.8], [np.pi], [0.0])
-        c_t, _ = star_coefficient_vectors(state)
-        assert c_t[0] == pytest.approx(-0.6 + 0j, abs=1e-15)
-
-    def test_magnitude_and_angle(self):
-        _, _, state = make_instance(5)
-        c_t, c_r = star_coefficient_vectors(state)
-        assert np.allclose(np.abs(c_t), state.beta_t)
-        assert np.allclose(np.mod(np.angle(c_r), 2 * np.pi), state.theta_r)
 
 
 class TestSinr:

@@ -3,13 +3,13 @@ epochs, train seed 0) on paper channels 100 and 101. The acceptance
 battery runs only at desk scale, so these pin that coupled runs lock at
 the published scale, that both modes keep criterion 3's constraints at
 every epoch, and that a repeated run is bitwise equal."""
-import dataclasses
-
 import numpy as np
 import pytest
 
 from starbeam import default_scenario, generate_channels, paper_train, run_gml
 from starbeam.constraints import COUPLING_TOL
+
+from conftest import assert_same_solution
 
 RUNS = [("coupled", 100), ("coupled", 101), ("independent", 100)]
 
@@ -43,12 +43,4 @@ def test_constraints_and_best_so_far_every_epoch(solutions, run):
 
 
 def test_repeated_coupled_run_is_bitwise_equal(solutions):
-    ref, again = solutions["coupled", 100], solve("coupled", 100)
-    for f in dataclasses.fields(ref):
-        a, b = getattr(ref, f.name), getattr(again, f.name)
-        if f.name == "traces":
-            assert a.keys() == b.keys()
-            for key in a:
-                assert a[key].tobytes() == b[key].tobytes(), key
-        else:
-            assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), f.name
+    assert_same_solution(solutions["coupled", 100], solve("coupled", 100))

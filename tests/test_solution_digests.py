@@ -23,7 +23,8 @@ CASE = "conventional_ris/s0"
 def test_case_repeats_and_a_perturbed_trace_changes_its_digest(capsys):
     assert tool.main(["--match", CASE]) == 0
     assert tool.main(["--match", CASE]) == 0
-    first, second = capsys.readouterr().out.splitlines()
+    first, second = [line for line in capsys.readouterr().out.splitlines()
+                     if not line.startswith("#")]
     assert first == second
     digest, name = first.split()
     assert name == CASE
@@ -60,6 +61,16 @@ def test_compare_counts_equal_cases(tmp_path, capsys):
     assert tool.main(["--compare", str(base), str(empty)]) == 1
     assert capsys.readouterr().out.splitlines() == [
         f"EMPTY {empty}: no case listed"] * 3
+    # two headers that differ fail, each differing field named; a listing
+    # without a header compares by its digests alone
+    here, there = tmp_path / "here.txt", tmp_path / "there.txt"
+    here.write_text("# numpy: 2.4.6\n# cpu: A\naa  one\nbb  two\n")
+    there.write_text("# numpy: 2.4.6\n# cpu: B\n# simd: X\naa  one\nbb  two\n")
+    assert tool.main(["--compare", str(here), str(there)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "ENVIRONMENT cpu: 'A' != 'B'", "ENVIRONMENT simd: None != 'X'"]
+    assert tool.main(["--compare", str(here), str(base)]) == 0
+    assert tool.main(["--compare", str(here), str(here)]) == 0
 
 
 def test_pinned_digests_are_unchanged():

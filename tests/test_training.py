@@ -49,6 +49,8 @@ from starbeam.networks import mlp_backward
 
 from conftest import (
     RecordingMlp,
+    assert_bitwise,
+    assert_same_solution,
     edge_cases,
     float64_copy,
     make_edge_instance,
@@ -284,11 +286,6 @@ class TestBlockRefinesOneGroup:
         theta, _, _ = _phase_block(nets.tn, state.theta, phasor, state.W,
                                    precoded, state.beta, cfg, ch)
         assert (theta >= 0).all() and (theta < 2 * np.pi).all()
-
-
-def assert_bitwise(a, b):
-    assert a.dtype == b.dtype and a.shape == b.shape
-    assert a.tobytes() == b.tobytes()
 
 
 class TestLeanBlocks:
@@ -875,13 +872,7 @@ class TestRunGml:
 
     def test_deterministic_bitwise(self):
         sys_cfg, ch, train = self.small_setup()
-        a = run_gml(sys_cfg, ch, train)
-        b = run_gml(sys_cfg, ch, train)
-        assert np.array_equal(a.W_opt, b.W_opt)
-        assert np.array_equal(a.theta_opt, b.theta_opt)
-        assert a.wsr_opt == b.wsr_opt
-        for key in a.traces:
-            assert np.array_equal(a.traces[key], b.traces[key])
+        assert_same_solution(run_gml(sys_cfg, ch, train), run_gml(sys_cfg, ch, train))
 
     def test_solution_invariants(self):
         sys_cfg, ch, train = self.small_setup(n_epochs=25)

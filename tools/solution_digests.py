@@ -11,9 +11,13 @@ one-instance report. The cli_config cases solve from a config file, in
 each training mode, read through ``cli._build_configs``.
 
 Digests depend on the BLAS build and the CPU, so they are compared only
-between runs in one environment. Each tree is listed by its own copy of
-the tool, which matches the fields of that tree's ``Solution`` (a field
-that a change removes is no longer there to skip or to hash):
+between runs in one environment. A listing opens with a header naming its
+environment (see ``environment``), and ``--compare`` fails, naming each
+header field that differs, when both listings carry one; a listing without
+a header, from an older copy of the tool, compares by its digests alone.
+Each tree is listed by its own copy of the tool, which matches the fields
+of that tree's ``Solution`` (a field that a change removes is no longer
+there to skip or to hash):
 
     python tools/solution_digests.py > head.txt
     (in a checkout of the other tree) python tools/solution_digests.py > base.txt
@@ -26,17 +30,17 @@ Xeon.
 
 ``tests/data/solution_digests.txt`` pins the cases that ``pinned`` names,
 every case but the acceptance battery's seeds beyond s00: 115 cases that
-list in about 1.5 s. Its header names the environment it was listed in
-(numpy's version, numpy's BLAS and the CPU model), and
-``tests/test_solution_digests.py`` compares it with a fresh listing when
-the running environment is the same. A change that moves bits by design
-rewrites it with ``--write``.
+list in about 1.5 s. ``tests/test_solution_digests.py`` compares it with
+a fresh listing when the running environment is the one its header
+names. A change that moves bits by design rewrites it with ``--write``.
 """
 from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import dataclasses
+import glob
 import hashlib
 import json
 import os
@@ -221,17 +225,40 @@ def pinned(name: str) -> bool:
     return not name.startswith("battery/") or name.endswith("/s00")
 
 
+def _blas_core() -> str:
+    """The kernel family numpy's OpenBLAS picked at run time, or unknown.
+    A DYNAMIC_ARCH build picks it by the CPU's features; the target in its
+    configuration string names only the build's default."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "libscipy_openblas*.so*")):
+        corename = getattr(ctypes.CDLL(path), "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.argtypes, corename.restype = [], ctypes.c_char_p
+            return corename().decode()
+    return "unknown"
+
+
 def environment() -> dict[str, str]:
     """What the digests depend on beyond the source: numpy's version, the
-    name and version of numpy's BLAS, and the CPU model."""
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    name and version of numpy's BLAS, the core its kernels were picked
+    for, the CPU model and the SIMD extensions numpy found on it."""
+    config = np.show_config(mode="dicts")
+    blas = config["Build Dependencies"]["blas"]
     cpu = "unknown"
     if os.path.exists("/proc/cpuinfo"):
         with open("/proc/cpuinfo", encoding="utf-8", errors="replace") as fh:
             cpu = next((line.split(":", 1)[1].strip() for line in fh
                         if line.startswith("model name")), cpu)
+    simd = config.get("SIMD Extensions", {}).get("found", ["unknown"])
     return {"numpy": np.__version__,
-            "blas": f"{blas.get('name')} {blas.get('version')}", "cpu": cpu}
+            "blas": f"{blas.get('name')} {blas.get('version')}",
+            "blas_core": _blas_core(), "cpu": cpu, "simd": ", ".join(simd)}
+
+
+def header_lines() -> list[str]:
+    """The ``# key: value`` lines that open a listing, one per field of
+    the environment."""
+    return [f"# {key}: {value}\n" for key, value in environment().items()]
 
 
 def read_listing(path: str) -> tuple[dict[str, str], dict[str, str]]:
@@ -252,7 +279,7 @@ def read_listing(path: str) -> tuple[dict[str, str], dict[str, str]]:
 def write_pinned(path: str = PINNED_PATH) -> None:
     """List the pinned cases into path, under a header naming the
     environment."""
-    lines = [f"# {key}: {value}\n" for key, value in environment().items()]
+    lines = header_lines()
     lines += [f"{thunk()}  {name}\n" for name, thunk in cases() if pinned(name)]
     with open(path, "w", encoding="ascii") as fh:
         fh.writelines(lines)
@@ -262,13 +289,20 @@ def compare(base_path: str, head_path: str) -> int:
     """Print the cases whose digests differ and a summary line; 0 when all
     cases of both files are present and equal, and there is at least one.
     A listing with no case (a run that died before it printed) fails,
-    named."""
-    base, head = read_listing(base_path)[1], read_listing(head_path)[1]
+    named, and so do two listings whose headers differ, each differing
+    field named."""
+    (base_env, base), (head_env, head) = read_listing(base_path), read_listing(head_path)
     empty = [path for path, listing in ((base_path, base), (head_path, head))
              if not listing]
     for path in empty:
         print(f"EMPTY {path}: no case listed")
     if empty:
+        return 1
+    other = [key for key in {**base_env, **head_env}
+             if base_env and head_env and base_env.get(key) != head_env.get(key)]
+    for key in other:
+        print(f"ENVIRONMENT {key}: {base_env.get(key)!r} != {head_env.get(key)!r}")
+    if other:
         return 1
     names = sorted(base.keys() | head.keys())
     equal = [n for n in names if n in base and base[n] == head.get(n)]
@@ -298,6 +332,7 @@ def main(argv=None) -> int:
     selected = [(name, thunk) for name, thunk in cases() if args.match in name]
     if not selected:
         parser.error(f"no case name contains {args.match!r}")
+    print("".join(header_lines()), end="", flush=True)
     for name, thunk in selected:
         print(f"{thunk()}  {name}", flush=True)
     return 0
